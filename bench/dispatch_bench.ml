@@ -1,11 +1,10 @@
-(* dispatch/* bench family: the execution-tier ablation (decoded vs
-   trimmed vs compiled vs compiled+fused vs ir) over the three hook
-   workloads whose instruction mix the tiers were designed around.  Each
-   case is one VM instance pinned to a tier, pre-checked against the
-   workload's native reference so a semantics regression can never be
-   reported as a performance number.  --dispatch-smoke is the per-push
-   CI gate: the compiled tier must never fall behind the decoded
-   interpreter, and the IR tier must never fall behind compiled. *)
+(* dispatch/* bench family: the execution-tier ablation (decoded vs ir)
+   over the three hook workloads whose instruction mix the tiers were
+   designed around.  Each case is one VM instance pinned to a tier,
+   pre-checked against the workload's native reference so a semantics
+   regression can never be reported as a performance number.
+   --dispatch-smoke is the per-push CI gate: the IR tier must never fall
+   behind the decoded interpreter. *)
 
 module Analysis = Femto_analysis.Analysis
 module Fletcher = Femto_workloads.Fletcher
@@ -34,15 +33,13 @@ let dispatch_cases () =
         failwith (name ^ ": " ^ Femto_vm.Fault.to_string fault));
     { case_name = "dispatch/" ^ name; vm; args }
   in
-  let vm_load ~tier ?fuse ?(helpers = Femto_vm.Helper.create ()) ~regions
-      program =
-    match Femto_vm.Vm.load ~tier ?fuse ~helpers ~regions program with
+  let decoded ?(helpers = Femto_vm.Helper.create ()) ~regions program =
+    match Femto_vm.Vm.load ~helpers ~regions program with
     | Ok vm -> vm
     | Error fault -> failwith (Femto_vm.Fault.to_string fault)
   in
-  let analysis_load ~tier ?fuse ?(helpers = Femto_vm.Helper.create ())
-      ~regions program =
-    match Analysis.load ~tier ?fuse ~helpers ~regions program with
+  let ir ?(helpers = Femto_vm.Helper.create ()) ~regions program =
+    match Analysis.load ~helpers ~regions program with
     | Ok vm -> vm
     | Error fault -> failwith (Femto_vm.Fault.to_string fault)
   in
@@ -55,62 +52,22 @@ let dispatch_cases () =
   let hot = Hotcall.ebpf_program () in
   [
     (* dagsum: straight-line DAG, analyzer proofs available *)
-    mk "dagsum-decoded"
-      (vm_load ~tier:Femto_vm.Vm.Decoded ~regions:(Dagsum.regions data) dag)
-      dag_args dag_expect;
-    mk "dagsum-trimmed"
-      (analysis_load ~tier:Femto_vm.Vm.Trimmed ~regions:(Dagsum.regions data)
-         dag)
-      dag_args dag_expect;
-    mk "dagsum-compiled"
-      (analysis_load ~tier:Femto_vm.Vm.Compiled ~fuse:false
-         ~regions:(Dagsum.regions data) dag)
-      dag_args dag_expect;
-    mk "dagsum-compiled-fused"
-      (analysis_load ~tier:Femto_vm.Vm.Compiled ~regions:(Dagsum.regions data)
-         dag)
-      dag_args dag_expect;
-    mk "dagsum-ir"
-      (analysis_load ~tier:Femto_vm.Vm.Ir ~regions:(Dagsum.regions data) dag)
-      dag_args dag_expect;
-    (* loop_sum: back edge, no analyzer fast path — the compiled tier
-       runs fully checked; fusion still collapses the loop body *)
+    mk "dagsum-decoded" (decoded ~regions:(Dagsum.regions data) dag) dag_args
+      dag_expect;
+    mk "dagsum-ir" (ir ~regions:(Dagsum.regions data) dag) dag_args dag_expect;
+    (* loop_sum: back edge, no analyzer fast path — the IR tier keeps
+       its budget guard *)
     mk "loop-sum-decoded"
-      (vm_load ~tier:Femto_vm.Vm.Decoded ~regions:(Loop_sum.regions data)
-         loop)
+      (decoded ~regions:(Loop_sum.regions data) loop)
       loop_args loop_expect;
-    mk "loop-sum-compiled"
-      (vm_load ~tier:Femto_vm.Vm.Compiled ~fuse:false
-         ~regions:(Loop_sum.regions data) loop)
-      loop_args loop_expect;
-    mk "loop-sum-compiled-fused"
-      (vm_load ~tier:Femto_vm.Vm.Compiled ~fuse:true
-         ~regions:(Loop_sum.regions data) loop)
-      loop_args loop_expect;
-    mk "loop-sum-ir"
-      (analysis_load ~tier:Femto_vm.Vm.Ir ~regions:(Loop_sum.regions data)
-         loop)
-      loop_args loop_expect;
+    mk "loop-sum-ir" (ir ~regions:(Loop_sum.regions data) loop) loop_args
+      loop_expect;
     (* hotcall: helper-call-bound straight line *)
     mk "hotcall-decoded"
-      (vm_load ~tier:Femto_vm.Vm.Decoded ~helpers:(Hotcall.helpers ())
-         ~regions:[] hot)
-      [||] Hotcall.reference;
-    mk "hotcall-trimmed"
-      (analysis_load ~tier:Femto_vm.Vm.Trimmed ~helpers:(Hotcall.helpers ())
-         ~regions:[] hot)
-      [||] Hotcall.reference;
-    mk "hotcall-compiled"
-      (analysis_load ~tier:Femto_vm.Vm.Compiled ~fuse:false
-         ~helpers:(Hotcall.helpers ()) ~regions:[] hot)
-      [||] Hotcall.reference;
-    mk "hotcall-compiled-fused"
-      (analysis_load ~tier:Femto_vm.Vm.Compiled ~helpers:(Hotcall.helpers ())
-         ~regions:[] hot)
+      (decoded ~helpers:(Hotcall.helpers ()) ~regions:[] hot)
       [||] Hotcall.reference;
     mk "hotcall-ir"
-      (analysis_load ~tier:Femto_vm.Vm.Ir ~helpers:(Hotcall.helpers ())
-         ~regions:[] hot)
+      (ir ~helpers:(Hotcall.helpers ()) ~regions:[] hot)
       [||] Hotcall.reference;
   ]
 
@@ -156,8 +113,8 @@ let run_ir_ablation () =
         (fun (cname, passes) ->
           let vm =
             match
-              Analysis.load ~tier:Femto_vm.Vm.Ir ~passes
-                ~helpers:(Femto_vm.Helper.create ()) ~regions program
+              Analysis.load ~passes ~helpers:(Femto_vm.Helper.create ())
+                ~regions program
             with
             | Ok vm -> vm
             | Error fault -> failwith (Femto_vm.Fault.to_string fault)
@@ -202,35 +159,15 @@ let run_dispatch_smoke ~json_file () =
     (String.make 45 '-');
   List.iter (fun (name, ns) -> Printf.printf "  %-40s %12.1f\n" name ns) rows;
   let find name = List.assoc ("dispatch/" ^ name) rows in
-  let speedup workload decoded compiled =
-    let s = find decoded /. find compiled in
-    Printf.printf "  %-40s %11.2fx\n" (workload ^ " compiled speedup") s;
-    (workload, s)
-  in
-  let s_dag = speedup "dagsum" "dagsum-decoded" "dagsum-compiled-fused" in
-  let s_loop = speedup "loop_sum" "loop-sum-decoded" "loop-sum-compiled-fused" in
-  let s_hot = speedup "hotcall" "hotcall-decoded" "hotcall-compiled-fused" in
-  (* IR-tier gates: over decoded (like the compiled gate) and over the
-     fused compiled tier — the pass pipeline must pay for itself. *)
-  let ir_speedup workload over ir =
-    let s = find over /. find ir in
+  let speedup workload decoded ir =
+    let s = find decoded /. find ir in
     Printf.printf "  %-40s %11.2fx\n" (workload ^ " speedup") s;
     (workload, s)
   in
-  let s_dag_ir = ir_speedup "dagsum_ir" "dagsum-decoded" "dagsum-ir" in
-  let s_loop_ir = ir_speedup "loop_sum_ir" "loop-sum-decoded" "loop-sum-ir" in
-  let s_hot_ir = ir_speedup "hotcall_ir" "hotcall-decoded" "hotcall-ir" in
-  let s_dag_irc =
-    ir_speedup "dagsum_ir_vs_compiled" "dagsum-compiled-fused" "dagsum-ir"
-  in
-  let s_loop_irc =
-    ir_speedup "loop_sum_ir_vs_compiled" "loop-sum-compiled-fused"
-      "loop-sum-ir"
-  in
-  let speedups =
-    [ s_dag; s_loop; s_hot; s_dag_ir; s_loop_ir; s_hot_ir; s_dag_irc;
-      s_loop_irc ]
-  in
+  let s_dag = speedup "dagsum_ir" "dagsum-decoded" "dagsum-ir" in
+  let s_loop = speedup "loop_sum_ir" "loop-sum-decoded" "loop-sum-ir" in
+  let s_hot = speedup "hotcall_ir" "hotcall-decoded" "hotcall-ir" in
+  let speedups = [ s_dag; s_loop; s_hot ] in
   flush stdout;
   Option.iter (Schema.write_doc (dispatch_smoke_json rows speedups)) json_file;
   let slow = List.filter (fun (_, s) -> s < 1.0) speedups in

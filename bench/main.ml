@@ -55,7 +55,7 @@ let bechamel_tests () =
     let program = Fletcher.ebpf_program () in
     let helpers = Femto_vm.Helper.create () in
     let regions = Fletcher.regions ~ctx_vaddr:0x2000_0000L data in
-    match Femto_vm.Vm.load ~helpers ~regions program with
+    match Femto_analysis.Analysis.load ~helpers ~regions program with
     | Ok vm -> vm
     | Error fault -> failwith (Femto_vm.Fault.to_string fault)
   in
@@ -67,11 +67,11 @@ let bechamel_tests () =
     | Ok vm -> vm
     | Error fault -> failwith (Femto_vm.Fault.to_string fault)
   in
-  let dag_checked, dag_trimmed =
+  let dag_checked, dag_ir =
     (* Same unrolled DAG program twice: once on the fully checked
-       interpreter, once through the static analyzer (which must grant
-       the trimmed fast path — asserted below, along with agreement on
-       the native reference result). *)
+       interpreter, once through the static analyzer (which must prove
+       stack accesses for the IR tier to elide — asserted below, along
+       with agreement on the native reference result). *)
     let program = Dagsum.ebpf_program () in
     let regions () = Dagsum.regions data in
     let checked =
@@ -83,7 +83,7 @@ let bechamel_tests () =
       | Ok vm -> vm
       | Error fault -> failwith (Femto_vm.Fault.to_string fault)
     in
-    let trimmed =
+    let ir =
       match
         Femto_analysis.Analysis.load
           ~helpers:(Femto_vm.Helper.create ())
@@ -92,14 +92,14 @@ let bechamel_tests () =
       | Ok vm -> vm
       | Error fault -> failwith (Femto_vm.Fault.to_string fault)
     in
-    if not (Femto_vm.Vm.fastpath_active trimmed) then
-      failwith "dagsum: analyzer did not grant the fast path";
+    if Femto_vm.Vm.proven_count ir = 0 then
+      failwith "dagsum: analyzer proved no stack access";
     let expect = Ok (Dagsum.reference data) in
     if Femto_vm.Vm.run checked ~args:[| Dagsum.data_vaddr |] <> expect then
       failwith "dagsum: checked interpreter disagrees with native reference";
-    if Femto_vm.Vm.run trimmed ~args:[| Dagsum.data_vaddr |] <> expect then
-      failwith "dagsum: trimmed interpreter disagrees with native reference";
-    (checked, trimmed)
+    if Femto_vm.Vm.run ir ~args:[| Dagsum.data_vaddr |] <> expect then
+      failwith "dagsum: IR tier disagrees with native reference";
+    (checked, ir)
   in
   let wasm =
     Femto_wasm_mini.Fast.of_module Femto_wasm_mini.Samples.fletcher32_module
@@ -125,13 +125,13 @@ let bechamel_tests () =
          (Staged.stage (fun () ->
               ignore (Femto_certfc.Certfc.run certfc ~args:[| 0x2000_0000L |])));
        (* Static-analysis dividend: identical DAG program, budget-checked
-          loop vs the analyzer-trimmed loop. *)
+          interpreter vs the analyzer-fed IR tier. *)
        Test.make ~name:"analysis/dagsum-checked"
          (Staged.stage (fun () ->
               ignore (Femto_vm.Vm.run dag_checked ~args:[| Dagsum.data_vaddr |])));
-       Test.make ~name:"analysis/dagsum-trimmed"
+       Test.make ~name:"analysis/dagsum-ir"
          (Staged.stage (fun () ->
-              ignore (Femto_vm.Vm.run dag_trimmed ~args:[| Dagsum.data_vaddr |])));
+              ignore (Femto_vm.Vm.run dag_ir ~args:[| Dagsum.data_vaddr |])));
        (* Table 1/2 row: WASM *)
        Test.make ~name:"table2/wasm-fletcher32"
          (Staged.stage (fun () ->
@@ -149,7 +149,8 @@ let bechamel_tests () =
             (let program = Fletcher.ebpf_program () in
              let helpers = Femto_vm.Helper.create () in
              let regions = Fletcher.regions ~ctx_vaddr:0x2000_0000L data in
-             fun () -> ignore (Femto_vm.Vm.load ~helpers ~regions program)));
+             fun () ->
+               ignore (Femto_analysis.Analysis.load ~helpers ~regions program)));
        Test.make ~name:"table2/pyish-cold-start"
          (Staged.stage (fun () ->
               ignore

@@ -184,17 +184,13 @@ let run_cmd =
   let tier_arg =
     Arg.(value
          & opt (enum [ ("decoded", Femto_vm.Vm.Decoded);
-                       ("trimmed", Femto_vm.Vm.Trimmed);
-                       ("compiled", Femto_vm.Vm.Compiled);
                        ("ir", Femto_vm.Vm.Ir) ])
-             Femto_vm.Vm.Compiled
+             Femto_vm.Vm.Ir
          & info [ "tier" ]
              ~doc:"Execution tier for the fc engine: decoded (defensive \
-                   interpreter), trimmed (analyzer-gated interpreter fast \
-                   path), compiled (closure-threaded, the default), or ir \
-                   (superblock IR backend: optimization passes, one closure \
-                   per block).  Proof-bearing tiers degrade gracefully when \
-                   the analyzer withholds its proofs.")
+                   interpreter) or ir (superblock IR backend: analyzer \
+                   proofs, optimization passes, one closure per block; the \
+                   engine's tier and the default).")
   in
   let run input engine tier args =
     let program = load_program input in
@@ -203,11 +199,14 @@ let run_cmd =
     let outcome =
       match engine with
       | `Fc -> (
-          (* route through the analyzer so --tier=trimmed/compiled gets
-             the per-pc proofs those tiers specialize on *)
-          match
-            Femto_analysis.Analysis.load ~tier ~helpers ~regions:[] program
-          with
+          let loaded =
+            match tier with
+            | Femto_vm.Vm.Decoded ->
+                Femto_vm.Vm.load ~helpers ~regions:[] program
+            | Femto_vm.Vm.Ir ->
+                Femto_analysis.Analysis.load ~helpers ~regions:[] program
+          in
+          match loaded with
           | Error fault -> Error fault
           | Ok vm -> (
               match Femto_vm.Vm.run vm ~args with
@@ -263,7 +262,7 @@ let observed_run input engine args =
   let outcome =
     match engine with
     | `Fc -> (
-        match Femto_vm.Vm.load ~helpers ~regions:[] program with
+        match Femto_analysis.Analysis.load ~helpers ~regions:[] program with
         | Error fault -> Error fault
         | Ok vm -> Femto_vm.Vm.run vm ~args)
     | `Certfc -> (

@@ -461,8 +461,8 @@ let analyze ?helpers (config : Config.t) program :
       (* Fast-path eligibility: every instruction of a DAG executes at
          most once, so with the whole program inside both static budgets
          neither counter can fire; proven stack accesses cannot miss the
-         allow-list.  The trimmed interpreter is observationally
-         equivalent for such programs. *)
+         allow-list.  The IR tier compiles its budget guard out for
+         such programs. *)
       let eligible =
         termination = Dag && n_errors = 0
         && vstats.Verifier.branch_count <= config.max_branches
@@ -485,38 +485,25 @@ let analyze ?helpers (config : Config.t) program :
           unreachable;
         }
 
-let load_outcome ?(config = Config.default) ?cycle_cost ?(tier = Vm.Compiled)
-    ?fuse ?passes ~helpers ~regions program =
+let load_outcome ?(config = Config.default) ?cycle_cost ?passes ~helpers
+    ~regions program =
   match analyze ~helpers config program with
   | Result.Error fault -> Result.Error fault
   | Result.Ok outcome ->
-      (* [analyze] already ran pre-flight verification; hand the per-pc
-         proofs (when eligibility granted them) to the tier constructor
-         so the compiled tier specializes proven stack accesses and the
-         trimmed loop keeps working as before.  The Ir tier additionally
-         lifts to superblocks and runs the pass pipeline here — the
-         analyzer owns the IR just as it owns the proofs. *)
-      let ir =
-        match tier with
-        | Vm.Ir ->
-            let cost =
-              match cycle_cost with Some c -> c | None -> Interp.no_cost
-            in
-            let lifted = Ir.lift ~cost ~facts:outcome.mem_facts program in
-            let optimized, _report = Passes.run ?config:passes lifted in
-            Some optimized
-        | _ -> None
-      in
+      (* [analyze] already ran pre-flight verification; lift to
+         superblocks, run the pass pipeline and hand the IR plus the
+         per-pc proofs (when eligibility granted them) to the IR tier —
+         the analyzer owns the IR just as it owns the proofs. *)
+      let cost = match cycle_cost with Some c -> c | None -> Interp.no_cost in
+      let lifted = Ir.lift ~cost ~facts:outcome.mem_facts program in
+      let ir, _report = Passes.run ?config:passes lifted in
       Result.Ok
-        ( Vm.load_analyzed ~config ?cycle_cost ~tier ?fuse
-            ?proofs:outcome.fastpath ?ir ~helpers ~regions program,
+        ( Vm.load_analyzed ~config ?cycle_cost ?proofs:outcome.fastpath ~ir
+            ~helpers ~regions program,
           outcome )
 
-let load ?config ?cycle_cost ?tier ?fuse ?passes ~helpers ~regions program =
-  match
-    load_outcome ?config ?cycle_cost ?tier ?fuse ?passes ~helpers ~regions
-      program
-  with
+let load ?config ?cycle_cost ?passes ~helpers ~regions program =
+  match load_outcome ?config ?cycle_cost ?passes ~helpers ~regions program with
   | Result.Error fault -> Result.Error fault
   | Result.Ok (vm, _outcome) -> Result.Ok vm
 

@@ -10,11 +10,10 @@
     [Uninit | Scalar | Stack_ptr of interval | Ctx_ptr | Any] with a
     worklist fixpoint; intervals are widened along back edges so loops
     converge.  The pass is advisory for loading (a program with
-    diagnostics still runs on the fully checked interpreter) and
-    mandatory only for [fc analyze] / CI, but its proofs pay a dividend:
-    DAG-classified programs whose stack accesses are all proven in-bounds
-    run on a trimmed interpreter path with no branch-budget counter and
-    no per-access stack bounds checks. *)
+    diagnostics still runs fully checked) and mandatory only for
+    [fc analyze] / CI, but its proofs pay a dividend: on the IR tier,
+    DAG-classified programs run with no budget guard, and proven stack
+    accesses skip the allow-list. *)
 
 type severity = Error | Warning | Info
 
@@ -67,28 +66,22 @@ val warnings : outcome -> int
 val load :
   ?config:Femto_vm.Config.t ->
   ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
-  ?tier:Femto_vm.Vm.tier ->
-  ?fuse:bool ->
   ?passes:Passes.config ->
   helpers:Femto_vm.Helper.t ->
   regions:Femto_vm.Region.t list ->
   Femto_ebpf.Program.t ->
   (Femto_vm.Vm.t, Femto_vm.Fault.t) result
 (** Analysis-aware replacement for {!Femto_vm.Vm.load}: same acceptance
-    (only structural faults reject), but fast-path-eligible programs
-    hand their per-pc proofs to the selected tier — the compiled tier
-    (default) specializes proven stack accesses and fuses
-    superinstructions, the trimmed tier keeps the PR 2 interpreter fast
-    path, and the [Ir] tier lifts to superblocks, runs the pass
-    pipeline ([passes] selects stages; default all), and compiles one
-    closure per optimized block.  Programs with analysis diagnostics
-    still load and run fully checked. *)
+    (only structural faults reject), but the instance runs on the IR
+    tier — the program is lifted to superblocks, the pass pipeline runs
+    ([passes] selects stages; default all), and one closure is compiled
+    per optimized block.  Fast-path-eligible programs hand over their
+    per-pc proofs, which compile the budget guard out; programs with
+    analysis diagnostics still load and run fully checked. *)
 
 val load_outcome :
   ?config:Femto_vm.Config.t ->
   ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
-  ?tier:Femto_vm.Vm.tier ->
-  ?fuse:bool ->
   ?passes:Passes.config ->
   helpers:Femto_vm.Helper.t ->
   regions:Femto_vm.Region.t list ->

@@ -85,11 +85,13 @@ let send_to_peer t ~dst data =
   | None -> () (* peer never seen: nowhere to route *)
   | Some sockaddr ->
       let len = Bytes.length data in
-      (try ignore (Unix.sendto t.socket data 0 len [] sockaddr)
-       with Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ());
+      (* count before sending: a peer that reads the stats as soon as the
+         reply arrives must already see it *)
       t.stats.tx_datagrams <- t.stats.tx_datagrams + 1;
       t.stats.tx_bytes <- t.stats.tx_bytes + len;
-      if Obs.enabled () then Ometrics.incr m_tx
+      if Obs.enabled () then Ometrics.incr m_tx;
+      try ignore (Unix.sendto t.socket data 0 len [] sockaddr)
+      with Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
 
 (* [attach t server]: socket peers route here, everything else keeps the
    server's previous behaviour (e.g. its simulated-network node). *)

@@ -57,7 +57,6 @@ type t = {
   trace_log : int64 list ref; (* newest first; bpf_trace output *)
   fallback_ms : int64 ref; (* time source when no kernel is attached *)
   config : Femto_vm.Config.t;
-  tier : Femto_vm.Vm.tier; (* execution tier for Fc containers *)
   mutable dyn_cache : Syscall.dyn option;
       (* the engine's time/sensor/trace closures, built once: every
          spawn on this engine binds the same dyn record *)
@@ -68,7 +67,7 @@ type t = {
    image.  Callers sharing a table must dispatch all its engines from a
    single domain (see the binding comment in image.ml). *)
 let create ?(platform = Platform.cortex_m4) ?kernel ?clock ?images
-    ?(config = Femto_vm.Config.default) ?(tier = Femto_vm.Vm.Ir) () =
+    ?(config = Femto_vm.Config.default) () =
   {
     platform;
     kernel;
@@ -82,7 +81,6 @@ let create ?(platform = Platform.cortex_m4) ?kernel ?clock ?images
     trace_log = ref [];
     fallback_ms = ref 0L;
     config;
-    tier;
     dyn_cache = None;
   }
 
@@ -204,18 +202,18 @@ let attach_error_to_string = function
   | No_such_hook uuid -> Printf.sprintf "no hook %s" uuid
 
 (* Instantiate a container's program for its runtime.  The Fc runtime
-   loads through the static analyzer on the engine's configured tier
-   (default [Ir]: superblock IR compiled one closure per block), so
-   fast-path-eligible programs get their proofs; acceptance is unchanged
-   (analysis diagnostics never reject — only structural verifier faults
-   do).  Rbpf stays on the plain checked loader so the two engines
-   remain comparable in the benchmarks. *)
+   loads through the static analyzer onto the IR tier (superblock IR
+   compiled one closure per block), so fast-path-eligible programs get
+   their proofs; acceptance is unchanged (analysis diagnostics never
+   reject — only structural verifier faults do).  Rbpf stays on the
+   plain checked loader so the two engines remain comparable in the
+   benchmarks. *)
 let load_instance t ~cycle_cost ~helpers ~regions runtime program =
   match runtime with
   | Platform.Fc -> (
       match
-        Femto_analysis.Analysis.load ~config:t.config ~cycle_cost ~tier:t.tier
-          ~helpers ~regions program
+        Femto_analysis.Analysis.load ~config:t.config ~cycle_cost ~helpers
+          ~regions program
       with
       | Ok vm -> Ok (Container.Fc_instance vm)
       | Error fault -> Error fault)
@@ -223,8 +221,8 @@ let load_instance t ~cycle_cost ~helpers ~regions runtime program =
       (* Rbpf models the paper's switch-dispatch baseline: pin it to the
          decoded tier so the two engines stay comparable in benchmarks. *)
       match
-        Femto_vm.Vm.load ~config:t.config ~cycle_cost
-          ~tier:Femto_vm.Vm.Decoded ~helpers ~regions program
+        Femto_vm.Vm.load ~config:t.config ~cycle_cost ~helpers ~regions
+          program
       with
       | Ok vm -> Ok (Container.Fc_instance vm)
       | Error fault -> Error fault)
@@ -350,14 +348,14 @@ let build_image t ~key ~hook ~extra_regions ~granted container =
   | Platform.Fc -> (
       match
         Femto_analysis.Analysis.load_outcome ~config:t.config ~cycle_cost
-          ~tier:t.tier ~helpers ~regions program
+          ~helpers ~regions program
       with
       | Ok (vm, outcome) -> Ok (make vm (Some outcome), vm)
       | Error fault -> Error fault)
   | Platform.Rbpf -> (
       match
-        Femto_vm.Vm.load ~config:t.config ~cycle_cost
-          ~tier:Femto_vm.Vm.Decoded ~helpers ~regions program
+        Femto_vm.Vm.load ~config:t.config ~cycle_cost ~helpers ~regions
+          program
       with
       | Ok vm -> Ok (make vm None, vm)
       | Error fault -> Error fault)

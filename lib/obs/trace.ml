@@ -34,7 +34,7 @@ type event =
       warnings : int;
       fastpath : bool;
     }
-  | Tier_selected of { tier : string; fused : int; proven : int }
+  | Tier_selected of { tier : string; proven : int }
   | Pipeline_update of { tenant : string; ok : bool; ns : float }
 
 type record = { seq : int; t_ns : float; event : event }
@@ -119,12 +119,8 @@ let event_fields = function
         ("warnings", Jsonx.Int warnings);
         ("fastpath", Jsonx.Bool fastpath);
       ]
-  | Tier_selected { tier; fused; proven } ->
-      [
-        ("tier", Jsonx.String tier);
-        ("fused", Jsonx.Int fused);
-        ("proven", Jsonx.Int proven);
-      ]
+  | Tier_selected { tier; proven } ->
+      [ ("tier", Jsonx.String tier); ("proven", Jsonx.Int proven) ]
   | Pipeline_update { tenant; ok; ns } ->
       [
         ("tenant", Jsonx.String tenant);

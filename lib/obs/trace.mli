@@ -26,7 +26,7 @@ type event =
       warnings : int;
       fastpath : bool;
     }
-  | Tier_selected of { tier : string; fused : int; proven : int }
+  | Tier_selected of { tier : string; proven : int }
   | Pipeline_update of { tenant : string; ok : bool; ns : float }
 
 type record = { seq : int; t_ns : float; event : event }

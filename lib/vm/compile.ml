@@ -1,38 +1,25 @@
-(* Closure-threaded execution tier: direct-threaded code for OCaml.
+(* The compiled execution tier: one specialized closure per superblock
+   of the analyzer's optimized register IR ([Ir]), threaded by a
+   block-id trampoline.  The decode/dispatch work the interpreter
+   repeats on every step is done once, at load time: register indices
+   become constant byte offsets into an unboxed register file,
+   immediates become captured [int64] constants, helper ids are
+   resolved against the table once.
 
-   [compile] translates the pre-decoded [Insn.kind array] into an array
-   of mutually tail-calling closures, one per instruction slot — the
-   decode/dispatch work the interpreter repeats on every step (fetch the
-   instruction view, switch on its constructor, fetch operand fields) is
-   done exactly once, at load time.  Each closure is specialized on its
-   static operands: register indices become constant byte offsets into
-   an unboxed register file, immediates are pre-sign-extended into
-   captured [int64] constants, branch targets become captured indices
-   into the code array, helper ids are resolved against the table once.
-
-   Isolation semantics are unchanged.  In [Checked] mode every memory
-   access still resolves through the allow-list and both finite-execution
-   budgets are enforced, bit-for-bit like [Interp.exec_checked]
-   (including fault identity and the stats visible at the fault point).
-   [Proven] mode consumes the static analyzer's per-pc facts exactly like
-   [Interp.exec_trimmed]: proven stack accesses compile to direct [Bytes]
-   reads at one-subtraction offsets, budgets cannot fire (the analyzer
-   only grants proofs to DAGs inside both static budgets) so their
-   compares are compiled out, and a violated proof (analyzer bug) is
-   contained as a memory fault rather than crashing the host.
+   Isolation semantics are unchanged.  Accounting is batched between
+   fault-capable steps, so every fault leaves the decoded interpreter's
+   exact payload and stats.  In [Checked] mode both finite-execution
+   budgets are enforced: a block that might exhaust one is handed to the
+   decoded loop ([Interp.resume]) at its head pc.  [Proven] mode is only
+   granted to DAGs inside both static budgets, so the guard is compiled
+   out; a violated proof (analyzer bug) is contained as a memory fault
+   rather than crashing the host.
 
    The register file is a flat 88-byte buffer accessed through the
    unboxed bytes-load/store primitives, so straight-line ALU chains run
    without minor-heap allocation — the property the engine's warm pool
    relies on.  Stores additionally maintain a dirty high-water mark over
-   the stack so [reset] zeroes only the bytes the previous run touched.
-
-   A superinstruction fusion pass (on for proof-bearing instances, or on
-   request) merges the hot pairs the workloads emit — ALU-imm chains,
-   compare+jump, load+ALU, and the spill/reload idiom — into single
-   closures, eliminating the indirect dispatch between the two halves.
-   [lddw] absorption is inherent to this tier: the pair becomes one
-   closure holding the reassembled 64-bit constant. *)
+   the stack so [reset] zeroes only the bytes the previous run touched. *)
 
 open Femto_ebpf
 module Obs = Femto_obs.Obs
@@ -49,13 +36,12 @@ let m_helper_calls = Obs.counter "vm.helper_calls"
 let m_cycles = Obs.counter "vm.cycles"
 let m_run_ns = Obs.histogram "vm.run_ns"
 let m_compile_ns = Obs.histogram "vm.compile_ns"
-let m_fused = Obs.counter "vm.fused_insns"
 let m_ir_elided = Obs.counter "vm.ir_checks_elided"
 
 (* Unboxed native-endian 64-bit access into the register file and the
-   stack.  The host is assumed little endian, like the interpreter's
-   direct stack accessors; all register-file access goes through these
-   two primitives so the representation is internally consistent. *)
+   stack.  The host is assumed little endian; all register-file access
+   goes through these two primitives so the representation is internally
+   consistent. *)
 external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -71,6 +57,7 @@ type state = {
   stack : bytes; (* shared with the paired Interp instance *)
   mem : Mem.t;
   stats : Interp.stats; (* shared with the paired Interp instance *)
+  interp : Interp.t; (* the decoded loop budget-guarded blocks resume in *)
   snapshot : Region.t array; (* this instance's allow-list at creation *)
   cache_ok : bool; (* snapshot pairwise disjoint: inline caches sound *)
   rcache : Region.t option array; (* per-site region inline caches *)
@@ -82,31 +69,20 @@ type state = {
    metadata.  Shared (never written after compilation) between every
    instance spawned from the same image. *)
 type code = {
-  entry : state -> unit; (* threaded: code.(0); IR: superblock trampoline *)
-  code : (state -> unit) array;
-      (* per-insn threaded code; for the IR tier this is the exact-budget
-         fallback path (empty when budgets are compiled out) *)
+  entry : state -> unit; (* the superblock trampoline *)
   stack_top : int64; (* pre-boxed r10 reset value *)
   stack_size : int;
-  fused : int; (* superinstructions installed by the fusion pass *)
-  proven : int; (* accesses compiled against analyzer proofs *)
-  ir_blocks : int; (* superblocks compiled by the IR backend (0 = threaded) *)
+  ir_blocks : int; (* superblocks compiled *)
   elided : int; (* IR memory checks elided against analyzer proofs *)
   hoisted : int; (* IR allow-list scans behind a region inline cache *)
   cache_sites : int; (* inline-cache slots a [state] must provide *)
-  compile_ns : float;
 }
 
 type t = { sh : code; st : state; mutable runs : int }
 
-type mode = Checked | Proven of bool array
+type mode = Checked | Proven
 
 exception Vm_fault of Fault.t
-
-(* Pre-allocated containment fault for a violated analyzer proof — the
-   same sentinel [Interp.exec_trimmed] reports. *)
-let proof_trap =
-  Vm_fault (Fault.Memory_access { pc = 0; addr = 0L; size = 0; write = false })
 
 let[@inline always] reg st i = get64 st.rf (i lsl 3)
 let[@inline always] set_reg st i v = set64 st.rf (i lsl 3) v
@@ -119,28 +95,7 @@ let in_snapshot st r =
   Array.iter (fun r' -> if r' == r then ok := true) st.snapshot;
   !ok
 
-(* One 64-bit ALU step over the non-faulting operation subset; fused
-   bodies switch on the captured (per-closure constant) operation tag. *)
-let[@inline always] alu_step (op : Opcode.alu_op) (d : int64) (s : int64) =
-  match op with
-  | Opcode.Add -> Int64.add d s
-  | Opcode.Sub -> Int64.sub d s
-  | Opcode.Mul -> Int64.mul d s
-  | Opcode.Or -> Int64.logor d s
-  | Opcode.And -> Int64.logand d s
-  | Opcode.Xor -> Int64.logxor d s
-  | Opcode.Lsh -> Int64.shift_left d (Int64.to_int (Int64.logand s 63L))
-  | Opcode.Rsh -> Int64.shift_right_logical d (Int64.to_int (Int64.logand s 63L))
-  | Opcode.Arsh -> Int64.shift_right d (Int64.to_int (Int64.logand s 63L))
-  | Opcode.Mov -> s
-  | Opcode.Neg -> Int64.neg d
-  | Opcode.Div | Opcode.Mod -> assert false (* excluded by [simple_alu] *)
-
-let simple_alu (op : Opcode.alu_op) =
-  match op with Opcode.Div | Opcode.Mod -> false | _ -> true
-
-(* Little-endian direct stack access, identical to the interpreter's
-   trimmed-loop accessors. *)
+(* Little-endian direct access into a stack or region buffer. *)
 let load_direct data o nbytes =
   match nbytes with
   | 1 -> Int64.of_int (Bytes.get_uint8 data o)
@@ -154,599 +109,6 @@ let store_direct data o nbytes v =
   | 2 -> Bytes.set_uint16_le data o (Int64.to_int v land 0xffff)
   | 4 -> Bytes.set_int32_le data o (Int64.to_int32 v)
   | _ -> Bytes.set_int64_le data o v
-
-(* [build_code] is the threaded-code generator shared by [compile] (which
-   runs it as the whole program) and [compile_ir] (which keeps it as the
-   bit-exact per-instruction fallback for superblocks entered with too
-   little budget headroom for batched accounting). *)
-let build_code ~fuse ~mode interp =
-  let program = Interp.program interp in
-  let config = Interp.config interp in
-  let helpers = Interp.helpers interp in
-  let cost = Interp.cycle_cost interp in
-  let insns = Program.insns program in
-  let kinds = Array.map Insn.kind insns in
-  let len = Array.length kinds in
-  let stack_size = config.Config.stack_size in
-  let stack_vaddr = config.Config.stack_vaddr in
-  let is_proven pc =
-    match mode with
-    | Checked -> false
-    | Proven p -> pc < Array.length p && Array.unsafe_get p pc
-  in
-  (* In [Proven] mode the analyzer guarantees a DAG within both static
-     budgets, so neither limit can be reached: compile the compares to
-     always-false against [max_int], mirroring the trimmed loop. *)
-  let ilimit, blimit =
-    match mode with
-    | Checked -> (Config.dynamic_instruction_limit config, config.Config.max_branches)
-    | Proven _ -> (max_int, max_int)
-  in
-  (* The code array has one closure per slot, a fall-off trap at index
-     [len], and one trap per out-of-range branch target (unreachable in
-     verified programs, kept for exact decoded-tier fault parity). *)
-  let trap_targets = ref [] in
-  Array.iteri
-    (fun pc k ->
-      match k with
-      | Insn.Ja | Insn.Jcond _ ->
-          let target = pc + 1 + (Array.unsafe_get insns pc).Insn.offset in
-          if (target < 0 || target > len) && not (List.mem target !trap_targets)
-          then trap_targets := target :: !trap_targets
-      | _ -> ())
-    kinds;
-  let traps = List.mapi (fun i target -> (target, len + 1 + i)) !trap_targets in
-  let stub (_ : state) = () in
-  let code = Array.make (len + 1 + List.length traps) stub in
-  code.(len) <- (fun _ -> raise (Vm_fault (Fault.Fall_off_end { pc = len })));
-  List.iter
-    (fun (target, slot) ->
-      code.(slot) <-
-        (fun _ -> raise (Vm_fault (Fault.Fall_off_end { pc = target }))))
-    traps;
-  let resolve target =
-    if target >= 0 && target <= len then target else List.assoc target traps
-  in
-  let[@inline] continue st i = (Array.unsafe_get code i) st in
-  (* Per-original-instruction bookkeeping, in the decoded tier's exact
-     order: count, budget-check, charge the cycle model.  Stats are read
-     through [st] so the generated closures stay instance-agnostic. *)
-  let[@inline] acct st c =
-    let stats = st.stats in
-    let n = stats.Interp.insns_executed + 1 in
-    stats.Interp.insns_executed <- n;
-    if n > ilimit then
-      raise (Vm_fault (Fault.Instruction_budget_exhausted { executed = n }));
-    stats.Interp.cycles <- stats.Interp.cycles + c
-  in
-  let[@inline] take_branch st =
-    let stats = st.stats in
-    let b = stats.Interp.branches_taken + 1 in
-    stats.Interp.branches_taken <- b;
-    if b > blimit then
-      raise (Vm_fault (Fault.Branch_budget_exhausted { taken = b }))
-  in
-  let[@inline] mark_dirty st lo hi =
-    if lo < st.dirty_lo then st.dirty_lo <- lo;
-    if hi > st.dirty_hi then st.dirty_hi <- hi
-  in
-  (* Post-hoc watermark maintenance for allow-list stores that landed in
-     the stack region (the stack is the first region in the map, so an
-     accepted access at a stack address is a stack access). *)
-  let mark_checked_store st addr nbytes =
-    let o = Int64.to_int (Int64.sub addr stack_vaddr) in
-    if o >= 0 && o < stack_size then
-      mark_dirty st (max 0 o) (min stack_size (o + nbytes))
-  in
-  (* --- specialized single-instruction generators --- *)
-  let gen_alu64_imm ~pc ~c ~dst ~v ~next (op : Opcode.alu_op) =
-    match op with
-    | Opcode.Add ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.add (reg st dst) v);
-          continue st next
-    | Opcode.Sub ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.sub (reg st dst) v);
-          continue st next
-    | Opcode.Mul ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.mul (reg st dst) v);
-          continue st next
-    | Opcode.Div ->
-        if Int64.equal v 0L then fun st ->
-          acct st c;
-          raise (Vm_fault (Fault.Division_by_zero { pc }))
-        else
-          fun st ->
-            acct st c;
-            set_reg st dst (Int64.unsigned_div (reg st dst) v);
-            continue st next
-    | Opcode.Mod ->
-        if Int64.equal v 0L then fun st ->
-          acct st c;
-          raise (Vm_fault (Fault.Division_by_zero { pc }))
-        else
-          fun st ->
-            acct st c;
-            set_reg st dst (Int64.unsigned_rem (reg st dst) v);
-            continue st next
-    | Opcode.Or ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.logor (reg st dst) v);
-          continue st next
-    | Opcode.And ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.logand (reg st dst) v);
-          continue st next
-    | Opcode.Xor ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.logxor (reg st dst) v);
-          continue st next
-    | Opcode.Lsh ->
-        let sh = Int64.to_int (Int64.logand v 63L) in
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.shift_left (reg st dst) sh);
-          continue st next
-    | Opcode.Rsh ->
-        let sh = Int64.to_int (Int64.logand v 63L) in
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.shift_right_logical (reg st dst) sh);
-          continue st next
-    | Opcode.Arsh ->
-        let sh = Int64.to_int (Int64.logand v 63L) in
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.shift_right (reg st dst) sh);
-          continue st next
-    | Opcode.Neg ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.neg (reg st dst));
-          continue st next
-    | Opcode.Mov ->
-        fun st ->
-          acct st c;
-          set_reg st dst v;
-          continue st next
-  in
-  let gen_alu64_reg ~pc ~c ~dst ~src ~next (op : Opcode.alu_op) =
-    match op with
-    | Opcode.Add ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.add (reg st dst) (reg st src));
-          continue st next
-    | Opcode.Sub ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.sub (reg st dst) (reg st src));
-          continue st next
-    | Opcode.Mul ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.mul (reg st dst) (reg st src));
-          continue st next
-    | Opcode.Div ->
-        fun st ->
-          acct st c;
-          let s = reg st src in
-          if Int64.equal s 0L then
-            raise (Vm_fault (Fault.Division_by_zero { pc }));
-          set_reg st dst (Int64.unsigned_div (reg st dst) s);
-          continue st next
-    | Opcode.Mod ->
-        fun st ->
-          acct st c;
-          let s = reg st src in
-          if Int64.equal s 0L then
-            raise (Vm_fault (Fault.Division_by_zero { pc }));
-          set_reg st dst (Int64.unsigned_rem (reg st dst) s);
-          continue st next
-    | Opcode.Or ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.logor (reg st dst) (reg st src));
-          continue st next
-    | Opcode.And ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.logand (reg st dst) (reg st src));
-          continue st next
-    | Opcode.Xor ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.logxor (reg st dst) (reg st src));
-          continue st next
-    | Opcode.Lsh ->
-        fun st ->
-          acct st c;
-          set_reg st dst
-            (Int64.shift_left (reg st dst)
-               (Int64.to_int (Int64.logand (reg st src) 63L)));
-          continue st next
-    | Opcode.Rsh ->
-        fun st ->
-          acct st c;
-          set_reg st dst
-            (Int64.shift_right_logical (reg st dst)
-               (Int64.to_int (Int64.logand (reg st src) 63L)));
-          continue st next
-    | Opcode.Arsh ->
-        fun st ->
-          acct st c;
-          set_reg st dst
-            (Int64.shift_right (reg st dst)
-               (Int64.to_int (Int64.logand (reg st src) 63L)));
-          continue st next
-    | Opcode.Neg ->
-        fun st ->
-          acct st c;
-          set_reg st dst (Int64.neg (reg st dst));
-          continue st next
-    | Opcode.Mov ->
-        fun st ->
-          acct st c;
-          set_reg st dst (reg st src);
-          continue st next
-  in
-  let gen_solo pc =
-    let insn = Array.unsafe_get insns pc in
-    let kind = Array.unsafe_get kinds pc in
-    let dst = insn.Insn.dst and src = insn.Insn.src in
-    let off64 = Int64.of_int insn.Insn.offset in
-    let imm = insn.Insn.imm in
-    let c = cost kind in
-    let next = pc + 1 in
-    (* The verifier guarantees register fields <= 10; these compile-time
-       traps keep even unverified garbage contained, with the decoded
-       tier's fault (raised before any accounting, like its check). *)
-    if dst > 10 then fun _ ->
-      raise (Vm_fault (Fault.Invalid_register { pc; reg = dst }))
-    else if src > 10 then fun _ ->
-      raise (Vm_fault (Fault.Invalid_register { pc; reg = src }))
-    else
-      match kind with
-      | Insn.Alu (true, op, Opcode.Src_imm) ->
-          gen_alu64_imm ~pc ~c ~dst ~v:(Int64.of_int32 imm) ~next op
-      | Insn.Alu (true, op, Opcode.Src_reg) ->
-          gen_alu64_reg ~pc ~c ~dst ~src ~next op
-      | Insn.Alu (false, op, Opcode.Src_imm) ->
-          (* 32-bit ALU is rare in our workloads: route through the
-             shared semantics for exact parity with the other engines. *)
-          let v = Int64.of_int32 imm in
-          fun st ->
-            acct st c;
-            (match Interp.alu32 pc op (reg st dst) v with
-            | Ok r -> set_reg st dst r
-            | Error f -> raise (Vm_fault f));
-            continue st next
-      | Insn.Alu (false, op, Opcode.Src_reg) ->
-          fun st ->
-            acct st c;
-            (match Interp.alu32 pc op (reg st dst) (reg st src) with
-            | Ok r -> set_reg st dst r
-            | Error f -> raise (Vm_fault f));
-            continue st next
-      | Insn.Load size ->
-          let nbytes = Opcode.size_bytes size in
-          if is_proven pc then
-            if size = Opcode.DW then fun st ->
-              acct st c;
-              let o =
-                Int64.to_int
-                  (Int64.sub (Int64.add (reg st src) off64) stack_vaddr)
-              in
-              if o < 0 || o > stack_size - 8 then raise proof_trap;
-              set_reg st dst (get64 st.stack o);
-              continue st next
-            else fun st ->
-              acct st c;
-              let o =
-                Int64.to_int
-                  (Int64.sub (Int64.add (reg st src) off64) stack_vaddr)
-              in
-              if o < 0 || o + nbytes > stack_size then raise proof_trap;
-              set_reg st dst (load_direct st.stack o nbytes);
-              continue st next
-          else fun st ->
-            acct st c;
-            let addr = Int64.add (reg st src) off64 in
-            (match Mem.load st.mem ~addr ~size:nbytes with
-            | Ok v -> set_reg st dst v
-            | Error () ->
-                raise
-                  (Vm_fault
-                     (Fault.Memory_access
-                        { pc; addr; size = nbytes; write = false })));
-            continue st next
-      | Insn.Store_imm size ->
-          let nbytes = Opcode.size_bytes size in
-          let v = Int64.of_int32 imm in
-          if is_proven pc then fun st ->
-            acct st c;
-            let o =
-              Int64.to_int (Int64.sub (Int64.add (reg st dst) off64) stack_vaddr)
-            in
-            if o < 0 || o + nbytes > stack_size then raise proof_trap;
-            mark_dirty st o (o + nbytes);
-            store_direct st.stack o nbytes v;
-            continue st next
-          else fun st ->
-            acct st c;
-            let addr = Int64.add (reg st dst) off64 in
-            (match Mem.store st.mem ~addr ~size:nbytes v with
-            | Ok () -> mark_checked_store st addr nbytes
-            | Error () ->
-                raise
-                  (Vm_fault
-                     (Fault.Memory_access
-                        { pc; addr; size = nbytes; write = true })));
-            continue st next
-      | Insn.Store_reg size ->
-          let nbytes = Opcode.size_bytes size in
-          if is_proven pc then
-            if size = Opcode.DW then fun st ->
-              acct st c;
-              let o =
-                Int64.to_int
-                  (Int64.sub (Int64.add (reg st dst) off64) stack_vaddr)
-              in
-              if o < 0 || o > stack_size - 8 then raise proof_trap;
-              if o < st.dirty_lo then st.dirty_lo <- o;
-              if o + 8 > st.dirty_hi then st.dirty_hi <- o + 8;
-              set64 st.stack o (reg st src);
-              continue st next
-            else fun st ->
-              acct st c;
-              let o =
-                Int64.to_int
-                  (Int64.sub (Int64.add (reg st dst) off64) stack_vaddr)
-              in
-              if o < 0 || o + nbytes > stack_size then raise proof_trap;
-              mark_dirty st o (o + nbytes);
-              store_direct st.stack o nbytes (reg st src);
-              continue st next
-          else fun st ->
-            acct st c;
-            let addr = Int64.add (reg st dst) off64 in
-            (match Mem.store st.mem ~addr ~size:nbytes (reg st src) with
-            | Ok () -> mark_checked_store st addr nbytes
-            | Error () ->
-                raise
-                  (Vm_fault
-                     (Fault.Memory_access
-                        { pc; addr; size = nbytes; write = true })));
-            continue st next
-      | Insn.Lddw_head ->
-          (* lddw absorption: the pair collapses into one closure holding
-             the reassembled constant; the tail slot keeps its own trap
-             closure in case a (necessarily unverified) jump lands on it. *)
-          if pc + 1 >= len then fun st ->
-            acct st c;
-            raise (Vm_fault (Fault.Truncated_lddw { pc }))
-          else
-            let tail = Array.unsafe_get insns (pc + 1) in
-            let v = Insn.lddw_imm ~head:insn ~tail in
-            let next2 = pc + 2 in
-            fun st ->
-              acct st c;
-              set_reg st dst v;
-              continue st next2
-      | Insn.Lddw_tail ->
-          fun st ->
-            acct st c;
-            raise (Vm_fault (Fault.Invalid_opcode { pc; opcode = 0 }))
-      | Insn.End endianness ->
-          fun st ->
-            acct st c;
-            (match Interp.byte_swap pc endianness imm (reg st dst) with
-            | Ok v -> set_reg st dst v
-            | Error f -> raise (Vm_fault f));
-            continue st next
-      | Insn.Ja ->
-          let target = resolve (pc + 1 + insn.Insn.offset) in
-          fun st ->
-            acct st c;
-            take_branch st;
-            continue st target
-      | Insn.Jcond (is64, cond, source) -> (
-          let target = resolve (pc + 1 + insn.Insn.offset) in
-          match source with
-          | Opcode.Src_imm ->
-              let v = Int64.of_int32 imm in
-              fun st ->
-                acct st c;
-                if Interp.condition cond is64 (reg st dst) v then begin
-                  take_branch st;
-                  continue st target
-                end
-                else continue st next
-          | Opcode.Src_reg ->
-              fun st ->
-                acct st c;
-                if Interp.condition cond is64 (reg st dst) (reg st src) then begin
-                  take_branch st;
-                  continue st target
-                end
-                else continue st next)
-      | Insn.Call -> (
-          let id = Int32.to_int imm in
-          match Helper.find helpers id with
-          | None ->
-              fun st ->
-                acct st c;
-                raise (Vm_fault (Fault.Unknown_helper { pc; id }))
-          | Some entry ->
-              let name = entry.Helper.name in
-              let hcost = entry.Helper.cost_cycles in
-              let fn = entry.Helper.fn in
-              fun st ->
-                acct st c;
-                st.stats.Interp.helper_calls <- st.stats.Interp.helper_calls + 1;
-                if Obs.tracing () then
-                  Obs.event (fun () -> Otrace.Helper_call { id; name });
-                st.stats.Interp.cycles <- st.stats.Interp.cycles + hcost;
-                let a =
-                  {
-                    Helper.a1 = reg st 1;
-                    a2 = reg st 2;
-                    a3 = reg st 3;
-                    a4 = reg st 4;
-                    a5 = reg st 5;
-                  }
-                in
-                (match fn st.mem a with
-                | Ok r0 -> set_reg st 0 r0
-                | Error message ->
-                    raise (Vm_fault (Fault.Helper_error { pc; id; message })));
-                (* The helper may have written anywhere its allow-list
-                   permits, including the stack: conservatively mark the
-                   whole frame dirty. *)
-                st.dirty_lo <- 0;
-                st.dirty_hi <- stack_size;
-                continue st next)
-      | Insn.Exit -> fun st -> acct st c
-      | Insn.Invalid opcode ->
-          fun st ->
-            acct st c;
-            raise (Vm_fault (Fault.Invalid_opcode { pc; opcode }))
-  in
-  for pc = len - 1 downto 0 do
-    code.(pc) <- gen_solo pc
-  done;
-  (* --- superinstruction fusion ---
-
-     A fused closure at [pc] performs both instructions and continues at
-     [pc + 2]; the solo closure at [pc + 1] stays in place, so a branch
-     landing between the pair still executes correctly.  Bookkeeping is
-     performed per original instruction, in order, so stats and fault
-     identity stay bit-identical to the unfused tier. *)
-  let fused = ref 0 in
-  if fuse then
-    for pc = 0 to len - 2 do
-      let i1 = Array.unsafe_get insns pc in
-      let i2 = Array.unsafe_get insns (pc + 1) in
-      let k1 = Array.unsafe_get kinds pc in
-      let k2 = Array.unsafe_get kinds (pc + 1) in
-      if i1.Insn.dst <= 10 && i1.Insn.src <= 10 && i2.Insn.dst <= 10
-         && i2.Insn.src <= 10
-      then begin
-        let c1 = cost k1 and c2 = cost k2 in
-        let nn = pc + 2 in
-        match (k1, k2) with
-        (* spill/reload: a proven store immediately re-read through the
-           same base register, offset and width becomes one bounds check,
-           one store and a register move. *)
-        | Insn.Store_reg Opcode.DW, Insn.Load Opcode.DW
-          when is_proven pc
-               && is_proven (pc + 1)
-               && i2.Insn.src = i1.Insn.dst
-               && i2.Insn.offset = i1.Insn.offset ->
-            let base = i1.Insn.dst
-            and v_src = i1.Insn.src
-            and l_dst = i2.Insn.dst in
-            let off64 = Int64.of_int i1.Insn.offset in
-            code.(pc) <-
-              (fun st ->
-                acct st c1;
-                let o =
-                  Int64.to_int
-                    (Int64.sub (Int64.add (reg st base) off64) stack_vaddr)
-                in
-                if o < 0 || o > stack_size - 8 then raise proof_trap;
-                if o < st.dirty_lo then st.dirty_lo <- o;
-                if o + 8 > st.dirty_hi then st.dirty_hi <- o + 8;
-                let v = reg st v_src in
-                set64 st.stack o v;
-                acct st c2;
-                set_reg st l_dst v;
-                continue st nn);
-            incr fused
-        (* proven load feeding a 64-bit ALU op through its destination *)
-        | Insn.Load Opcode.DW, Insn.Alu (true, op2, Opcode.Src_reg)
-          when is_proven pc && simple_alu op2 && i2.Insn.src = i1.Insn.dst ->
-            let l_src = i1.Insn.src and l_dst = i1.Insn.dst in
-            let d2 = i2.Insn.dst in
-            let off64 = Int64.of_int i1.Insn.offset in
-            code.(pc) <-
-              (fun st ->
-                acct st c1;
-                let o =
-                  Int64.to_int
-                    (Int64.sub (Int64.add (reg st l_src) off64) stack_vaddr)
-                in
-                if o < 0 || o > stack_size - 8 then raise proof_trap;
-                let v = get64 st.stack o in
-                set_reg st l_dst v;
-                acct st c2;
-                set_reg st d2 (alu_step op2 (reg st d2) v);
-                continue st nn);
-            incr fused
-        (* compare-and-jump: ALU-imm followed by a conditional jump *)
-        | Insn.Alu (true, op1, Opcode.Src_imm), Insn.Jcond (is64, cond, source)
-          when simple_alu op1 ->
-            let d1 = i1.Insn.dst in
-            let v1 = Int64.of_int32 i1.Insn.imm in
-            let d2 = i2.Insn.dst and s2 = i2.Insn.src in
-            let target = resolve (pc + 2 + i2.Insn.offset) in
-            (match source with
-            | Opcode.Src_imm ->
-                let v2 = Int64.of_int32 i2.Insn.imm in
-                code.(pc) <-
-                  (fun st ->
-                    acct st c1;
-                    set_reg st d1 (alu_step op1 (reg st d1) v1);
-                    acct st c2;
-                    if Interp.condition cond is64 (reg st d2) v2 then begin
-                      take_branch st;
-                      continue st target
-                    end
-                    else continue st nn)
-            | Opcode.Src_reg ->
-                code.(pc) <-
-                  (fun st ->
-                    acct st c1;
-                    set_reg st d1 (alu_step op1 (reg st d1) v1);
-                    acct st c2;
-                    if Interp.condition cond is64 (reg st d2) (reg st s2)
-                    then begin
-                      take_branch st;
-                      continue st target
-                    end
-                    else continue st nn));
-            incr fused
-        (* ALU-imm chain *)
-        | Insn.Alu (true, op1, Opcode.Src_imm), Insn.Alu (true, op2, Opcode.Src_imm)
-          when simple_alu op1 && simple_alu op2 ->
-            let d1 = i1.Insn.dst and d2 = i2.Insn.dst in
-            let v1 = Int64.of_int32 i1.Insn.imm in
-            let v2 = Int64.of_int32 i2.Insn.imm in
-            code.(pc) <-
-              (fun st ->
-                acct st c1;
-                set_reg st d1 (alu_step op1 (reg st d1) v1);
-                acct st c2;
-                set_reg st d2 (alu_step op2 (reg st d2) v2);
-                continue st nn);
-            incr fused
-        | _ -> ()
-      end
-    done;
-  (code, !fused)
-
-let proven_of_mode mode =
-  match mode with
-  | Checked -> 0
-  | Proven p -> Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 p
 
 (* Pairwise disjointness of an instance's allow-list is what makes a
    per-site region inline cache sound: with disjoint regions, [Mem.find]
@@ -784,7 +146,8 @@ let regions_disjoint (rs : Region.t array) =
 (* Private run state for one instance over [cache_sites] inline-cache
    slots.  Everything else the closures touch is reached through this
    record, so building it is the entire per-instance cost of the
-   compiled tier. *)
+   compiled tier.  The interpreter is the instance's own, so a budget
+   hand-over runs on this instance's registers, stack and stats. *)
 let fresh_state ~cache_sites interp =
   let mem = Interp.mem interp in
   let snapshot = Mem.raw_regions mem in
@@ -793,6 +156,7 @@ let fresh_state ~cache_sites interp =
     stack = Interp.stack_data interp;
     mem;
     stats = Interp.stats interp;
+    interp;
     snapshot;
     cache_ok = cache_sites > 0 && regions_disjoint snapshot;
     rcache = Array.make cache_sites None;
@@ -807,35 +171,6 @@ let instantiate sh interp =
   { sh; st = fresh_state ~cache_sites:sh.cache_sites interp; runs = 0 }
 
 let shared t = t.sh
-let cache_sites sh = sh.cache_sites
-
-let compile ?(fuse = false) ~mode interp =
-  let t0 = Obs.now_ns () in
-  let code, fused = build_code ~fuse ~mode interp in
-  let config = Interp.config interp in
-  let compile_ns = Obs.now_ns () -. t0 in
-  if Obs.enabled () then begin
-    Ometrics.observe m_compile_ns compile_ns;
-    Ometrics.add m_fused fused
-  end;
-  let sh =
-    {
-      entry = (fun st -> (Array.unsafe_get code 0) st);
-      code;
-      stack_top =
-        Int64.add config.Config.stack_vaddr
-          (Int64.of_int config.Config.stack_size);
-      stack_size = config.Config.stack_size;
-      fused;
-      proven = proven_of_mode mode;
-      ir_blocks = 0;
-      elided = 0;
-      hoisted = 0;
-      cache_sites = 0;
-      compile_ns;
-    }
-  in
-  instantiate sh interp
 
 (* ------------------------------------------------------------------ *)
 (* Superblock (IR) backend.                                           *)
@@ -858,21 +193,18 @@ let step_flushes (op : Ir.op) =
 
    Budget exactness: in [Checked] mode each block entry checks that the
    whole block fits the remaining instruction and branch budgets; if not,
-   control drops into the per-instruction threaded code at the block's
-   head pc, which reproduces the decoded tier's budget faults (payload
-   and partial stats) bit-for-bit. *)
+   the run continues in the decoded loop at the block's head pc, which
+   reproduces the decoded tier's budget faults (payload and partial
+   stats) bit-for-bit. *)
 let compile_ir ~mode ~(ir : Ir.program) interp =
   let t0 = Obs.now_ns () in
   let config = Interp.config interp in
   let helpers = Interp.helpers interp in
   let stack_size = config.Config.stack_size in
   let stack_vaddr = config.Config.stack_vaddr in
-  let checked = match mode with Checked -> true | Proven _ -> false in
+  let checked = mode = Checked in
   let ilimit = Config.dynamic_instruction_limit config in
   let blimit = config.Config.max_branches in
-  let fb_code =
-    if checked then fst (build_code ~fuse:false ~mode interp) else [||]
-  in
   (* Region inline caches live in per-instance [state] slots: each hoisted
      site is assigned a slot index at compile time, and every instance
      brings its own slot array, snapshot and disjointness verdict — so
@@ -1255,6 +587,22 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
           bulk_acct st dn dc;
           raise exn
   in
+  (* Finish the run in the decoded loop at [pc]: the register file goes
+     over and comes back, and the dirty window widens to the whole stack
+     because interpreter stores are not tracked. *)
+  let resume_decoded st pc =
+    let regs = Interp.registers st.interp in
+    for i = 0 to 10 do
+      regs.(i) <- reg st i
+    done;
+    let outcome = Interp.resume ~pc st.interp in
+    for i = 0 to 10 do
+      set_reg st i regs.(i)
+    done;
+    st.dirty_lo <- 0;
+    st.dirty_hi <- stack_size;
+    match outcome with Ok _ -> -1 | Error f -> raise (Vm_fault f)
+  in
   let gen_block (b : Ir.block) : state -> int =
     let steps = b.Ir.steps in
     let n = Array.length steps in
@@ -1321,9 +669,8 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
     else begin
       (* Budget headroom guard: the whole block must fit both remaining
          budgets (at most one branch is taken per pass — a taken side
-         exit leaves the block).  When it does not, fall back to the
-         threaded per-instruction code at the head pc for bit-exact
-         budget faults. *)
+         exit leaves the block).  When it does not, finish the run in
+         the decoded loop from the head pc for bit-exact budget faults. *)
       let w = b.Ir.weight in
       let head = b.Ir.head in
       if b.Ir.branch then
@@ -1331,17 +678,12 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
           if
             st.stats.Interp.insns_executed + w > ilimit
             || st.stats.Interp.branches_taken >= blimit
-          then begin
-            (Array.unsafe_get fb_code head) st;
-            -1
-          end
+          then resume_decoded st head
           else body st
       else
         fun st ->
-          if st.stats.Interp.insns_executed + w > ilimit then begin
-            (Array.unsafe_get fb_code head) st;
-            -1
-          end
+          if st.stats.Interp.insns_executed + w > ilimit then
+            resume_decoded st head
           else body st
     end
   in
@@ -1369,28 +711,20 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
   let sh =
     {
       entry;
-      code = fb_code;
       stack_top =
         Int64.add config.Config.stack_vaddr
           (Int64.of_int config.Config.stack_size);
       stack_size;
-      fused = 0;
-      proven = elided;
       ir_blocks = nblocks;
       elided;
       hoisted;
       cache_sites = !n_cache_sites;
-      compile_ns;
     }
   in
   instantiate sh interp
 
-let fused_count t = t.sh.fused
-let proven_count t = t.sh.proven
-let ir_blocks_count t = t.sh.ir_blocks
 let elided_count t = t.sh.elided
 let hoisted_count t = t.sh.hoisted
-let compile_ns t = t.sh.compile_ns
 let runs t = t.runs
 
 (* [reset] is the warm pool's dividend: instead of zeroing the whole
@@ -1431,7 +765,7 @@ let exec ?(args = [||]) t =
   | exception Vm_fault f -> Error f
   | exception Invalid_argument _ ->
       (* A violated analyzer proof or unsafe escape: contain it as a
-         memory fault, like the trimmed interpreter. *)
+         memory fault. *)
       Error (Fault.Memory_access { pc = 0; addr = 0L; size = 0; write = false })
 
 (* [run] mirrors [Interp.run]'s observability envelope so engine-level
@@ -1509,23 +843,7 @@ let copy_registers t dst =
     dst.(i) <- get64 t.st.rf (i lsl 3)
   done
 
-(* Test-facing views of the pooled instance's private state. *)
-let registers t =
-  let a = Array.make 11 0L in
-  copy_registers t a;
-  a
-
-let stack_bytes t = t.st.stack
-let dirty_window t = (t.st.dirty_lo, t.st.dirty_hi)
-
 let ram_bytes t =
   let word = Sys.word_size / 8 in
   88 (* register file *)
-  + ((Array.length t.sh.code + t.sh.ir_blocks) * word)
-
-(* The per-instance slice of the compiled tier: register file, inline
-   cache slots, and the state record itself — everything [instantiate]
-   allocates beyond the shared [code]. *)
-let instance_ram_bytes t =
-  let word = Sys.word_size / 8 in
-  88 + ((Array.length t.st.rcache + Array.length t.st.snapshot + 10) * word)
+  + (t.sh.ir_blocks * word)

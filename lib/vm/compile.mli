@@ -1,13 +1,11 @@
-(** Closure-threaded execution tier.
+(** The compiled execution tier.
 
-    [compile] translates a pre-decoded program into an array of mutually
-    tail-calling closures (direct-threaded code), specialized on each
-    instruction's static operands, with optional superinstruction fusion
-    of hot pairs.  Isolation semantics match the interpreter bit-for-bit:
-    [Checked] mode keeps the allow-list and both execution budgets;
-    [Proven] mode consumes the analyzer's per-pc facts exactly like the
-    trimmed interpreter loop, compiling proven stack accesses to direct
-    byte-buffer access and compiling the budget compares out.
+    [compile_ir] translates the analyzer's optimized register IR into one
+    specialized closure per superblock, threaded by a block-id
+    trampoline.  Isolation semantics match the decoded interpreter
+    bit-for-bit: [Checked] mode keeps the allow-list and both execution
+    budgets; [Proven] mode is granted only to DAGs inside both static
+    budgets, so the budget guard is compiled out.
 
     The instance is a warm pool entry: registers live in an unboxed byte
     buffer, stores maintain a dirty high-water mark over the stack, and
@@ -24,31 +22,27 @@ type code
     split shares it via [shared]/[instantiate]. *)
 
 type mode =
-  | Checked  (** full defensive checks, like [Interp.exec_checked] *)
-  | Proven of bool array
-      (** analyzer facts: [p.(pc)] marks a proven in-frame stack access;
-          granting them also asserts DAG-within-budgets eligibility *)
+  | Checked  (** full defensive checks, like [Interp.run] *)
+  | Proven
+      (** the analyzer proved the program a DAG inside both static
+          budgets, so the budget guard is compiled out *)
 
 exception Vm_fault of Fault.t
 
-val compile : ?fuse:bool -> mode:mode -> Interp.t -> t
-(** Build the closure array from [interp]'s pre-decoded program.  The
-    instance shares the interpreter's memory map, stack buffer and stats
-    record.  [fuse] (default false) enables the superinstruction pass.
-    Helper ids are resolved against the table once, at compile time. *)
-
 val compile_ir : mode:mode -> ir:Ir.program -> Interp.t -> t
-(** Superblock backend: one specialized closure per IR block, threaded by
-    a block-id trampoline.  Instruction/cycle accounting is batched at
+(** One specialized closure per IR block, threaded by a block-id
+    trampoline.  The instance shares [interp]'s memory map, stack buffer
+    and stats record.  Instruction/cycle accounting is batched at
     fault-capable steps and block exits; in [Checked] mode a per-block
-    headroom guard falls back to the per-instruction threaded code when a
-    budget could expire mid-block, so budget faults (payload and partial
-    stats) stay bit-for-bit identical to the decoded interpreter.
-    Proof-elided stack accesses compile to direct byte-buffer access
-    behind a residual frame-bounds guard; hoisted allow-list accesses use
-    a per-site, per-instance region inline cache, enabled when the
-    instance's region snapshot is pairwise disjoint (the only case where
-    caching is sound). *)
+    headroom guard hands the run to [Interp.resume] at the block's head
+    pc when a budget could expire mid-block, so budget faults (payload
+    and partial stats) stay bit-for-bit identical to the decoded
+    interpreter.  Proof-elided stack accesses compile to direct
+    byte-buffer access behind a residual frame-bounds guard; hoisted
+    allow-list accesses use a per-site, per-instance region inline
+    cache, enabled when the instance's region snapshot is pairwise
+    disjoint (the only case where caching is sound).  Helper ids are
+    resolved against the table once, at compile time. *)
 
 val shared : t -> code
 (** The shared compiled artifact backing [t]. *)
@@ -59,9 +53,6 @@ val instantiate : code -> Interp.t -> t
     state (register file, inline-cache slots, region snapshot) is
     allocated.  The interpreter must have been created from the same
     program and config the code was compiled from. *)
-
-val cache_sites : code -> int
-(** Region-inline-cache slots each instance provides (IR tier only). *)
 
 val run : ?args:int64 array -> t -> (int64, Fault.t) result
 (** Execute with [Interp.run]'s exact observability envelope. *)
@@ -74,40 +65,17 @@ val fire : args:int64 array -> t -> bool
 val result : t -> int64
 (** r0 as left by the most recent execution. *)
 
-val fused_count : t -> int
-(** Superinstructions installed by the fusion pass. *)
-
-val proven_count : t -> int
-(** Instructions compiled against analyzer proofs. *)
-
-val ir_blocks_count : t -> int
-(** Superblocks compiled by the IR backend (0 for the threaded tier). *)
-
 val elided_count : t -> int
 (** IR memory checks elided against analyzer proofs. *)
 
 val hoisted_count : t -> int
 (** IR allow-list scans compiled behind a region inline cache. *)
 
-val compile_ns : t -> float
 val runs : t -> int
-
-val registers : t -> int64 array
-(** Fresh snapshot of the 11-register file. *)
 
 val copy_registers : t -> int64 array -> unit
 (** Copy the register file into [dst] (length >= 11) without allocating. *)
 
-val stack_bytes : t -> bytes
-(** The shared stack buffer (test-facing). *)
-
-val dirty_window : t -> int * int
-(** Current dirty stack window [(lo, hi)); empty when [lo >= hi]. *)
-
 val ram_bytes : t -> int
-(** Additional state owned by this tier: register file plus the closure
+(** Additional state owned by this tier: register file plus the block
     table (shared when the instance was spawned from an image). *)
-
-val instance_ram_bytes : t -> int
-(** Only the private slice: register file, inline-cache slots and state
-    record — what [instantiate] allocates beyond the shared [code]. *)

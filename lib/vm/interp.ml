@@ -33,13 +33,6 @@ type stats = {
 let fresh_stats () =
   { insns_executed = 0; branches_taken = 0; helper_calls = 0; cycles = 0 }
 
-(* Static proofs handed over by the analyzer: [proven_stack.(pc)] means
-   the memory access at [pc] is a stack access whose offset interval lies
-   inside the frame on every path.  Granting a fastpath also asserts the
-   program is a verified DAG within both static budgets, so the trimmed
-   loop can drop the budget counters entirely. *)
-type fastpath = { proven_stack : bool array }
-
 type t = {
   program : Program.t;
   kinds : Insn.kind array;
@@ -50,18 +43,16 @@ type t = {
   regs : int64 array;
   cycle_cost : Insn.kind -> int;
   stats : stats;
-  fastpath : fastpath option;
 }
 
 let no_cost (_ : Insn.kind) = 0
 
 (* [create] pre-decodes the program.  The caller is expected to have run
    [Verifier.verify] first; [run] still never crashes the host on an
-   unverified program — it faults instead.  [fastpath] must only be
-   passed for programs the static analyzer proved eligible.  [kinds], if
-   given, must be the pre-decoded view of [program] — image spawns pass
-   the shared array so instances skip the per-instance decode. *)
-let create ?(config = Config.default) ?(cycle_cost = no_cost) ?fastpath ?kinds
+   unverified program — it faults instead.  [kinds], if given, must be
+   the pre-decoded view of [program] — image spawns pass the shared
+   array so instances skip the per-instance decode. *)
+let create ?(config = Config.default) ?(cycle_cost = no_cost) ?kinds
     ~helpers ~regions program =
   let stack_data = Bytes.make config.Config.stack_size '\000' in
   let stack =
@@ -83,23 +74,19 @@ let create ?(config = Config.default) ?(cycle_cost = no_cost) ?fastpath ?kinds
     regs = Array.make 11 0L;
     cycle_cost;
     stats = fresh_stats ();
-    fastpath;
   }
 
 let mem t = t.mem
 let stats t = t.stats
 let registers t = t.regs
-let fastpath_active t = t.fastpath <> None
 
-(* Structural accessors for the closure-threaded compiler (Compile),
-   which shares this instance's memory map, stack buffer and stats
-   record so both tiers observe identical state. *)
-let program t = t.program
+(* Structural accessors for the IR backend (Compile), which shares this
+   instance's memory map, stack buffer and stats record so both tiers
+   observe identical state. *)
 let kinds t = t.kinds
 let config t = t.config
 let helpers t = t.helpers
 let stack_data t = t.stack_data
-let cycle_cost t = t.cycle_cost
 
 (* Per-instance RAM in the paper's Table 3 sense: the state one container
    instance owns — VM stack, register file, statistics, and its memory
@@ -231,28 +218,22 @@ let condition cond is64 (dst : int64) (src : int64) =
 
 exception Abort of Fault.t
 
-(* [exec_checked t ~args] executes the program from slot 0 with r1..r5
-   preloaded from [args] and returns r0.  The container context pointer of
-   the paper arrives in r1.  This is the fully defended path: budget
-   counters compared per instruction, every memory access resolved through
-   the allow-list. *)
-let exec_checked ~args t =
-  reset t;
-  Array.iteri (fun i v -> if i < 5 then t.regs.(i + 1) <- v) args;
+(* [resume ~pc t] runs the fully defended loop from [pc] over the
+   instance's current registers, stack and stats, and returns r0: budget
+   counters compared per instruction, every memory access resolved
+   through the allow-list.  It resets nothing, so the compiled tier can
+   hand a partly executed run over at any instruction boundary. *)
+let resume ~pc t =
   let regs = t.regs in
   let kinds = t.kinds in
   let insns = Program.insns t.program in
   let len = Array.length kinds in
   let stats = t.stats in
-  stats.insns_executed <- 0;
-  stats.branches_taken <- 0;
-  stats.helper_calls <- 0;
-  stats.cycles <- 0;
   let dynamic_limit = Config.dynamic_instruction_limit t.config in
   let fault f = raise (Abort f) in
   let sext_imm imm = Int64.of_int32 imm in
   try
-    let pc = ref 0 in
+    let pc = ref pc in
     let result = ref None in
     while !result = None do
       if !pc < 0 || !pc >= len then fault (Fault.Fall_off_end { pc = !pc });
@@ -361,182 +342,27 @@ let exec_checked ~args t =
     match !result with Some r0 -> Ok r0 | None -> assert false
   with Abort f -> Error f
 
-(* Direct little-endian stack accessors for statically proven accesses:
-   no allow-list scan, no virtual-address translation beyond one
-   subtraction. *)
-let stack_load_direct data off nbytes =
-  match nbytes with
-  | 1 -> Int64.of_int (Bytes.get_uint8 data off)
-  | 2 -> Int64.of_int (Bytes.get_uint16_le data off)
-  | 4 -> mask32 (Int64.of_int32 (Bytes.get_int32_le data off))
-  | _ -> Bytes.get_int64_le data off
-
-let stack_store_direct data off nbytes v =
-  match nbytes with
-  | 1 -> Bytes.set_uint8 data off (Int64.to_int v land 0xff)
-  | 2 -> Bytes.set_uint16_le data off (Int64.to_int v land 0xffff)
-  | 4 -> Bytes.set_int32_le data off (Int64.to_int32 v)
-  | _ -> Bytes.set_int64_le data off v
-
-(* The analyzer's fast-path dividend.  Preconditions (established by
-   [Femto_analysis] before it grants a [fastpath]): the program passed
-   pre-flight verification, its reachable CFG is a DAG whose length fits
-   both static budgets — so every instruction executes at most once and
-   neither budget can fire — and [proven_stack.(pc)] accesses are
-   in-bounds stack accesses on every path.  Relative to [exec_checked]
-   this loop drops the per-instruction budget comparisons, the defensive
-   register-range checks, and resolves proven accesses directly against
-   the stack buffer instead of scanning the region allow-list.  Stats and
-   cycle accounting are kept so engine scheduling and observability see
-   identical numbers. *)
-let exec_trimmed fp ~args t =
+(* [exec_checked t ~args] executes the program from slot 0 with r1..r5
+   preloaded from [args] and returns r0.  The container context pointer of
+   the paper arrives in r1. *)
+let exec_checked ~args t =
   reset t;
   Array.iteri (fun i v -> if i < 5 then t.regs.(i + 1) <- v) args;
-  let regs = t.regs in
-  let kinds = t.kinds in
-  let insns = Program.insns t.program in
-  let len = Array.length kinds in
   let stats = t.stats in
   stats.insns_executed <- 0;
   stats.branches_taken <- 0;
   stats.helper_calls <- 0;
   stats.cycles <- 0;
-  let proven = fp.proven_stack in
-  let stack_base = t.config.Config.stack_vaddr in
-  let stack_data = t.stack_data in
-  let fault f = raise (Abort f) in
-  let sext_imm imm = Int64.of_int32 imm in
-  try
-    let pc = ref 0 in
-    let result = ref None in
-    while !result = None do
-      if !pc < 0 || !pc >= len then fault (Fault.Fall_off_end { pc = !pc });
-      let insn = Array.unsafe_get insns !pc in
-      let kind = Array.unsafe_get kinds !pc in
-      stats.insns_executed <- stats.insns_executed + 1;
-      stats.cycles <- stats.cycles + t.cycle_cost kind;
-      let next = ref (!pc + 1) in
-      (match kind with
-      | Insn.Alu (is64, op, source) -> (
-          let src_value =
-            match source with
-            | Opcode.Src_imm -> sext_imm insn.Insn.imm
-            | Opcode.Src_reg -> regs.(insn.Insn.src)
-          in
-          let f = if is64 then alu64 else alu32 in
-          match f !pc op regs.(insn.Insn.dst) src_value with
-          | Ok v -> regs.(insn.Insn.dst) <- v
-          | Error e -> fault e)
-      | Insn.Load size ->
-          let addr = Int64.add regs.(insn.Insn.src) (Int64.of_int insn.Insn.offset) in
-          let nbytes = Opcode.size_bytes size in
-          if Array.unsafe_get proven !pc then
-            regs.(insn.Insn.dst) <-
-              stack_load_direct stack_data
-                (Int64.to_int (Int64.sub addr stack_base))
-                nbytes
-          else (
-            match Mem.load t.mem ~addr ~size:nbytes with
-            | Ok v -> regs.(insn.Insn.dst) <- v
-            | Error () ->
-                fault (Fault.Memory_access { pc = !pc; addr; size = nbytes; write = false }))
-      | Insn.Store_imm size ->
-          let addr = Int64.add regs.(insn.Insn.dst) (Int64.of_int insn.Insn.offset) in
-          let nbytes = Opcode.size_bytes size in
-          if Array.unsafe_get proven !pc then
-            stack_store_direct stack_data
-              (Int64.to_int (Int64.sub addr stack_base))
-              nbytes (sext_imm insn.Insn.imm)
-          else (
-            match Mem.store t.mem ~addr ~size:nbytes (sext_imm insn.Insn.imm) with
-            | Ok () -> ()
-            | Error () ->
-                fault (Fault.Memory_access { pc = !pc; addr; size = nbytes; write = true }))
-      | Insn.Store_reg size ->
-          let addr = Int64.add regs.(insn.Insn.dst) (Int64.of_int insn.Insn.offset) in
-          let nbytes = Opcode.size_bytes size in
-          if Array.unsafe_get proven !pc then
-            stack_store_direct stack_data
-              (Int64.to_int (Int64.sub addr stack_base))
-              nbytes
-              regs.(insn.Insn.src)
-          else (
-            match Mem.store t.mem ~addr ~size:nbytes regs.(insn.Insn.src) with
-            | Ok () -> ()
-            | Error () ->
-                fault (Fault.Memory_access { pc = !pc; addr; size = nbytes; write = true }))
-      | Insn.Lddw_head ->
-          if !pc + 1 >= len then fault (Fault.Truncated_lddw { pc = !pc })
-          else begin
-            let tail = insns.(!pc + 1) in
-            regs.(insn.Insn.dst) <- Insn.lddw_imm ~head:insn ~tail;
-            next := !pc + 2
-          end
-      | Insn.Lddw_tail -> fault (Fault.Invalid_opcode { pc = !pc; opcode = 0 })
-      | Insn.End endianness -> (
-          match byte_swap !pc endianness insn.Insn.imm regs.(insn.Insn.dst) with
-          | Ok v -> regs.(insn.Insn.dst) <- v
-          | Error e -> fault e)
-      | Insn.Ja ->
-          stats.branches_taken <- stats.branches_taken + 1;
-          next := !pc + 1 + insn.Insn.offset
-      | Insn.Jcond (is64, cond, source) ->
-          let src_value =
-            match source with
-            | Opcode.Src_imm -> sext_imm insn.Insn.imm
-            | Opcode.Src_reg -> regs.(insn.Insn.src)
-          in
-          if condition cond is64 regs.(insn.Insn.dst) src_value then begin
-            stats.branches_taken <- stats.branches_taken + 1;
-            next := !pc + 1 + insn.Insn.offset
-          end
-      | Insn.Call -> (
-          let id = Int32.to_int insn.Insn.imm in
-          match Helper.find t.helpers id with
-          | None -> fault (Fault.Unknown_helper { pc = !pc; id })
-          | Some entry -> (
-              stats.helper_calls <- stats.helper_calls + 1;
-              Obs.event (fun () ->
-                  Otrace.Helper_call { id; name = entry.Helper.name });
-              stats.cycles <- stats.cycles + entry.Helper.cost_cycles;
-              let args =
-                {
-                  Helper.a1 = regs.(1);
-                  a2 = regs.(2);
-                  a3 = regs.(3);
-                  a4 = regs.(4);
-                  a5 = regs.(5);
-                }
-              in
-              match entry.Helper.fn t.mem args with
-              | Ok r0 -> regs.(0) <- r0
-              | Error message ->
-                  fault (Fault.Helper_error { pc = !pc; id; message })))
-      | Insn.Exit -> result := Some regs.(0)
-      | Insn.Invalid opcode -> fault (Fault.Invalid_opcode { pc = !pc; opcode }));
-      (match !result with None -> pc := !next | Some _ -> ())
-    done;
-    (match !result with Some r0 -> Ok r0 | None -> assert false)
-  with
-  | Abort f -> Error f
-  | Invalid_argument _ ->
-      (* A fast-path proof turned out wrong (analyzer bug): contain the
-         escape as a memory fault instead of crashing the host. *)
-      Error (Fault.Memory_access { pc = 0; addr = 0L; size = 0; write = false })
+  resume ~pc:0 t
 
-let exec ~args t =
-  match t.fastpath with
-  | Some fp -> exec_trimmed fp ~args t
-  | None -> exec_checked ~args t
-
-(* [run] = [exec] plus observability: per-run counters fed from the
+(* [run] = [exec_checked] plus observability: per-run counters fed from the
    stats record, a run-latency histogram, and (when tracing) Vm_run /
    Fault events into the global ring. *)
 let run ?(args = [||]) t =
-  if not (Obs.enabled ()) then exec ~args t
+  if not (Obs.enabled ()) then exec_checked ~args t
   else begin
     let t0 = Obs.now_ns () in
-    let outcome = exec ~args t in
+    let outcome = exec_checked ~args t in
     let stats = t.stats in
     Ometrics.incr m_runs;
     Ometrics.add m_insns stats.insns_executed;

@@ -16,19 +16,11 @@ type stats = {
 
 type t
 
-type fastpath = { proven_stack : bool array }
-(** Static proofs from [Femto_analysis]: [proven_stack.(pc)] marks a
-    stack access proven in-bounds on every path.  Granting a fastpath
-    also asserts the program is a verified DAG within both static
-    budgets, so the trimmed loop drops the budget counters and the
-    defensive per-instruction checks. *)
-
 val no_cost : Femto_ebpf.Insn.kind -> int
 
 val create :
   ?config:Config.t ->
   ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
-  ?fastpath:fastpath ->
   ?kinds:Femto_ebpf.Insn.kind array ->
   helpers:Helper.t ->
   regions:Region.t list ->
@@ -36,12 +28,8 @@ val create :
   t
 (** Pre-decode a program.  Callers should verify first; [run] still never
     crashes the host on an unverified program — it faults instead.
-    [fastpath] must only be passed for analyzer-approved programs.
     [kinds], if given, must be the pre-decoded view of [program]; image
     spawns pass the shared array so instances skip the decode. *)
-
-val fastpath_active : t -> bool
-(** True when this instance runs on the trimmed interpreter loop. *)
 
 val mem : t -> Mem.t
 val stats : t -> stats
@@ -49,10 +37,8 @@ val registers : t -> int64 array
 
 (** {2 Structural accessors}
 
-    Used by the closure-threaded compiler ([Compile]), which shares this
-    instance's memory map, stack buffer and stats record. *)
-
-val program : t -> Femto_ebpf.Program.t
+    Used by the IR backend ([Compile]), which shares this instance's
+    memory map, stack buffer and stats record. *)
 
 val kinds : t -> Femto_ebpf.Insn.kind array
 (** The pre-decoded instruction views (shared, never mutated). *)
@@ -60,7 +46,6 @@ val kinds : t -> Femto_ebpf.Insn.kind array
 val config : t -> Config.t
 val helpers : t -> Helper.t
 val stack_data : t -> bytes
-val cycle_cost : t -> Femto_ebpf.Insn.kind -> int
 
 val ram_bytes : t -> int
 (** Per-instance RAM in the paper's Table 3 sense: stack + register file
@@ -68,6 +53,13 @@ val ram_bytes : t -> int
 
 val run : ?args:int64 array -> t -> (int64, Fault.t) result
 (** Execute from slot 0 with r1..r5 preloaded from [args]; returns r0. *)
+
+val resume : pc:int -> t -> (int64, Fault.t) result
+(** Continue a run at [pc] over the current registers, stack and stats,
+    without resetting any of them and without the observability envelope
+    of {!run}.  The IR tier hands a block over to this loop when the
+    block might exhaust a budget, so budget faults keep the decoded
+    interpreter's payload and partial stats. *)
 
 (** {2 Shared instruction semantics}
 

@@ -8,20 +8,14 @@
      | Error fault -> ...
      | Ok vm -> Vm.run vm ~args:[| ctx_ptr |]
 
-   An instance carries one of three execution tiers:
+   An instance carries one of two execution tiers, fixed by its loader:
 
-   - Decoded:  the pre-decoded defensive interpreter loop.
-   - Trimmed:  the analyzer-gated interpreter fast path (granted only by
-               [Femto_analysis.Analysis.load], which owns the proofs).
-   - Compiled: the closure-threaded tier — the default for verified
-               programs.  With analyzer proofs it additionally fuses
-               superinstructions and drops proven stack checks,
-               mirroring the trimmed loop's trust model.
-   - Ir:       the superblock tier — one specialized closure per
-               optimized IR block ([Femto_analysis.Ir]/[Passes] lift and
-               rewrite the program; [Compile.compile_ir] emits it).
-               Granted only by [Femto_analysis.Analysis.load], which owns
-               the IR; requesting it without an IR degrades to Compiled.
+   - Decoded: the pre-decoded defensive interpreter loop ([load]).
+   - Ir:      the superblock tier — one specialized closure per
+              optimized IR block ([Femto_analysis.Ir]/[Passes] lift and
+              rewrite the program; [Compile.compile_ir] emits it).
+              Granted only by [Femto_analysis.Analysis.load], which owns
+              the IR and the proofs.
 
    Whatever the tier, isolation semantics, fault identity and statistics
    are bit-identical; the differential test suite pins this. *)
@@ -38,33 +32,20 @@ module Ir = Ir
 module Obs = Femto_obs.Obs
 module Otrace = Femto_obs.Trace
 
-type tier = Decoded | Trimmed | Compiled | Ir
+type tier = Decoded | Ir
 
-let tier_name = function
-  | Decoded -> "decoded"
-  | Trimmed -> "trimmed"
-  | Compiled -> "compiled"
-  | Ir -> "ir"
-
-let tier_of_name = function
-  | "decoded" -> Some Decoded
-  | "trimmed" -> Some Trimmed
-  | "compiled" -> Some Compiled
-  | "ir" -> Some Ir
-  | _ -> None
+let tier_name = function Decoded -> "decoded" | Ir -> "ir"
 
 (* Everything needed to spawn further instances without redoing verify /
-   analyze / compile: the program, its shared pre-decoded view, the
-   analyzer's proofs, and the compiled artifact.  All fields are
-   immutable and shared by every instance spawned from the image. *)
+   analyze / compile: the program, its shared pre-decoded view and the
+   compiled artifact.  All fields are immutable and shared by every
+   instance spawned from the image. *)
 type image = {
   i_program : Femto_ebpf.Program.t;
   i_kinds : Femto_ebpf.Insn.kind array;
   i_config : Config.t;
   i_cycle_cost : (Femto_ebpf.Insn.kind -> int) option;
   i_helpers : Helper.t;
-  i_tier : tier;
-  i_proofs : bool array option;
   i_code : Compile.code option;
   i_proven : int;
 }
@@ -72,144 +53,80 @@ type image = {
 and t = {
   interp : Interp.t;
   compiled : Compile.t option;
-  tier : tier;
   proven : int; (* analyzer-proven accesses engaged by this instance *)
   mutable image : image option;
       (* filled for verified instances; the spawn template *)
 }
 
+let tier t = match t.compiled with Some _ -> Ir | None -> Decoded
+
 let emit_tier t =
   Obs.event (fun () ->
-      Otrace.Tier_selected
-        {
-          tier = tier_name t.tier;
-          fused =
-            (match t.compiled with
-            | Some c -> Compile.fused_count c
-            | None -> 0);
-          proven = t.proven;
-        })
+      Otrace.Tier_selected { tier = tier_name (tier t); proven = t.proven })
+
+let create_interp ?kinds ~config ~cycle_cost ~helpers ~regions program =
+  match cycle_cost with
+  | Some cycle_cost ->
+      Interp.create ~config ~cycle_cost ?kinds ~helpers ~regions program
+  | None -> Interp.create ~config ?kinds ~helpers ~regions program
 
 (* Shared constructor: the caller certifies [program] already passed
-   pre-flight verification.  [proofs] are the analyzer's per-pc facts;
-   without them the Trimmed tier has nothing to trim and degrades to
-   Decoded, and the Compiled tier keeps every defensive check.  [fuse]
-   defaults to fusing only proof-bearing instances, mirroring the
-   trust boundary: superinstructions ride with the analyzer's dividend
-   unless explicitly requested. *)
-let make_verified ~config ~cycle_cost ~tier ~fuse ~proofs ~ir ~helpers ~regions
-    program =
-  let create ?fastpath () =
-    match cycle_cost with
-    | Some cycle_cost ->
-        Interp.create ~config ~cycle_cost ?fastpath ~helpers ~regions program
-    | None -> Interp.create ~config ?fastpath ~helpers ~regions program
+   pre-flight verification.  An [ir] selects the IR tier; [proofs] (the
+   analyzer's per-pc facts, granted only to DAGs inside both budgets)
+   compile its budget guard out. *)
+let make_verified ~config ~cycle_cost ~proofs ~ir ~helpers ~regions program =
+  let interp = create_interp ~config ~cycle_cost ~helpers ~regions program in
+  let compiled =
+    Option.map
+      (fun ir ->
+        let mode =
+          match proofs with Some _ -> Compile.Proven | None -> Compile.Checked
+        in
+        Compile.compile_ir ~mode ~ir interp)
+      ir
   in
-  let compiled_instance ~tier =
-    let mode =
-      match proofs with Some p -> Compile.Proven p | None -> Compile.Checked
-    in
-    let fuse = match fuse with Some f -> f | None -> proofs <> None in
-    let interp = create () in
-    let compiled = Compile.compile ~fuse ~mode interp in
-    {
-      interp;
-      compiled = Some compiled;
-      tier;
-      proven = Compile.proven_count compiled;
-      image = None;
-    }
-  in
-  let t =
-    match (tier, proofs) with
-    | Decoded, _ | Trimmed, None ->
-        {
-          interp = create ();
-          compiled = None;
-          tier = Decoded;
-          proven = 0;
-          image = None;
-        }
-    | Trimmed, Some proven_stack ->
-        {
-          interp = create ~fastpath:{ Interp.proven_stack } ();
-          compiled = None;
-          tier = Trimmed;
-          proven =
-            Array.fold_left (fun n b -> if b then n + 1 else n) 0 proven_stack;
-          image = None;
-        }
-    | Compiled, _ -> compiled_instance ~tier:Compiled
-    | Ir, _ -> (
-        match ir with
-        | None ->
-            (* only [Femto_analysis.Analysis.load] owns an IR; degrade
-               like Trimmed-without-proofs does, but to the strongest
-               tier that needs no analyzer artifact *)
-            compiled_instance ~tier:Compiled
-        | Some irp ->
-            let mode =
-              match proofs with
-              | Some p -> Compile.Proven p
-              | None -> Compile.Checked
-            in
-            let interp = create () in
-            let compiled = Compile.compile_ir ~mode ~ir:irp interp in
-            {
-              interp;
-              compiled = Some compiled;
-              tier = Ir;
-              proven = Compile.proven_count compiled;
-              image = None;
-            })
+  let proven =
+    match compiled with Some c -> Compile.elided_count c | None -> 0
   in
   (* Every verified instance doubles as a spawn template: the image is
      just shared references to what was computed above, so capturing it
      is free. *)
-  t.image <-
-    Some
-      {
-        i_program = program;
-        i_kinds = Interp.kinds t.interp;
-        i_config = config;
-        i_cycle_cost = cycle_cost;
-        i_helpers = helpers;
-        i_tier = t.tier;
-        i_proofs = proofs;
-        i_code = Option.map Compile.shared t.compiled;
-        i_proven = t.proven;
-      };
+  let image =
+    {
+      i_program = program;
+      i_kinds = Interp.kinds interp;
+      i_config = config;
+      i_cycle_cost = cycle_cost;
+      i_helpers = helpers;
+      i_code = Option.map Compile.shared compiled;
+      i_proven = proven;
+    }
+  in
+  let t = { interp; compiled; proven; image = Some image } in
   emit_tier t;
   t
 
-(* [load] verifies then compiles (or pre-decodes, per [tier]); a program
-   that fails pre-flight checks is never instantiated. *)
-let load ?(config = Config.default) ?cycle_cost ?(tier = Compiled) ?fuse
-    ~helpers ~regions program =
+(* [load] verifies then pre-decodes; a program that fails pre-flight
+   checks is never instantiated. *)
+let load ?(config = Config.default) ?cycle_cost ~helpers ~regions program =
   match Verifier.verify ~helpers config program with
   | Error fault -> Error fault
   | Ok (_ : Verifier.ok) ->
       Ok
-        (make_verified ~config ~cycle_cost ~tier ~fuse ~proofs:None ~ir:None
-           ~helpers ~regions program)
+        (make_verified ~config ~cycle_cost ~proofs:None ~ir:None ~helpers
+           ~regions program)
 
-let load_analyzed ?(config = Config.default) ?cycle_cost ?(tier = Compiled)
-    ?fuse ?proofs ?ir ~helpers ~regions program =
-  make_verified ~config ~cycle_cost ~tier ~fuse ~proofs ~ir ~helpers ~regions
-    program
+let load_analyzed ?(config = Config.default) ?cycle_cost ?proofs ?ir ~helpers
+    ~regions program =
+  make_verified ~config ~cycle_cost ~proofs ~ir ~helpers ~regions program
 
 (* [load_unverified] skips pre-flight checks; used by tests and benchmarks
    to demonstrate that the interpreter's defensive checks still hold.
    Always decoded: the compiled tier assumes verifier invariants. *)
 let load_unverified ?(config = Config.default) ?cycle_cost ~helpers ~regions
     program =
-  let interp =
-    match cycle_cost with
-    | Some cycle_cost ->
-        Interp.create ~config ~cycle_cost ~helpers ~regions program
-    | None -> Interp.create ~config ~helpers ~regions program
-  in
-  { interp; compiled = None; tier = Decoded; proven = 0; image = None }
+  let interp = create_interp ~config ~cycle_cost ~helpers ~regions program in
+  { interp; compiled = None; proven = 0; image = None }
 
 let run ?(args = [||]) t =
   match t.compiled with
@@ -218,15 +135,9 @@ let run ?(args = [||]) t =
 
 let stats t = Interp.stats t.interp
 let mem t = Interp.mem t.interp
-let tier t = t.tier
 let compiled t = t.compiled
 let interp t = t.interp
-
-let fastpath_active t = t.tier <> Decoded && (t.tier = Trimmed || t.proven > 0)
 let proven_count t = t.proven
-
-let fused_count t =
-  match t.compiled with Some c -> Compile.fused_count c | None -> 0
 
 (* The register file of whichever tier executes; for the compiled tier
    the interpreter's array doubles as the snapshot buffer. *)
@@ -250,7 +161,7 @@ let image_of t =
   | Some img -> img
   | None -> invalid_arg "Vm.image_of: instance was loaded unverified"
 
-let image_tier img = img.i_tier
+let image_tier img = match img.i_code with Some _ -> Ir | None -> Decoded
 let image_program img = img.i_program
 let image_proven img = img.i_proven
 
@@ -260,33 +171,14 @@ let image_proven img = img.i_proven
    stack buffer, register file, stats, memory-region table and inline
    cache slots — nothing else. *)
 let spawn ?(regions = []) img =
-  let fastpath =
-    match (img.i_tier, img.i_proofs) with
-    | Trimmed, Some proven_stack -> Some { Interp.proven_stack }
-    | _ -> None
-  in
   let interp =
-    match img.i_cycle_cost with
-    | Some cycle_cost ->
-        Interp.create ~config:img.i_config ~cycle_cost ?fastpath
-          ~kinds:img.i_kinds ~helpers:img.i_helpers ~regions img.i_program
-    | None ->
-        Interp.create ~config:img.i_config ?fastpath ~kinds:img.i_kinds
-          ~helpers:img.i_helpers ~regions img.i_program
+    create_interp ~kinds:img.i_kinds ~config:img.i_config
+      ~cycle_cost:img.i_cycle_cost ~helpers:img.i_helpers ~regions
+      img.i_program
   in
   let compiled =
-    match img.i_code with
-    | Some code -> Some (Compile.instantiate code interp)
-    | None -> None
+    Option.map (fun code -> Compile.instantiate code interp) img.i_code
   in
-  let t =
-    {
-      interp;
-      compiled;
-      tier = img.i_tier;
-      proven = img.i_proven;
-      image = Some img;
-    }
-  in
+  let t = { interp; compiled; proven = img.i_proven; image = Some img } in
   emit_tier t;
   t

@@ -8,12 +8,11 @@
       | Ok vm -> Vm.run vm ~args:[| ctx_ptr |]
     ]}
 
-    An instance carries one of four execution tiers — the decoded
-    defensive interpreter, the analyzer-gated trimmed interpreter, the
-    closure-threaded compiled tier (the default for verified programs),
-    or the superblock IR tier (one specialized closure per optimized IR
-    block, granted by {!Femto_analysis.Analysis.load}).  Results, fault
-    identity and statistics are bit-identical across tiers. *)
+    An instance carries one of two execution tiers, fixed by its loader:
+    {!load} yields the decoded defensive interpreter, and
+    {!Femto_analysis.Analysis.load} yields the superblock IR tier (one
+    specialized closure per optimized IR block).  Results, fault identity
+    and statistics are bit-identical across tiers. *)
 
 module Fault = Fault
 module Region = Region
@@ -25,45 +24,37 @@ module Interp = Interp
 module Compile = Compile
 module Ir = Ir
 
-type tier = Decoded | Trimmed | Compiled | Ir
+type tier = Decoded | Ir
 
 val tier_name : tier -> string
-val tier_of_name : string -> tier option
 
 type t
 
 val load :
   ?config:Config.t ->
   ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
-  ?tier:tier ->
-  ?fuse:bool ->
   helpers:Helper.t ->
   regions:Region.t list ->
   Femto_ebpf.Program.t ->
   (t, Fault.t) result
-(** Verify then instantiate; a program that fails pre-flight checks is
-    never instantiated.  [cycle_cost] plugs a platform cycle model in.
-    [tier] defaults to [Compiled]; requesting [Trimmed] here degrades to
-    [Decoded] because only {!Femto_analysis.Analysis.load} owns the
-    proofs the trimmed loop consumes.  [fuse] overrides the fusion
-    default (fuse only proof-bearing instances). *)
+(** Verify then instantiate on the decoded tier; a program that fails
+    pre-flight checks is never instantiated.  [cycle_cost] plugs a
+    platform cycle model in. *)
 
 val load_analyzed :
   ?config:Config.t ->
   ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
-  ?tier:tier ->
-  ?fuse:bool ->
   ?proofs:bool array ->
   ?ir:Ir.program ->
   helpers:Helper.t ->
   regions:Region.t list ->
   Femto_ebpf.Program.t ->
   t
-(** For {!Femto_analysis.Analysis.load}: instantiate an
-    already-verified program, engaging proof-bearing tiers when
-    [proofs] (the analyzer's per-pc facts) are present.  The [Ir] tier
-    additionally needs the lifted-and-optimized [ir]; without it the
-    request degrades to [Compiled]. *)
+(** For {!Femto_analysis.Analysis.load}: instantiate an already-verified
+    program.  The instance runs on the IR tier exactly when [ir] (the
+    lifted-and-optimized program) is given, else on the decoded tier.
+    [proofs] (the analyzer's per-pc facts, granted only to DAGs inside
+    both budgets) compile the IR tier's budget guard out. *)
 
 val load_unverified :
   ?config:Config.t ->
@@ -86,22 +77,18 @@ val tier : t -> tier
 val compiled : t -> Compile.t option
 val interp : t -> Interp.t
 
-val fastpath_active : t -> bool
-(** True when analyzer proofs are engaged (trimmed loop, or compiled
-    with proven accesses). *)
-
 val proven_count : t -> int
-val fused_count : t -> int
+(** Memory checks the IR tier elided against analyzer proofs. *)
 
 val ram_bytes : t -> int
 (** Per-instance RAM (paper Table 3 sense), including the compiled
-    tier's closure table when present. *)
+    tier's block table when present. *)
 
 (** {2 Image / instance split}
 
     A verified instance doubles as a spawn template: {!image_of} captures
     the whole immutable graph — program, shared pre-decoded instruction
-    views, analyzer proofs, compiled closure artifact — and {!spawn}
+    views, compiled closure artifact — and {!spawn}
     binds it to fresh private run state (stack, registers, stats, memory
     map, inline-cache slots) without re-verifying, re-analyzing,
     re-decoding or re-compiling anything. *)

@@ -6,8 +6,8 @@
    [Dag] termination classification, and every stack access at a constant
    r10-relative offset the abstract interpreter can prove in-bounds.
    Each round-trip through [r10-8] is deliberate — it gives the analyzer
-   stack accesses to prove and the trimmed interpreter direct accesses to
-   win on, mimicking register spills a compiler would emit. *)
+   stack accesses to prove and the IR tier direct accesses to win on,
+   mimicking register spills a compiler would emit. *)
 
 let words = 64
 

@@ -34,21 +34,19 @@ let fault_fail fault = failwith (Femto_vm.Fault.to_string fault)
 
 (* --- rBPF: one impl per execution tier ------------------------------ *)
 
-(* All tiers load through the analyzer so proof-bearing tiers receive
-   their per-pc facts; loop kernels degrade gracefully (the "trimmed"
-   row then measures the analyzer's load-time cost model at decoded
-   speed, which is exactly what the ablation wants to show). *)
+(* The decoded row loads through the plain verifier, the IR row through
+   the analyzer, which lifts, optimizes and hands over its proofs. *)
 let rbpf_impls ?(helpers = fun () -> Femto_vm.Helper.create ()) ~program
     ~regions ~args () =
-  let tier_impl tier_name tier fuse =
+  let tier_impl tier load =
     {
       runtime = "rbpf";
-      tier = tier_name;
+      tier;
       mk =
         (fun () ->
           match
-            Femto_analysis.Analysis.load ~config:corpus_config ~tier ?fuse
-              ~helpers:(helpers ()) ~regions:(regions ()) (program ())
+            load ~config:corpus_config ~helpers:(helpers ())
+              ~regions:(regions ()) (program ())
           with
           | Error fault -> fault_fail fault
           | Ok vm ->
@@ -59,11 +57,10 @@ let rbpf_impls ?(helpers = fun () -> Femto_vm.Helper.create ()) ~program
     }
   in
   [
-    tier_impl "decoded" Femto_vm.Vm.Decoded None;
-    tier_impl "trimmed" Femto_vm.Vm.Trimmed None;
-    tier_impl "compiled" Femto_vm.Vm.Compiled (Some false);
-    tier_impl "compiled-fused" Femto_vm.Vm.Compiled (Some true);
-    tier_impl "ir" Femto_vm.Vm.Ir None;
+    tier_impl "decoded" (fun ~config ~helpers ~regions program ->
+        Femto_vm.Vm.load ~config ~helpers ~regions program);
+    tier_impl "ir" (fun ~config ~helpers ~regions program ->
+        Femto_analysis.Analysis.load ~config ~helpers ~regions program);
   ]
 
 (* --- wasm_mini: typed reference interpreter + flattened fast path --- *)
@@ -147,7 +144,7 @@ let script_impls ~source ~entry ~args () =
   ]
 
 (* The raw-memory flavour of the same kernel, compiled to eBPF and run on
-   the compiled tier — the paper's "write high level, run at rBPF cost"
+   the IR tier — the paper's "write high level, run at rBPF cost"
    pathway.  [regions]/[args] use the same layout as the rBPF impls. *)
 let to_ebpf_impl ~source ~entry ~regions ~args () =
   {

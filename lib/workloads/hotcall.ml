@@ -5,7 +5,7 @@
    [r10-8] spill between calls.  Per-instruction arithmetic is nearly
    free by construction, so what the dispatch tiers race on is call
    marshalling: argument gather, helper resolution (per call site in the
-   interpreters, once at compile time in the compiled tier), r0
+   interpreter, once at compile time in the IR tier), r0
    write-back, and the post-call stack re-dirtying. *)
 
 let calls = 32

@@ -2,11 +2,10 @@
 
    Computes the same function — sum of 16-bit words plus a sum of running
    prefixes, low 32 bits — but through a genuine back edge, so the
-   analyzer classifies it [Has_loops] and the trimmed interpreter stays
-   out.  What remains is dispatch cost itself: five of the six loop-body
-   instructions are ALU ops feeding a compare-and-branch, which makes
-   this the reference workload for the compiled tier's cmp+jump and
-   ALU-chain superinstruction fusion. *)
+   analyzer classifies it [Has_loops] and the IR tier keeps its budget
+   guard.  What remains is dispatch cost itself: five of the six
+   loop-body instructions are ALU ops feeding a compare-and-branch, which
+   makes this the reference workload for superblock dispatch. *)
 
 let words = 64
 

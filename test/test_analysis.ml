@@ -2,7 +2,8 @@
    (uninitialized reads, static stack bounds, pointer arithmetic,
    termination classification, unreachable code), CFG construction,
    differential agreement with the CertFC checker, and observational
-   equivalence of the trimmed fast-path interpreter. *)
+   equivalence of the proof-fed IR tier (its budget guard trimmed away on
+   eligible programs). *)
 
 open Femto_ebpf
 module Analysis = Femto_analysis.Analysis
@@ -273,9 +274,10 @@ let fault_fingerprint = function
   | Fault.Memory_access _ -> "mem"
   | fault -> Fault.to_string fault
 
-(* Observational equivalence: loading through the analyzer (trimmed loop
-   when eligible) and through the plain checked loader must produce the
-   same result on every accepted program. *)
+(* Observational equivalence: loading through the analyzer (the IR tier,
+   with its budget guard trimmed away when the program is eligible) and
+   through the plain checked loader must produce the same result on every
+   accepted program. *)
 let prop_trimmed_equals_checked =
   QCheck.Test.make ~name:"trimmed fast path = checked interpreter" ~count:300
     (QCheck.make gen_program) (fun program ->
@@ -296,7 +298,7 @@ let test_dagsum_trimmed_matches_reference () =
   let data = Fletcher.input_360 in
   let program = Dagsum.ebpf_program () in
   let expect = Dagsum.reference data in
-  let trimmed =
+  let ir =
     match
       Analysis.load ~helpers:(Helper.create ()) ~regions:(Dagsum.regions data)
         program
@@ -305,10 +307,10 @@ let test_dagsum_trimmed_matches_reference () =
     | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
   in
   Alcotest.(check bool) "fast path engaged" true
-    (Vm.fastpath_active trimmed);
-  (match Vm.run trimmed ~args:[| Dagsum.data_vaddr |] with
-  | Ok v -> Alcotest.(check int64) "trimmed result" expect v
-  | Error fault -> Alcotest.failf "trimmed run: %s" (Fault.to_string fault));
+    (Vm.tier ir = Vm.Ir && Vm.proven_count ir > 0);
+  (match Vm.run ir ~args:[| Dagsum.data_vaddr |] with
+  | Ok v -> Alcotest.(check int64) "ir result" expect v
+  | Error fault -> Alcotest.failf "ir run: %s" (Fault.to_string fault));
   let checked =
     match
       Vm.load ~helpers:(Helper.create ()) ~regions:(Dagsum.regions data)
@@ -317,8 +319,8 @@ let test_dagsum_trimmed_matches_reference () =
     | Ok vm -> vm
     | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
   in
-  Alcotest.(check bool) "checked loader stays plain" false
-    (Vm.fastpath_active checked);
+  Alcotest.(check bool) "checked loader stays plain" true
+    (Vm.tier checked = Vm.Decoded && Vm.proven_count checked = 0);
   match Vm.run checked ~args:[| Dagsum.data_vaddr |] with
   | Ok v -> Alcotest.(check int64) "checked result" expect v
   | Error fault -> Alcotest.failf "checked run: %s" (Fault.to_string fault)

@@ -1,6 +1,7 @@
-(* The closure-compiled execution tier: differential equivalence against
-   the decoded interpreter and CertFC, superinstruction fusion
-   correctness, warm-pool reuse, and the zero-allocation fire path. *)
+(* The compiled (IR) tier as a warm-pool instance: checked-mode
+   exactness against the decoded interpreter, agreement with CertFC,
+   region-inline-cache soundness, containment of a violated proof,
+   warm-pool reuse, and the zero-allocation fire path. *)
 
 module Insn = Femto_ebpf.Insn
 module Opcode = Femto_ebpf.Opcode
@@ -14,10 +15,10 @@ module Helper = Femto_vm.Helper
 module Config = Femto_vm.Config
 module Analysis = Femto_analysis.Analysis
 module Certfc = Femto_certfc.Certfc
-module Fletcher = Femto_workloads.Fletcher
-module Dagsum = Femto_workloads.Dagsum
-module Loop_sum = Femto_workloads.Loop_sum
-module Hotcall = Femto_workloads.Hotcall
+module Lift = Femto_analysis.Ir
+module Passes = Femto_analysis.Passes
+module Vir = Femto_vm.Ir
+module Region = Femto_vm.Region
 module Engine = Femto_core.Engine
 module Container = Femto_core.Container
 module Contract = Femto_core.Contract
@@ -112,43 +113,42 @@ let exact_outcome vm =
     s.Interp.insns_executed s.Interp.branches_taken s.Interp.helper_calls
     s.Interp.cycles
 
-let load_tier ~tier ?fuse program =
-  Vm.load ~config ~tier ?fuse ~helpers:no_helpers ~regions:[] program
+let load_decoded ?(helpers = no_helpers) ?(regions = []) program =
+  Vm.load ~config ~helpers ~regions program
 
-(* Compiled (checked) must be indistinguishable from the decoded
-   interpreter: same r0, same fault with the same payload, same stats. *)
+let load_ir ?(helpers = no_helpers) ?(regions = []) program =
+  Analysis.load ~config ~helpers ~regions program
+
+(* The IR tier in [Checked] mode whatever the program's shape: lifted
+   and optimized like [Analysis.load] does, but handed over without the
+   analyzer's DAG proofs, so every block keeps its budget guard. *)
+let load_checked_ir program =
+  match Analysis.analyze ~helpers:no_helpers config program with
+  | Error f -> Error f
+  | Ok outcome ->
+      let lifted =
+        Lift.lift ~cost:Interp.no_cost ~facts:outcome.Analysis.mem_facts program
+      in
+      let ir, _ = Passes.run lifted in
+      Ok
+        (Vm.load_analyzed ~config ~ir ~helpers:no_helpers ~regions:[] program)
+
+(* Checked IR must be indistinguishable from the decoded interpreter:
+   same r0, same fault with the same payload, same stats. *)
 let prop_compiled_exact =
   QCheck.Test.make ~name:"compiled = decoded (exact fault + stats)" ~count:300
     (QCheck.make gen_program) (fun program ->
-      match
-        ( load_tier ~tier:Vm.Decoded program,
-          load_tier ~tier:Vm.Compiled ~fuse:false program )
-      with
-      | Error _, Error _ -> true
-      | Ok d, Ok c -> String.equal (exact_outcome d) (exact_outcome c)
-      | _ -> false)
-
-let prop_fused_exact =
-  QCheck.Test.make ~name:"compiled+fused = decoded (exact fault + stats)"
-    ~count:300 (QCheck.make gen_program) (fun program ->
-      match
-        ( load_tier ~tier:Vm.Decoded program,
-          load_tier ~tier:Vm.Compiled ~fuse:true program )
-      with
+      match (load_decoded program, load_checked_ir program) with
       | Error _, Error _ -> true
       | Ok d, Ok c -> String.equal (exact_outcome d) (exact_outcome c)
       | _ -> false)
 
 (* Through the analyzer (proven mode, budgets compiled out on granted
-   DAGs) fault payloads coarsen like the trimmed tier's, so compare
-   results exactly and faults by identity class. *)
+   DAGs) compare results exactly and faults by identity class. *)
 let prop_analysis_compiled_equals_decoded =
   QCheck.Test.make ~name:"analysis-compiled = decoded" ~count:300
     (QCheck.make gen_program) (fun program ->
-      let a =
-        Analysis.load ~config ~helpers:no_helpers ~regions:[] program
-      in
-      match (load_tier ~tier:Vm.Decoded program, a) with
+      match (load_decoded program, load_ir program) with
       | Error _, Error _ -> true
       | Ok d, Ok c -> (
           match (Vm.run d, Vm.run c) with
@@ -162,7 +162,7 @@ let prop_compiled_equals_certfc =
   QCheck.Test.make ~name:"compiled = CertFC" ~count:300
     (QCheck.make gen_program) (fun program ->
       let cert = Certfc.load ~config ~helpers:no_helpers ~regions:[] program in
-      match (load_tier ~tier:Vm.Compiled program, cert) with
+      match (load_ir program, cert) with
       | Error _, Error _ -> true
       | Ok c, Ok cc -> (
           match (Vm.run c, Certfc.run cc) with
@@ -177,12 +177,12 @@ let prop_compiled_equals_certfc =
 let prop_pool_reuse_deterministic =
   QCheck.Test.make ~name:"warm pool fire is deterministic" ~count:200
     (QCheck.make gen_program) (fun program ->
-      match load_tier ~tier:Vm.Compiled program with
+      match load_ir program with
       | Error _ -> true
       | Ok vm -> (
           let cc = Option.get (Vm.compiled vm) in
           let fresh =
-            match load_tier ~tier:Vm.Compiled program with
+            match load_ir program with
             | Ok v -> Vm.run v
             | Error _ -> assert false
           in
@@ -200,10 +200,47 @@ let prop_pool_reuse_deterministic =
 
 let assemble = Asm.assemble
 
-let load_ok ?tier ?fuse ?(helpers = no_helpers) ?(regions = []) program =
-  match Vm.load ?tier ?fuse ~helpers ~regions program with
+let ok_or_fail = function
   | Ok vm -> vm
   | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
+
+let load_ok ?helpers ?regions program =
+  match load_ir ?helpers ?regions program with
+  | Ok vm -> vm
+  | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
+
+(* Fault payloads and stats survive the checked compiled tier
+   bit-for-bit, and a second run of the same instance reproduces them.
+   The group keeps the name it had when these cases ran through the
+   superinstruction-fused tier this checked tier replaced. *)
+let test_fault_parity_goldens () =
+  let cases =
+    [
+      ("div by zero", "mov r0, 10\nmov r1, 0\ndiv r0, r1\nexit");
+      ("mod by zero imm", "mov r0, 10\nmod r0, 0\nexit");
+      ("oob store", "mov r1, 5\nstxdw [r10-600], r1\nexit");
+      ("oob load", "ldxdw r0, [r10+8]\nexit");
+      ( "budget",
+        "mov r2, 1\nloop:\nadd r2, 1\njne r2, 0, loop\nmov r0, 0\nexit" );
+    ]
+  in
+  List.iter
+    (fun (name, source) ->
+      let program = assemble source in
+      let d =
+        match load_decoded program with
+        | Ok vm -> vm
+        | Error f -> Alcotest.failf "%s: %s" name (Fault.to_string f)
+      in
+      let c =
+        match load_checked_ir program with
+        | Ok vm -> vm
+        | Error f -> Alcotest.failf "%s: %s" name (Fault.to_string f)
+      in
+      let expect = exact_outcome d in
+      Alcotest.(check string) name expect (exact_outcome c);
+      Alcotest.(check string) (name ^ " (rerun)") expect (exact_outcome c))
+    cases
 
 (* A fired instance must present a fully zeroed frame to the next run:
    this program returns the sum of values a previous run deliberately
@@ -230,7 +267,7 @@ let test_pool_observes_zeroed_frame () =
         exit
       |}
   in
-  let vm = load_ok ~tier:Vm.Compiled program in
+  let vm = load_ok program in
   let cc = Option.get (Vm.compiled vm) in
   for i = 1 to 3 do
     Alcotest.(check bool) "fire ok" true (Compile.fire ~args:[||] cc);
@@ -239,95 +276,87 @@ let test_pool_observes_zeroed_frame () =
       0L (Compile.result cc)
   done
 
-let test_fusion_engages_and_agrees () =
-  let data = Fletcher.input_360 in
-  (* dagsum via the analyzer: proven accesses and spill/reload fusion *)
-  let compiled =
-    match
-      Analysis.load ~helpers:(Helper.create ())
-        ~regions:(Dagsum.regions data) (Dagsum.ebpf_program ())
-    with
-    | Ok vm -> vm
-    | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
+(* Overlapping regions make a region inline cache unsound: a site that
+   first resolved [base+8] to the larger region [b] would keep serving
+   [base] from [b], while the allow-list's first match there is [a].  The
+   instance must notice the overlap and leave its caches off. *)
+let test_overlapping_regions_disable_cache () =
+  let base = 0x2000_0000L in
+  let fill n v =
+    let b = Bytes.create n in
+    for i = 0 to (n / 8) - 1 do
+      Bytes.set_int64_le b (i * 8) v
+    done;
+    b
   in
-  Alcotest.(check bool) "compiled tier selected" true
-    (Vm.tier compiled = Vm.Compiled);
-  Alcotest.(check bool) "proofs engaged" true (Vm.proven_count compiled > 0);
-  Alcotest.(check bool) "superinstructions installed" true
-    (Vm.fused_count compiled > 0);
-  (match Vm.run compiled ~args:[| Dagsum.data_vaddr |] with
-  | Ok v -> Alcotest.(check int64) "dagsum" (Dagsum.reference data) v
-  | Error fault -> Alcotest.failf "dagsum: %s" (Fault.to_string fault));
-  (* loop_sum: no proofs (back edge), fusion still correct *)
-  let loop =
-    load_ok ~tier:Vm.Compiled ~fuse:true ~regions:(Loop_sum.regions data)
-      (Loop_sum.ebpf_program ())
+  let regions () =
+    let b = Bytes.cat (fill 8 0x2222L) (fill 8 0x3333L) in
+    [
+      Region.make ~name:"a" ~vaddr:base ~perm:Region.Read_only (fill 8 0x1111L);
+      Region.make ~name:"b" ~vaddr:base ~perm:Region.Read_write b;
+    ]
   in
-  (match Vm.run loop ~args:[| Loop_sum.data_vaddr |] with
-  | Ok v -> Alcotest.(check int64) "loop_sum" (Loop_sum.reference data) v
-  | Error fault -> Alcotest.failf "loop_sum: %s" (Fault.to_string fault));
-  (* hotcall: helper calls resolved at compile time *)
-  let hot =
-    load_ok ~tier:Vm.Compiled ~fuse:true ~helpers:(Hotcall.helpers ())
-      (Hotcall.ebpf_program ())
-  in
-  match Vm.run hot with
-  | Ok v -> Alcotest.(check int64) "hotcall" Hotcall.reference v
-  | Error fault -> Alcotest.failf "hotcall: %s" (Fault.to_string fault)
-
-(* A branch landing on the second element of a fusible pair must see the
-   unfused solo closure, not the middle of a superinstruction. *)
-let test_branch_into_fused_pair () =
   let program =
     assemble
       {|
-        mov   r2, 1
-        jeq   r2, 1, mid
-        mov   r3, 100       ; first half of a fusible imm pair
-        add   r3, 1
-        exit
-      mid:
-        mov   r4, 5         ; lands between fusible neighbours
-        add   r4, 2
-        mov   r0, r4
+        mov   r0, 0
+        mov   r2, 8
+      loop:
+        mov   r3, r1
+        add   r3, r2
+        ldxdw r4, [r3+0]
+        add   r0, r4
+        sub   r2, 8
+        jsge  r2, 0, loop
         exit
       |}
   in
-  let fused = load_ok ~tier:Vm.Compiled ~fuse:true program in
-  let decoded = load_ok ~tier:Vm.Decoded program in
-  match (Vm.run fused, Vm.run decoded) with
+  let ir = load_ok ~regions:(regions ()) program in
+  let decoded = ok_or_fail (load_decoded ~regions:(regions ()) program) in
+  match (Vm.run ir ~args:[| base |], Vm.run decoded ~args:[| base |]) with
   | Ok a, Ok b ->
-      Alcotest.(check int64) "agree" b a;
-      Alcotest.(check int64) "value" 7L a
-  | _ -> Alcotest.fail "branch into fused pair faulted"
+      Alcotest.(check int64) "first match wins" 0x4444L b;
+      Alcotest.(check int64) "agree" b a
+  | _ -> Alcotest.fail "overlapping-region program faulted"
 
-(* Fault payloads survive compilation bit-for-bit in checked mode. *)
-let test_fault_parity_goldens () =
-  let cases =
-    [
-      ("div by zero", "mov r0, 10\nmov r1, 0\ndiv r0, r1\nexit");
-      ("mod by zero imm", "mov r0, 10\nmod r0, 0\nexit");
-      ("oob store", "mov r1, 5\nstxdw [r10-600], r1\nexit");
-      ("oob load", "ldxdw r0, [r10+8]\nexit");
-      ( "budget",
-        "mov r2, 1\nloop:\nadd r2, 1\njne r2, 0, loop\nmov r0, 0\nexit" );
-    ]
+(* A wrong "proven" mark (an analyzer bug) must stay contained: every
+   access is forced onto the direct stack path, and the out-of-frame one
+   still faults with the decoded interpreter's payload instead of
+   touching memory outside the frame. *)
+let test_violated_proof_contained () =
+  let program = assemble "mov r1, 7\nstxdw [r10+100], r1\nmov r0, 1\nexit" in
+  let force_elide (s : Vir.step) =
+    match s.Vir.op with
+    | Vir.Load l -> { s with Vir.op = Vir.Load { l with elide = true } }
+    | Vir.Store st -> { s with Vir.op = Vir.Store { st with elide = true } }
+    | _ -> s
   in
-  List.iter
-    (fun (name, source) ->
-      let program = assemble source in
-      let d =
-        match load_tier ~tier:Vm.Decoded program with
-        | Ok vm -> vm
-        | Error f -> Alcotest.failf "%s: %s" name (Fault.to_string f)
-      in
-      let c =
-        match load_tier ~tier:Vm.Compiled ~fuse:true program with
-        | Ok vm -> vm
-        | Error f -> Alcotest.failf "%s: %s" name (Fault.to_string f)
-      in
-      Alcotest.(check string) name (exact_outcome d) (exact_outcome c))
-    cases
+  let lifted =
+    Lift.lift ~cost:Interp.no_cost
+      ~facts:(Array.make (Program.length program) None)
+      program
+  in
+  let ir =
+    {
+      lifted with
+      Vir.blocks =
+        Array.map
+          (fun (b : Vir.block) ->
+            { b with Vir.steps = Array.map force_elide b.Vir.steps })
+          lifted.Vir.blocks;
+    }
+  in
+  let vm =
+    Vm.load_analyzed ~config ~ir
+      ~proofs:(Array.make (Program.length program) true)
+      ~helpers:no_helpers ~regions:[] program
+  in
+  let decoded = ok_or_fail (load_decoded program) in
+  match (Vm.run vm, Vm.run decoded) with
+  | Error a, Error b ->
+      Alcotest.(check string) "same fault" (Fault.to_string b)
+        (Fault.to_string a)
+  | _ -> Alcotest.fail "out-of-frame store was not contained as a fault"
 
 (* --- the warm pool dispatch path allocates nothing --- *)
 
@@ -355,12 +384,12 @@ let test_engine_fire_zero_alloc () =
   (match Engine.attach engine ~hook_uuid:"za" container with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Engine.attach_error_to_string e));
-  (* the analyzer must have granted the proven compiled tier, otherwise
-     checked memory accesses allocate result values *)
+  (* the analyzer must have proven the stack accesses, otherwise checked
+     memory accesses allocate result values *)
   (match container.Container.instance with
   | Some (Container.Fc_instance vm) ->
       Alcotest.(check bool) "compiled" true (Vm.compiled vm <> None);
-      Alcotest.(check bool) "proven" true (Vm.fastpath_active vm)
+      Alcotest.(check bool) "proven" true (Vm.proven_count vm > 0)
   | _ -> Alcotest.fail "expected an fc instance");
   (* warm the pool: first fires pay compilation-adjacent lazy costs *)
   ignore (Engine.fire engine hook);
@@ -384,7 +413,6 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_compiled_exact;
-          QCheck_alcotest.to_alcotest prop_fused_exact;
           QCheck_alcotest.to_alcotest prop_analysis_compiled_equals_decoded;
           QCheck_alcotest.to_alcotest prop_compiled_equals_certfc;
         ] );
@@ -396,12 +424,15 @@ let () =
           Alcotest.test_case "engine fire allocates nothing" `Quick
             test_engine_fire_zero_alloc;
         ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "overlapping regions disable the cache" `Quick
+            test_overlapping_regions_disable_cache;
+          Alcotest.test_case "violated proof contained" `Quick
+            test_violated_proof_contained;
+        ] );
       ( "fusion",
         [
-          Alcotest.test_case "fusion engages and agrees" `Quick
-            test_fusion_engages_and_agrees;
-          Alcotest.test_case "branch into fused pair" `Quick
-            test_branch_into_fused_pair;
           Alcotest.test_case "fault parity goldens" `Quick
             test_fault_parity_goldens;
         ] );

@@ -602,14 +602,12 @@ let test_multiple_hooks_independent () =
 let test_certfc_ram_slightly_larger () =
   (* Table 3's CertFC row: the pure engine retains its machine state, so
      per-instance RAM is a little higher than the optimized engine's.
-     The comparison is between interpreters, so pin the decoded tier —
-     the compiled tier trades RAM (closure table) for dispatch speed. *)
+     The comparison is between interpreters, so load on the decoded tier
+     — the IR tier trades RAM (block table) for dispatch speed. *)
   let helpers = Femto_vm.Helper.create () in
   let program = assemble "mov r0, 0\nexit" in
   let fc =
-    match
-      Femto_vm.Vm.load ~tier:Femto_vm.Vm.Decoded ~helpers ~regions:[] program
-    with
+    match Femto_vm.Vm.load ~helpers ~regions:[] program with
     | Ok vm -> Femto_vm.Vm.ram_bytes vm
     | Error _ -> Alcotest.fail "fc load"
   in

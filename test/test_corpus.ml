@@ -49,8 +49,7 @@ let test_nondegenerate () =
 let test_matrix_coverage () =
   let required =
     [
-      ("rbpf", "decoded"); ("rbpf", "trimmed"); ("rbpf", "compiled");
-      ("rbpf", "compiled-fused"); ("rbpf", "ir"); ("wasm", "interp");
+      ("rbpf", "decoded"); ("rbpf", "ir"); ("wasm", "interp");
       ("wasm", "fast");
       ("script", "tree"); ("script", "stack"); ("script", "to-ebpf");
     ]

@@ -41,7 +41,7 @@ let config = { Config.default with Config.max_branches = 256 }
 (* Same generator family as test_compile.ml: ALU (with div/mod zero
    faults), stack traffic, forward and backward jumps — loops exercise
    the checked-mode budget guard, stack slots exercise elision. *)
-let gen_program =
+let gen_insns ?(extra = []) () =
   let open QCheck.Gen in
   let reg = int_range 0 5 in
   let alu_imm =
@@ -91,15 +91,18 @@ let gen_program =
       (oneofl Opcode.[ Jne; Jgt; Jlt ])
       reg (int_range (-4) (-1))
   in
-  let body =
-    list_size (int_range 2 40)
-      (frequency
-         [
-           (5, alu_imm); (4, alu_reg); (2, alu32); (3, stack_store);
-           (3, stack_load); (2, forward_jump); (1, backward_jump);
-         ])
-  in
-  map (fun insns -> Program.of_insns (insns @ [ Insn.make Opcode.exit' ])) body
+  list_size (int_range 2 40)
+    (frequency
+       ([
+          (5, alu_imm); (4, alu_reg); (2, alu32); (3, stack_store);
+          (3, stack_load); (2, forward_jump); (1, backward_jump);
+        ]
+       @ extra))
+
+let gen_program =
+  QCheck.Gen.map
+    (fun insns -> Program.of_insns (insns @ [ Insn.make Opcode.exit' ]))
+    (gen_insns ())
 
 (* Exact outcome: the result or fault rendered verbatim, plus every
    statistics field at the stopping point. *)
@@ -115,10 +118,10 @@ let exact_outcome vm =
     s.Interp.cycles
 
 let load_decoded program =
-  Vm.load ~config ~tier:Vm.Decoded ~helpers:no_helpers ~regions:[] program
+  Vm.load ~config ~helpers:no_helpers ~regions:[] program
 
 let load_ir ?passes program =
-  Analysis.load ~config ~tier:Vm.Ir ?passes ~helpers:no_helpers ~regions:[]
+  Analysis.load ~config ?passes ~helpers:no_helpers ~regions:[]
     program
 
 let prop_exact ~name ?passes () =
@@ -146,12 +149,135 @@ let prop_passes_exact =
     single "bounds-elim" { Passes.none with Passes.bounds_elim = true };
   ]
 
+(* --- tight budgets: the checked-mode fallback ---------------------- *)
+
+(* With N_b in 1..8 and N_i barely above the program length, block heads
+   often lack the headroom for batched accounting, so the IR tier hands
+   the rest of the run to the decoded loop.  That hand-over shares the
+   instance's registers, stack, stats and memory map; whatever the decoded
+   loop writes must be exactly what the IR tier then reports, resets and
+   spawns from.  Programs also call helpers (one of them writes through
+   the allow-list) and read and write a data region through r6.  A
+   nonzero r1 on entry skips straight to the exit, so a second run with
+   [r1 = 1] shows whatever the reset left on the stack. *)
+
+let data_vaddr = 0x2000_0000L
+
+let fallback_helpers () =
+  let h = Helper.create () in
+  Helper.register h ~id:1 ~name:"mix" (fun _ a ->
+      Ok (Int64.add (Int64.mul a.Helper.a1 3L) a.Helper.a2));
+  Helper.register h ~id:2 ~name:"poke" (fun mem a ->
+      let addr = Int64.add data_vaddr (Int64.logand a.Helper.a2 56L) in
+      match Femto_vm.Mem.store mem ~addr ~size:8 a.Helper.a1 with
+      | Ok () -> Ok 0L
+      | Error () -> Error "poke out of bounds");
+  h
+
+let data_regions () =
+  let data = Bytes.init 64 (fun i -> Char.chr (i * 7 land 0xff)) in
+  [ Femto_vm.Region.make ~name:"data" ~vaddr:data_vaddr
+      ~perm:Femto_vm.Region.Read_write data ]
+
+let gen_fallback_case =
+  let open QCheck.Gen in
+  let reg = int_range 0 5 in
+  let call =
+    map (fun id -> Insn.make Opcode.call ~imm:(Int32.of_int id)) (int_range 1 2)
+  in
+  (* offsets 0..64: the last one runs off the 64-byte region *)
+  let region_load =
+    map2
+      (fun dst slot -> Insn.make (Opcode.ldx Opcode.DW) ~dst ~src:6 ~offset:(8 * slot))
+      reg (int_range 0 8)
+  in
+  let region_store =
+    map2
+      (fun src slot -> Insn.make (Opcode.stx Opcode.DW) ~dst:6 ~src ~offset:(8 * slot))
+      reg (int_range 0 8)
+  in
+  let body =
+    gen_insns ~extra:[ (2, call); (2, region_load); (2, region_store) ] ()
+  in
+  map3
+    (fun insns max_branches slack ->
+      let prologue =
+        [
+          Insn.make (Opcode.alu64 Opcode.Mov Opcode.Src_imm) ~dst:6
+            ~imm:(Int64.to_int32 data_vaddr);
+          Insn.make (Opcode.jmp Opcode.Jne Opcode.Src_imm) ~dst:1
+            ~offset:(List.length insns) ~imm:0l;
+        ]
+      in
+      let program =
+        Program.of_insns (prologue @ insns @ [ Insn.make Opcode.exit' ])
+      in
+      let config =
+        {
+          Config.default with
+          Config.max_branches;
+          max_insns = Program.length program + slack;
+        }
+      in
+      (program, config))
+    body (int_range 1 8) (int_range 0 3)
+
+(* Result or fault, every stats field, the register file after a clean
+   exit, and the bytes of the stack and of every granted region. *)
+let observed ?(args = [||]) vm =
+  let r =
+    match Vm.run vm ~args with
+    | Ok v ->
+        Printf.sprintf "ok:%Ld regs=%s" v
+          (String.concat ","
+             (Array.to_list (Array.map Int64.to_string (Vm.registers vm))))
+    | Error f -> "fault:" ^ Fault.to_string f
+  in
+  let s = Vm.stats vm in
+  let memory =
+    List.map
+      (fun (g : Femto_vm.Region.t) ->
+        g.Femto_vm.Region.name ^ "=" ^ Digest.to_hex (Digest.bytes g.Femto_vm.Region.data))
+      (Femto_vm.Mem.regions (Vm.mem vm))
+  in
+  Printf.sprintf "%s insns=%d branches=%d helpers=%d cycles=%d %s" r
+    s.Interp.insns_executed s.Interp.branches_taken s.Interp.helper_calls
+    s.Interp.cycles (String.concat " " memory)
+
+let prop_tight_budget_fallback =
+  QCheck.Test.make ~name:"ir = decoded under tight budgets (rerun + spawn)"
+    ~count:3000
+    (QCheck.make
+       ~print:(fun (p, (c : Config.t)) ->
+         Printf.sprintf "max_branches=%d max_insns=%d\n%s" c.Config.max_branches
+           c.Config.max_insns (Femto_ebpf.Disasm.to_string p))
+       gen_fallback_case)
+    (fun (program, config) ->
+      let helpers = fallback_helpers () in
+      let decoded () =
+        Vm.load ~config ~helpers ~regions:(data_regions ()) program
+      in
+      match
+        (decoded (), Analysis.load ~config ~helpers ~regions:(data_regions ()) program)
+      with
+      | Error _, Error _ -> true
+      | Ok d, Ok i ->
+          let d1 = observed d in
+          let d2 = observed ~args:[| 1L |] d in
+          let i1 = observed i in
+          let i2 = observed ~args:[| 1L |] i in
+          let spawned = Vm.spawn ~regions:(data_regions ()) (Vm.image_of i) in
+          let d_fresh = match decoded () with Ok v -> observed v | Error _ -> "" in
+          String.equal d1 i1 && String.equal d2 i2
+          && String.equal d_fresh (observed spawned)
+      | _ -> false)
+
 (* --- goldens --- *)
 
 let assemble = Asm.assemble
 
 let analysis_load_ok ?passes ?(helpers = no_helpers) ?(regions = []) program =
-  match Analysis.load ~tier:Vm.Ir ?passes ~helpers ~regions program with
+  match Analysis.load ?passes ~helpers ~regions program with
   | Ok vm -> vm
   | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
 
@@ -392,7 +518,8 @@ let () =
     [
       ( "differential",
         QCheck_alcotest.to_alcotest prop_ir_exact
-        :: List.map QCheck_alcotest.to_alcotest prop_passes_exact );
+        :: List.map QCheck_alcotest.to_alcotest
+             (prop_passes_exact @ [ prop_tight_budget_fallback ]) );
       ( "goldens",
         [
           Alcotest.test_case "dagsum elides proven checks" `Quick

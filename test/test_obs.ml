@@ -197,9 +197,9 @@ let test_analysis_counters_and_event () =
   Obs.set_tracing false;
   Obs.reset ()
 
-(* The compiled tier and the engine's warm pool surface their work:
-   compile time and fusion gains at load, pool hits/resets per fire,
-   and a Tier_selected trace event naming the tier that was engaged. *)
+(* The IR tier and the engine's warm pool surface their work: compile
+   time and elided checks at load, pool hits/resets per fire, and a
+   Tier_selected trace event naming the tier that was engaged. *)
 let test_tier_and_pool_observability () =
   Obs.reset ();
   Obs.set_enabled true;
@@ -214,26 +214,24 @@ let test_tier_and_pool_observability () =
        ~regions:[] program
    with
   | Ok vm ->
-      Alcotest.(check bool) "compiled tier" true
-        (Femto_vm.Vm.tier vm = Femto_vm.Vm.Compiled)
+      Alcotest.(check bool) "ir tier" true
+        (Femto_vm.Vm.tier vm = Femto_vm.Vm.Ir)
   | Error _ -> Alcotest.fail "load");
   Alcotest.(check bool) "vm.compile_ns observed" true
     (Metrics.count (Obs.histogram "vm.compile_ns") >= 1);
-  Alcotest.(check bool) "vm.fused_insns counted" true
-    (Metrics.value (Obs.counter "vm.fused_insns") > 0);
+  Alcotest.(check bool) "vm.ir_checks_elided counted" true
+    (Metrics.value (Obs.counter "vm.ir_checks_elided") > 0);
   (let tiers =
      List.filter_map
        (fun r ->
          match r.Trace.event with
-         | Trace.Tier_selected { tier; fused; proven } ->
-             Some (tier, fused, proven)
+         | Trace.Tier_selected { tier; proven } -> Some (tier, proven)
          | _ -> None)
        (Trace.events Obs.ring)
    in
    match tiers with
-   | [ (tier, fused, proven) ] ->
-       Alcotest.(check string) "tier named" "compiled" tier;
-       Alcotest.(check bool) "fused reported" true (fused > 0);
+   | [ (tier, proven) ] ->
+       Alcotest.(check string) "tier named" "ir" tier;
        Alcotest.(check bool) "proofs reported" true (proven > 0)
    | _ -> Alcotest.fail "expected exactly one tier_selected event");
   (* warm-pool fire path: every fire on a compiled instance is a pool
