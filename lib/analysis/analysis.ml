@@ -32,6 +32,10 @@ let m_accepted = Obs.counter "analysis.accepted"
 let m_rejected = Obs.counter "analysis.rejected"
 let m_fastpath = Obs.counter "analysis.fastpath_eligible"
 
+(* Lift + pass pipeline, which [vm.compile_ns] (the closure backend
+   alone) does not cover. *)
+let m_ir_build_ns = Obs.histogram "analysis.ir_build_ns"
+
 type severity = Error | Warning | Info
 
 let severity_name = function
@@ -495,8 +499,11 @@ let load_outcome ?(config = Config.default) ?cycle_cost ?passes ~helpers
          per-pc proofs (when eligibility granted them) to the IR tier —
          the analyzer owns the IR just as it owns the proofs. *)
       let cost = match cycle_cost with Some c -> c | None -> Interp.no_cost in
+      let t0 = Obs.now_ns () in
       let lifted = Ir.lift ~cost ~facts:outcome.mem_facts program in
       let ir, _report = Passes.run ?config:passes lifted in
+      if Obs.enabled () then
+        Metrics.observe m_ir_build_ns (Obs.now_ns () -. t0);
       Result.Ok
         ( Vm.load_analyzed ~config ?cycle_cost ?proofs:outcome.fastpath ~ir
             ~helpers ~regions program,

@@ -27,10 +27,24 @@ type t = Vir.program
    [Analysis.analyze] ([outcome.mem_facts]). *)
 type facts = Vir.mem_fact option array
 
+(* A static placeholder to seed step arrays with.  [Array.of_list] seeds
+   with the list's first (young) element, and on OCaml 5 an [Array.make]
+   over 256 words with a young seed forces a minor collection first,
+   promoting every step built so far. *)
+let no_step = { Vir.pc = 0; weight = 0; cost = 0; op = Vir.Nop }
+
+let array_of_rev_list rev =
+  let n = List.length rev in
+  let a = Array.make n no_step in
+  List.iteri (fun i s -> a.(n - 1 - i) <- s) rev;
+  a
+
 let lift ~cost ~(facts : facts) program : Vir.program =
   let len = Program.length program in
   let insns = Program.insns program in
-  let kinds = Array.map Insn.kind insns in
+  (* Kinds are decoded where used, not [Array.map]ped into a table: the
+     map would seed a major-heap array with a young kind (see
+     [no_step]), and decoding twice is cheaper than that collection. *)
   let fact pc = if pc < Array.length facts then facts.(pc) else None in
   (* Head marking: slot 0 plus every in-range jump target.  A target
      inside an lddw pair stays a head (possible only pre-verification):
@@ -39,7 +53,7 @@ let lift ~cost ~(facts : facts) program : Vir.program =
   if len > 0 then heads.(0) <- true;
   Array.iteri
     (fun pc insn ->
-      match kinds.(pc) with
+      match Insn.kind insn with
       | Insn.Ja | Insn.Jcond _ ->
           let target = pc + 1 + insn.Insn.offset in
           if target >= 0 && target < len then heads.(target) <- true
@@ -83,7 +97,7 @@ let lift ~cost ~(facts : facts) program : Vir.program =
         term := Some (Vir.Fall { dest = block_of_head.(p) })
       else begin
         let insn = insns.(p) in
-        let kind = kinds.(p) in
+        let kind = Insn.kind insn in
         let c = cost kind in
         let step op = push { Vir.pc = p; weight = 1; cost = c; op } in
         if insn.Insn.dst > 10 then
@@ -204,7 +218,7 @@ let lift ~cost ~(facts : facts) program : Vir.program =
         end
       end
     done;
-    (Array.of_list (List.rev !steps), Option.get !term)
+    (array_of_rev_list !steps, Option.get !term)
   in
   let blocks =
     Array.make !nblocks

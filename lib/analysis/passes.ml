@@ -27,7 +27,15 @@
                    interval fixpoint proved in-frame drop the allow-list
                    scan entirely (a residual frame-bounds guard
                    contains analyzer bugs); every remaining access is
-                   hoisted behind a per-site region inline cache. *)
+                   hoisted behind a per-site region inline cache.
+
+   [run] copies each block's step array once on entry; every stage then
+   rewrites that private copy in place and the block aggregates are
+   rebuilt once at the end.  The caller's program is never mutated.  A
+   fresh array per stage would cost more than the rewrites: on OCaml 5
+   a boxed array over 256 words is allocated straight in the major
+   heap, and [Array.map]/[Array.of_list] seed it with a young step,
+   which forces a minor collection that promotes every live step. *)
 
 module Vir = Femto_vm.Ir
 module Interp = Femto_vm.Interp
@@ -91,15 +99,30 @@ let refresh (b : Vir.block) =
   in
   { b with Vir.weight; branch }
 
-let map_blocks f (p : Vir.program) =
-  { p with Vir.blocks = Array.map (fun b -> refresh (f b)) p.Vir.blocks }
+(* A block under rewrite: its private step array, of which the first
+   [len] entries are live (const_fold may truncate), and its terminator. *)
+type work = {
+  block : Vir.block;
+  steps : Vir.step array;
+  mutable len : int;
+  mutable term : Vir.terminator;
+}
+
+let work_of (b : Vir.block) =
+  let steps = Array.copy b.Vir.steps in
+  { block = b; steps; len = Array.length steps; term = b.Vir.term }
+
+let block_of w =
+  let steps =
+    if w.len = Array.length w.steps then w.steps else Array.sub w.steps 0 w.len
+  in
+  refresh { w.block with Vir.steps; term = w.term }
 
 (* ------------------------------------------------------------------ *)
 (* canon: ALU-chain canonicalization.                                 *)
 
-let canon_block count (b : Vir.block) =
-  let steps = Array.copy b.Vir.steps in
-  let n = Array.length steps in
+let canon_block count w =
+  let steps = w.steps and n = w.len in
   for i = 0 to n - 1 do
     let s = steps.(i) in
     match s.Vir.op with
@@ -156,27 +179,31 @@ let canon_block count (b : Vir.block) =
                 };
           }
     | _ -> ()
-  done;
-  { b with Vir.steps }
+  done
 
 (* ------------------------------------------------------------------ *)
 (* const_fold: forward constant propagation and branch folding.       *)
 
-let const_fold_block count (b : Vir.block) =
+(* Each step yields at most one step, so the block is compacted in
+   place behind a write index [out] that never overtakes [i]. *)
+let const_fold_block count w =
   let consts : int64 option array = Array.make 11 None in
-  let out = ref [] in
-  let term = ref b.Vir.term in
-  let n = Array.length b.Vir.steps in
+  let steps = w.steps and n = w.len in
+  let out = ref 0 in
   let i = ref 0 in
   let truncated = ref false in
   while (not !truncated) && !i < n do
-    let s = b.Vir.steps.(!i) in
+    let s = steps.(!i) in
     let operand_const = function
       | Vir.Imm v -> Some v
       | Vir.Reg r -> consts.(r)
     in
-    let emit op' = out := { s with Vir.op = op' } :: !out in
-    let keep () = out := s :: !out in
+    let put s' =
+      steps.(!out) <- s';
+      incr out
+    in
+    let emit op' = put { s with Vir.op = op' } in
+    let keep () = put s in
     (match s.Vir.op with
     | Vir.Nop | Vir.Trap _ | Vir.Trap_pre _ -> keep ()
     | Vir.Movk { dst; v } ->
@@ -255,7 +282,7 @@ let const_fold_block count (b : Vir.block) =
             if Interp.condition cond is64 d v then begin
               (* taken on every path: the branch becomes the terminator
                  and the unreachable block suffix is dropped *)
-              term :=
+              w.term <-
                 Vir.Jump
                   {
                     pc = s.Vir.pc;
@@ -267,11 +294,11 @@ let const_fold_block count (b : Vir.block) =
             end
             else
               (* never taken: accounted no-op *)
-              out := { s with Vir.op = Vir.Nop } :: !out
+              emit Vir.Nop
         | _ -> keep ()));
     incr i
   done;
-  { b with Vir.steps = Array.of_list (List.rev !out); term = !term }
+  w.len <- !out
 
 (* ------------------------------------------------------------------ *)
 (* dead_elim: dead register-write elimination.                        *)
@@ -280,14 +307,14 @@ let const_fold_block count (b : Vir.block) =
    becomes visible), leave the block, or read/write memory or helpers.
    Between observation points, a pure write overwritten before any read
    is invisible and becomes an accounted [Nop]. *)
-let dead_elim_block count (b : Vir.block) =
-  let steps = Array.copy b.Vir.steps in
+let dead_elim_block count w =
+  let steps = w.steps in
   let all_live = 0x7FF in
   (* bit r set = r's current value may still be read.  The register file
      is test-visible after any run, and successor blocks may read any
      register, so every block exit counts as a full observation. *)
   let live = ref all_live in
-  for i = Array.length steps - 1 downto 0 do
+  for i = w.len - 1 downto 0 do
     let s = steps.(i) in
     match s.Vir.op with
     | Vir.Movk { dst; _ } when !live land (1 lsl dst) = 0 ->
@@ -316,84 +343,58 @@ let dead_elim_block count (b : Vir.block) =
     | _ ->
         (* fault-capable / memory / helper / branch: everything visible *)
         live := all_live
-  done;
-  { b with Vir.steps }
+  done
 
 (* ------------------------------------------------------------------ *)
 (* bounds_elim: check elision and region-cache hoisting.              *)
 
-let bounds_elim_block count (b : Vir.block) =
-  let steps =
-    Array.map
-      (fun (s : Vir.step) ->
-        match s.Vir.op with
-        | Vir.Load ({ fact; _ } as l) -> (
-            match fact with
-            | Some { Vir.base_kind = Vir.Base_stack; proven = true; _ } ->
-                incr count;
-                { s with Vir.op = Vir.Load { l with elide = true } }
-            | _ -> { s with Vir.op = Vir.Load { l with hoist = true } })
-        | Vir.Store ({ fact; _ } as st) -> (
-            match fact with
-            | Some { Vir.base_kind = Vir.Base_stack; proven = true; _ } ->
-                incr count;
-                { s with Vir.op = Vir.Store { st with elide = true } }
-            | _ -> { s with Vir.op = Vir.Store { st with hoist = true } })
-        | _ -> s)
-      b.Vir.steps
-  in
-  { b with Vir.steps }
+let bounds_elim_block count w =
+  let steps = w.steps in
+  for i = 0 to w.len - 1 do
+    let s = steps.(i) in
+    match s.Vir.op with
+    | Vir.Load ({ fact; _ } as l) -> (
+        match fact with
+        | Some { Vir.base_kind = Vir.Base_stack; proven = true; _ } ->
+            incr count;
+            steps.(i) <- { s with Vir.op = Vir.Load { l with elide = true } }
+        | _ ->
+            steps.(i) <- { s with Vir.op = Vir.Load { l with hoist = true } })
+    | Vir.Store ({ fact; _ } as st) -> (
+        match fact with
+        | Some { Vir.base_kind = Vir.Base_stack; proven = true; _ } ->
+            incr count;
+            steps.(i) <- { s with Vir.op = Vir.Store { st with elide = true } }
+        | _ ->
+            steps.(i) <- { s with Vir.op = Vir.Store { st with hoist = true } })
+    | _ -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline.                                                          *)
 
 let run ?(config = all) (p : Vir.program) : Vir.program * report =
   let steps_before = live_steps p in
-  let stage enabled name f p stats =
-    if not enabled then (p, { name; enabled; rewrites = 0 } :: stats)
-    else begin
-      let count = ref 0 in
-      let p = map_blocks (f count) p in
-      (p, { name; enabled; rewrites = !count } :: stats)
-    end
-  in
-  let folded = ref 0 and eliminated = ref 0 in
-  let p, stats = stage config.canon "canon" canon_block p [] in
-  let p, stats =
+  let work = Array.map work_of p.Vir.blocks in
+  let stage enabled name f =
     let count = ref 0 in
-    let p, stats =
-      if config.const_fold then
-        let p = map_blocks (const_fold_block count) p in
-        (p, { name = "const_fold"; enabled = true; rewrites = !count } :: stats)
-      else
-        (p, { name = "const_fold"; enabled = false; rewrites = 0 } :: stats)
-    in
-    folded := !count;
-    (p, stats)
+    if enabled then Array.iter (f count) work;
+    { name; enabled; rewrites = !count }
   in
-  let p, stats =
-    let count = ref 0 in
-    let p, stats =
-      if config.dead_elim then
-        let p = map_blocks (dead_elim_block count) p in
-        (p, { name = "dead_elim"; enabled = true; rewrites = !count } :: stats)
-      else (p, { name = "dead_elim"; enabled = false; rewrites = 0 } :: stats)
-    in
-    eliminated := !count;
-    (p, stats)
-  in
-  let p, stats =
-    stage config.bounds_elim "bounds_elim" bounds_elim_block p stats
-  in
+  let canon = stage config.canon "canon" canon_block in
+  let fold = stage config.const_fold "const_fold" const_fold_block in
+  let dead = stage config.dead_elim "dead_elim" dead_elim_block in
+  let bounds = stage config.bounds_elim "bounds_elim" bounds_elim_block in
+  let p = { p with Vir.blocks = Array.map block_of work } in
   let elided = Vir.elided_checks p and hoisted = Vir.hoisted_checks p in
   let report =
     {
-      passes = List.rev stats;
+      passes = [ canon; fold; dead; bounds ];
       blocks = Array.length p.Vir.blocks;
       steps_before;
       steps_after = live_steps p;
-      folded = !folded;
-      eliminated = !eliminated;
+      folded = fold.rewrites;
+      eliminated = dead.rewrites;
       elided;
       hoisted;
     }

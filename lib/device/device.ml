@@ -116,15 +116,16 @@ let install_image t ~sequence ~storage_uuid payload =
   | Error m -> Error m
   | Ok () -> (
       let stale_slots () =
-        (* drop older images of this hook so stale versions never linger *)
+        (* drop older images of this hook so stale versions never linger;
+           headers suffice, so a tampered old image is swept as well *)
         List.filter_map
-          (fun (slot, image) ->
+          (fun (slot, (h : Slots.header)) ->
             if
-              String.equal image.Slots.hook_uuid storage_uuid
-              && Int64.compare image.Slots.sequence sequence < 0
+              String.equal h.owner storage_uuid
+              && Int64.compare h.seq sequence < 0
             then Some slot
             else None)
-          (Slots.scan t.slots)
+          (Slots.headers t.slots)
       in
       let digest =
         match t.pending_digest with
@@ -149,9 +150,9 @@ let install_image t ~sequence ~storage_uuid payload =
           let slot =
             match
               List.find_opt
-                (fun (_, image) ->
-                  String.equal image.Slots.hook_uuid storage_uuid)
-                (Slots.scan t.slots)
+                (fun (_, (h : Slots.header)) ->
+                  String.equal h.owner storage_uuid)
+                (Slots.headers t.slots)
             with
             | Some (slot, _) -> slot
             | None -> Slots.victim_slot t.slots

@@ -5,8 +5,8 @@
    EXPERIMENTS.md come from here; modelled columns come from
    [Footprint]. *)
 
-(* Monotonic-enough clock for microbenchmarks on the host. *)
-let now_ns () = Int64.to_float (Int64.of_float (Unix.gettimeofday () *. 1e9))
+(* CLOCK_MONOTONIC nanoseconds, the same clock as [Obs.now_ns]. *)
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 (* [time_ns f] returns the median wall-clock nanoseconds of one call.
    Fast operations are automatically batched so the per-sample duration
@@ -52,14 +52,14 @@ let wall_ns ?(warmup = 2) ?(iters = 5) ?(trials = 3) f =
   done;
   let best = ref infinity in
   for _ = 1 to trials do
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_ns () in
     for _ = 1 to iters do
       f ()
     done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = now_ns () -. t0 in
     if dt < !best then best := dt
   done;
-  !best *. 1e9 /. float_of_int iters
+  !best /. float_of_int iters
 
 let us_of_ns ns = ns /. 1000.0
 let ms_of_ns ns = ns /. 1_000_000.0

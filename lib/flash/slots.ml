@@ -147,40 +147,57 @@ let finish_stream stream ~sequence ~hook_uuid ~digest =
       (Flash.write t.flash ~offset:(offset t stream.slot)
          (build_header ~sequence ~hook_uuid ~payload_len:stream.written ~digest))
 
-(* [load t ~slot] reads and integrity-checks one slot. *)
-let load t ~slot =
+(* What a slot's header says, before its payload is read or hashed. *)
+type header = {
+  seq : int64;
+  owner : string;
+  payload_len : int;
+  digest : string;
+}
+
+(* [header t ~slot] reads and checks only the 84 header bytes: magic and
+   length field, no digest.  Placement decisions need nothing more. *)
+let header t ~slot =
   let* () = check_slot t slot in
-  let* header =
+  let* raw =
     Result.map_error
       (fun e -> Flash_error e)
       (Flash.read t.flash ~offset:(offset t slot) ~length:header_size)
   in
-  if Bytes.sub_string header 0 4 <> magic then Error (Empty_slot slot)
+  if Bytes.sub_string raw 0 4 <> magic then Error (Empty_slot slot)
   else begin
-    let sequence = Bytes.get_int64_le header 4 in
-    let payload_len = Int32.to_int (Bytes.get_int32_le header 12) in
+    let payload_len = Int32.to_int (Bytes.get_int32_le raw 12) in
     if payload_len < 0 || payload_len > capacity t then
       Error (Corrupt_slot { slot; reason = "bad length field" })
-    else begin
-      let hook_uuid =
-        let raw = Bytes.sub_string header 16 uuid_size in
-        match String.index_opt raw '\x00' with
-        | Some stop -> String.sub raw 0 stop
-        | None -> raw
+    else
+      let owner =
+        let field = Bytes.sub_string raw 16 uuid_size in
+        match String.index_opt field '\x00' with
+        | Some stop -> String.sub field 0 stop
+        | None -> field
       in
-      let digest = Bytes.sub_string header 52 32 in
-      let* payload =
-        Result.map_error
-          (fun e -> Flash_error e)
-          (Flash.read t.flash ~offset:(offset t slot + header_size)
-             ~length:payload_len)
-      in
-      let payload = Bytes.to_string payload in
-      if not (Crypto.constant_time_equal (Crypto.sha256 payload) digest) then
-        Error (Corrupt_slot { slot; reason = "payload digest mismatch" })
-      else Ok { sequence; hook_uuid; payload }
-    end
+      Ok
+        {
+          seq = Bytes.get_int64_le raw 4;
+          owner;
+          payload_len;
+          digest = Bytes.sub_string raw 52 32;
+        }
   end
+
+(* [load t ~slot] reads and integrity-checks one slot. *)
+let load t ~slot =
+  let* h = header t ~slot in
+  let* payload =
+    Result.map_error
+      (fun e -> Flash_error e)
+      (Flash.read t.flash ~offset:(offset t slot + header_size)
+         ~length:h.payload_len)
+  in
+  let payload = Bytes.to_string payload in
+  if not (Crypto.constant_time_equal (Crypto.sha256 payload) h.digest) then
+    Error (Corrupt_slot { slot; reason = "payload digest mismatch" })
+  else Ok { sequence = h.seq; hook_uuid = h.owner; payload }
 
 let erase t ~slot =
   let* () = check_slot t slot in
@@ -195,15 +212,30 @@ let scan t =
       match load t ~slot with Ok image -> Some (slot, image) | Error _ -> None)
     (List.init t.count Fun.id)
 
-(* Pick the slot to overwrite for a new install: an empty one, else the
-   lowest-sequence (oldest) image. *)
+(* [headers t] lists every slot whose header is well formed, payloads
+   unread: enough to place or sweep images, never enough to run one. *)
+let headers t =
+  List.filter_map
+    (fun slot ->
+      match header t ~slot with Ok h -> Some (slot, h) | Error _ -> None)
+    (List.init t.count Fun.id)
+
+(* Pick the slot to overwrite for a new install: an empty one, found from
+   headers alone; else a corrupt one; else the lowest-sequence (oldest)
+   image.  Only the last two need the digest scan. *)
 let victim_slot t =
+  let rec first_empty slot =
+    if slot >= t.count then None
+    else
+      match header t ~slot with
+      | Error (Empty_slot _) -> Some slot
+      | _ -> first_empty (slot + 1)
+  in
   let rec scan_slots slot oldest =
     if slot >= t.count then
       match oldest with Some (slot, _) -> slot | None -> 0
     else
       match load t ~slot with
-      | Error (Empty_slot _) -> slot
       | Ok image -> (
           match oldest with
           | Some (_, seq) when Int64.compare seq image.sequence <= 0 ->
@@ -211,4 +243,4 @@ let victim_slot t =
           | _ -> scan_slots (slot + 1) (Some (slot, image.sequence)))
       | Error _ -> slot (* corrupt: reuse it *)
   in
-  scan_slots 0 None
+  match first_empty 0 with Some slot -> slot | None -> scan_slots 0 None

@@ -52,6 +52,20 @@ val finish_stream :
   stream -> sequence:int64 -> hook_uuid:string -> digest:string ->
   (unit, slot_error) result
 
+type header = {
+  seq : int64;
+  owner : string;
+  payload_len : int;
+  digest : string;
+}
+(** A slot header: install sequence number, owning hook UUID, payload
+    length and the payload's recorded SHA-256. *)
+
+val header : t -> slot:int -> (header, slot_error) result
+(** Read one slot's header only (magic + length field).  The payload is
+    neither read nor hashed, so a header says where an image sits, never
+    that it is safe to run. *)
+
 val load : t -> slot:int -> (image, slot_error) result
 (** Read and integrity-check one slot (magic + digest). *)
 
@@ -60,6 +74,11 @@ val erase : t -> slot:int -> (unit, slot_error) result
 val scan : t -> (int * image) list
 (** Every valid image, as a bootloader sees them. *)
 
+val headers : t -> (int * header) list
+(** Every slot with a well-formed header, payloads unchecked: for
+    placement and sweeping, not for executing. *)
+
 val victim_slot : t -> int
-(** The slot a new install should overwrite: an empty one, else the
-    oldest (lowest sequence number). *)
+(** The slot a new install should overwrite: an empty one (found from
+    headers alone), else a corrupt one, else the oldest (lowest sequence
+    number). *)

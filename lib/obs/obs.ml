@@ -24,9 +24,10 @@ let set_enabled v = enabled_flag := v
 let tracing () = !tracing_flag
 let set_tracing v = tracing_flag := v
 
-(* Wall-clock nanoseconds.  Monotonic enough for the host-simulation
-   latency histograms; overridable for tests or a virtual clock. *)
-let default_now_ns () = Unix.gettimeofday () *. 1e9
+(* CLOCK_MONOTONIC nanoseconds (bechamel's allocation-free stub): never
+   steps backwards, unlike the wall clock.  Overridable for tests or a
+   virtual clock. *)
+let default_now_ns () = Int64.to_float (Monotonic_clock.now ())
 let now_ns_ref = ref default_now_ns
 let now_ns () = !now_ns_ref ()
 let set_clock f = now_ns_ref := f

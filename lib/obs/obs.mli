@@ -12,8 +12,11 @@ val set_enabled : bool -> unit
 val tracing : unit -> bool
 val set_tracing : bool -> unit
 
+(* Nanosecond clock: CLOCK_MONOTONIC unless [set_clock] substituted
+   another; [set_clock default_now_ns] restores it. *)
 val now_ns : unit -> float
 val set_clock : (unit -> float) -> unit
+val default_now_ns : unit -> float
 
 (* Handles into the global registry (idempotent per name). *)
 val counter : string -> Metrics.counter

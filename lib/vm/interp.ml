@@ -62,7 +62,13 @@ let create ?(config = Config.default) ?(cycle_cost = no_cost) ?kinds
   let kinds =
     match kinds with
     | Some k -> k
-    | None -> Array.map Insn.kind (Program.insns program)
+    | None ->
+        (* not [Array.map]: its young first element would seed an array
+           over 256 words, which on OCaml 5 forces a minor collection *)
+        let insns = Program.insns program in
+        let kinds = Array.make (Array.length insns) Insn.Exit in
+        Array.iteri (fun pc insn -> kinds.(pc) <- Insn.kind insn) insns;
+        kinds
   in
   {
     program;

@@ -341,6 +341,41 @@ let test_corrupt_slot_skipped_on_boot () =
   Alcotest.(check (option int64)) "healthy image restored" (Some 2L)
     (run_hook rig hook_b)
 
+(* The stale sweep after a commit reads headers only, so an older image
+   of the same hook is erased even when its payload no longer matches
+   its digest (a digest-filtered scan would skip it and leave it on
+   flash). *)
+let test_install_sweeps_tampered_stale_image () =
+  let rig = make_rig () in
+  let slots = Device.slots rig.device in
+  let old_payload =
+    Bytes.to_string
+      (Femto_ebpf.Program.to_bytes (Femto_ebpf.Asm.assemble "mov r0, 1\nexit"))
+  in
+  (* an old hook_a image in slot 2, behind the device's back, then
+     tampered: slots 0 and 1 stay empty, so it is not the victim *)
+  (match
+     Slots.store slots ~slot:2
+       { Slots.sequence = 1L; hook_uuid = hook_a; payload = old_payload }
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Slots.error_to_string e));
+  let offset = (2 * (Flash.size rig.flash / 4)) + 84 in
+  (match Flash.write rig.flash ~offset (Bytes.of_string "\x00") with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Flash.error_to_string e));
+  (match Slots.load slots ~slot:2 with
+  | Error (Slots.Corrupt_slot _) -> ()
+  | _ -> Alcotest.fail "tampered image not detected");
+  let code = deploy rig ~sequence:2L ~uuid:hook_a "mov r0, 2\nexit" in
+  Alcotest.(check bool) "2.04" true (code = Some Message.code_changed);
+  (match Slots.header slots ~slot:2 with
+  | Error (Slots.Empty_slot 2) -> ()
+  | _ -> Alcotest.fail "tampered stale image left on flash");
+  Alcotest.(check (option int64)) "v2 fires" (Some 2L) (run_hook rig hook_a);
+  reboot rig;
+  Alcotest.(check (option int64)) "v2 restored" (Some 2L) (run_hook rig hook_a)
+
 let suite =
   [
     Alcotest.test_case "factory boot empty" `Quick test_factory_boot_is_empty;
@@ -355,6 +390,8 @@ let suite =
       test_broken_program_rejected_not_persisted;
     Alcotest.test_case "management endpoints" `Quick test_management_endpoints;
     Alcotest.test_case "corrupt slot skipped" `Quick test_corrupt_slot_skipped_on_boot;
+    Alcotest.test_case "install sweeps tampered stale image" `Quick
+      test_install_sweeps_tampered_stale_image;
     QCheck_alcotest.to_alcotest prop_hostile_update_never_torn;
     Alcotest.test_case "hostile rollback leaves v1" `Quick
       test_hostile_rollback_leaves_v1;

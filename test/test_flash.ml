@@ -117,6 +117,34 @@ let test_scan_and_victim () =
   (* all full: the oldest sequence (slot 0, seq 5) is the victim *)
   Alcotest.(check int) "victim is oldest" 0 (Slots.victim_slot slots)
 
+(* Placement reads headers only, but a full slot set still falls back to
+   the digest scan, so a tampered image is reused before the oldest
+   valid one. *)
+let test_victim_reuses_tampered_slot_when_full () =
+  let flash = make_flash () in
+  let slots = Slots.create ~flash ~count:4 in
+  List.iteri
+    (fun slot sequence ->
+      slots_ok "fill" (Slots.store slots ~slot (image ~sequence "payload")))
+    [ 5L; 9L; 10L; 11L ];
+  (* clear a payload byte of slot 2; its header stays intact *)
+  let payload_at = (2 * (Flash.size flash / 4)) + 84 in
+  ok_or_fail "tamper"
+    (Flash.write flash ~offset:payload_at (Bytes.of_string "\x00"));
+  (match Slots.header slots ~slot:2 with
+  | Ok h -> Alcotest.(check int64) "header intact" 10L h.Slots.seq
+  | Error e -> Alcotest.failf "header: %s" (Slots.error_to_string e));
+  Alcotest.(check int) "victim is the tampered slot" 2 (Slots.victim_slot slots)
+
+let test_victim_prefers_empty_over_tampered () =
+  let flash = make_flash () in
+  let slots = Slots.create ~flash ~count:4 in
+  slots_ok "a" (Slots.store slots ~slot:0 (image ~sequence:5L "a"));
+  slots_ok "c" (Slots.store slots ~slot:2 (image ~sequence:7L "c"));
+  slots_ok "d" (Slots.store slots ~slot:3 (image ~sequence:8L "d"));
+  ok_or_fail "tamper" (Flash.write flash ~offset:84 (Bytes.of_string "\x00"));
+  Alcotest.(check int) "victim is the empty slot" 1 (Slots.victim_slot slots)
+
 (* --- streaming installs --- *)
 
 let test_stream_install () =
@@ -251,6 +279,10 @@ let suite =
     Alcotest.test_case "corruption detected" `Quick test_corruption_detected;
     Alcotest.test_case "image too large" `Quick test_image_too_large;
     Alcotest.test_case "scan and victim" `Quick test_scan_and_victim;
+    Alcotest.test_case "victim reuses tampered when full" `Quick
+      test_victim_reuses_tampered_slot_when_full;
+    Alcotest.test_case "victim prefers empty over tampered" `Quick
+      test_victim_prefers_empty_over_tampered;
     Alcotest.test_case "stream install" `Quick test_stream_install;
     Alcotest.test_case "stream abandoned" `Quick test_stream_abandoned_leaves_slot_empty;
     Alcotest.test_case "stream capacity" `Quick test_stream_capacity_enforced;

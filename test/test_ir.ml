@@ -486,6 +486,48 @@ let test_superblock_extends_across_jcond () =
          match s.Vir.op with Vir.Jcond _ -> true | _ -> false)
        lifted.Vir.blocks.(0).Vir.steps)
 
+(* [Passes.run] rewrites a private copy of the steps in place: the
+   program it is given stays as lifted, so a second pipeline over the
+   same input (here with every pass off) sees the untouched lift. *)
+let test_run_leaves_input_intact () =
+  let program =
+    assemble
+      {|
+        mov   r1, 6
+        sub   r1, 2
+        add   r1, 3
+        add   r1, 4
+        stxdw [r10-8], r1
+        ldxdw r2, [r10-8]
+        mov   r3, 1
+        jeq   r3, 1, done
+        mov   r0, 7
+      done:
+        mov   r0, r2
+        exit
+      |}
+  in
+  let facts =
+    match Analysis.analyze Config.default program with
+    | Ok o -> o.Analysis.mem_facts
+    | Error f -> Alcotest.failf "analyze: %s" (Fault.to_string f)
+  in
+  let lift () = Ir.lift ~cost:Interp.no_cost ~facts program in
+  let input = lift () in
+  let _, report = Passes.run input in
+  (* every stage rewrote something, so an in-place slip would show *)
+  List.iter
+    (fun (st : Passes.pass_stat) ->
+      Alcotest.(check bool)
+        (st.Passes.name ^ " rewrote")
+        true (st.Passes.rewrites > 0))
+    report.Passes.passes;
+  Alcotest.(check bool) "input unchanged" true (input = lift ());
+  let plain, _ = Passes.run ~config:Passes.none input in
+  Alcotest.(check bool)
+    "no-pass run equals a fresh lift" true (plain = lift ());
+  Alcotest.(check bool) "input still unchanged" true (input = lift ())
+
 (* The analyzer dedupes repeated uninit-read reports per register. *)
 let test_uninit_dedupe () =
   let program =
@@ -541,5 +583,7 @@ let () =
           Alcotest.test_case "superblock spans side exits" `Quick
             test_superblock_extends_across_jcond;
           Alcotest.test_case "uninit diags deduped" `Quick test_uninit_dedupe;
+          Alcotest.test_case "pass pipeline leaves its input intact" `Quick
+            test_run_leaves_input_intact;
         ] );
     ]

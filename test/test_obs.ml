@@ -140,6 +140,20 @@ let test_trace_json_shape () =
 
 (* --- facade --- *)
 
+(* The default clock never steps backwards; [set_clock] still
+   substitutes a virtual one. *)
+let test_clock_monotonic_and_overridable () =
+  let prev = ref (Obs.now_ns ()) in
+  for _ = 1 to 10_000 do
+    let now = Obs.now_ns () in
+    if now < !prev then Alcotest.failf "clock went back: %f < %f" now !prev;
+    prev := now
+  done;
+  Obs.set_clock (fun () -> 42.0);
+  Alcotest.(check (float 0.0)) "virtual clock" 42.0 (Obs.now_ns ());
+  Obs.set_clock Obs.default_now_ns;
+  Alcotest.(check bool) "default restored" true (Obs.now_ns () >= !prev)
+
 let test_facade_switches () =
   Obs.reset ();
   Obs.set_enabled true;
@@ -197,8 +211,8 @@ let test_analysis_counters_and_event () =
   Obs.set_tracing false;
   Obs.reset ()
 
-(* The IR tier and the engine's warm pool surface their work: compile
-   time and elided checks at load, pool hits/resets per fire, and a
+(* The IR tier and the engine's warm pool surface their work: IR build
+   and compile time and elided checks at load, pool hits/resets per fire, and a
    Tier_selected trace event naming the tier that was engaged. *)
 let test_tier_and_pool_observability () =
   Obs.reset ();
@@ -219,6 +233,8 @@ let test_tier_and_pool_observability () =
   | Error _ -> Alcotest.fail "load");
   Alcotest.(check bool) "vm.compile_ns observed" true
     (Metrics.count (Obs.histogram "vm.compile_ns") >= 1);
+  Alcotest.(check bool) "analysis.ir_build_ns observed" true
+    (Metrics.count (Obs.histogram "analysis.ir_build_ns") >= 1);
   Alcotest.(check bool) "vm.ir_checks_elided counted" true
     (Metrics.value (Obs.counter "vm.ir_checks_elided") > 0);
   (let tiers =
@@ -270,6 +286,8 @@ let suite =
     Alcotest.test_case "metrics json shape" `Quick test_metrics_json_shape;
     Alcotest.test_case "trace json shape" `Quick test_trace_json_shape;
     Alcotest.test_case "facade switches" `Quick test_facade_switches;
+    Alcotest.test_case "clock monotonic and overridable" `Quick
+      test_clock_monotonic_and_overridable;
     Alcotest.test_case "tier and pool observability" `Quick
       test_tier_and_pool_observability;
     Alcotest.test_case "analysis counters and event" `Quick
