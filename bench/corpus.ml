@@ -4,23 +4,23 @@
    L1/L2 workloads come from Femto_workloads.Corpus: every (runtime,
    tier) expression of a kernel is checked for result equivalence with
    the native reference *before* it is timed — then one wall-clock row is
-   emitted per impl.  L3 is the multi-tenant update storm, reusing the
-   PR 5 pipeline fixtures from {!Update_bench} (sequential zero-copy path
-   vs the domain pool).
+   emitted per impl.  L3 is the multi-tenant update storm (sequential
+   zero-copy path vs the domain pool, checked against an unhinted
+   sequential oracle) and a rolling fleet campaign.
 
-   The femto-bench/1 document carries absolute ns rows plus
-   "corpus_ratios": per-workload speed relative to the workload's
+   The gated ratios are per-workload speed relative to the workload's
    reference row (rbpf/decoded for guest programs, update/sequential for
-   the storm).  Ratios are what the CI gate compares against the
-   committed bench/corpus-baseline.json — robust to absolute machine
-   speed, sensitive to any one runtime regressing relative to the
-   others. *)
+   the storm) — robust to absolute machine speed, sensitive to any one
+   runtime regressing relative to the others. *)
 
 module Jsonx = Femto_obs.Jsonx
 module Harness = Femto_workloads.Harness
 module Corpus_reg = Femto_workloads.Corpus
 module Measure = Femto_eval.Measure
+module Suit = Femto_suit.Suit
 module Pipeline = Femto_suit.Pipeline
+module Cose = Femto_cose.Cose
+module Sha256 = Femto_crypto.Sha256
 module Fleet = Femto_fleet.Fleet
 
 type row = {
@@ -41,22 +41,118 @@ let row_key r = Printf.sprintf "%s:%s/%s" r.wname r.runtime r.tier
    shifts ratios by integer factors, not tens of percent. *)
 let tolerance = 0.5
 
+(* --- L3 fixture: four tenants' signed updates ------------------------ *)
+
+let hook_uuid = "bench000-0000-4000-8000-000000000001"
+let vendor = "bench-vendor"
+let class_id = "bench-class"
+let key = Cose.make_key ~key_id:"bench-key" ~secret:"bench-update-secret"
+let chunk_size = 1024
+let updates_per_tenant = 4
+let tenant_count = 4
+
+(* Deterministic pseudo-random payload. *)
+let make_payload n =
+  String.init n (fun i -> Char.chr ((i * 131) lxor (i lsr 3) land 0xff))
+
+let envelope_for ~sequence payload =
+  Suit.sign
+    (Suit.make ~vendor_id:vendor ~class_id ~sequence
+       [ Suit.component_for ~storage_uuid:hook_uuid payload ])
+    key
+
+let ok_or ~what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ Suit.error_to_string e)
+
+(* The digest a Block1 upload would have computed chunk by chunk. *)
+let streamed_digest payload =
+  let ctx = Sha256.init () in
+  let len = String.length payload in
+  let pos = ref 0 in
+  while !pos < len do
+    let n = min chunk_size (len - !pos) in
+    Sha256.update_substring ctx payload !pos n;
+    pos := !pos + n
+  done;
+  Sha256.finalize ctx
+
+type tenant_jobs = {
+  devices : Suit.device array;
+  (* (tenant index, envelope, digest hint) in global submission order *)
+  jobs : (int * string * Suit.digest_hint) list;
+  payload : string;
+}
+
+let make_tenant_jobs () =
+  let payload = make_payload (16 * 1024) in
+  let hint =
+    { Suit.streamed = streamed_digest payload; bytes = String.length payload }
+  in
+  let devices =
+    Array.init tenant_count (fun _ ->
+        Suit.create_device ~vendor_id:vendor ~class_id ~key
+          ~install:(fun ~sequence:_ ~storage_uuid:_ _ -> Ok ())
+          ~known_storage:(fun uuid -> String.equal uuid hook_uuid)
+          ())
+  in
+  (* interleave tenants round-robin, sequences rising per tenant *)
+  let jobs =
+    List.concat_map
+      (fun seq ->
+        List.map
+          (fun tenant ->
+            (tenant, envelope_for ~sequence:(Int64.of_int seq) payload, hint))
+          (List.init tenant_count Fun.id))
+      (List.init updates_per_tenant (fun i -> i + 1))
+  in
+  { devices; jobs; payload }
+
+let reset_tenants t = Array.iter (fun d -> d.Suit.sequence <- 0L) t.devices
+
+(* Every job through [Suit.process] in submission order, no domain pool;
+   with [~hinted:false] the library hashes each payload itself — the
+   oracle the hinted impls are checked against. *)
+let sequential ~hinted t () =
+  reset_tenants t;
+  List.iter
+    (fun (tenant, envelope, hint) ->
+      let digests = if hinted then [ (hook_uuid, hint) ] else [] in
+      ignore
+        (ok_or ~what:"update storm"
+           (Suit.process ~digests t.devices.(tenant) ~envelope
+              ~payloads:[ (hook_uuid, t.payload) ])))
+    t.jobs
+
+let pipeline_concurrent pool t () =
+  reset_tenants t;
+  List.iter
+    (fun (tenant, envelope, hint) ->
+      Pipeline.submit pool
+        ~digests:[ (hook_uuid, hint) ]
+        ~tenant:(Printf.sprintf "tenant-%d" tenant)
+        ~device:t.devices.(tenant) ~envelope
+        ~payloads:[ (hook_uuid, t.payload) ]
+        ())
+    t.jobs;
+  List.iter
+    (fun (_, outcome) -> ignore (ok_or ~what:"update storm pipeline" outcome))
+    (Pipeline.drain pool)
+
 (* --- L3: the update storm, expressed as a corpus workload ----------- *)
 
-let storm_checksum (t : Update_bench.tenant_jobs) =
+let storm_checksum t =
   let acc = ref 0L in
   Array.iteri
     (fun i d ->
-      acc :=
-        Int64.add !acc
-          (Int64.mul (Int64.of_int (i + 1)) d.Femto_suit.Suit.sequence))
-    t.Update_bench.devices;
+      acc := Int64.add !acc (Int64.mul (Int64.of_int (i + 1)) d.Suit.sequence))
+    t.devices;
   !acc
 
 let update_storm () =
   let expected =
-    let t = Update_bench.make_tenant_jobs () in
-    Update_bench.legacy_concurrent t ();
+    let t = make_tenant_jobs () in
+    sequential ~hinted:false t ();
     storm_checksum t
   in
   {
@@ -70,9 +166,9 @@ let update_storm () =
           tier = "sequential";
           mk =
             (fun () ->
-              let t = Update_bench.make_tenant_jobs () in
+              let t = make_tenant_jobs () in
               Harness.instance (fun () ->
-                  Update_bench.streaming_concurrent t ();
+                  sequential ~hinted:true t ();
                   storm_checksum t));
         };
         {
@@ -80,12 +176,12 @@ let update_storm () =
           tier = "pipeline";
           mk =
             (fun () ->
-              let t = Update_bench.make_tenant_jobs () in
+              let t = make_tenant_jobs () in
               let pool = Pipeline.create ~queue_depth:16 () in
               {
                 Harness.run =
                   (fun () ->
-                    Update_bench.pipeline_concurrent pool t ();
+                    pipeline_concurrent pool t ();
                     storm_checksum t);
                 dispose = (fun () -> ignore (Pipeline.shutdown pool));
               });
@@ -142,54 +238,31 @@ let fleet_campaign () =
       ];
   }
 
-(* --- workload selection --------------------------------------------- *)
+(* --- workloads -------------------------------------------------------- *)
 
-let layer_names = [ "l1"; "l2"; "l3" ]
-
-let workloads ~layers ~only () =
-  let wanted l = List.mem l layers in
-  let by_layer =
-    (if wanted "l1" then Corpus_reg.l1 () else [])
-    @ (if wanted "l2" then Corpus_reg.l2 () else [])
-    @ if wanted "l3" then [ update_storm (); fleet_campaign () ] else []
-  in
-  match only with
-  | None -> by_layer
-  | Some needle ->
-      List.filter
-        (fun (w : Harness.workload) ->
-          Astring.String.is_infix ~affix:needle w.wname)
-        by_layer
+let workloads () =
+  Corpus_reg.l1 () @ Corpus_reg.l2 () @ [ update_storm (); fleet_campaign () ]
 
 (* --- measurement ---------------------------------------------------- *)
 
 (* Per-layer batching: L1 kernels run in µs, L2 hooks in tens of µs, L3
-   storms in ms.  Smoke mode trades statistical niceness for wall-clock
-   budget — the gate compares ratios of identically-batched rows, so the
-   estimator bias cancels. *)
-let timing ~smoke layer =
-  match (smoke, layer) with
-  | true, "l1" -> (1, 10, 2)
-  | true, "l2" -> (1, 5, 2)
-  | true, _ -> (1, 2, 2)
-  | false, "l1" -> (5, 100, 3)
-  | false, "l2" -> (3, 30, 3)
-  | false, _ -> (2, 5, 3)
+   storms in ms.  Short smoke batches trade statistical niceness for
+   wall-clock budget — the gate compares ratios of identically-batched
+   rows, so the estimator bias cancels. *)
+let timing = function "l1" -> (1, 10, 2) | "l2" -> (1, 5, 2) | _ -> (1, 2, 2)
 
-exception Divergence of string
-
-let measure_workload ~smoke (w : Harness.workload) =
-  let warmup, iters, trials = timing ~smoke w.layer in
+let measure_workload (w : Harness.workload) =
+  let warmup, iters, trials = timing w.layer in
   List.map
     (fun (impl : Harness.impl) ->
       let inst = impl.mk () in
       let check what =
         let got = inst.run () in
         if not (Int64.equal got w.expected) then
-          raise
-            (Divergence
-               (Printf.sprintf "%s %s/%s: %s returned %Ld, reference %Ld"
-                  w.wname impl.runtime impl.tier what got w.expected))
+          failwith
+            (Printf.sprintf
+               "EQUIVALENCE FAILURE: %s %s/%s: %s returned %Ld, reference %Ld"
+               w.wname impl.runtime impl.tier what got w.expected)
       in
       (* equivalence gate: first run and a repeat (catches instance state
          leaking between runs) must match the native reference *)
@@ -210,7 +283,7 @@ let measure_workload ~smoke (w : Harness.workload) =
       })
     w.impls
 
-(* --- ratios + JSON --------------------------------------------------- *)
+(* --- ratios + family ------------------------------------------------- *)
 
 (* Speed of every impl relative to its workload's reference row (the
    first impl listed — rbpf/decoded for L1/L2, update/sequential for
@@ -226,115 +299,42 @@ let ratios rows =
     (fun r -> (row_key r, Hashtbl.find by_workload r.wname /. r.ns))
     rows
 
-let doc_of_rows rows =
-  Schema.doc
-    [
-      ( "corpus",
-        Jsonx.List
-          (List.map
-             (fun r ->
-               Jsonx.Obj
-                 [
-                   ("name", Jsonx.String (row_key r));
-                   ("workload", Jsonx.String r.wname);
-                   ("layer", Jsonx.String r.layer);
-                   ("runtime", Jsonx.String r.runtime);
-                   ("tier", Jsonx.String r.tier);
-                   ("ns_per_run", Jsonx.Float r.ns);
-                   ("result", Jsonx.String (Int64.to_string r.result));
-                 ])
-             rows) );
-      ( "corpus_ratios",
-        Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Float v)) (ratios rows))
-      );
-    ]
-
-(* --- the baseline gate (pure: exercised directly by tests) ----------- *)
-
-(* Compare current ratios against a committed femto-bench/1 baseline.
-   Every committed workload/impl must still exist and must not have lost
-   more than [tolerance] of its committed relative speed.  Extra current
-   rows (new workloads) are fine — they only gate once committed. *)
-let check_baseline_doc ~ratios:current doc =
-  match Jsonx.member "corpus_ratios" doc with
-  | Some (Jsonx.Obj committed) ->
-      List.filter_map
-        (fun (key, v) ->
-          match Jsonx.to_float v with
-          | None -> Some (Printf.sprintf "%s: committed ratio unreadable" key)
-          | Some was -> (
-              match List.assoc_opt key current with
-              | None ->
-                  Some
-                    (Printf.sprintf "%s: row missing (present in baseline)" key)
-              | Some now ->
-                  if now < was *. tolerance then
-                    Some
-                      (Printf.sprintf
-                         "%s regressed: %.3fx of reference now vs %.3fx \
-                          committed (tolerance %.0f%%)"
-                         key now was (tolerance *. 100.))
-                  else None))
-        committed
-  | _ -> [ "baseline has no corpus_ratios section" ]
-
-let check_baseline ~ratios path =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let raw = really_input_string ic n in
-    close_in ic;
-    Jsonx.of_string raw
-  with
-  | exception Sys_error m ->
-      [ Printf.sprintf "baseline %s unreadable: %s" path m ]
-  | exception Jsonx.Parse_error m ->
-      [ Printf.sprintf "baseline %s malformed: %s" path m ]
-  | doc -> check_baseline_doc ~ratios doc
-
-(* --- driver ---------------------------------------------------------- *)
-
-let run ?(layers = layer_names) ?only ~smoke ~json_file ~baseline_file () =
-  match
-    let selected = workloads ~layers ~only () in
-    if selected = [] then begin
-      Printf.eprintf "corpus: no workloads selected\n";
-      2
-    end
-    else begin
-      let rows = List.concat_map (measure_workload ~smoke) selected in
-      Printf.printf "\nCorpus %s(%d workloads, wall-clock ns/run)\n%s\n"
-        (if smoke then "smoke " else "")
-        (List.length selected) (String.make 58 '-');
-      let last_w = ref "" in
-      List.iter
+(* The corpus has no in-run floor: equivalence failures raise before
+   any timing. *)
+let outcome rows =
+  {
+    Family.rows =
+      List.map
         (fun r ->
-          if r.wname <> !last_w then begin
-            Printf.printf "  %s\n" r.wname;
-            last_w := r.wname
-          end;
-          Printf.printf "    %-24s %14.1f\n"
-            (r.runtime ^ "/" ^ r.tier)
-            r.ns)
+          Jsonx.Obj
+            [
+              ("name", Jsonx.String (row_key r));
+              ("workload", Jsonx.String r.wname);
+              ("layer", Jsonx.String r.layer);
+              ("runtime", Jsonx.String r.runtime);
+              ("tier", Jsonx.String r.tier);
+              ("ns_per_run", Jsonx.Float r.ns);
+              ("result", Jsonx.String (Int64.to_string r.result));
+            ])
         rows;
-      flush stdout;
-      Option.iter (Schema.write_doc (doc_of_rows rows)) json_file;
-      let failures =
-        match baseline_file with
-        | None -> []
-        | Some path -> check_baseline ~ratios:(ratios rows) path
-      in
-      if failures <> [] then begin
-        List.iter (fun m -> Printf.eprintf "corpus gate: %s\n" m) failures;
-        1
-      end
-      else 0
-    end
-  with
-  | code -> code
-  | exception Divergence m ->
-      Printf.eprintf "corpus: EQUIVALENCE FAILURE: %s\n" m;
-      1
-  | exception e ->
-      Printf.eprintf "corpus: workload failure: %s\n" (Printexc.to_string e);
-      1
+    ratios = ratios rows;
+    failures = [];
+  }
+
+let run () =
+  let selected = workloads () in
+  let rows = List.concat_map measure_workload selected in
+  Printf.printf "\nCorpus smoke (%d workloads, wall-clock ns/run)\n%s\n"
+    (List.length selected) (String.make 58 '-');
+  let last_w = ref "" in
+  List.iter
+    (fun r ->
+      if r.wname <> !last_w then begin
+        Printf.printf "  %s\n" r.wname;
+        last_w := r.wname
+      end;
+      Printf.printf "    %-24s %14.1f\n" (r.runtime ^ "/" ^ r.tier) r.ns)
+    rows;
+  outcome rows
+
+let family = { Family.name = "corpus"; tolerance; run }

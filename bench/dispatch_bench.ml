@@ -3,8 +3,8 @@
    designed around.  Each case is one VM instance pinned to a tier,
    pre-checked against the workload's native reference so a semantics
    regression can never be reported as a performance number.
-   --dispatch-smoke is the per-push CI gate: the IR tier must never fall
-   behind the decoded interpreter. *)
+   As a smoke family its one gate is a hard floor: the IR tier must never
+   fall behind the decoded interpreter. *)
 
 module Analysis = Femto_analysis.Analysis
 module Fletcher = Femto_workloads.Fletcher
@@ -132,52 +132,61 @@ let run_ir_ablation () =
     kernels;
   flush stdout
 
-let dispatch_smoke_json rows speedups =
-  Schema.doc
-    [
-      ( "dispatch",
-        Jsonx.List
-          (List.map
-             (fun (name, ns) ->
-               Jsonx.Obj
-                 [ ("name", Jsonx.String name); ("ns_per_run", Jsonx.Float ns) ])
-             rows) );
-      ( "dispatch_speedups",
-        Jsonx.Obj (List.map (fun (w, s) -> (w, Jsonx.Float s)) speedups) );
-    ]
+(* Each workload's IR case against its decoded case: the speedup is
+   reported on the IR row and floored at 1.0; it is not baseline-gated. *)
+let pairs =
+  [ ("dagsum", "dagsum"); ("loop_sum", "loop-sum"); ("hotcall", "hotcall") ]
 
-let run_dispatch_smoke ~json_file () =
-  let cases = dispatch_cases () in
+(* (workload, IR row name, decoded/IR speedup) for every pair timed. *)
+let speedups rows =
+  let find case = List.assoc_opt ("dispatch/" ^ case) rows in
+  List.filter_map
+    (fun (workload, case) ->
+      match (find (case ^ "-decoded"), find (case ^ "-ir")) with
+      | Some decoded, Some ir ->
+          Some (workload, "dispatch/" ^ case ^ "-ir", decoded /. ir)
+      | _ -> None)
+    pairs
+
+let outcome rows =
+  let speedups = speedups rows in
+  {
+    Family.rows =
+      List.map
+        (fun (name, ns) ->
+          Jsonx.Obj
+            ([ ("name", Jsonx.String name); ("ns_per_run", Jsonx.Float ns) ]
+            @ List.filter_map
+                (fun (_, ir, s) ->
+                  if ir = name then Some ("speedup_x", Jsonx.Float s) else None)
+                speedups))
+        rows;
+    ratios = [];
+    failures =
+      List.concat_map
+        (fun (workload, _, s) ->
+          Family.fail_if (s < 1.0)
+            "faster tier fell behind its baseline on %s_ir (%.2fx)" workload s)
+        speedups;
+  }
+
+let run () =
   let rows =
     List.map
       (fun { case_name; vm; args } ->
         ( case_name,
           wall_ns_per_run (fun () -> ignore (Femto_vm.Vm.run vm ~args)) ))
-      cases
+      (dispatch_cases ())
   in
   Printf.printf "\nDispatch smoke (wall-clock ns/run, best of 3)\n%s\n"
     (String.make 45 '-');
   List.iter (fun (name, ns) -> Printf.printf "  %-40s %12.1f\n" name ns) rows;
-  let find name = List.assoc ("dispatch/" ^ name) rows in
-  let speedup workload decoded ir =
-    let s = find decoded /. find ir in
-    Printf.printf "  %-40s %11.2fx\n" (workload ^ " speedup") s;
-    (workload, s)
-  in
-  let s_dag = speedup "dagsum_ir" "dagsum-decoded" "dagsum-ir" in
-  let s_loop = speedup "loop_sum_ir" "loop-sum-decoded" "loop-sum-ir" in
-  let s_hot = speedup "hotcall_ir" "hotcall-decoded" "hotcall-ir" in
-  let speedups = [ s_dag; s_loop; s_hot ] in
-  flush stdout;
-  Option.iter (Schema.write_doc (dispatch_smoke_json rows speedups)) json_file;
-  let slow = List.filter (fun (_, s) -> s < 1.0) speedups in
-  if slow <> [] then begin
-    List.iter
-      (fun (w, s) ->
-        Printf.eprintf
-          "dispatch smoke: faster tier fell behind its baseline on %s \
-           (%.2fx)\n"
-          w s)
-      slow;
-    exit 1
-  end
+  List.iter
+    (fun (workload, _, s) ->
+      Printf.printf "  %-40s %11.2fx\n" (workload ^ "_ir speedup") s)
+    (speedups rows);
+  outcome rows
+
+(* No committed ratios, so [tolerance] is never consulted; 1.0 is the
+   strictest value should one be committed. *)
+let family = { Family.name = "dispatch"; tolerance = 1.0; run }

@@ -18,9 +18,9 @@
                            every row asserts no half-installed image and
                            the clean/lossy profiles must accept
 
-   "edge_ratios" carries cached_handler_x (hard floor {!cached_floor})
+   The gated ratios are cached_handler_x (hard floor {!cached_floor})
    and cached_udp_x; both are compared against the committed
-   bench/edge-baseline.json with the corpus gate's tolerance. *)
+   bench/baseline.json with tolerance 0.5. *)
 
 module Jsonx = Femto_obs.Jsonx
 module Measure = Femto_eval.Measure
@@ -41,7 +41,6 @@ module Slots = Femto_flash.Slots
 (* A cached GET must answer at least this many times faster than the
    uncached handler path (which fires a real femto-container). *)
 let cached_floor = 5.0
-let tolerance = 0.5
 
 type row = {
   e_name : string;
@@ -263,158 +262,103 @@ let row_json r =
       | None -> [])
     @ [ ("ok", Jsonx.Bool r.e_ok) ])
 
-let smoke_json rows ratios =
-  Schema.doc
-    [
-      ("edge", Jsonx.List (List.map row_json rows));
-      ( "edge_ratios",
-        Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Float v)) ratios) );
-    ]
+(* Gated ratios, both higher-is-better: uncached over cached mean ns on
+   the handler path (also floored at [cached_floor]) and over UDP. *)
+let ratios rows =
+  let ns name =
+    List.find_map
+      (fun r -> if r.e_name = "edge/" ^ name then Some r.e_ns else None)
+      rows
+  in
+  List.filter_map
+    (fun (key, path) ->
+      match (ns (path ^ "-uncached"), ns (path ^ "-cached")) with
+      | Some uncached, Some cached -> Some (key, uncached /. cached)
+      | _ -> None)
+    [ ("cached_handler_x", "handler"); ("cached_udp_x", "udp-get") ]
 
-(* --- baseline gate (same shape as the corpus gate) -------------------- *)
-
-let check_baseline_doc ~ratios:current doc =
-  match Jsonx.member "edge_ratios" doc with
-  | Some (Jsonx.Obj committed) ->
-      List.filter_map
-        (fun (key, v) ->
-          match Jsonx.to_float v with
-          | None -> Some (Printf.sprintf "%s: committed ratio unreadable" key)
-          | Some was -> (
-              match List.assoc_opt key current with
-              | None ->
-                  Some
-                    (Printf.sprintf "%s: ratio missing (present in baseline)"
-                       key)
-              | Some now ->
-                  if now < was *. tolerance then
-                    Some
-                      (Printf.sprintf
-                         "%s regressed: %.2fx now vs %.2fx committed \
-                          (tolerance %.0f%%)"
-                         key now was (tolerance *. 100.))
-                  else None))
-        committed
-  | _ -> [ "baseline has no edge_ratios section" ]
-
-let check_baseline ~ratios path =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let raw = really_input_string ic n in
-    close_in ic;
-    Jsonx.of_string raw
-  with
-  | exception Sys_error m ->
-      [ Printf.sprintf "baseline %s unreadable: %s" path m ]
-  | exception Jsonx.Parse_error m ->
-      [ Printf.sprintf "baseline %s malformed: %s" path m ]
-  | doc -> check_baseline_doc ~ratios doc
-
-(* --- driver ----------------------------------------------------------- *)
-
-let run_edge_smoke ?(udp_requests = 400) ?(handler_iters = 4000)
-    ?(observers = 100) ~json_file ~baseline_file () =
-  match
-    (* handler path: fresh server per resource so the cache stays cold
-       for the uncached row whatever the order *)
-    let handler_server = make_edge_server ~addr:1 in
-    let uncached_ns =
-      time_handler_path handler_server ~path:"/run" ~iters:handler_iters
-        ~src_base:1_000
-    in
-    let cached_ns =
-      time_handler_path handler_server ~path:"/cached" ~iters:handler_iters
-        ~src_base:2_000_000
-    in
-    let udp_server = make_edge_server ~addr:2 in
-    let u_mean, u_p50, u_p90, u_p99, u_rps =
-      time_udp udp_server ~path:"/run" ~n:udp_requests
-    in
-    let c_mean, c_p50, c_p90, c_p99, c_rps =
-      time_udp udp_server ~path:"/cached" ~n:udp_requests
-    in
-    let fanout_ns, fanout_complete = fanout_row ~observers ~iters:20 in
-    let update_rows =
-      List.map
-        (fun profile ->
-          let ns, accepted, sane = hostile_update profile in
-          let must_accept =
-            List.mem profile.Profile.p_name [ "clean"; "lossy" ]
-          in
-          ( Printf.sprintf "edge/update-%s" profile.Profile.p_name,
-            ns,
-            accepted,
-            sane && ((not must_accept) || accepted) ))
-        Profile.named
-    in
-    let rows =
-      [
-        { e_name = "edge/udp-get-uncached"; e_ns = u_mean;
-          e_p50 = Some u_p50; e_p90 = Some u_p90; e_p99 = Some u_p99;
-          e_rps = Some u_rps; e_accepted = None; e_ok = true };
-        { e_name = "edge/udp-get-cached"; e_ns = c_mean;
-          e_p50 = Some c_p50; e_p90 = Some c_p90; e_p99 = Some c_p99;
-          e_rps = Some c_rps; e_accepted = None; e_ok = true };
-        plain_row "edge/handler-uncached" uncached_ns;
-        plain_row "edge/handler-cached" cached_ns;
-        { (plain_row
-             (Printf.sprintf "edge/observe-fanout-%d" observers)
-             fanout_ns)
-          with e_ok = fanout_complete };
-      ]
-      @ List.map
-          (fun (name, ns, accepted, ok) ->
-            { (plain_row name ns) with e_ok = ok; e_accepted = Some accepted })
-          update_rows
-    in
-    let ratios =
-      [
-        ("cached_handler_x", uncached_ns /. cached_ns);
-        ("cached_udp_x", u_mean /. c_mean);
-      ]
-    in
-    Printf.printf "\nEdge smoke (loopback UDP + simulated hostile matrix)\n%s\n"
-      (String.make 58 '-');
-    List.iter
-      (fun r ->
-        Printf.printf "  %-28s %12.0f ns%s%s%s\n" r.e_name r.e_ns
-          (match r.e_p99 with
-          | Some p -> Printf.sprintf "  p50/p99 %.0f/%.0f" (Option.get r.e_p50) p
-          | None -> "")
-          (match r.e_rps with
-          | Some rps when rps > 1.0 -> Printf.sprintf "  %.0f req/s" rps
-          | _ -> "")
-          (if r.e_ok then "" else "  NOT OK"))
-      rows;
-    List.iter (fun (k, v) -> Printf.printf "  %-28s %12.2fx\n" k v) ratios;
-    flush stdout;
-    Option.iter (Schema.write_doc (smoke_json rows ratios)) json_file;
-    let failures =
-      List.filter_map
-        (fun r ->
-          if r.e_ok then None
-          else Some (Printf.sprintf "%s failed its hard gate" r.e_name))
+let outcome rows =
+  let ratios = ratios rows in
+  {
+    Family.rows = List.map row_json rows;
+    ratios;
+    failures =
+      List.concat_map
+        (fun r -> Family.fail_if (not r.e_ok) "%s failed its hard gate" r.e_name)
         rows
-      @ (if uncached_ns /. cached_ns < cached_floor then
-           [
-             Printf.sprintf
-               "cached GET only %.2fx the uncached handler path (floor %.1fx)"
-               (uncached_ns /. cached_ns) cached_floor;
-           ]
-         else [])
       @
-      match baseline_file with
-      | None -> []
-      | Some path -> check_baseline ~ratios path
-    in
-    if failures <> [] then begin
-      List.iter (fun m -> Printf.eprintf "edge gate: %s\n" m) failures;
-      1
-    end
-    else 0
-  with
-  | code -> code
-  | exception e ->
-      Printf.eprintf "edge: failure: %s\n" (Printexc.to_string e);
-      1
+      match List.assoc_opt "cached_handler_x" ratios with
+      | Some x ->
+          Family.fail_if (x < cached_floor)
+            "cached GET only %.2fx the uncached handler path (floor %.1fx)" x
+            cached_floor
+      | None -> [ "edge/handler-* rows missing: cached floor unchecked" ];
+  }
+
+let run () =
+  let udp_requests = 400 and handler_iters = 4000 and observers = 100 in
+  (* handler path: fresh server per resource so the cache stays cold
+     for the uncached row whatever the order *)
+  let handler_server = make_edge_server ~addr:1 in
+  let uncached_ns =
+    time_handler_path handler_server ~path:"/run" ~iters:handler_iters
+      ~src_base:1_000
+  in
+  let cached_ns =
+    time_handler_path handler_server ~path:"/cached" ~iters:handler_iters
+      ~src_base:2_000_000
+  in
+  let udp_server = make_edge_server ~addr:2 in
+  let u_mean, u_p50, u_p90, u_p99, u_rps =
+    time_udp udp_server ~path:"/run" ~n:udp_requests
+  in
+  let c_mean, c_p50, c_p90, c_p99, c_rps =
+    time_udp udp_server ~path:"/cached" ~n:udp_requests
+  in
+  let fanout_ns, fanout_complete = fanout_row ~observers ~iters:20 in
+  let update_rows =
+    List.map
+      (fun profile ->
+        let ns, accepted, sane = hostile_update profile in
+        let must_accept = List.mem profile.Profile.p_name [ "clean"; "lossy" ] in
+        {
+          (plain_row (Printf.sprintf "edge/update-%s" profile.Profile.p_name) ns)
+          with
+          e_accepted = Some accepted;
+          e_ok = sane && ((not must_accept) || accepted);
+        })
+      Profile.named
+  in
+  let rows =
+    [
+      { e_name = "edge/udp-get-uncached"; e_ns = u_mean;
+        e_p50 = Some u_p50; e_p90 = Some u_p90; e_p99 = Some u_p99;
+        e_rps = Some u_rps; e_accepted = None; e_ok = true };
+      { e_name = "edge/udp-get-cached"; e_ns = c_mean;
+        e_p50 = Some c_p50; e_p90 = Some c_p90; e_p99 = Some c_p99;
+        e_rps = Some c_rps; e_accepted = None; e_ok = true };
+      plain_row "edge/handler-uncached" uncached_ns;
+      plain_row "edge/handler-cached" cached_ns;
+      { (plain_row (Printf.sprintf "edge/observe-fanout-%d" observers) fanout_ns)
+        with e_ok = fanout_complete };
+    ]
+    @ update_rows
+  in
+  let o = outcome rows in
+  Printf.printf "\nEdge smoke (loopback UDP + simulated hostile matrix)\n%s\n"
+    (String.make 58 '-');
+  List.iter
+    (fun r ->
+      Printf.printf "  %-28s %12.0f ns%s%s%s\n" r.e_name r.e_ns
+        (match r.e_p99 with
+        | Some p -> Printf.sprintf "  p50/p99 %.0f/%.0f" (Option.get r.e_p50) p
+        | None -> "")
+        (match r.e_rps with
+        | Some rps when rps > 1.0 -> Printf.sprintf "  %.0f req/s" rps
+        | _ -> "")
+        (if r.e_ok then "" else "  NOT OK"))
+    rows;
+  List.iter (fun (k, v) -> Printf.printf "  %-28s %12.2fx\n" k v) o.ratios;
+  o
+
+let family = { Family.name = "edge"; tolerance = 0.5; run }

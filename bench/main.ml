@@ -2,25 +2,16 @@
    the paper's evaluation (prints paper-style tables; see EXPERIMENTS.md
    for the paper-vs-measured record), then optionally runs the Bechamel
    microbenchmark suite with statistically-fitted ns/run estimates.  The
-   per-push CI smokes (dispatch, update, corpus) live in the femto_bench
-   library and are selected by flag:
+   per-push CI smoke families live in the femto_bench library behind one
+   registry ({!Femto_bench.Smoke}):
 
      dune exec bench/main.exe                      # all experiments
      dune exec bench/main.exe -- --quick           # skip the Bechamel suite
      dune exec bench/main.exe -- --bechamel-only --quota 0.05 --json b.json
-     dune exec bench/main.exe -- --dispatch-smoke --json d.json
-     dune exec bench/main.exe -- --update-smoke --json u.json \
-                                 --baseline bench/update-baseline.json
-     dune exec bench/main.exe -- --spawn-smoke --json s.json \
-                                 --baseline bench/spawn-baseline.json
-     dune exec bench/main.exe -- --fleet-smoke --json f.json \
-                                 --baseline bench/fleet-baseline.json
-     dune exec bench/main.exe -- --edge-smoke --json e.json \
-                                 --baseline bench/edge-baseline.json
-     dune exec bench/main.exe -- --corpus --json corpus.json
-     dune exec bench/main.exe -- --corpus-smoke --json corpus.json \
-                                 --baseline bench/corpus-baseline.json
-     dune exec bench/main.exe -- --corpus-smoke --layer l1,l2 --only fib
+     dune exec bench/main.exe -- --ir-ablation     # IR pass ablation table
+     dune exec bench/main.exe -- --smoke --json smoke.json \
+                                 --baseline bench/baseline.json
+     dune exec bench/main.exe -- --smoke --only spawn
 
    --json FILE writes a machine-readable femto-bench/1 document — the
    artifact CI uploads to extend the bench trajectory (BENCH_*.json).
@@ -35,9 +26,6 @@ module Experiments = Femto_eval.Experiments
 module Jsonx = Femto_obs.Jsonx
 module Schema = Femto_bench.Schema
 module Dispatch_bench = Femto_bench.Dispatch_bench
-module Update_bench = Femto_bench.Update_bench
-module Spawn_bench = Femto_bench.Spawn_bench
-module Corpus = Femto_bench.Corpus
 
 let data = Fletcher.input_360
 
@@ -232,35 +220,14 @@ let opt_value args flag =
   in
   find args
 
-let parse_layers raw =
-  let layers = String.split_on_char ',' raw in
-  let bad = List.filter (fun l -> not (List.mem l Corpus.layer_names)) layers in
-  if bad <> [] then begin
-    Printf.eprintf "bench: unknown corpus layer(s): %s\n"
-      (String.concat ", " bad);
-    exit 2
-  end;
-  layers
-
 let () =
   let args = Array.to_list Sys.argv in
   let quick = List.mem "--quick" args in
   let bechamel_only = List.mem "--bechamel-only" args in
-  let dispatch_smoke = List.mem "--dispatch-smoke" args in
+  let smoke = List.mem "--smoke" args in
   let ir_ablation = List.mem "--ir-ablation" args in
-  let update_smoke = List.mem "--update-smoke" args in
-  let spawn_smoke = List.mem "--spawn-smoke" args in
-  let fleet_smoke = List.mem "--fleet-smoke" args in
-  let edge_smoke = List.mem "--edge-smoke" args in
-  let corpus = List.mem "--corpus" args in
-  let corpus_smoke = List.mem "--corpus-smoke" args in
   let json_file = opt_value args "--json" in
   let baseline_file = opt_value args "--baseline" in
-  let layers =
-    match opt_value args "--layer" with
-    | None -> Corpus.layer_names
-    | Some raw -> parse_layers raw
-  in
   let only = opt_value args "--only" in
   let quota =
     match opt_value args "--quota" with
@@ -273,18 +240,7 @@ let () =
             exit 2)
   in
   match
-    if corpus || corpus_smoke then
-      exit
-        (Corpus.run ~layers ?only ~smoke:corpus_smoke ~json_file ~baseline_file
-           ())
-    else if update_smoke then Update_bench.run_smoke ~json_file ~baseline_file ()
-    else if spawn_smoke then
-      Spawn_bench.run_spawn_smoke ~json_file ~baseline_file ()
-    else if fleet_smoke then
-      Femto_bench.Fleet_bench.run_fleet_smoke ~json_file ~baseline_file ()
-    else if edge_smoke then
-      exit (Femto_bench.Edge_bench.run_edge_smoke ~json_file ~baseline_file ())
-    else if dispatch_smoke then Dispatch_bench.run_dispatch_smoke ~json_file ()
+    if smoke then exit (Femto_bench.Smoke.run ~only ~json_file ~baseline_file)
     else if ir_ablation then Dispatch_bench.run_ir_ablation ()
     else begin
       if not bechamel_only then Experiments.run_all ();

@@ -2,13 +2,15 @@
 
    A document is an object with the schema tag, a UTC timestamp, the
    producing toolchain, any number of *section* keys, and the process
-   observability snapshot.  Row sections ("bechamel", "dispatch",
-   "update", "corpus") are lists of objects with a "name" and ns
-   measurements; ratio sections ("dispatch_speedups", "update_speedups",
-   "corpus_ratios") are flat objects of positive floats — the
-   machine-speed-robust numbers the CI gates compare against committed
-   baselines.  [validate] is the single checker test_bench_schema runs
-   against every emitter and every committed baseline. *)
+   observability snapshot.  A section is either a row list (objects with
+   a "name" and ns measurements) or, under a key ending in
+   [ratios_suffix], a flat object of positive floats — the
+   machine-speed-robust numbers the smoke gate compares against the
+   committed baseline.  Section names are whatever the emitters chose:
+   the bench registry ({!Smoke.families}) is the one place that knows
+   which families exist.  [validate] is the single checker
+   test_bench_schema runs against every emitter and the committed
+   baseline. *)
 
 module Jsonx = Femto_obs.Jsonx
 module Obs = Femto_obs.Obs
@@ -64,19 +66,18 @@ let write_doc doc path =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-let row_sections =
-  [ "bechamel"; "dispatch"; "update"; "spawn"; "fleet"; "corpus"; "edge" ]
+(* A family [f] publishes its rows under [f] and its gated ratios under
+   [ratios_key f]. *)
+let ratios_suffix = "_ratios"
+let ratios_key family = family ^ ratios_suffix
 
-let ratio_sections =
-  [
-    "dispatch_speedups"; "update_speedups"; "spawn_ratios"; "fleet_ratios";
-    "corpus_ratios"; "edge_ratios";
-  ]
+(* Top-level keys every document carries; every other key is a section. *)
+let envelope_keys =
+  [ "schema"; "generated_at"; "ocaml_version"; "word_size"; "metrics" ]
 
-(* Optional latency-percentile fields a row may carry (the edge rows
-   do); when present they must be non-negative and ordered. *)
-let percentile_keys = [ "p50_ns"; "p90_ns"; "p99_ns" ]
-
+(* Optional latency-percentile fields a row may carry (p50_ns, p90_ns,
+   p99_ns) are ns keys like any other; when present they must also be
+   ordered. *)
 let is_ns_key key =
   key = "ns_per_run" || key = "legacy_ns_per_run"
   || Astring.String.is_suffix ~affix:"_ns" key
@@ -101,60 +102,68 @@ let validate doc =
   (match Jsonx.member "word_size" doc with
   | Some (Jsonx.Int n) when n > 0 -> ()
   | _ -> bad "word_size missing or non-positive");
-  List.iter
-    (fun section ->
-      match Jsonx.member section doc with
-      | None -> ()
-      | Some (Jsonx.List rows) ->
-          let seen = Hashtbl.create 16 in
-          List.iteri
-            (fun i row ->
-              match row with
-              | Jsonx.Obj fields ->
-                  (match List.assoc_opt "name" fields with
-                  | Some (Jsonx.String name) when name <> "" ->
-                      if Hashtbl.mem seen name then
-                        bad "%s: duplicate row name %S" section name;
-                      Hashtbl.replace seen name ()
-                  | _ -> bad "%s[%d]: name missing or empty" section i);
-                  List.iter
-                    (fun (key, v) ->
-                      if is_ns_key key then
-                        match v with
-                        | Jsonx.Float ns when ns >= 0.0 && ns = ns -> ()
-                        | Jsonx.Null when section = "bechamel" ->
-                            () (* an OLS fit may fail to converge *)
-                        | _ -> bad "%s[%d]: %s not a non-negative float" section i key)
-                    fields;
-                  (* present percentiles must not cross: p50 <= p90 <= p99 *)
-                  let pct key =
-                    match List.assoc_opt key fields with
-                    | Some (Jsonx.Float v) -> Some v
-                    | _ -> None
-                  in
-                  List.iter
-                    (fun (lo, hi) ->
-                      match (pct lo, pct hi) with
-                      | Some l, Some h when l > h ->
-                          bad "%s[%d]: %s (%.1f) exceeds %s (%.1f)" section i
-                            lo l hi h
-                      | _ -> ())
-                    [ ("p50_ns", "p90_ns"); ("p90_ns", "p99_ns") ]
-              | _ -> bad "%s[%d]: row is not an object" section i)
-            rows
-      | Some _ -> bad "%s: not a list" section)
-    row_sections;
-  List.iter
-    (fun section ->
-      match Jsonx.member section doc with
-      | None -> ()
-      | Some (Jsonx.Obj fields) ->
-          List.iter
-            (fun (key, v) ->
-              match v with
-              | Jsonx.Float r when r > 0.0 && r = r && r <> infinity -> ()
-              | _ -> bad "%s: ratio %S not a positive finite float" section key)
-            fields
-      | Some _ -> bad "%s: not an object" section)
-    ratio_sections;
+  let check_rows section rows =
+    let seen = Hashtbl.create 16 in
+    List.iteri
+      (fun i row ->
+        match row with
+        | Jsonx.Obj fields ->
+            (match List.assoc_opt "name" fields with
+            | Some (Jsonx.String name) when name <> "" ->
+                if Hashtbl.mem seen name then
+                  bad "%s: duplicate row name %S" section name;
+                Hashtbl.replace seen name ()
+            | _ -> bad "%s[%d]: name missing or empty" section i);
+            List.iter
+              (fun (key, v) ->
+                if is_ns_key key then
+                  match v with
+                  | Jsonx.Float ns when ns >= 0.0 && ns = ns -> ()
+                  | Jsonx.Null when section = "bechamel" ->
+                      () (* an OLS fit may fail to converge *)
+                  | _ -> bad "%s[%d]: %s not a non-negative float" section i key)
+              fields;
+            (* present percentiles must not cross: p50 <= p90 <= p99 *)
+            let pct key =
+              match List.assoc_opt key fields with
+              | Some (Jsonx.Float v) -> Some v
+              | _ -> None
+            in
+            List.iter
+              (fun (lo, hi) ->
+                match (pct lo, pct hi) with
+                | Some l, Some h when l > h ->
+                    bad "%s[%d]: %s (%.1f) exceeds %s (%.1f)" section i lo l hi
+                      h
+                | _ -> ())
+              [ ("p50_ns", "p90_ns"); ("p90_ns", "p99_ns") ]
+        | _ -> bad "%s[%d]: row is not an object" section i)
+      rows
+  in
+  let check_ratios section = function
+    | Jsonx.Obj fields ->
+        List.iter
+          (fun (key, v) ->
+            match v with
+            | Jsonx.Float r when r > 0.0 && r = r && r <> infinity -> ()
+            | _ -> bad "%s: ratio %S not a positive finite float" section key)
+          fields
+    | _ -> bad "%s: not an object" section
+  in
+  (match doc with
+  | Jsonx.Obj fields ->
+      List.iter
+        (fun (section, v) ->
+          if List.mem section envelope_keys then ()
+          else if Astring.String.is_suffix ~affix:ratios_suffix section then
+            check_ratios section v
+          else
+            match v with
+            | Jsonx.List rows -> check_rows section rows
+            | Jsonx.Obj _ ->
+                bad "%s: an object section must be named *%s" section
+                  ratios_suffix
+            | _ -> () (* scalar run parameters, e.g. quota_s *))
+        fields
+  | _ -> bad "document is not an object");
   List.rev !problems

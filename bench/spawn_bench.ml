@@ -15,10 +15,10 @@
 
    Every spawned instance is checked against the attached instance's
    result before timing starts, so a semantics break can never be
-   reported as a speedup.  --spawn-smoke runs wall-clock trials with
-   femto-bench/1 JSON output and hard gates: spawn must be >= 10x
-   faster than full attach on the dispatch workloads, and a spawned
-   resident must cost <= 10% of a fully attached one. *)
+   reported as a speedup.  As a smoke family it has two hard floors:
+   spawn must be >= 10x faster than full attach on the dispatch
+   workloads, and a spawned resident must cost <= 10% of a fully
+   attached one. *)
 
 module Engine = Femto_core.Engine
 module Container = Femto_core.Container
@@ -209,14 +209,15 @@ let measure_footprint w =
   { spawn_1_100; spawn_100_10k; attach_1_100;
     fraction = spawn_100_10k /. attach_1_100 }
 
-(* --- smoke mode: per-push CI gate + femto-bench/1 JSON --- *)
+(* --- the smoke family --- *)
 
 (* ISSUE 8 acceptance floors; measured numbers land far above/below
-   them — see bench/spawn-baseline.json for the committed record.  The
-   10x floor applies to the dispatch workloads: kvcounter's full attach
-   is already only a few microseconds (nothing to verify, no loops to
-   analyze), so the fixed ~0.7 us spawn cost cannot sit 10x under it —
-   its ratio is reported and baseline-gated, but not floor-gated. *)
+   them — see the spawn section of bench/baseline.json for the committed
+   record.  The 10x floor applies to the dispatch workloads: kvcounter's
+   full attach is already only a few microseconds (nothing to verify, no
+   loops to analyze), so the fixed ~0.7 us spawn cost cannot sit 10x
+   under it — its ratio is reported and baseline-gated, but not
+   floor-gated. *)
 let speedup_floor = 10.0
 let fraction_ceiling = 0.10
 let floor_gated = [ "dagsum"; "loop_sum" ]
@@ -226,90 +227,54 @@ let floor_gated = [ "dagsum"; "loop_sum" ]
    resident, exactly the structure image sharing is meant to eliminate *)
 let footprint_workload ws = List.find (fun w -> w.w_name = "dagsum") ws
 
-let smoke_json rows fp =
-  Schema.doc
-    [
-      ( "spawn",
-        Jsonx.List
-          (List.map
-             (fun r ->
-               Jsonx.Obj
-                 [
-                   ("name", Jsonx.String ("spawn/" ^ r.name));
-                   ("legacy_ns_per_run", Jsonx.Float r.attach_ns);
-                   ("ns_per_run", Jsonx.Float r.spawn_ns);
-                   ("image_hits", Jsonx.Int r.image_hits);
-                   ("image_misses", Jsonx.Int r.image_misses);
-                 ])
-             rows
-          @ [
-              Jsonx.Obj
-                [
-                  ("name", Jsonx.String "spawn/footprint");
-                  ("spawn_bytes_per_instance_1_100", Jsonx.Float fp.spawn_1_100);
-                  ( "spawn_bytes_per_instance_100_10k",
-                    Jsonx.Float fp.spawn_100_10k );
-                  ( "attach_bytes_per_instance_1_100",
-                    Jsonx.Float fp.attach_1_100 );
-                ];
-            ]) );
-      ( "spawn_ratios",
-        Jsonx.Obj
-          (List.map (fun r -> (r.name, Jsonx.Float (speedup r))) rows
-          @ [ ("footprint_fraction", Jsonx.Float fp.fraction) ]) );
-    ]
+(* Gated ratios, all higher-is-better: each workload's attach/spawn
+   speedup, and the footprint as attach bytes over spawn bytes — the
+   reciprocal of [fraction], so [1/now >= 0.6 * 1/was] holds exactly
+   when [now <= was / 0.6]. *)
+let inv_fraction_key = "inv_footprint_fraction"
 
-(* Regression gate against the committed baseline: ratios are compared
-   (robust to absolute machine speed).  A speedup must not drop below
-   60% of the committed one; the footprint fraction must not grow past
-   committed / 0.6. *)
-let check_baseline rows fp path =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let raw = really_input_string ic n in
-    close_in ic;
-    Jsonx.of_string raw
-  with
-  | exception Sys_error m ->
-      Printf.eprintf "spawn smoke: baseline %s unreadable (%s); skipping\n" path
-        m;
-      []
-  | exception Jsonx.Parse_error m ->
-      Printf.eprintf "spawn smoke: baseline %s malformed (%s); skipping\n" path
-        m;
-      []
-  | doc ->
-      let committed name =
-        Option.bind (Jsonx.member "spawn_ratios" doc) (fun o ->
-            Option.bind (Jsonx.member name o) Jsonx.to_float)
-      in
-      List.filter_map
+let outcome rows fp =
+  {
+    Family.rows =
+      List.map
         (fun r ->
-          match committed r.name with
-          | None -> None
-          | Some was ->
-              let now = speedup r in
-              if now < was *. 0.6 then
-                Some
-                  (Printf.sprintf
-                     "spawn/%s speedup regressed: %.2fx now vs %.2fx committed"
-                     r.name now was)
-              else None)
-        rows
-      @
-      match committed "footprint_fraction" with
-      | None -> []
-      | Some was ->
-          if fp.fraction > was /. 0.6 then
+          Jsonx.Obj
             [
-              Printf.sprintf
-                "spawn footprint fraction regressed: %.4f now vs %.4f committed"
-                fp.fraction was;
-            ]
-          else []
+              ("name", Jsonx.String ("spawn/" ^ r.name));
+              ("legacy_ns_per_run", Jsonx.Float r.attach_ns);
+              ("ns_per_run", Jsonx.Float r.spawn_ns);
+              ("image_hits", Jsonx.Int r.image_hits);
+              ("image_misses", Jsonx.Int r.image_misses);
+            ])
+        rows
+      @ [
+          Jsonx.Obj
+            [
+              ("name", Jsonx.String "spawn/footprint");
+              ("spawn_bytes_per_instance_1_100", Jsonx.Float fp.spawn_1_100);
+              ("spawn_bytes_per_instance_100_10k", Jsonx.Float fp.spawn_100_10k);
+              ("attach_bytes_per_instance_1_100", Jsonx.Float fp.attach_1_100);
+              ("footprint_fraction", Jsonx.Float fp.fraction);
+            ];
+        ];
+    ratios =
+      List.map (fun r -> (r.name, speedup r)) rows
+      @ [ (inv_fraction_key, 1.0 /. fp.fraction) ];
+    failures =
+      List.concat_map
+        (fun r ->
+          Family.fail_if
+            (List.mem r.name floor_gated && speedup r < speedup_floor)
+            "spawn/%s speedup %.2fx below floor %.2fx" r.name (speedup r)
+            speedup_floor)
+        rows
+      @ Family.fail_if (fp.fraction > fraction_ceiling)
+          "spawn footprint fraction %.4f above ceiling %.2f (spawn %.0f \
+           B/inst vs attach %.0f B/inst)"
+          fp.fraction fraction_ceiling fp.spawn_100_10k fp.attach_1_100;
+  }
 
-let run_spawn_smoke ~json_file ~baseline_file () =
+let run () =
   let ws = workloads () in
   let rows = List.map measure_workload ws in
   let fp = measure_footprint (footprint_workload ws) in
@@ -324,28 +289,6 @@ let run_spawn_smoke ~json_file ~baseline_file () =
     "  bytes/instance: spawn %.0f (1->100)  %.0f (100->10k)   attach %.0f \
      (1->100)   fraction %.4f\n"
     fp.spawn_1_100 fp.spawn_100_10k fp.attach_1_100 fp.fraction;
-  flush stdout;
-  Option.iter (Schema.write_doc (smoke_json rows fp)) json_file;
-  let failures =
-    List.filter_map
-      (fun r ->
-        if List.mem r.name floor_gated && speedup r < speedup_floor then
-          Some
-            (Printf.sprintf "spawn/%s speedup %.2fx below floor %.2fx" r.name
-               (speedup r) speedup_floor)
-        else None)
-      rows
-    @ (if fp.fraction > fraction_ceiling then
-         [
-           Printf.sprintf
-             "spawn footprint fraction %.4f above ceiling %.2f (spawn %.0f \
-              B/inst vs attach %.0f B/inst)"
-             fp.fraction fraction_ceiling fp.spawn_100_10k fp.attach_1_100;
-         ]
-       else [])
-    @ match baseline_file with None -> [] | Some p -> check_baseline rows fp p
-  in
-  if failures <> [] then begin
-    List.iter (fun m -> Printf.eprintf "spawn smoke: %s\n" m) failures;
-    exit 1
-  end
+  outcome rows fp
+
+let family = { Family.name = "spawn"; tolerance = 0.6; run }

@@ -1090,81 +1090,6 @@ let fleet_cmd =
       const run $ devices_arg $ domains_arg $ shards_arg $ seed_arg $ epoch_arg
       $ telemetry_arg $ wave_arg $ loss_arg $ json_arg)
 
-(* --- bench --- *)
-
-let bench_cmd =
-  let corpus_cmd =
-    let run layers only smoke json_file baseline_file =
-      let layers =
-        match layers with [] -> Femto_bench.Corpus.layer_names | l -> l
-      in
-      let bad =
-        List.filter
-          (fun l -> not (List.mem l Femto_bench.Corpus.layer_names))
-          layers
-      in
-      if bad <> [] then begin
-        Printf.eprintf "fc bench corpus: unknown layer(s): %s\n"
-          (String.concat ", " bad);
-        2
-      end
-      else
-        Femto_bench.Corpus.run ~layers ?only ~smoke ~json_file ~baseline_file ()
-    in
-    let layers_arg =
-      Arg.(
-        value
-        & opt_all (list string) []
-        & info [ "layer" ]
-            ~docv:"LAYERS"
-            ~doc:
-              "Corpus layers to run (comma-separated subset of l1,l2,l3; \
-               repeatable). Default: all three.")
-    in
-    let only_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "only" ] ~docv:"SUBSTR"
-            ~doc:"Only workloads whose name contains $(docv).")
-    in
-    let smoke_arg =
-      Arg.(
-        value & flag
-        & info [ "smoke" ]
-            ~doc:"Short CI batching instead of the full measurement.")
-    in
-    let json_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "json" ] ~docv:"FILE"
-            ~doc:"Write the femto-bench/1 document to $(docv).")
-    in
-    let baseline_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "baseline" ] ~docv:"FILE"
-            ~doc:
-              "Gate per-workload speed ratios against the committed \
-               femto-bench/1 baseline $(docv); non-zero exit on regression.")
-    in
-    Cmd.v
-      (Cmd.info "corpus"
-         ~doc:
-           "Run the three-layer cross-runtime benchmark corpus (equivalence \
-            gate, then wall-clock rows per runtime/tier)")
-      Term.(
-        const (fun layers only smoke json baseline ->
-            run (List.concat layers) only smoke json baseline)
-        $ layers_arg $ only_arg $ smoke_arg $ json_arg $ baseline_arg)
-  in
-  let default = Term.(ret (const (`Help (`Pager, Some "bench")))) in
-  Cmd.group ~default
-    (Cmd.info "bench" ~doc:"Benchmark drivers (see also bench/main.exe)")
-    [ corpus_cmd ]
-
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let info =
@@ -1177,5 +1102,4 @@ let () =
           [ asm_cmd; disasm_cmd; verify_cmd; analyze_cmd; run_cmd; spawn_cmd;
             fleet_cmd; inspect_cmd; metrics_cmd; trace_cmd; pipeline_cmd;
             compile_cmd; compact_cmd; expand_cmd; suit_sign_cmd;
-            suit_verify_cmd; shell_cmd; serve_cmd; get_cmd;
-            bench_cmd ]))
+            suit_verify_cmd; shell_cmd; serve_cmd; get_cmd ]))
