@@ -42,7 +42,7 @@ let create ~name ~tenant ~contract
     program;
     contract;
     runtime;
-    local_store = Kvstore.create (Printf.sprintf "local:%s" name);
+    local_store = Kvstore.create ("local:" ^ name);
     attached_to = None;
     instance = None;
     executions = 0;

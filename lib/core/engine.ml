@@ -44,10 +44,13 @@ type t = {
          kernel (its shard's kernel drives the wheel); VM cycle costs
          are charged here and the time helpers read it *)
   global_store : Kvstore.t;
-  tenants : (string, Tenant.t) Hashtbl.t;
-  hooks : (string, Hook.t) Hashtbl.t;
+  (* tenants, hooks and sensors are short lists in registration order: a
+     fleet device has one tenant, one hook and no sensor, and a hash
+     table would cost it more than its entries *)
+  mutable tenants : Tenant.t list;
+  mutable hooks : Hook.t list;
   images : (string, Image.t) Hashtbl.t; (* content-hash → container image *)
-  sensors : (int, unit -> (int64, string) result) Hashtbl.t;
+  sensors : (int * (unit -> (int64, string) result)) list ref;
   mutable extra_helpers : (Contract.capability * (Helper.t -> unit)) list;
   (* refs, not mutable fields: the facility closures handed to helper
      tables must not capture the engine record itself, or every cached
@@ -73,10 +76,10 @@ let create ?(platform = Platform.cortex_m4) ?kernel ?clock ?images
     kernel;
     clock;
     global_store = Kvstore.create "global";
-    tenants = Hashtbl.create 4;
-    hooks = Hashtbl.create 8;
+    tenants = [];
+    hooks = [];
     images = (match images with Some t -> t | None -> Hashtbl.create 8);
-    sensors = Hashtbl.create 4;
+    sensors = ref [];
     extra_helpers = [];
     trace_log = ref [];
     fallback_ms = ref 0L;
@@ -92,31 +95,45 @@ let trace_log t = List.rev !(t.trace_log)
 
 (* --- tenants --- *)
 
+let rec find_tenant id = function
+  | [] -> None
+  | tenant :: rest ->
+      if String.equal (Tenant.id tenant) id then Some tenant
+      else find_tenant id rest
+
 let add_tenant t id =
-  match Hashtbl.find_opt t.tenants id with
+  match find_tenant id t.tenants with
   | Some tenant -> tenant
   | None ->
       let tenant = Tenant.create id in
-      Hashtbl.replace t.tenants id tenant;
+      t.tenants <- t.tenants @ [ tenant ];
       tenant
 
-let tenants t = Hashtbl.fold (fun _ tenant acc -> tenant :: acc) t.tenants []
+let tenants t = t.tenants
 
 (* --- hooks --- *)
 
+let rec find_hook_in uuid = function
+  | [] -> None
+  | hook :: rest ->
+      if String.equal (Hook.uuid hook) uuid then Some hook
+      else find_hook_in uuid rest
+
+let find_hook t uuid = find_hook_in uuid t.hooks
+
 let register_hook t ~uuid ~name ~ctx_size ?ctx_perm ?policy () =
-  if Hashtbl.mem t.hooks uuid then
+  if find_hook t uuid <> None then
     invalid_arg (Printf.sprintf "hook %s already registered" uuid);
   let hook = Hook.create ~uuid ~name ~ctx_size ?ctx_perm ?policy () in
-  Hashtbl.replace t.hooks uuid hook;
+  t.hooks <- t.hooks @ [ hook ];
   hook
 
-let find_hook t uuid = Hashtbl.find_opt t.hooks uuid
-let hooks t = Hashtbl.fold (fun _ hook acc -> hook :: acc) t.hooks []
+let hooks t = t.hooks
 
 (* --- facilities --- *)
 
-let register_sensor t ~id read = Hashtbl.replace t.sensors id read
+let register_sensor t ~id read =
+  t.sensors := (id, read) :: List.remove_assoc id !(t.sensors)
 
 let add_helper_installer t capability install =
   t.extra_helpers <- t.extra_helpers @ [ (capability, install) ]
@@ -156,7 +173,7 @@ let dyn_for t =
               | None, None -> Int64.mul !fallback_ms 64_000L);
           d_read_sensor =
             (fun id ->
-              match Hashtbl.find_opt sensors id with
+              match List.assoc_opt id !sensors with
               | Some read -> read ()
               | None -> Error (Printf.sprintf "no sensor %d" id));
           d_trace = (fun v -> trace_log := v :: !trace_log);
@@ -238,7 +255,7 @@ let load_instance t ~cycle_cost ~helpers ~regions runtime program =
    pre-flight checker, and only then instantiate the VM.  Extra regions
    (e.g. a shared packet buffer) may be granted by the launchpad. *)
 let attach t ~hook_uuid ?(extra_regions = []) container =
-  match Hashtbl.find_opt t.hooks hook_uuid with
+  match find_hook t hook_uuid with
   | None -> Error (No_such_hook hook_uuid)
   | Some hook -> (
       match container.Container.attached_to with
@@ -269,7 +286,7 @@ let detach t container =
   match container.Container.attached_to with
   | None -> ()
   | Some uuid ->
-      (match Hashtbl.find_opt t.hooks uuid with
+      (match find_hook t uuid with
       | Some hook -> Hook.remove_attached hook container
       | None -> ());
       container.Container.attached_to <- None;
@@ -283,7 +300,7 @@ let update_program t container program =
   match container.Container.attached_to with
   | None -> Error (No_such_hook "(not attached)")
   | Some hook_uuid -> (
-      match Hashtbl.find_opt t.hooks hook_uuid with
+      match find_hook t hook_uuid with
       | None -> Error (No_such_hook hook_uuid)
       | Some hook -> (
           let helpers = helpers_for t hook container in
@@ -367,9 +384,11 @@ let build_image t ~key ~hook ~extra_regions ~granted container =
    frozen kv baseline, and a [prepare_run] hook that re-points the
    image's forward stores at this instance before each execution. *)
 let adopt_instance t ~hook ~hook_uuid ?delta_quota img vm container =
+  (* the view keeps the name of the store it replaces ("local:<name>",
+     given at [Container.create]), so a respawn formats no string *)
   let local =
     Kvstore.cow ?delta_quota ~parent:(Image.baseline img)
-      (Printf.sprintf "local:%s" (Container.name container))
+      (Kvstore.name (Container.local_store container))
   in
   Container.set_local_store container local;
   let tenant_store = Tenant.store (Container.tenant container) in
@@ -395,7 +414,7 @@ let adopt_instance t ~hook ~hook_uuid ?delta_quota img vm container =
    certified runtime has no shareable artifact and falls back to a full
    [attach]. *)
 let spawn t ~hook_uuid ?(extra_regions = []) ?delta_quota container =
-  match Hashtbl.find_opt t.hooks hook_uuid with
+  match find_hook t hook_uuid with
   | None -> Error (No_such_hook hook_uuid)
   | Some hook -> (
       match container.Container.attached_to with
@@ -446,9 +465,7 @@ let image_spawns t =
 let update_footprint_gauges t =
   let images = cached_images t in
   let image_words = Obj.reachable_words (Obj.repr images) in
-  let containers =
-    Hashtbl.fold (fun _ hook acc -> Hook.attached hook @ acc) t.hooks []
-  in
+  let containers = List.concat_map Hook.attached t.hooks in
   let total_words = Obj.reachable_words (Obj.repr (containers, images)) in
   Ometrics.set g_image_words (float_of_int image_words);
   Ometrics.set g_instance_words (float_of_int (total_words - image_words));

@@ -17,8 +17,8 @@ type t = {
   uuid : string;
   name : string;
   ctx_size : int;
-  ctx_perm : Region.perm;
   ctx_data : bytes; (* shared backing: the launchpad's context struct *)
+  ctx_region : Region.t; (* over [ctx_data]; shared by every attach *)
   policy : Contract.policy;
   (* §11 "dynamic privilege levels": the paper's design has one fixed
      privilege set per hook and needs a second hook when two tenants
@@ -35,12 +35,15 @@ type t = {
 
 let create ~uuid ~name ~ctx_size ?(ctx_perm = Region.Read_only)
     ?(policy = Contract.offer_all) () =
+  let ctx_data = Bytes.make ctx_size '\000' in
   {
     uuid;
     name;
     ctx_size;
-    ctx_perm;
-    ctx_data = Bytes.make ctx_size '\000';
+    ctx_data;
+    ctx_region =
+      Region.make ~name:("ctx:" ^ name) ~vaddr:ctx_vaddr ~perm:ctx_perm
+        ctx_data;
     policy;
     tenant_policies = [];
     slots = [||];
@@ -100,9 +103,7 @@ let ctx_data t = t.ctx_data
 
 (* The context region handed to an attaching container: same backing bytes
    for all containers on the hook, permission set by the launchpad. *)
-let ctx_region t =
-  Region.make ~name:(Printf.sprintf "ctx:%s" t.name) ~vaddr:ctx_vaddr
-    ~perm:t.ctx_perm t.ctx_data
+let ctx_region t = t.ctx_region
 
 let set_ctx t ctx =
   let len = Bytes.length ctx in

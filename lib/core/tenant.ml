@@ -6,6 +6,6 @@
 
 type t = { id : string; store : Kvstore.t }
 
-let create id = { id; store = Kvstore.create (Printf.sprintf "tenant:%s" id) }
+let create id = { id; store = Kvstore.create ("tenant:" ^ id) }
 let id t = t.id
 let store t = t.store

@@ -60,10 +60,17 @@ let constant_time_equal a b =
     !acc = 0
   end
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let buf = Buffer.create (String.length s * 2) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let out = Bytes.create (String.length s * 2) in
+  String.iteri
+    (fun i c ->
+      let b = Char.code c in
+      Bytes.unsafe_set out (2 * i) hex_digits.[b lsr 4];
+      Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[b land 0xf])
+    s;
+  Bytes.unsafe_to_string out
 
 let of_hex hex =
   if String.length hex mod 2 <> 0 then invalid_arg "Crypto.of_hex: odd length";

@@ -168,6 +168,9 @@ type server = {
   key : Cose.key;
   envelope : string; (* signed v2 manifest *)
   firmware : string; (* v2 program bytes *)
+  push_template : bytes;
+      (* the encoded push with message id 0: every device gets a copy
+         with its id patched in (the id is the only per-device byte) *)
   v2_sequence : int64;
   mutable next_push : int; (* next device id to address *)
   acked : bool array; (* first ack seen, by device id *)
@@ -233,6 +236,12 @@ let unframe payload =
         ( String.sub payload 4 n,
           String.sub payload (4 + n) (String.length payload - 4 - n) )
 
+(* The campaign's confirmable POST /suit carrying the framed update. *)
+let make_push ~envelope ~firmware ~message_id =
+  Message.make ~msg_type:Message.Confirmable
+    ~options:(Message.options_of_path "suit")
+    ~payload:(frame ~envelope ~firmware) ~code:Message.code_post ~message_id ()
+
 (* --- firmware install (the Suit.device install callback) --- *)
 
 let program_for shard payload =
@@ -248,9 +257,8 @@ let program_for shard payload =
 
 let spawn_firmware shard dev program =
   let container =
-    Container.create
-      ~name:(Printf.sprintf "d%d" dev.id)
-      ~tenant:dev.tenant ~contract:firmware_contract program
+    Container.create ~name:(Container.name dev.container) ~tenant:dev.tenant
+      ~contract:firmware_contract program
   in
   match
     Engine.spawn dev.engine ~hook_uuid ?delta_quota:shard.quota container
@@ -412,11 +420,14 @@ let create (config : config) =
     Suit.make ~sequence:v2_sequence
       [ Suit.component_for ~storage_uuid:hook_uuid firmware ]
   in
+  let envelope = Suit.sign manifest key in
   let server =
     {
       key;
-      envelope = Suit.sign manifest key;
+      envelope;
       firmware;
+      push_template =
+        Message.encode (make_push ~envelope ~firmware ~message_id:0);
       v2_sequence;
       next_push = 0;
       acked = Array.make devices false;
@@ -617,18 +628,20 @@ let barrier_exchange t =
 
 (* --- campaign server --- *)
 
+let push_message t ~message_id =
+  make_push ~envelope:t.server.envelope ~firmware:t.server.firmware ~message_id
+
+(* The CoAP header's message id sits at bytes 2-3, big endian. *)
+let push_datagram t ~id =
+  let datagram = Bytes.copy t.server.push_template in
+  Bytes.set_uint16_be datagram 2 (id land 0xffff);
+  datagram
+
 let push_to t dev =
   let shard = t.shards.(dev.id mod t.config.shards) in
-  let msg =
-    Message.make ~msg_type:Message.Confirmable
-      ~options:(Message.options_of_path "suit")
-      ~payload:(frame ~envelope:t.server.envelope ~firmware:t.server.firmware)
-      ~code:Message.code_post
-      ~message_id:(dev.id land 0xffff)
-      ()
-  in
   t.server.pushed_epoch.(dev.id) <- t.epoch;
-  Network.send shard.net ~src:server_addr ~dst:dev.addr (Message.encode msg)
+  Network.send shard.net ~src:server_addr ~dst:dev.addr
+    (push_datagram t ~id:dev.id)
 
 (* An ack normally lands two barriers after its push (frame latency ≪
    epoch); wait well past that before re-pushing so lossless runs never
@@ -754,7 +767,7 @@ let run_campaign t =
   let n = Array.length t.devices in
   let obs_was = Obs.enabled () in
   Obs.set_enabled false;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   let epoch0 = t.epoch in
   start_pool t;
   while
@@ -773,7 +786,7 @@ let run_campaign t =
     run_one_epoch t ~push:false
   done;
   stop_pool t;
-  let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let wall_ns = Obs.now_ns () -. t0 in
   Obs.set_enabled obs_was;
   let report = build_report t ~epochs:(t.epoch - epoch0) ~wall_ns in
   merge_metrics t report;

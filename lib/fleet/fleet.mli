@@ -66,6 +66,16 @@ val run_campaign : t -> report
     Obs metrics are disabled while worker domains run and per-shard
     plain counters are merged into [fleet.*] metrics afterwards. *)
 
+val push_message : t -> message_id:int -> Femto_coap.Message.t
+(** The campaign's update push as a message: a confirmable
+    [POST /suit] whose payload frames the signed v2 envelope and the v2
+    firmware. *)
+
+val push_datagram : t -> id:int -> bytes
+(** The datagram pushed to device [id]: the encoding of
+    [push_message ~message_id:(id land 0xffff)], made by patching the
+    message id into a copy of one encoding made at {!create}. *)
+
 val send_datagram : t -> src_device:int -> dst_device:int -> bytes -> unit
 (** Device-to-device traffic (cross-shard when the shards differ): the
     datagram leaves [src_device]'s radio during the next epoch and

@@ -55,29 +55,42 @@ let fragment ~tag payload =
 
 (* Reassembly state for one (source, tag) pair. *)
 type pending = {
+  src : int;
+  tag : int;
   size : int;
   buffer : bytes;
   mutable received : int; (* bytes received so far *)
   mutable seen_offsets : int list;
 }
 
+(* Every radio node owns a reassembler, and a node has at most a few
+   datagrams in flight (one, unless frames are lost), so the in-flight
+   states are a plain list: an idle reassembler holds none. *)
 type reassembler = {
-  pending : (int * int, pending) Hashtbl.t; (* (src, tag) -> state *)
+  mutable pending : pending list;
   mutable completed : int;
   mutable dropped_duplicates : int;
 }
 
 let create_reassembler () =
-  { pending = Hashtbl.create 8; completed = 0; dropped_duplicates = 0 }
-
-let pending_count t = Hashtbl.length t.pending
+  { pending = []; completed = 0; dropped_duplicates = 0 }
+let pending_count t = List.length t.pending
 
 (* Drop incomplete reassembly state (loss recovery: the upper layer
    retransmits the whole datagram). *)
-let flush t ~src =
-  Hashtbl.iter (fun (s, _) _ -> ignore s) t.pending;
-  let keys = Hashtbl.fold (fun (s, tag) _ acc -> if s = src then (s, tag) :: acc else acc) t.pending [] in
-  List.iter (Hashtbl.remove t.pending) keys
+let flush t ~src = t.pending <- List.filter (fun p -> p.src <> src) t.pending
+
+let rec find_pending ~src ~tag = function
+  | [] -> None
+  | p :: rest ->
+      if p.src = src && p.tag = tag then Some p else find_pending ~src ~tag rest
+
+(* (src, tag) pairs are unique in [pending]: drop the first match. *)
+let rec without state = function
+  | [] -> []
+  | p :: rest -> if p == state then rest else p :: without state rest
+
+let remove_pending t state = t.pending <- without state t.pending
 
 (* [accept t ~src frame] returns a complete datagram when the frame
    finishes one. *)
@@ -94,15 +107,22 @@ let accept t ~src frame =
           let tag = Bytes.get_uint16_le frame 3 in
           let offset = Bytes.get_uint8 frame 5 * 8 in
           let chunk = Bytes.length frame - header_size in
-          let key = (src, tag) in
           let state =
-            match Hashtbl.find_opt t.pending key with
+            match find_pending ~src ~tag t.pending with
             | Some state when state.size = size -> state
-            | Some _ | None ->
+            | found ->
+                Option.iter (remove_pending t) found;
                 let state =
-                  { size; buffer = Bytes.create size; received = 0; seen_offsets = [] }
+                  {
+                    src;
+                    tag;
+                    size;
+                    buffer = Bytes.create size;
+                    received = 0;
+                    seen_offsets = [];
+                  }
                 in
-                Hashtbl.replace t.pending key state;
+                t.pending <- state :: t.pending;
                 state
           in
           if List.mem offset state.seen_offsets then begin
@@ -115,7 +135,7 @@ let accept t ~src frame =
             state.received <- state.received + chunk;
             state.seen_offsets <- offset :: state.seen_offsets;
             if state.received >= size then begin
-              Hashtbl.remove t.pending key;
+              remove_pending t state;
               t.completed <- t.completed + 1;
               Some state.buffer
             end

@@ -39,6 +39,205 @@ let test_kvstore_bounded () =
   | Ok () -> Alcotest.(check int64) "overwrite" 10L (Kvstore.fetch store 1l)
   | Error _ -> Alcotest.fail "overwrite rejected"
 
+(* --- kvstore: model-based properties ---
+
+   Random op sequences run on a store and on a [Map] model of what the
+   store means: a Direct table, a CoW view observably equal to an eager
+   copy of its frozen parent (plus the delta quota), or a Forward store
+   that follows its current target.  The model also tracks the CoW
+   delta, since [delta_size] and [ram_bytes] bill it. *)
+
+module Kmap = Map.Make (Int32)
+
+type kv_op =
+  | Kv_store of int32 * int64
+  | Kv_fetch of int32
+  | Kv_mem of int32
+  | Kv_remove of int32
+  | Kv_clear
+  | Kv_retarget (* forward only: switch to the other target *)
+
+let kv_op_to_string = function
+  | Kv_store (k, v) -> Printf.sprintf "store %ld %Ld" k v
+  | Kv_fetch k -> Printf.sprintf "fetch %ld" k
+  | Kv_mem k -> Printf.sprintf "mem %ld" k
+  | Kv_remove k -> Printf.sprintf "remove %ld" k
+  | Kv_clear -> "clear"
+  | Kv_retarget -> "retarget"
+
+(* Few distinct keys, so ops collide; the extremes of int32 included. *)
+let kv_key_gen =
+  QCheck.Gen.oneofl
+    [ Int32.min_int; -70000l; -2l; -1l; 0l; 1l; 2l; 9l; 70000l; Int32.max_int ]
+
+let kv_value_gen =
+  QCheck.Gen.(
+    oneof
+      [ map Int64.of_int (int_range (-1000) 1000);
+        oneofl [ Int64.min_int; Int64.max_int; -1L ] ])
+
+let kv_op_gen ~retarget =
+  QCheck.Gen.(
+    frequency
+      ([ (6, map2 (fun k v -> Kv_store (k, v)) kv_key_gen kv_value_gen);
+         (3, map (fun k -> Kv_fetch k) kv_key_gen);
+         (2, map (fun k -> Kv_mem k) kv_key_gen);
+         (3, map (fun k -> Kv_remove k) kv_key_gen);
+         (1, return Kv_clear) ]
+      @ if retarget then [ (2, return Kv_retarget) ] else []))
+
+type kv_model = {
+  max_entries : int;
+  quota : int; (* CoW delta quota; max_int when unset *)
+  parent : int64 Kmap.t; (* frozen CoW parent; empty for Direct *)
+  cow : bool;
+  mutable cleared : bool;
+  mutable logical : int64 Kmap.t;
+  mutable delta : int64 option Kmap.t; (* None = tombstone *)
+}
+
+let kv_model ?(cow = false) ?(quota = max_int) ?(parent = Kmap.empty)
+    max_entries =
+  { max_entries; quota; parent; cow; cleared = false; logical = parent;
+    delta = Kmap.empty }
+
+let model_store m k v =
+  if (not (Kmap.mem k m.logical)) && Kmap.cardinal m.logical >= m.max_entries
+  then false
+  else if
+    m.cow && (not (Kmap.mem k m.delta)) && Kmap.cardinal m.delta >= m.quota
+  then false
+  else begin
+    m.logical <- Kmap.add k v m.logical;
+    if m.cow then m.delta <- Kmap.add k (Some v) m.delta;
+    true
+  end
+
+let model_remove m k =
+  m.logical <- Kmap.remove k m.logical;
+  if m.cow then
+    m.delta <-
+      (if m.cleared || not (Kmap.mem k m.parent) then Kmap.remove k m.delta
+       else Kmap.add k None m.delta)
+
+let model_clear m =
+  m.logical <- Kmap.empty;
+  m.delta <- Kmap.empty;
+  if m.cow then m.cleared <- true
+
+(* Entries the store owns: the CoW delta (tombstones included), or the
+   whole table. *)
+let model_own m =
+  if m.cow then Kmap.cardinal m.delta else Kmap.cardinal m.logical
+
+(* The store's whole observable state equals the model's. *)
+let kv_agrees store m =
+  Kvstore.bindings store = Kmap.bindings m.logical
+  && Kvstore.length store = Kmap.cardinal m.logical
+  && Kvstore.delta_size store = model_own m
+  && Kvstore.is_cow store = m.cow
+
+(* Run one op on [store] and on its model [m]; [true] when every result
+   agrees.  A full store reports the name of [owner], the store that
+   holds the entries (a forward reports its target's). *)
+let kv_step ?owner store m = function
+  | Kv_store (k, v) ->
+      let owner = Option.value owner ~default:store in
+      let expected = model_store m k v in
+      (match Kvstore.store store k v with
+       | Ok () -> expected
+       | Error (`Store_full name) ->
+           (not expected) && String.equal name (Kvstore.name owner))
+  | Kv_fetch k ->
+      Kvstore.fetch store k
+      = Option.value ~default:0L (Kmap.find_opt k m.logical)
+  | Kv_mem k -> Kvstore.mem store k = Kmap.mem k m.logical
+  | Kv_remove k ->
+      Kvstore.remove store k;
+      model_remove m k;
+      true
+  | Kv_clear ->
+      Kvstore.clear store;
+      model_clear m;
+      true
+  | Kv_retarget -> true
+
+let kv_ops_arb ~retarget =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "max_entries %d: %s" cap
+        (String.concat "; " (List.map kv_op_to_string ops)))
+    QCheck.Gen.(
+      pair (int_range 0 5) (list_size (int_range 0 60) (kv_op_gen ~retarget)))
+
+(* The device-RAM model behind the paper's tables: key (4) + value (8) +
+   bookkeeping (8) per owned entry, over a fixed header. *)
+let ram_formula m = (if m.cow then 40 else 24) + (20 * model_own m)
+
+let prop_kv_direct_model =
+  QCheck.Test.make ~name:"kvstore: Direct = Map model" ~count:500
+    (kv_ops_arb ~retarget:false) (fun (cap, ops) ->
+      let store = Kvstore.create ~max_entries:cap "direct" in
+      let m = kv_model cap in
+      List.for_all
+        (fun op ->
+          kv_step store m op && kv_agrees store m
+          && Kvstore.ram_bytes store = ram_formula m)
+        ops)
+
+let prop_kv_cow_model =
+  QCheck.Test.make ~name:"kvstore: CoW view = eager copy (Map model)" ~count:500
+    QCheck.(
+      pair
+        (make
+           Gen.(
+             triple
+               (list_size (int_range 0 5) (pair kv_key_gen kv_value_gen))
+               (opt (int_range 0 3))
+               (opt (int_range 0 6))))
+        (kv_ops_arb ~retarget:false))
+    (fun ((seed, quota, view_max), (cap, ops)) ->
+      let parent = Kvstore.create ~max_entries:(cap + 3) "base" in
+      List.iter (fun (k, v) -> ignore (Kvstore.store parent k v)) seed;
+      let frozen = Kvstore.bindings parent in
+      let view =
+        Kvstore.cow ?max_entries:view_max ?delta_quota:quota ~parent "view"
+      in
+      let m =
+        kv_model ~cow:true ?quota
+          ~parent:(Kmap.of_seq (List.to_seq frozen))
+          (Option.value view_max ~default:(cap + 3))
+      in
+      List.for_all
+        (fun op ->
+          kv_step view m op && kv_agrees view m
+          && Kvstore.ram_bytes view = ram_formula m)
+        ops
+      && Kvstore.bindings parent = frozen
+      && match Kvstore.parent view with Some p -> p == parent | None -> false)
+
+let prop_kv_forward_model =
+  QCheck.Test.make ~name:"kvstore: Forward follows its target across retarget"
+    ~count:500 (kv_ops_arb ~retarget:true) (fun (cap, ops) ->
+      let a = Kvstore.create ~max_entries:cap "a"
+      and b = Kvstore.create ~max_entries:(cap + 1) "b" in
+      let ma = kv_model cap and mb = kv_model (cap + 1) in
+      let fwd = Kvstore.forward ~target:a "fwd" in
+      let on_a = ref true in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Kv_retarget ->
+               on_a := not !on_a;
+               Kvstore.retarget fwd (if !on_a then a else b)
+           | _ -> ());
+          let target, m = if !on_a then (a, ma) else (b, mb) in
+          kv_step ~owner:target fwd m op
+          && kv_agrees fwd m && kv_agrees target m
+          && Kvstore.ram_bytes fwd = 16)
+        ops
+      && kv_agrees a ma && kv_agrees b mb)
+
 (* --- contracts --- *)
 
 let test_contract_grant_is_intersection () =
@@ -656,6 +855,9 @@ let suite =
     Alcotest.test_case "kvstore default zero" `Quick test_kvstore_fetch_default_zero;
     Alcotest.test_case "kvstore roundtrip" `Quick test_kvstore_store_fetch;
     Alcotest.test_case "kvstore bounded" `Quick test_kvstore_bounded;
+    QCheck_alcotest.to_alcotest prop_kv_direct_model;
+    QCheck_alcotest.to_alcotest prop_kv_cow_model;
+    QCheck_alcotest.to_alcotest prop_kv_forward_model;
     Alcotest.test_case "contract intersection" `Quick test_contract_grant_is_intersection;
     Alcotest.test_case "attach and trigger" `Quick test_attach_and_trigger;
     Alcotest.test_case "attach preserves order" `Quick

@@ -122,7 +122,12 @@ let test_constant_time_equal () =
 let test_hex_roundtrip () =
   Alcotest.(check string) "roundtrip" "\x00\xff\x10"
     (Crypto.of_hex (Crypto.to_hex "\x00\xff\x10"));
-  Alcotest.(check string) "upper accepted" "\xab" (Crypto.of_hex "AB")
+  Alcotest.(check string) "upper accepted" "\xab" (Crypto.of_hex "AB");
+  let every_byte = String.init 256 Char.chr in
+  Alcotest.(check string) "every byte, as %02x"
+    (String.concat ""
+       (List.init 256 (fun b -> Printf.sprintf "%02x" b)))
+    (Crypto.to_hex every_byte)
 
 (* --- COSE --- *)
 

@@ -278,22 +278,55 @@ let test_sync_scenario_domain_invariant () =
   Alcotest.(check bool) "producers produced" true (List.length got > 0);
   Alcotest.(check bool) "trace non-trivial" true (List.length trace >= 8)
 
+(* The campaign encodes its push once and patches the message id per
+   device; every patched datagram must equal the per-device encoding,
+   including an id that wraps past 16 bits. *)
+let test_push_patched_equals_encoded () =
+  let fleet = Fleet.create (config ~devices:4 ~shards:2 ()) in
+  List.iter
+    (fun id ->
+      let expected =
+        Femto_coap.Message.encode
+          (Fleet.push_message fleet ~message_id:(id land 0xffff))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "id %#x" id)
+        (Bytes.to_string expected)
+        (Bytes.to_string (Fleet.push_datagram fleet ~id)))
+    [ 0; 1; 0xffff; 0x10000 ]
+
 (* --- footprint sanity (the hard gate lives in bench/fleet_bench.ml) --- *)
 
-let test_resident_words_scale () =
+(* Marginal resident words per device between a 256- and a 512-device
+   fleet.  The bounds are the measured marginals (353 words after boot,
+   389 after a campaign on x86-64, OCaml 5) plus about 15 %: a hash
+   table or a boxed field creeping back into per-device state fails
+   them. *)
+let marginal_words ~campaign ~telemetry_us =
   let words n =
-    Fleet.resident_words
-      (Fleet.create
-         { (config ~devices:n ~shards:4 ()) with telemetry_us = 0 })
+    let fleet =
+      Fleet.create { (config ~devices:n ~shards:4 ()) with telemetry_us }
+    in
+    if campaign then ignore (Fleet.run_campaign fleet);
+    Fleet.resident_words fleet
   in
   let w256 = words 256 and w512 = words 512 in
   Alcotest.(check bool) "more devices, more words" true (w512 > w256);
-  (* marginal cost per device stays bounded: under 1024 words (8 KB) *)
-  let marginal = (w512 - w256) / 256 in
+  (w512 - w256) / 256
+
+let check_marginal ~bound marginal =
   Alcotest.(check bool)
-    (Printf.sprintf "marginal %d words/device bounded" marginal)
-    true
-    (marginal < 1024)
+    (Printf.sprintf "marginal %d words/device < %d" marginal bound)
+    true (marginal < bound)
+
+let test_resident_words_scale () =
+  check_marginal ~bound:408 (marginal_words ~campaign:false ~telemetry_us:0)
+
+(* After a campaign every device has respawned onto v2 and its telemetry
+   has written its CoW kv delta (local[1], local[9]). *)
+let test_resident_words_after_campaign () =
+  check_marginal ~bound:448
+    (marginal_words ~campaign:true ~telemetry_us:(config ()).Fleet.telemetry_us)
 
 let suite =
   [
@@ -316,6 +349,8 @@ let suite =
       [
         Alcotest.test_case "cross-shard datagram" `Quick
           test_cross_shard_datagram;
+        Alcotest.test_case "patched push = per-device encode" `Quick
+          test_push_patched_equals_encoded;
       ] );
     ( "images",
       [
@@ -333,6 +368,8 @@ let suite =
       [
         Alcotest.test_case "resident words bounded" `Quick
           test_resident_words_scale;
+        Alcotest.test_case "resident words bounded after a campaign" `Quick
+          test_resident_words_after_campaign;
       ] );
   ]
 
