@@ -21,6 +21,7 @@ let families =
     Fleet_bench.family;
     Edge_bench.family;
     Corpus.family;
+    Install_bench.family;
   ]
 
 let names = List.map (fun (f : Family.t) -> f.name) families

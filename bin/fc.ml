@@ -23,7 +23,7 @@ let write_file path data =
   close_out oc
 
 let load_program path =
-  Femto_ebpf.Program.of_bytes (Bytes.of_string (read_file path))
+  Femto_ebpf.Program.of_string (read_file path)
 
 let helpers_table () =
   (* the standard syscall ABI, so `call bpf_store_global` assembles and
@@ -50,7 +50,7 @@ let asm_cmd =
         Printf.eprintf "%s:%d: %s\n" input line message;
         exit 1
     | program ->
-        write_file output (Bytes.to_string (Femto_ebpf.Program.to_bytes program));
+        write_file output (Femto_ebpf.Program.to_string program);
         Printf.printf "%s: %d instructions, %d bytes -> %s\n" input
           (Femto_ebpf.Program.length program)
           (Femto_ebpf.Program.byte_size program)
@@ -438,9 +438,11 @@ let inspect_cmd =
   let run input =
     let program = load_program input in
     let count_kind predicate =
-      Array.fold_left
-        (fun acc insn -> if predicate (Femto_ebpf.Insn.kind insn) then acc + 1 else acc)
-        0 (Femto_ebpf.Program.insns program)
+      let n = ref 0 in
+      for pc = 0 to Femto_ebpf.Program.length program - 1 do
+        if predicate (Femto_ebpf.Program.kind program pc) then incr n
+      done;
+      !n
     in
     Printf.printf "slots:        %d (%d bytes)\n"
       (Femto_ebpf.Program.length program)
@@ -635,7 +637,7 @@ let compile_cmd =
             exit 2
         | Ok _ ->
             write_file output
-              (Bytes.to_string (Femto_ebpf.Program.to_bytes program));
+              (Femto_ebpf.Program.to_string program);
             Printf.printf "%s: compiled '%s' to %d instructions (%d bytes) -> %s
 "
               input entry
@@ -674,7 +676,7 @@ let expand_cmd =
 " input m;
         exit 1
     | program ->
-        write_file output (Bytes.to_string (Femto_ebpf.Program.to_bytes program));
+        write_file output (Femto_ebpf.Program.to_string program);
         Printf.printf "%d instructions -> %s
 "
           (Femto_ebpf.Program.length program)

@@ -91,7 +91,7 @@ let () =
 
   (* 3. deploy over the network through SUIT *)
   let client = Client.create ~network ~kernel ~addr:9 in
-  let payload = Bytes.to_string (Femto_ebpf.Program.to_bytes program) in
+  let payload = Femto_ebpf.Program.to_string program in
   let manifest =
     Suit.make ~sequence:1L [ Suit.component_for ~storage_uuid:hook payload ]
   in

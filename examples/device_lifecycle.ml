@@ -51,7 +51,7 @@ let run_app device =
 
 let deploy client kernel ~sequence program =
   let payload =
-    Bytes.to_string (Femto_ebpf.Program.to_bytes program)
+    Femto_ebpf.Program.to_string program
   in
   let manifest =
     Suit.make ~vendor_id:identity.Device.vendor_id

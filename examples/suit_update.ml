@@ -57,7 +57,7 @@ let () =
       ~install:(fun ~sequence:_ ~storage_uuid payload ->
         if not (String.equal storage_uuid hook_uuid) then Error "wrong hook"
         else
-          match Femto_ebpf.Program.of_bytes (Bytes.of_string payload) with
+          match Femto_ebpf.Program.of_string payload with
           | exception Femto_ebpf.Program.Truncated m -> Error m
           | program -> (
               match Engine.update_program engine container program with
@@ -90,7 +90,7 @@ let () =
   (* --- maintainer side --- *)
   let client = Client.create ~network ~kernel ~addr:2 in
   let deploy ~key ~sequence ~payload ~deliver_payload () =
-    let program_bytes = Bytes.to_string (Femto_ebpf.Program.to_bytes payload) in
+    let program_bytes = Femto_ebpf.Program.to_string payload in
     let manifest =
       Suit.make ~sequence [ Suit.component_for ~storage_uuid:hook_uuid program_bytes ]
     in
@@ -121,7 +121,7 @@ let () =
   Printf.printf "after replayed update: %Ld (unchanged)\n\n" (run_version ());
 
   (* attack 3: man-in-the-middle swaps the payload in transit *)
-  let evil = Bytes.to_string (Femto_ebpf.Program.to_bytes v3) in
+  let evil = Femto_ebpf.Program.to_string v3 in
   deploy ~key:device_key ~sequence:2L ~payload:v2
     ~deliver_payload:(fun _ -> evil)
     ();

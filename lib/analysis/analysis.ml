@@ -112,6 +112,13 @@ let widen old grown =
         ((if l2 < l1 then top_lo else l1), if h2 > h1 then top_hi else h1)
   | _ -> grown
 
+let aval_equal a b =
+  match (a, b) with
+  | Bot, Bot | Uninit, Uninit | Scalar, Scalar | Ctx_ptr, Ctx_ptr | Any, Any ->
+      true
+  | Stack_ptr (l1, h1), Stack_ptr (l2, h2) -> l1 = l2 && h1 = h2
+  | (Bot | Uninit | Scalar | Stack_ptr _ | Ctx_ptr | Any), _ -> false
+
 (* Linux-verifier entry convention: only the context pointer (r1) and
    the frame pointer (r10) are readable; everything else must be written
    before use.  The concrete machine zeroes all registers at reset, so
@@ -125,131 +132,133 @@ let entry_state (config : Config.t) =
 (* ------------------------------------------------------------------ *)
 (* Transfer function.                                                 *)
 
-type ctx = {
-  config : Config.t;
-  helpers : Helper.t option;
-  emit : diag -> unit;
-  prove : int -> unit;
-  note : int -> Vir.mem_fact -> unit;
-      (* record the region typing + shifted interval of a memory access *)
+(* Where the reporting pass writes its findings; the fixpoint runs
+   without one and records nothing. *)
+type sink = {
+  mutable found : diag list;
+  proved : bool array;
+  facts : Vir.mem_fact option array;
+      (* region typing + shifted interval of each memory access *)
 }
 
-let transfer ctx state pc (insn : Insn.t) =
-  let emit severity reg kind message =
-    ctx.emit { severity; pc; reg; kind; message }
-  in
-  let use r =
-    match state.(r) with
-    | Uninit ->
-        emit Error (Some r) "uninit_read"
-          (Printf.sprintf "r%d read before initialization" r)
-    | _ -> ()
-  in
-  (* After flagging, degrade Uninit/Bot to Any so one bad read produces
-     one diagnostic, not a cascade. *)
-  let value r = match state.(r) with Bot | Uninit -> Any | v -> v in
-  let stack_access ~base ~write:_ nbytes =
-    match value base with
-    | Stack_ptr (lo, hi) ->
-        let lo = add_off lo insn.offset and hi = add_off hi insn.offset in
-        let size = ctx.config.Config.stack_size in
-        if hi < 0 || lo + nbytes > size then begin
-          ctx.note pc
-            { Vir.base_kind = Vir.Base_stack; lo; hi; proven = false };
-          emit Error (Some base) "stack_oob"
+type ctx = { config : Config.t; helpers : Helper.t option; sink : sink option }
+
+let emit ctx pc severity reg kind message =
+  match ctx.sink with
+  | None -> ()
+  | Some s -> s.found <- { severity; pc; reg; kind; message } :: s.found
+
+let note ctx pc base_kind lo hi proven =
+  match ctx.sink with
+  | None -> ()
+  | Some s ->
+      s.facts.(pc) <- Some { Vir.base_kind; lo; hi; proven };
+      if proven then s.proved.(pc) <- true
+
+let use ctx state pc r =
+  match state.(r) with
+  | Uninit ->
+      emit ctx pc Error (Some r) "uninit_read"
+        (Printf.sprintf "r%d read before initialization" r)
+  | _ -> ()
+
+(* After flagging, degrade Uninit/Bot to Any so one bad read produces
+   one diagnostic, not a cascade. *)
+let value state r = match state.(r) with Bot | Uninit -> Any | v -> v
+
+let stack_access ctx state pc ~base ~offset nbytes =
+  match value state base with
+  | Stack_ptr (lo, hi) ->
+      let lo = add_off lo offset and hi = add_off hi offset in
+      let size = ctx.config.Config.stack_size in
+      if hi < 0 || lo + nbytes > size then begin
+        note ctx pc Vir.Base_stack lo hi false;
+        emit ctx pc Error (Some base) "stack_oob"
+          (Printf.sprintf
+             "%d-byte stack access at r%d%+d is outside the %d B frame \
+              (offsets %d..%d from frame base)"
+             nbytes base offset size lo hi)
+      end
+      else if lo >= 0 && hi + nbytes <= size then
+        note ctx pc Vir.Base_stack lo hi true
+      else begin
+        note ctx pc Vir.Base_stack lo hi false;
+        if lo > top_lo && hi < top_hi then
+          emit ctx pc Warning (Some base) "stack_maybe_oob"
             (Printf.sprintf
-               "%d-byte stack access at r%d%+d is outside the %d B frame \
+               "%d-byte stack access at r%d%+d may leave the %d B frame \
                 (offsets %d..%d from frame base)"
-               nbytes base insn.offset size lo hi)
-        end
-        else if lo >= 0 && hi + nbytes <= size then begin
-          ctx.note pc { Vir.base_kind = Vir.Base_stack; lo; hi; proven = true };
-          ctx.prove pc
-        end
-        else begin
-          ctx.note pc
-            { Vir.base_kind = Vir.Base_stack; lo; hi; proven = false };
-          if lo > top_lo && hi < top_hi then
-            emit Warning (Some base) "stack_maybe_oob"
-              (Printf.sprintf
-                 "%d-byte stack access at r%d%+d may leave the %d B frame \
-                  (offsets %d..%d from frame base)"
-                 nbytes base insn.offset size lo hi)
-        end
-    | Ctx_ptr ->
-        ctx.note pc
-          {
-            Vir.base_kind = Vir.Base_ctx;
-            lo = insn.offset;
-            hi = insn.offset;
-            proven = false;
-          }
-    | _ ->
-        (* non-stack bases stay subject to the runtime allow-list *)
-        ctx.note pc
-          { Vir.base_kind = Vir.Base_other; lo = 0; hi = 0; proven = false }
-  in
-  match Insn.kind insn with
+               nbytes base offset size lo hi)
+      end
+  | Ctx_ptr -> note ctx pc Vir.Base_ctx offset offset false
+  | _ ->
+      (* non-stack bases stay subject to the runtime allow-list *)
+      note ctx pc Vir.Base_other 0 0 false
+
+let transfer ctx state program pc =
+  let dst = Program.dst program pc and src = Program.src program pc in
+  match Program.kind program pc with
   | Insn.Alu (is64, op, source) ->
-      let dst = insn.dst in
-      let src_v, src_imm =
-        match source with
-        | Opcode.Src_imm -> (Scalar, Some (Int32.to_int insn.imm))
-        | Opcode.Src_reg ->
-            use insn.src;
-            (value insn.src, None)
+      (* [has_imm]: the operand is the immediate, a plain scalar *)
+      let has_imm = source = Opcode.Src_imm in
+      let src_v =
+        if has_imm then Scalar
+        else begin
+          use ctx state pc src;
+          value state src
+        end
       in
       (* mov never reads dst; neg reads only dst. *)
       (match op with
       | Opcode.Mov -> ()
-      | _ -> use dst);
-      let dst_v = if op = Opcode.Mov then Scalar else value dst in
+      | _ -> use ctx state pc dst);
+      let dst_v = if op = Opcode.Mov then Scalar else value state dst in
       if not is64 then begin
         (match op with
         | Opcode.Mov ->
             if is_ptr src_v then
-              emit Warning (Some dst) "ptr_trunc"
+              emit ctx pc Warning (Some dst) "ptr_trunc"
                 "32-bit mov truncates a pointer to a scalar"
         | _ ->
             if is_ptr dst_v || is_ptr src_v then
-              emit Error (Some dst) "ptr_arith"
+              emit ctx pc Error (Some dst) "ptr_arith"
                 "32-bit arithmetic on a pointer manufactures an invalid \
                  pointer");
         state.(dst) <- Scalar
       end
       else begin
         match op with
-        | Opcode.Mov ->
-            state.(dst) <-
-              (match src_imm with Some _ -> Scalar | None -> src_v)
+        | Opcode.Mov -> state.(dst) <- (if has_imm then Scalar else src_v)
         | Opcode.Add ->
             state.(dst) <-
-              (match (dst_v, src_v, src_imm) with
-              | Stack_ptr (l, h), _, Some d ->
+              (match (dst_v, src_v, has_imm) with
+              | Stack_ptr (l, h), _, true ->
+                  let d = Program.imm program pc in
                   Stack_ptr (add_off l d, add_off h d)
-              | Ctx_ptr, _, Some _ -> Ctx_ptr
-              | Stack_ptr _, Scalar, None -> Stack_ptr (top_lo, top_hi)
-              | Scalar, Stack_ptr _, None -> Stack_ptr (top_lo, top_hi)
-              | Ctx_ptr, Scalar, None | Scalar, Ctx_ptr, None -> Ctx_ptr
-              | (Stack_ptr _ | Ctx_ptr), p, None when is_ptr p ->
-                  emit Error (Some dst) "ptr_arith"
+              | Ctx_ptr, _, true -> Ctx_ptr
+              | Stack_ptr _, Scalar, false -> Stack_ptr (top_lo, top_hi)
+              | Scalar, Stack_ptr _, false -> Stack_ptr (top_lo, top_hi)
+              | Ctx_ptr, Scalar, false | Scalar, Ctx_ptr, false -> Ctx_ptr
+              | (Stack_ptr _ | Ctx_ptr), p, false when is_ptr p ->
+                  emit ctx pc Error (Some dst) "ptr_arith"
                     "adding two pointers manufactures an invalid pointer";
                   Any
               | Scalar, Scalar, _ -> Scalar
               | _ -> Any)
         | Opcode.Sub ->
             state.(dst) <-
-              (match (dst_v, src_v, src_imm) with
-              | Stack_ptr (l, h), _, Some d ->
+              (match (dst_v, src_v, has_imm) with
+              | Stack_ptr (l, h), _, true ->
+                  let d = Program.imm program pc in
                   Stack_ptr (add_off l (-d), add_off h (-d))
-              | Ctx_ptr, _, Some _ -> Ctx_ptr
-              | Stack_ptr _, Scalar, None -> Stack_ptr (top_lo, top_hi)
-              | Ctx_ptr, Scalar, None -> Ctx_ptr
-              | (Stack_ptr _ | Ctx_ptr), p, None when is_ptr p ->
+              | Ctx_ptr, _, true -> Ctx_ptr
+              | Stack_ptr _, Scalar, false -> Stack_ptr (top_lo, top_hi)
+              | Ctx_ptr, Scalar, false -> Ctx_ptr
+              | (Stack_ptr _ | Ctx_ptr), p, false when is_ptr p ->
                   (* pointer difference is an ordinary number *)
                   Scalar
-              | Scalar, p, None when is_ptr p ->
-                  emit Error (Some dst) "ptr_arith"
+              | Scalar, p, false when is_ptr p ->
+                  emit ctx pc Error (Some dst) "ptr_arith"
                     "subtracting a pointer from a scalar manufactures an \
                      invalid pointer";
                   Any
@@ -257,12 +266,12 @@ let transfer ctx state pc (insn : Insn.t) =
               | _ -> Any)
         | Opcode.Neg ->
             if is_ptr dst_v then
-              emit Error (Some dst) "ptr_arith" "negating a pointer";
+              emit ctx pc Error (Some dst) "ptr_arith" "negating a pointer";
             state.(dst) <- (match dst_v with Any -> Any | _ -> Scalar)
         | Opcode.Mul | Opcode.Div | Opcode.Mod | Opcode.Or | Opcode.And
         | Opcode.Xor | Opcode.Lsh | Opcode.Rsh | Opcode.Arsh ->
             if is_ptr dst_v || is_ptr src_v then
-              emit Error (Some dst) "ptr_arith"
+              emit ctx pc Error (Some dst) "ptr_arith"
                 (Printf.sprintf "%s on a pointer manufactures an invalid \
                                  pointer" (Opcode.alu_op_name op));
             state.(dst) <-
@@ -271,35 +280,40 @@ let transfer ctx state pc (insn : Insn.t) =
               | _ -> Scalar)
       end
   | Insn.Load size ->
-      use insn.src;
-      stack_access ~base:insn.src ~write:false (Opcode.size_bytes size);
-      state.(insn.dst) <- Any
+      use ctx state pc src;
+      stack_access ctx state pc ~base:src ~offset:(Program.offset program pc)
+        (Opcode.size_bytes size);
+      state.(dst) <- Any
   | Insn.Store_imm size ->
-      use insn.dst;
-      stack_access ~base:insn.dst ~write:true (Opcode.size_bytes size)
+      use ctx state pc dst;
+      stack_access ctx state pc ~base:dst ~offset:(Program.offset program pc)
+        (Opcode.size_bytes size)
   | Insn.Store_reg size ->
-      use insn.dst;
-      use insn.src;
-      stack_access ~base:insn.dst ~write:true (Opcode.size_bytes size)
-  | Insn.Lddw_head -> state.(insn.dst) <- Scalar
+      use ctx state pc dst;
+      use ctx state pc src;
+      stack_access ctx state pc ~base:dst ~offset:(Program.offset program pc)
+        (Opcode.size_bytes size)
+  | Insn.Lddw_head -> state.(dst) <- Scalar
   | Insn.Lddw_tail -> ()
   | Insn.End _ ->
-      use insn.dst;
-      if is_ptr (value insn.dst) then
-        emit Error (Some insn.dst) "ptr_arith" "byte-swapping a pointer";
-      state.(insn.dst) <- Scalar
+      use ctx state pc dst;
+      if is_ptr (value state dst) then
+        emit ctx pc Error (Some dst) "ptr_arith" "byte-swapping a pointer";
+      state.(dst) <- Scalar
   | Insn.Ja -> ()
   | Insn.Jcond (_, _, source) -> (
-      use insn.dst;
-      match source with Opcode.Src_reg -> use insn.src | Opcode.Src_imm -> ())
+      use ctx state pc dst;
+      match source with
+      | Opcode.Src_reg -> use ctx state pc src
+      | Opcode.Src_imm -> ())
   | Insn.Call ->
-      let id = Int32.to_int insn.imm in
+      let id = Program.imm program pc in
       (match ctx.helpers with
       | None -> ()
       | Some registry -> (
           match Helper.find registry id with
           | None ->
-              emit Error None "unknown_helper"
+              emit ctx pc Error None "unknown_helper"
                 (Printf.sprintf "call to unregistered helper %d" id)
           | Some entry -> (
               match entry.Helper.arity with
@@ -308,7 +322,7 @@ let transfer ctx state pc (insn : Insn.t) =
                   for r = 1 to n do
                     match state.(r) with
                     | Uninit ->
-                        emit Error (Some r) "call_signature"
+                        emit ctx pc Error (Some r) "call_signature"
                           (Printf.sprintf
                              "helper %s takes %d argument%s but r%d is \
                               uninitialized"
@@ -322,7 +336,7 @@ let transfer ctx state pc (insn : Insn.t) =
   | Insn.Exit -> (
       match state.(0) with
       | Uninit ->
-          emit Error (Some 0) "uninit_read"
+          emit ctx pc Error (Some 0) "uninit_read"
             "r0 (the return value) is uninitialized at exit"
       | _ -> ())
   | Insn.Invalid _ -> ()
@@ -330,8 +344,7 @@ let transfer ctx state pc (insn : Insn.t) =
 let exec_block ctx (cfg : Cfg.t) state b =
   let blk = cfg.Cfg.blocks.(b) in
   for pc = blk.Cfg.first to blk.Cfg.last do
-    if not cfg.Cfg.is_tail.(pc) then
-      transfer ctx state pc (Program.get cfg.Cfg.program pc)
+    if not cfg.Cfg.is_tail.(pc) then transfer ctx state cfg.Cfg.program pc
   done
 
 (* ------------------------------------------------------------------ *)
@@ -365,15 +378,10 @@ let analyze ?helpers (config : Config.t) program :
       let n = Array.length cfg.Cfg.blocks in
       let inputs = Array.init n (fun _ -> Array.make 11 Bot) in
       inputs.(0) <- entry_state config;
-      let silent =
-        {
-          config;
-          helpers;
-          emit = (fun _ -> ());
-          prove = (fun _ -> ());
-          note = (fun _ _ -> ());
-        }
-      in
+      let silent = { config; helpers; sink = None } in
+      (* one scratch state, reloaded from a block's input before each
+         block runs *)
+      let out = Array.make 11 Bot in
       let in_wl = Array.make n false in
       let wl = Queue.create () in
       Queue.add 0 wl;
@@ -381,66 +389,57 @@ let analyze ?helpers (config : Config.t) program :
       while not (Queue.is_empty wl) do
         let b = Queue.pop wl in
         in_wl.(b) <- false;
-        let out = Array.copy inputs.(b) in
+        Array.blit inputs.(b) 0 out 0 11;
         exec_block silent cfg out b;
+        let blk = cfg.Cfg.blocks.(b) in
         List.iter
           (fun s ->
-            let is_back = List.mem (b, s) cfg.Cfg.back_edges in
+            let is_back = List.memq s blk.Cfg.back_succs in
+            (* [inputs.(s)] is owned by [s] alone, so merge in place *)
             let old = inputs.(s) in
             let changed = ref false in
-            let merged =
-              Array.mapi
-                (fun i oldv ->
-                  let j = join oldv out.(i) in
-                  let j = if is_back then widen oldv j else j in
-                  if j <> oldv then changed := true;
-                  j)
-                old
-            in
-            if !changed then begin
-              inputs.(s) <- merged;
-              if not in_wl.(s) then begin
-                Queue.add s wl;
-                in_wl.(s) <- true
+            for i = 0 to 10 do
+              let oldv = old.(i) in
+              let j = join oldv out.(i) in
+              let j = if is_back then widen oldv j else j in
+              if not (aval_equal j oldv) then begin
+                changed := true;
+                old.(i) <- j
               end
+            done;
+            if !changed && not in_wl.(s) then begin
+              Queue.add s wl;
+              in_wl.(s) <- true
             end)
-          cfg.Cfg.blocks.(b).Cfg.succs
+          blk.Cfg.succs
       done;
       (* Clean reporting pass over the stabilized states: each reachable
          pc is interpreted exactly once, so diagnostics and proofs need
          no deduplication. *)
-      let diags = ref [] in
-      let proofs = Array.make len false in
-      let mem_facts = Array.make len None in
-      let ctx =
+      let sink =
         {
-          config;
-          helpers;
-          emit = (fun d -> diags := d :: !diags);
-          prove = (fun pc -> proofs.(pc) <- true);
-          note = (fun pc f -> mem_facts.(pc) <- Some f);
+          found = [];
+          proved = Array.make len false;
+          facts = Array.make len None;
         }
       in
+      let ctx = { config; helpers; sink = Some sink } in
       for b = 0 to n - 1 do
-        if cfg.Cfg.reachable.(b) then
-          exec_block ctx cfg (Array.copy inputs.(b)) b
+        if cfg.Cfg.reachable.(b) then begin
+          Array.blit inputs.(b) 0 out 0 11;
+          exec_block ctx cfg out b
+        end
       done;
       let unreachable = Cfg.unreachable_pcs cfg in
       List.iter
         (fun pc ->
-          ctx.emit
-            {
-              severity = Warning;
-              pc;
-              reg = None;
-              kind = "unreachable_code";
-              message = "no path reaches this instruction";
-            })
+          emit ctx pc Warning None "unreachable_code"
+            "no path reaches this instruction")
         unreachable;
       let diags =
         List.sort
           (fun a b -> compare (a.pc, a.kind, a.reg) (b.pc, b.kind, b.reg))
-          !diags
+          sink.found
       in
       (* One uninitialized register produces one report (at its first
          offending pc), not one per read site: later reads are symptoms
@@ -481,8 +480,8 @@ let analyze ?helpers (config : Config.t) program :
         {
           diags;
           termination;
-          fastpath = (if eligible then Some proofs else None);
-          mem_facts;
+          fastpath = (if eligible then Some sink.proved else None);
+          mem_facts = sink.facts;
           insns = len;
           blocks = n;
           reachable_blocks;

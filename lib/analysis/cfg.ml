@@ -8,7 +8,13 @@
 
 open Femto_ebpf
 
-type block = { id : int; first : int; last : int; succs : int list }
+type block = {
+  id : int;
+  first : int;
+  last : int;
+  succs : int list;
+  back_succs : int list;
+}
 
 type t = {
   program : Program.t;
@@ -16,7 +22,6 @@ type t = {
   block_of_pc : int array;
   is_tail : bool array;
   reachable : bool array;
-  back_edges : (int * int) list;
 }
 
 (* Mark lddw tail slots, tolerating malformed programs (a head in the
@@ -25,7 +30,7 @@ let mark_tails program len =
   let is_tail = Array.make len false in
   let pc = ref 0 in
   while !pc < len do
-    (match Insn.kind (Program.get program !pc) with
+    (match Program.kind program !pc with
     | Insn.Lddw_head when !pc + 1 < len ->
         is_tail.(!pc + 1) <- true;
         incr pc
@@ -42,10 +47,9 @@ let build program =
   if len > 0 then leader.(0) <- true;
   for pc = 0 to len - 1 do
     if not is_tail.(pc) then begin
-      let insn = Program.get program pc in
-      match Insn.kind insn with
+      match Program.kind program pc with
       | Insn.Ja | Insn.Jcond _ ->
-          let target = pc + 1 + insn.Insn.offset in
+          let target = pc + 1 + Program.offset program pc in
           if in_range target then leader.(target) <- true;
           if pc + 1 < len then leader.(pc + 1) <- true
       | Insn.Exit -> if pc + 1 < len then leader.(pc + 1) <- true
@@ -72,41 +76,47 @@ let build program =
   let succs_of i =
     let last = last_of i in
     let last_exec = if is_tail.(last) then last - 1 else last in
-    let insn = Program.get program last_exec in
     let fallthrough () =
       if last + 1 < len then [ block_of_pc.(last + 1) ] else []
     in
     let raw =
-      match Insn.kind insn with
+      match Program.kind program last_exec with
       | Insn.Ja ->
-          let t = last_exec + 1 + insn.Insn.offset in
+          let t = last_exec + 1 + Program.offset program last_exec in
           if in_range t then [ block_of_pc.(t) ] else []
       | Insn.Jcond _ ->
-          let t = last_exec + 1 + insn.Insn.offset in
+          let t = last_exec + 1 + Program.offset program last_exec in
           (if in_range t then [ block_of_pc.(t) ] else []) @ fallthrough ()
       | Insn.Exit -> []
       | _ -> fallthrough ()
     in
     List.sort_uniq compare raw
   in
-  let blocks =
-    Array.init n_blocks (fun i ->
-        { id = i; first = firsts.(i); last = last_of i; succs = succs_of i })
-  in
+  let succs = Array.init n_blocks succs_of in
   (* DFS from the entry block: reachability plus back-edge detection via
      the classic white/grey/black colouring. *)
   let colour = Array.make (max n_blocks 1) 0 in
-  let back = ref [] in
+  let back_succs = Array.make n_blocks [] in
   let rec dfs b =
     colour.(b) <- 1;
     List.iter
       (fun s ->
-        if colour.(s) = 1 then back := (b, s) :: !back
+        if colour.(s) = 1 then back_succs.(b) <- s :: back_succs.(b)
         else if colour.(s) = 0 then dfs s)
-      blocks.(b).succs;
+      succs.(b);
     colour.(b) <- 2
   in
   if n_blocks > 0 then dfs 0;
+  let blocks =
+    Array.init n_blocks (fun i ->
+        {
+          id = i;
+          first = firsts.(i);
+          last = last_of i;
+          succs = succs.(i);
+          back_succs = back_succs.(i);
+        })
+  in
   let reachable = Array.init (max n_blocks 1) (fun b -> colour.(b) <> 0) in
   {
     program;
@@ -114,10 +124,9 @@ let build program =
     block_of_pc;
     is_tail;
     reachable;
-    back_edges = List.rev !back;
   }
 
-let has_loops t = t.back_edges <> []
+let has_loops t = Array.exists (fun b -> b.back_succs <> []) t.blocks
 
 let unreachable_pcs t =
   let acc = ref [] in

@@ -12,6 +12,10 @@ type block = {
   first : int;  (** pc of the first slot in the block *)
   last : int;  (** pc of the last slot (inclusive; may be an lddw tail) *)
   succs : int list;  (** successor block ids, deduplicated *)
+  back_succs : int list;
+      (** the successors reached through a back edge, found by a DFS
+          from block 0 (a subset of [succs]; empty in every block iff
+          the reachable subgraph is a DAG) *)
 }
 
 type t = {
@@ -20,9 +24,6 @@ type t = {
   block_of_pc : int array;  (** pc -> owning block id *)
   is_tail : bool array;  (** pc is the second slot of an lddw pair *)
   reachable : bool array;  (** per block, from block 0 *)
-  back_edges : (int * int) list;
-      (** (from, to) block-id pairs closing a cycle, DFS from block 0;
-          empty iff the reachable subgraph is a DAG *)
 }
 
 val build : Femto_ebpf.Program.t -> t

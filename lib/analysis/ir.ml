@@ -41,24 +41,19 @@ let array_of_rev_list rev =
 
 let lift ~cost ~(facts : facts) program : Vir.program =
   let len = Program.length program in
-  let insns = Program.insns program in
-  (* Kinds are decoded where used, not [Array.map]ped into a table: the
-     map would seed a major-heap array with a young kind (see
-     [no_step]), and decoding twice is cheaper than that collection. *)
   let fact pc = if pc < Array.length facts then facts.(pc) else None in
   (* Head marking: slot 0 plus every in-range jump target.  A target
      inside an lddw pair stays a head (possible only pre-verification):
      the block lifted there traps exactly like the decoded tier. *)
   let heads = Array.make (max len 1) false in
   if len > 0 then heads.(0) <- true;
-  Array.iteri
-    (fun pc insn ->
-      match Insn.kind insn with
-      | Insn.Ja | Insn.Jcond _ ->
-          let target = pc + 1 + insn.Insn.offset in
-          if target >= 0 && target < len then heads.(target) <- true
-      | _ -> ())
-    insns;
+  for pc = 0 to len - 1 do
+    match Program.kind program pc with
+    | Insn.Ja | Insn.Jcond _ ->
+        let target = pc + 1 + Program.offset program pc in
+        if target >= 0 && target < len then heads.(target) <- true
+    | _ -> ()
+  done;
   (* Lddw tails never start a block on fall-through; they are absorbed
      into the head's [Movk].  (A direct jump target remains a head.) *)
   let block_of_head = Array.make (max len 1) (-1) in
@@ -96,37 +91,36 @@ let lift ~cost ~(facts : facts) program : Vir.program =
       else if p <> head && heads.(p) then
         term := Some (Vir.Fall { dest = block_of_head.(p) })
       else begin
-        let insn = insns.(p) in
-        let kind = Insn.kind insn in
+        let kind = Program.kind program p in
+        let dst = Program.dst program p and src = Program.src program p in
+        let offset = Program.offset program p and imm = Program.imm program p in
         let c = cost kind in
         let step op = push { Vir.pc = p; weight = 1; cost = c; op } in
-        if insn.Insn.dst > 10 then
-          trap ~pre:true p c
-            (Fault.Invalid_register { pc = p; reg = insn.Insn.dst })
-        else if insn.Insn.src > 10 then
-          trap ~pre:true p c
-            (Fault.Invalid_register { pc = p; reg = insn.Insn.src })
+        if dst > 10 then
+          trap ~pre:true p c (Fault.Invalid_register { pc = p; reg = dst })
+        else if src > 10 then
+          trap ~pre:true p c (Fault.Invalid_register { pc = p; reg = src })
         else begin
           (match kind with
           | Insn.Alu (is64, op, source) -> (
               let src =
                 match source with
-                | Opcode.Src_imm -> Vir.Imm (Int64.of_int32 insn.Insn.imm)
-                | Opcode.Src_reg -> Vir.Reg insn.Insn.src
+                | Opcode.Src_imm -> Vir.Imm (Int64.of_int imm)
+                | Opcode.Src_reg -> Vir.Reg src
               in
               match (op, src) with
               | (Opcode.Div | Opcode.Mod), Vir.Imm v
                 when (if is64 then Int64.equal v 0L
                       else Int64.equal (Int64.logand v 0xFFFF_FFFFL) 0L) ->
                   trap ~pre:false p c (Fault.Division_by_zero { pc = p })
-              | _ -> step (Vir.Alu { is64; op; dst = insn.Insn.dst; src }))
+              | _ -> step (Vir.Alu { is64; op; dst; src }))
           | Insn.Load size ->
               step
                 (Vir.Load
                    {
-                     dst = insn.Insn.dst;
-                     base = insn.Insn.src;
-                     off = insn.Insn.offset;
+                     dst;
+                     base = src;
+                     off = offset;
                      nbytes = Opcode.size_bytes size;
                      fact = fact p;
                      elide = false;
@@ -136,10 +130,10 @@ let lift ~cost ~(facts : facts) program : Vir.program =
               step
                 (Vir.Store
                    {
-                     base = insn.Insn.dst;
-                     off = insn.Insn.offset;
+                     base = dst;
+                     off = offset;
                      nbytes = Opcode.size_bytes size;
-                     v = Vir.Imm (Int64.of_int32 insn.Insn.imm);
+                     v = Vir.Imm (Int64.of_int imm);
                      fact = fact p;
                      elide = false;
                      hoist = false;
@@ -148,10 +142,10 @@ let lift ~cost ~(facts : facts) program : Vir.program =
               step
                 (Vir.Store
                    {
-                     base = insn.Insn.dst;
-                     off = insn.Insn.offset;
+                     base = dst;
+                     off = offset;
                      nbytes = Opcode.size_bytes size;
-                     v = Vir.Reg insn.Insn.src;
+                     v = Vir.Reg src;
                      fact = fact p;
                      elide = false;
                      hoist = false;
@@ -163,8 +157,8 @@ let lift ~cost ~(facts : facts) program : Vir.program =
                 step
                   (Vir.Movk
                      {
-                       dst = insn.Insn.dst;
-                       v = Insn.lddw_imm ~head:insn ~tail:insns.(p + 1);
+                       dst;
+                       v = Program.lddw_imm program p;
                      });
                 (* the tail slot is consumed, never executed *)
                 incr pc
@@ -173,15 +167,9 @@ let lift ~cost ~(facts : facts) program : Vir.program =
               (* reachable only by a direct jump in unverified input *)
               trap ~pre:false p c (Fault.Invalid_opcode { pc = p; opcode = 0 })
           | Insn.End endianness -> (
-              match insn.Insn.imm with
-              | 16l | 32l | 64l ->
-                  step
-                    (Vir.Swap
-                       {
-                         dst = insn.Insn.dst;
-                         endianness;
-                         width = insn.Insn.imm;
-                       })
+              match imm with
+              | 16 | 32 | 64 ->
+                  step (Vir.Swap { dst; endianness; width = Int32.of_int imm })
               | _ ->
                   trap ~pre:false p c
                     (Fault.Nonzero_field { pc = p; field = "end width" }))
@@ -193,24 +181,24 @@ let lift ~cost ~(facts : facts) program : Vir.program =
                        pc = p;
                        weight = 1;
                        cost = c;
-                       dest = dest_of (p + 1 + insn.Insn.offset);
+                       dest = dest_of (p + 1 + offset);
                      })
           | Insn.Jcond (is64, cond, source) ->
               let src =
                 match source with
-                | Opcode.Src_imm -> Vir.Imm (Int64.of_int32 insn.Insn.imm)
-                | Opcode.Src_reg -> Vir.Reg insn.Insn.src
+                | Opcode.Src_imm -> Vir.Imm (Int64.of_int imm)
+                | Opcode.Src_reg -> Vir.Reg src
               in
               step
                 (Vir.Jcond
                    {
                      is64;
                      cond;
-                     dst = insn.Insn.dst;
+                     dst;
                      src;
-                     dest = dest_of (p + 1 + insn.Insn.offset);
+                     dest = dest_of (p + 1 + offset);
                    })
-          | Insn.Call -> step (Vir.Call { id = Int32.to_int insn.Insn.imm })
+          | Insn.Call -> step (Vir.Call { id = imm })
           | Insn.Exit -> term := Some (Vir.Exit { pc = p; weight = 1; cost = c })
           | Insn.Invalid opcode ->
               trap ~pre:false p c (Fault.Invalid_opcode { pc = p; opcode }));

@@ -114,13 +114,16 @@ let step t state =
   if state.pc < 0 || state.pc >= len then
     Error (Fault.Fall_off_end { pc = state.pc })
   else
-    let insn = Program.get t.program state.pc in
     let pc = state.pc in
+    let kind = Program.kind t.program pc in
+    let dst = Program.dst t.program pc and src = Program.src t.program pc in
+    let offset = Program.offset t.program pc in
+    let imm = Program.imm t.program pc in
     let state =
       {
         state with
         insns_executed = state.insns_executed + 1;
-        cycles = state.cycles + t.cycle_cost (Insn.kind insn);
+        cycles = state.cycles + t.cycle_cost kind;
       }
     in
     if state.insns_executed > Config.dynamic_instruction_limit t.config then
@@ -135,21 +138,21 @@ let step t state =
           Error (Fault.Bad_jump { pc; target })
         else Ok (Next { state with pc = target; branches_taken = taken })
       in
-      let sext_imm = Int64.of_int32 insn.Insn.imm in
-      match Insn.kind insn with
+      let sext_imm = Int64.of_int imm in
+      match kind with
       | Insn.Alu (is64, op, source) ->
           let* src_value =
             match source with
             | Opcode.Src_imm -> Ok sext_imm
-            | Opcode.Src_reg -> reg_get pc state.regs insn.Insn.src
+            | Opcode.Src_reg -> reg_get pc state.regs src
           in
-          let* dst_value = reg_get pc state.regs insn.Insn.dst in
+          let* dst_value = reg_get pc state.regs dst in
           let* result = eval_alu pc is64 op dst_value src_value in
-          let* regs = reg_set pc state.regs insn.Insn.dst result in
+          let* regs = reg_set pc state.regs dst result in
           continue regs
       | Insn.Load size ->
-          let* base = reg_get pc state.regs insn.Insn.src in
-          let addr = Int64.add base (Int64.of_int insn.Insn.offset) in
+          let* base = reg_get pc state.regs src in
+          let addr = Int64.add base (Int64.of_int offset) in
           let nbytes = Opcode.size_bytes size in
           let* value =
             match Mem.load t.mem ~addr ~size:nbytes with
@@ -157,11 +160,11 @@ let step t state =
             | Error () ->
                 Error (Fault.Memory_access { pc; addr; size = nbytes; write = false })
           in
-          let* regs = reg_set pc state.regs insn.Insn.dst value in
+          let* regs = reg_set pc state.regs dst value in
           continue regs
       | Insn.Store_imm size ->
-          let* base = reg_get pc state.regs insn.Insn.dst in
-          let addr = Int64.add base (Int64.of_int insn.Insn.offset) in
+          let* base = reg_get pc state.regs dst in
+          let addr = Int64.add base (Int64.of_int offset) in
           let nbytes = Opcode.size_bytes size in
           let* () =
             match Mem.store t.mem ~addr ~size:nbytes sext_imm with
@@ -171,9 +174,9 @@ let step t state =
           in
           continue state.regs
       | Insn.Store_reg size ->
-          let* base = reg_get pc state.regs insn.Insn.dst in
-          let* value = reg_get pc state.regs insn.Insn.src in
-          let addr = Int64.add base (Int64.of_int insn.Insn.offset) in
+          let* base = reg_get pc state.regs dst in
+          let* value = reg_get pc state.regs src in
+          let addr = Int64.add base (Int64.of_int offset) in
           let nbytes = Opcode.size_bytes size in
           let* () =
             match Mem.store t.mem ~addr ~size:nbytes value with
@@ -185,32 +188,31 @@ let step t state =
       | Insn.Lddw_head ->
           if pc + 1 >= len then Error (Fault.Truncated_lddw { pc })
           else
-            let tail = Program.get t.program (pc + 1) in
             let* regs =
-              reg_set pc state.regs insn.Insn.dst (Insn.lddw_imm ~head:insn ~tail)
+              reg_set pc state.regs dst (Program.lddw_imm t.program pc)
             in
             Ok (Next { state with pc = pc + 2; regs })
       | Insn.Lddw_tail -> Error (Fault.Invalid_opcode { pc; opcode = 0 })
       | Insn.End endianness ->
-          let* value = reg_get pc state.regs insn.Insn.dst in
+          let* value = reg_get pc state.regs dst in
           let* swapped =
-            Femto_vm.Interp.byte_swap pc endianness insn.Insn.imm value
+            Femto_vm.Interp.byte_swap pc endianness (Int32.of_int imm) value
           in
-          let* regs = reg_set pc state.regs insn.Insn.dst swapped in
+          let* regs = reg_set pc state.regs dst swapped in
           continue regs
-      | Insn.Ja -> branch_to (pc + 1 + insn.Insn.offset)
+      | Insn.Ja -> branch_to (pc + 1 + offset)
       | Insn.Jcond (is64, cond, source) ->
           let* src_value =
             match source with
             | Opcode.Src_imm -> Ok sext_imm
-            | Opcode.Src_reg -> reg_get pc state.regs insn.Insn.src
+            | Opcode.Src_reg -> reg_get pc state.regs src
           in
-          let* dst_value = reg_get pc state.regs insn.Insn.dst in
+          let* dst_value = reg_get pc state.regs dst in
           if Femto_vm.Interp.condition cond is64 dst_value src_value then
-            branch_to (pc + 1 + insn.Insn.offset)
+            branch_to (pc + 1 + offset)
           else Ok (Next { state with pc = pc + 1 })
       | Insn.Call -> (
-          let id = Int32.to_int insn.Insn.imm in
+          let id = imm in
           match Helper.find t.helpers id with
           | None -> Error (Fault.Unknown_helper { pc; id })
           | Some entry -> (

@@ -80,8 +80,7 @@ let program_digest program =
                 let d =
                   Femto_crypto.Crypto.to_hex
                     (Femto_crypto.Crypto.sha256
-                       (Bytes.unsafe_to_string
-                          (Femto_ebpf.Program.to_bytes program)))
+                       (Femto_ebpf.Program.to_string program))
                 in
                 Digest_cache.replace digests program d;
                 d)

@@ -75,10 +75,11 @@ let engine t = t.engine
 let slots t = t.slots
 let server t = t.server
 let containers t = List.map snd t.installed
+let pending_upload t = (t.pending_payload, t.pending_digest)
 
 (* Attach a restored or freshly-installed image to its hook. *)
 let attach_image t ~hook_uuid payload =
-  match Femto_ebpf.Program.of_bytes (Bytes.of_string payload) with
+  match Femto_ebpf.Program.of_string payload with
   | exception Femto_ebpf.Program.Truncated m -> Error m
   | program -> (
       match List.assoc_opt hook_uuid t.installed with
@@ -224,7 +225,13 @@ let register_management_endpoints t =
                (fun hook -> (Femto_core.Hook.uuid hook, t.pending_payload))
                (Engine.hooks t.engine))
       with
-      | Ok _manifest -> Server.respond Message.code_changed
+      | Ok _manifest ->
+          (* the image is on flash and attached: drop the upload's RAM
+             copy.  A refused install keeps both, so a corrected manifest
+             still installs without a re-upload. *)
+          t.pending_payload <- "";
+          t.pending_digest <- None;
+          Server.respond Message.code_changed
       | Error e ->
           Server.respond
             ~payload:(Suit.error_to_string e)

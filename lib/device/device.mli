@@ -67,6 +67,12 @@ val suit_rejected : t -> int
 val containers_report : t -> string
 (** The `/fc/containers` listing. *)
 
+val pending_upload : t -> string * Suit.digest_hint option
+(** The Block1 payload held in RAM for the next [/suit/install], with the
+    digest streamed while it arrived.  A successful install releases both
+    ([("", None)]); a refused one keeps them, so a corrected manifest
+    installs without a re-upload. *)
+
 val boot :
   ?platform:Femto_platform.Platform.t ->
   identity:identity ->

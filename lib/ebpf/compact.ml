@@ -35,40 +35,33 @@ let encoded_size insn =
   let regs_byte = if insn.Insn.dst = 0 && insn.Insn.src = 0 then 0 else 1 in
   2 + regs_byte + offset_bytes + imm_bytes
 
-let encode_insn buf insn =
-  let off_width = width_of_offset insn.Insn.offset in
-  let imm_width = width_of_imm insn.Insn.imm in
-  let has_regs = insn.Insn.dst <> 0 || insn.Insn.src <> 0 in
+(* Encode slot [pc], read in place from the wire form. *)
+let encode_slot buf program pc =
+  let dst = Program.dst program pc and src = Program.src program pc in
+  let offset = Program.offset program pc and imm = Program.imm program pc in
+  let off_width = width_of_offset offset in
+  let imm_width = width_of_imm (Int32.of_int imm) in
+  let has_regs = dst <> 0 || src <> 0 in
   let header = off_width lor (imm_width lsl 2) lor (if has_regs then 0x10 else 0) in
   Buffer.add_char buf (Char.chr header);
-  Buffer.add_char buf (Char.chr insn.Insn.opcode);
-  if has_regs then
-    Buffer.add_char buf
-      (Char.chr ((insn.Insn.src lsl 4) lor (insn.Insn.dst land 0x0f)));
+  Buffer.add_char buf (Char.chr (Program.opcode program pc));
+  if has_regs then Buffer.add_char buf (Char.chr ((src lsl 4) lor dst));
   (match off_width with
-  | 1 -> Buffer.add_char buf (Char.chr (insn.Insn.offset land 0xff))
+  | 1 -> Buffer.add_char buf (Char.chr (offset land 0xff))
   | 2 ->
-      Buffer.add_char buf (Char.chr (insn.Insn.offset land 0xff));
-      Buffer.add_char buf (Char.chr ((insn.Insn.offset asr 8) land 0xff))
+      Buffer.add_char buf (Char.chr (offset land 0xff));
+      Buffer.add_char buf (Char.chr ((offset asr 8) land 0xff))
   | _ -> ());
-  match imm_width with
-  | 1 -> Buffer.add_char buf (Char.chr (Int32.to_int insn.Insn.imm land 0xff))
-  | 2 ->
-      let v = Int32.to_int insn.Insn.imm in
-      Buffer.add_char buf (Char.chr (v land 0xff));
-      Buffer.add_char buf (Char.chr ((v asr 8) land 0xff))
-  | 3 ->
-      let v = Int32.to_int insn.Insn.imm in
-      Buffer.add_char buf (Char.chr (v land 0xff));
-      Buffer.add_char buf (Char.chr ((v asr 8) land 0xff));
-      Buffer.add_char buf (Char.chr ((v asr 16) land 0xff));
-      Buffer.add_char buf (Char.chr ((v asr 24) land 0xff))
-  | _ -> ()
+  for i = 0 to (match imm_width with 3 -> 4 | w -> w) - 1 do
+    Buffer.add_char buf (Char.chr ((imm asr (8 * i)) land 0xff))
+  done
 
 (* [compress program] yields the variable-length image. *)
 let compress program =
   let buf = Buffer.create (Program.byte_size program) in
-  Array.iter (encode_insn buf) (Program.insns program);
+  for pc = 0 to Program.length program - 1 do
+    encode_slot buf program pc
+  done;
   Buffer.contents buf
 
 let decompress data =

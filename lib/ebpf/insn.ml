@@ -40,45 +40,54 @@ type kind =
   | Exit
   | Invalid of int
 
-let kind insn =
+(* The classification of one opcode.  [kind_of_byte] serves the wire
+   form's 0..255 from a table built once here, so classifying a slot
+   allocates nothing; only an out-of-range [t.opcode] (which only [make]
+   can build) is classified on the fly. *)
+let classify opcode =
   let open Opcode in
-  match cls_of_code insn.opcode with
+  match cls_of_code opcode with
   | Cls_alu64 -> (
-      match alu_op_of_code insn.opcode with
-      | Some op -> Alu (true, op, source_of_code insn.opcode)
-      | None -> Invalid insn.opcode)
+      match alu_op_of_code opcode with
+      | Some op -> Alu (true, op, source_of_code opcode)
+      | None -> Invalid opcode)
   | Cls_alu -> (
-      if insn.opcode land 0xf0 = op_end then
-        End (endianness_of_source (source_of_code insn.opcode))
+      if opcode land 0xf0 = op_end then
+        End (endianness_of_source (source_of_code opcode))
       else
-        match alu_op_of_code insn.opcode with
-        | Some op -> Alu (false, op, source_of_code insn.opcode)
-        | None -> Invalid insn.opcode)
+        match alu_op_of_code opcode with
+        | Some op -> Alu (false, op, source_of_code opcode)
+        | None -> Invalid opcode)
   | Cls_ldx ->
-      if insn.opcode land 0xe0 = mode_mem then Load (size_of_code insn.opcode)
-      else Invalid insn.opcode
+      if opcode land 0xe0 = mode_mem then Load (size_of_code opcode)
+      else Invalid opcode
   | Cls_st ->
-      if insn.opcode land 0xe0 = mode_mem then
-        Store_imm (size_of_code insn.opcode)
-      else Invalid insn.opcode
+      if opcode land 0xe0 = mode_mem then Store_imm (size_of_code opcode)
+      else Invalid opcode
   | Cls_stx ->
-      if insn.opcode land 0xe0 = mode_mem then
-        Store_reg (size_of_code insn.opcode)
-      else Invalid insn.opcode
-  | Cls_ld ->
-      if insn.opcode = lddw then Lddw_head else Invalid insn.opcode
+      if opcode land 0xe0 = mode_mem then Store_reg (size_of_code opcode)
+      else Invalid opcode
+  | Cls_ld -> if opcode = lddw then Lddw_head else Invalid opcode
   | Cls_jmp -> (
-      if insn.opcode = ja then Ja
-      else if insn.opcode = call then Call
-      else if insn.opcode = exit' then Exit
+      if opcode = ja then Ja
+      else if opcode = call then Call
+      else if opcode = exit' then Exit
       else
-        match jmp_cond_of_code insn.opcode with
-        | Some cond -> Jcond (true, cond, source_of_code insn.opcode)
-        | None -> Invalid insn.opcode)
+        match jmp_cond_of_code opcode with
+        | Some cond -> Jcond (true, cond, source_of_code opcode)
+        | None -> Invalid opcode)
   | Cls_jmp32 -> (
-      match jmp_cond_of_code insn.opcode with
-      | Some cond -> Jcond (false, cond, source_of_code insn.opcode)
-      | None -> Invalid insn.opcode)
+      match jmp_cond_of_code opcode with
+      | Some cond -> Jcond (false, cond, source_of_code opcode)
+      | None -> Invalid opcode)
+
+let kinds = Array.init 256 classify
+
+let[@inline] kind_of_byte b = Array.unsafe_get kinds (b land 0xff)
+
+let kind insn =
+  if insn.opcode land lnot 0xff = 0 then kind_of_byte insn.opcode
+  else classify insn.opcode
 
 (* 64-bit immediate of an lddw pair. *)
 let lddw_imm ~head ~tail =

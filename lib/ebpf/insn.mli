@@ -38,8 +38,14 @@ type kind =
   | Exit  (** return r0 *)
   | Invalid of int  (** unknown opcode byte *)
 
+val kind_of_byte : int -> kind
+(** The typed view of an opcode byte (its low 8 bits): a lookup in a
+    256-entry table built once at module initialisation, so it allocates
+    nothing. *)
+
 val kind : t -> kind
-(** Decode the opcode byte into its typed view. *)
+(** [kind_of_byte insn.opcode]; an opcode outside 0..255 (only {!make}
+    builds one) gets the same classification computed on the fly. *)
 
 val lddw_imm : head:t -> tail:t -> int64
 (** Reassemble the 64-bit immediate of an [lddw] pair. *)

@@ -1,42 +1,107 @@
-(* An eBPF program: a sequence of instruction slots plus binary codec. *)
+(* An eBPF program: its fixed 8-byte wire slots, held as one immutable
+   string.
 
-type t = { insns : Insn.t array }
+   This is the one decode of a program.  [of_bytes]/[of_string] only
+   check that the length is a whole number of slots; every stage
+   (verifier, CFG, analyzer, IR lifter, interpreters, tools) then reads
+   fields in place through the accessors below, which allocate nothing,
+   and classifies opcodes through [Insn]'s static kind table.  A 4 KiB
+   program therefore costs 4 KiB of RAM, as rBPF's in-place bytecode
+   does.  [get]/[insns] build [Insn.t] records, for tests and cold
+   paths. *)
 
-let of_insns insns = { insns = Array.of_list insns }
-let of_array insns = { insns }
-let insns t = t.insns
-let length t = Array.length t.insns
-let get t i = t.insns.(i)
-let byte_size t = Array.length t.insns * Insn.size_bytes
+type t = string
 
 exception Truncated of string
 
-let to_bytes t =
-  let buf = Bytes.create (byte_size t) in
-  Array.iteri (fun i insn -> Insn.encode_into buf (i * Insn.size_bytes) insn) t.insns;
-  buf
+let slot = Insn.size_bytes
+let length t = String.length t / slot
+let byte_size = String.length
 
-(* A static slot to seed [of_bytes]'s array with.  [Array.init] seeds it
-   with the first (young) decoded slot, and on OCaml 5 an array over 256
-   words seeded with a young value forces a minor collection. *)
-let seed = { Insn.opcode = 0; dst = 0; src = 0; offset = 0; imm = 0l }
+external get16 : string -> int -> int = "%caml_string_get16"
+external get32 : string -> int -> int32 = "%caml_string_get32"
+external unsafe_get16 : string -> int -> int = "%caml_string_get16u"
+external unsafe_get32 : string -> int -> int32 = "%caml_string_get32u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* Little-endian wire fields from a native-endian read. *)
+let[@inline] sext16 v =
+  let v = if Sys.big_endian then swap16 v else v in
+  (v lsl (Sys.int_size - 16)) asr (Sys.int_size - 16)
+
+let[@inline] int_of_imm v =
+  Int32.to_int (if Sys.big_endian then swap32 v else v)
+
+let[@inline] opcode t pc = String.get_uint8 t (pc * slot)
+let[@inline] dst t pc = String.get_uint8 t ((pc * slot) + 1) land 0x0f
+let[@inline] src t pc = String.get_uint8 t ((pc * slot) + 1) lsr 4
+let[@inline] offset t pc = sext16 (get16 t ((pc * slot) + 2))
+let[@inline] imm t pc = int_of_imm (get32 t ((pc * slot) + 4))
+let[@inline] kind t pc = Insn.kind_of_byte (opcode t pc)
+
+let[@inline] unsafe_byte t i = Char.code (String.unsafe_get t i)
+let[@inline] unsafe_kind t pc = Insn.kind_of_byte (unsafe_byte t (pc * slot))
+let[@inline] unsafe_dst t pc = unsafe_byte t ((pc * slot) + 1) land 0x0f
+let[@inline] unsafe_src t pc = unsafe_byte t ((pc * slot) + 1) lsr 4
+let[@inline] unsafe_offset t pc = sext16 (unsafe_get16 t ((pc * slot) + 2))
+let[@inline] unsafe_imm t pc = int_of_imm (unsafe_get32 t ((pc * slot) + 4))
+
+let lddw_imm t pc =
+  Int64.logor
+    (Int64.shift_left (Int64.of_int (imm t (pc + 1))) 32)
+    (Int64.of_int (imm t pc land 0xFFFF_FFFF))
+
+let get t pc =
+  {
+    Insn.opcode = opcode t pc;
+    dst = dst t pc;
+    src = src t pc;
+    offset = offset t pc;
+    imm = Int32.of_int (imm t pc);
+  }
+
+let insns t = Array.init (length t) (get t)
+
+let check_length len =
+  if len mod slot <> 0 then
+    raise
+      (Truncated
+         (Printf.sprintf "program length %d is not a multiple of 8" len))
+
+let of_string s =
+  check_length (String.length s);
+  s
 
 let of_bytes buf =
-  let len = Bytes.length buf in
-  if len mod Insn.size_bytes <> 0 then
-    raise (Truncated (Printf.sprintf "program length %d is not a multiple of 8" len));
-  let count = len / Insn.size_bytes in
-  let insns = Array.make count seed in
-  for i = 0 to count - 1 do
-    insns.(i) <- Insn.decode_from buf (i * Insn.size_bytes)
-  done;
-  { insns }
+  check_length (Bytes.length buf);
+  Bytes.to_string buf
 
-let equal a b =
-  Array.length a.insns = Array.length b.insns
-  && Array.for_all2 Insn.equal a.insns b.insns
+let to_string t = t
+let to_bytes = Bytes.of_string
+
+let of_insns insns =
+  let insns = Array.of_list insns in
+  let buf = Bytes.create (Array.length insns * slot) in
+  Array.iteri
+    (fun pc (insn : Insn.t) ->
+      if
+        insn.opcode land lnot 0xff <> 0
+        || insn.dst land lnot 0x0f <> 0
+        || insn.src land lnot 0x0f <> 0
+        || insn.offset < -0x8000 || insn.offset > 0x7fff
+      then
+        invalid_arg
+          (Format.asprintf
+             "Program: slot %d %a does not fit the 8-byte wire form" pc Insn.pp
+             insn);
+      Insn.encode_into buf (pc * slot) insn)
+    insns;
+  Bytes.unsafe_to_string buf
+
+let equal = String.equal
 
 let pp ppf t =
-  Array.iteri
-    (fun i insn -> Format.fprintf ppf "%4d: %a@." i Insn.pp insn)
-    t.insns
+  for pc = 0 to length t - 1 do
+    Format.fprintf ppf "%4d: %a@." pc Insn.pp (get t pc)
+  done

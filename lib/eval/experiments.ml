@@ -551,7 +551,7 @@ let ablation_transpile () =
   let args = [| 0x2000_0000L |] in
   let rows =
     [
-      ( "interpreter (pre-decoded)",
+      ( "interpreter (decoded)",
         Measure.time_ns interp_cold,
         Measure.time_ns (fun () -> Femto_vm.Vm.run interp_vm ~args) );
       ( "transpiled at install (closure-compiled)",

@@ -249,7 +249,7 @@ let program_for shard payload =
   match Hashtbl.find_opt shard.programs digest with
   | Some p -> Ok p
   | None -> (
-      match Program.of_bytes (Bytes.of_string payload) with
+      match Program.of_string payload with
       | p ->
           Hashtbl.replace shard.programs digest p;
           Ok p
@@ -410,7 +410,7 @@ let create (config : config) =
   let config = { config with devices; shards = shards_n; domains } in
   let program_v1 = assemble firmware_v1_source in
   let program_v2 = assemble firmware_v2_source in
-  let firmware = Bytes.to_string (Program.to_bytes program_v2) in
+  let firmware = Program.to_string program_v2 in
   let key =
     Cose.make_key ~key_id:"fleet-campaign"
       ~secret:("fleet-secret-" ^ string_of_int config.seed)
@@ -717,12 +717,13 @@ type report = {
 let sum_stats t f = Array.fold_left (fun acc s -> acc + f s.stats) 0 t.shards
 
 let completion_counts t =
-  let v2 = Bytes.of_string t.server.firmware in
+  let v2 = t.server.firmware in
   let incomplete = ref 0 and half = ref 0 in
   Array.iter
     (fun dev ->
       let seq_ok = Int64.compare dev.suit.Suit.sequence t.server.v2_sequence >= 0 in
-      let fw_ok = Bytes.equal (Program.to_bytes (Container.program dev.container)) v2 in
+      let fw = Program.to_string (Container.program dev.container) in
+      let fw_ok = String.equal fw v2 in
       if not (seq_ok && fw_ok) then incr incomplete;
       if seq_ok <> fw_ok then incr half)
     t.devices;

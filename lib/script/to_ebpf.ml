@@ -31,20 +31,20 @@ module Op = E.Opcode
 
 (* --- emitter with label patching (same pattern as the wasm flattener) --- *)
 
+(* The program is emitted straight into its 8-byte wire slots. *)
 type emitter = {
-  mutable insns : I.t array;
-  mutable len : int;
+  mutable code : bytes;
+  mutable len : int; (* slots emitted *)
   mutable max_slot : int; (* high-water mark of stack slots used *)
 }
 
 let emit e insn =
-  if e.len >= Array.length e.insns then begin
-    let capacity = max 32 (2 * Array.length e.insns) in
-    let insns = Array.make capacity (I.make 0) in
-    Array.blit e.insns 0 insns 0 e.len;
-    e.insns <- insns
+  if (e.len + 1) * I.size_bytes > Bytes.length e.code then begin
+    let code = Bytes.create (max 256 (2 * Bytes.length e.code)) in
+    Bytes.blit e.code 0 code 0 (e.len * I.size_bytes);
+    e.code <- code
   end;
-  e.insns.(e.len) <- insn;
+  I.encode_into e.code (e.len * I.size_bytes) insn;
   e.len <- e.len + 1
 
 let here e = e.len
@@ -56,8 +56,10 @@ let emit_jump e opcode ~dst ~src ~imm =
   at
 
 let patch e at target =
-  let insn = e.insns.(at) in
-  e.insns.(at) <- { insn with I.offset = target - at - 1 }
+  let offset = target - at - 1 in
+  if offset < -0x8000 || offset > 0x7fff then
+    unsupported "jump of %d slots exceeds the 16-bit branch offset" offset;
+  Bytes.set_int16_le e.code ((at * I.size_bytes) + 2) offset
 
 let slot_offset slot = -8 * (slot + 1)
 
@@ -352,7 +354,7 @@ let compile_function ?(helpers = no_helpers) source name =
     unsupported "%s: at most 5 parameters map onto r1..r5" name;
   let env =
     {
-      e = { insns = [||]; len = 0; max_slot = 0 };
+      e = { code = Bytes.empty; len = 0; max_slot = 0 };
       slots = Hashtbl.create 8;
       next_slot = 0;
       helpers;
@@ -367,4 +369,4 @@ let compile_function ?(helpers = no_helpers) source name =
   (* implicit return 0 *)
   mov_imm env.e ~dst:0 0L;
   emit env.e (I.make Op.exit');
-  E.Program.of_array (Array.sub env.e.insns 0 env.e.len)
+  E.Program.of_bytes (Bytes.sub env.e.code 0 (env.e.len * I.size_bytes))

@@ -1,8 +1,9 @@
 (* The optimized Femto-Container interpreter.
 
-   The program is pre-decoded into an array of typed instruction views at
-   load time (the moral equivalent of the paper's computed jumptable: one
-   dispatch on a dense constructor tag per instruction).  The interpreter
+   The loop reads each slot's fields in place from the program's wire
+   bytes and dispatches on its kind from [Insn]'s static opcode table
+   (the moral equivalent of the paper's computed jumptable: one dispatch
+   on a dense constructor tag per instruction).  The interpreter
    trusts the pre-flight verifier for structural properties (opcodes,
    registers, jump targets) and performs the defensive runtime checks the
    verifier cannot do statically: memory accesses against the allow-list,
@@ -35,7 +36,6 @@ let fresh_stats () =
 
 type t = {
   program : Program.t;
-  kinds : Insn.kind array;
   config : Config.t;
   mem : Mem.t;
   stack_data : bytes;
@@ -47,32 +47,19 @@ type t = {
 
 let no_cost (_ : Insn.kind) = 0
 
-(* [create] pre-decodes the program.  The caller is expected to have run
-   [Verifier.verify] first; [run] still never crashes the host on an
-   unverified program — it faults instead.  [kinds], if given, must be
-   the pre-decoded view of [program] — image spawns pass the shared
-   array so instances skip the per-instance decode. *)
-let create ?(config = Config.default) ?(cycle_cost = no_cost) ?kinds
-    ~helpers ~regions program =
+(* [create] binds the program to fresh run state; nothing is decoded.
+   The caller is expected to have run [Verifier.verify] first; [run]
+   still never crashes the host on an unverified program — it faults
+   instead. *)
+let create ?(config = Config.default) ?(cycle_cost = no_cost) ~helpers
+    ~regions program =
   let stack_data = Bytes.make config.Config.stack_size '\000' in
   let stack =
     Region.make ~name:"stack" ~vaddr:config.Config.stack_vaddr
       ~perm:Region.Read_write stack_data
   in
-  let kinds =
-    match kinds with
-    | Some k -> k
-    | None ->
-        (* not [Array.map]: its young first element would seed an array
-           over 256 words, which on OCaml 5 forces a minor collection *)
-        let insns = Program.insns program in
-        let kinds = Array.make (Array.length insns) Insn.Exit in
-        Array.iteri (fun pc insn -> kinds.(pc) <- Insn.kind insn) insns;
-        kinds
-  in
   {
     program;
-    kinds;
     config;
     mem = Mem.create (stack :: regions);
     stack_data;
@@ -89,7 +76,6 @@ let registers t = t.regs
 (* Structural accessors for the IR backend (Compile), which shares this
    instance's memory map, stack buffer and stats record so both tiers
    observe identical state. *)
-let kinds t = t.kinds
 let config t = t.config
 let helpers t = t.helpers
 let stack_data t = t.stack_data
@@ -231,98 +217,107 @@ exception Abort of Fault.t
    hand a partly executed run over at any instruction boundary. *)
 let resume ~pc t =
   let regs = t.regs in
-  let kinds = t.kinds in
-  let insns = Program.insns t.program in
-  let len = Array.length kinds in
+  let program = t.program in
+  let len = Program.length program in
   let stats = t.stats in
   let dynamic_limit = Config.dynamic_instruction_limit t.config in
   let fault f = raise (Abort f) in
-  let sext_imm imm = Int64.of_int32 imm in
   try
     let pc = ref pc in
     let result = ref None in
     while !result = None do
-      if !pc < 0 || !pc >= len then fault (Fault.Fall_off_end { pc = !pc });
-      let insn = Array.unsafe_get insns !pc in
-      let kind = Array.unsafe_get kinds !pc in
+      let p = !pc in
+      if p < 0 || p >= len then fault (Fault.Fall_off_end { pc = p });
+      (* [p] is a slot: the reads below need no bounds check *)
+      let kind = Program.unsafe_kind program p in
+      let dst = Program.unsafe_dst program p in
+      let src = Program.unsafe_src program p in
       (* Defensive register-range check: the verifier guarantees this for
          verified programs; it keeps even unverified garbage contained. *)
-      if insn.Insn.dst > 10 then
-        fault (Fault.Invalid_register { pc = !pc; reg = insn.Insn.dst });
-      if insn.Insn.src > 10 then
-        fault (Fault.Invalid_register { pc = !pc; reg = insn.Insn.src });
+      if dst > 10 then fault (Fault.Invalid_register { pc = p; reg = dst });
+      if src > 10 then fault (Fault.Invalid_register { pc = p; reg = src });
       stats.insns_executed <- stats.insns_executed + 1;
       if stats.insns_executed > dynamic_limit then
         fault (Fault.Instruction_budget_exhausted { executed = stats.insns_executed });
       stats.cycles <- stats.cycles + t.cycle_cost kind;
-      let next = ref (!pc + 1) in
+      let next = ref (p + 1) in
       (match kind with
       | Insn.Alu (is64, op, source) -> (
           let src_value =
             match source with
-            | Opcode.Src_imm -> sext_imm insn.Insn.imm
-            | Opcode.Src_reg -> regs.(insn.Insn.src)
+            | Opcode.Src_imm -> Int64.of_int (Program.unsafe_imm program p)
+            | Opcode.Src_reg -> regs.(src)
           in
           let f = if is64 then alu64 else alu32 in
-          match f !pc op regs.(insn.Insn.dst) src_value with
-          | Ok v -> regs.(insn.Insn.dst) <- v
+          match f p op regs.(dst) src_value with
+          | Ok v -> regs.(dst) <- v
           | Error e -> fault e)
       | Insn.Load size -> (
-          let addr = Int64.add regs.(insn.Insn.src) (Int64.of_int insn.Insn.offset) in
+          let off = Program.unsafe_offset program p in
+          let addr = Int64.add regs.(src) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
           match Mem.load t.mem ~addr ~size:nbytes with
-          | Ok v -> regs.(insn.Insn.dst) <- v
+          | Ok v -> regs.(dst) <- v
           | Error () ->
-              fault (Fault.Memory_access { pc = !pc; addr; size = nbytes; write = false }))
+              fault
+                (Fault.Memory_access
+                   { pc = p; addr; size = nbytes; write = false }))
       | Insn.Store_imm size -> (
-          let addr = Int64.add regs.(insn.Insn.dst) (Int64.of_int insn.Insn.offset) in
+          let off = Program.unsafe_offset program p in
+          let addr = Int64.add regs.(dst) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
-          match Mem.store t.mem ~addr ~size:nbytes (sext_imm insn.Insn.imm) with
+          let v = Int64.of_int (Program.unsafe_imm program p) in
+          match Mem.store t.mem ~addr ~size:nbytes v with
           | Ok () -> ()
           | Error () ->
-              fault (Fault.Memory_access { pc = !pc; addr; size = nbytes; write = true }))
+              fault
+                (Fault.Memory_access
+                   { pc = p; addr; size = nbytes; write = true }))
       | Insn.Store_reg size -> (
-          let addr = Int64.add regs.(insn.Insn.dst) (Int64.of_int insn.Insn.offset) in
+          let off = Program.unsafe_offset program p in
+          let addr = Int64.add regs.(dst) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
-          match Mem.store t.mem ~addr ~size:nbytes regs.(insn.Insn.src) with
+          match Mem.store t.mem ~addr ~size:nbytes regs.(src) with
           | Ok () -> ()
           | Error () ->
-              fault (Fault.Memory_access { pc = !pc; addr; size = nbytes; write = true }))
+              fault
+                (Fault.Memory_access
+                   { pc = p; addr; size = nbytes; write = true }))
       | Insn.Lddw_head ->
-          if !pc + 1 >= len then fault (Fault.Truncated_lddw { pc = !pc })
+          if p + 1 >= len then fault (Fault.Truncated_lddw { pc = p })
           else begin
-            let tail = insns.(!pc + 1) in
-            regs.(insn.Insn.dst) <- Insn.lddw_imm ~head:insn ~tail;
-            next := !pc + 2
+            regs.(dst) <- Program.lddw_imm program p;
+            next := p + 2
           end
       | Insn.Lddw_tail ->
           (* Reachable only in unverified programs. *)
-          fault (Fault.Invalid_opcode { pc = !pc; opcode = 0 })
+          fault (Fault.Invalid_opcode { pc = p; opcode = 0 })
       | Insn.End endianness -> (
-          match byte_swap !pc endianness insn.Insn.imm regs.(insn.Insn.dst) with
-          | Ok v -> regs.(insn.Insn.dst) <- v
+          let width = Int32.of_int (Program.unsafe_imm program p) in
+          match byte_swap p endianness width regs.(dst) with
+          | Ok v -> regs.(dst) <- v
           | Error e -> fault e)
       | Insn.Ja ->
           stats.branches_taken <- stats.branches_taken + 1;
           if stats.branches_taken > t.config.Config.max_branches then
             fault (Fault.Branch_budget_exhausted { taken = stats.branches_taken });
-          next := !pc + 1 + insn.Insn.offset
+          next := p + 1 + Program.unsafe_offset program p
       | Insn.Jcond (is64, cond, source) ->
           let src_value =
             match source with
-            | Opcode.Src_imm -> sext_imm insn.Insn.imm
-            | Opcode.Src_reg -> regs.(insn.Insn.src)
+            | Opcode.Src_imm -> Int64.of_int (Program.unsafe_imm program p)
+            | Opcode.Src_reg -> regs.(src)
           in
-          if condition cond is64 regs.(insn.Insn.dst) src_value then begin
+          if condition cond is64 regs.(dst) src_value then begin
             stats.branches_taken <- stats.branches_taken + 1;
             if stats.branches_taken > t.config.Config.max_branches then
               fault (Fault.Branch_budget_exhausted { taken = stats.branches_taken });
-            next := !pc + 1 + insn.Insn.offset
+            next := p + 1 + Program.unsafe_offset program p
           end
       | Insn.Call -> (
-          let id = Int32.to_int insn.Insn.imm in
+          let id = Program.unsafe_imm program p in
           match Helper.find t.helpers id with
-          | None -> fault (Fault.Unknown_helper { pc = !pc; id })
+          | None -> fault (Fault.Unknown_helper { pc = p; id })
           | Some entry -> (
               stats.helper_calls <- stats.helper_calls + 1;
               Obs.event (fun () ->
@@ -340,9 +335,9 @@ let resume ~pc t =
               match entry.Helper.fn t.mem args with
               | Ok r0 -> regs.(0) <- r0
               | Error message ->
-                  fault (Fault.Helper_error { pc = !pc; id; message })))
+                  fault (Fault.Helper_error { pc = p; id; message })))
       | Insn.Exit -> result := Some regs.(0)
-      | Insn.Invalid opcode -> fault (Fault.Invalid_opcode { pc = !pc; opcode }));
+      | Insn.Invalid opcode -> fault (Fault.Invalid_opcode { pc = p; opcode }));
       (match !result with None -> pc := !next | Some _ -> ())
     done;
     match !result with Some r0 -> Ok r0 | None -> assert false

@@ -1,7 +1,8 @@
 (** The optimized Femto-Container interpreter.
 
-    Programs are pre-decoded into an array of typed instruction views at
-    load time (the moral equivalent of the paper's computed jumptable).
+    The loop reads each slot in place from the program's wire bytes and
+    dispatches on its kind from [Insn]'s static opcode table (the moral
+    equivalent of the paper's computed jumptable).
     The interpreter trusts the pre-flight verifier for structural
     properties and performs the defensive runtime checks the verifier
     cannot do statically: allow-list memory access, division by zero, and
@@ -21,15 +22,13 @@ val no_cost : Femto_ebpf.Insn.kind -> int
 val create :
   ?config:Config.t ->
   ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
-  ?kinds:Femto_ebpf.Insn.kind array ->
   helpers:Helper.t ->
   regions:Region.t list ->
   Femto_ebpf.Program.t ->
   t
-(** Pre-decode a program.  Callers should verify first; [run] still never
-    crashes the host on an unverified program — it faults instead.
-    [kinds], if given, must be the pre-decoded view of [program]; image
-    spawns pass the shared array so instances skip the decode. *)
+(** Bind a program to fresh run state; nothing is decoded.  Callers
+    should verify first; [run] still never crashes the host on an
+    unverified program — it faults instead. *)
 
 val mem : t -> Mem.t
 val stats : t -> stats
@@ -39,9 +38,6 @@ val registers : t -> int64 array
 
     Used by the IR backend ([Compile]), which shares this instance's
     memory map, stack buffer and stats record. *)
-
-val kinds : t -> Femto_ebpf.Insn.kind array
-(** The pre-decoded instruction views (shared, never mutated). *)
 
 val config : t -> Config.t
 val helpers : t -> Helper.t

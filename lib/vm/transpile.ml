@@ -39,11 +39,11 @@ let bump_branch state =
    ran before us, so registers and jump targets are known-good; memory and
    arithmetic checks remain dynamic. *)
 let compile_insn program pc =
-  let insn = Program.get program pc in
-  let dst = insn.Insn.dst and src = insn.Insn.src in
-  let offset = insn.Insn.offset in
-  let sext_imm = Int64.of_int32 insn.Insn.imm in
-  match Insn.kind insn with
+  let dst = Program.dst program pc and src = Program.src program pc in
+  let offset = Program.offset program pc in
+  let imm = Program.imm program pc in
+  let sext_imm = Int64.of_int imm in
+  match Program.kind program pc with
   | Insn.Alu (is64, op, source) ->
       let eval = if is64 then Interp.alu64 else Interp.alu32 in
       (match source with
@@ -89,8 +89,7 @@ let compile_insn program pc =
             fail state (Fault.Memory_access { pc; addr; size = nbytes; write = true }))
   | Insn.Lddw_head ->
       let imm64 =
-        if pc + 1 < Program.length program then
-          Insn.lddw_imm ~head:insn ~tail:(Program.get program (pc + 1))
+        if pc + 1 < Program.length program then Program.lddw_imm program pc
         else 0L
       in
       fun state ->
@@ -123,7 +122,7 @@ let compile_insn program pc =
             end
             else state.pc <- pc + 1)
   | Insn.Call ->
-      let id = Int32.to_int insn.Insn.imm in
+      let id = imm in
       fun state -> (
         match Helper.find state.helpers id with
         | None -> fail state (Fault.Unknown_helper { pc; id })
@@ -143,7 +142,7 @@ let compile_insn program pc =
                 state.pc <- pc + 1
             | Error message -> fail state (Fault.Helper_error { pc; id; message })))
   | Insn.End endianness ->
-      let width = insn.Insn.imm in
+      let width = Int32.of_int imm in
       fun state -> (
         match Interp.byte_swap pc endianness width state.regs.(dst) with
         | Ok v ->

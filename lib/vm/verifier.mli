@@ -21,11 +21,14 @@ val is_branch : Femto_ebpf.Insn.kind -> bool
 (** Whether the instruction is a (conditional or unconditional) branch. *)
 
 val check_registers :
-  int -> Femto_ebpf.Insn.t -> Femto_ebpf.Insn.kind -> (unit, Fault.t) result
+  Femto_ebpf.Program.t -> int -> Femto_ebpf.Insn.kind -> (unit, Fault.t) result
+(** [check_registers program pc kind]: register fields in range, r10
+    never written. *)
 
 val check_reserved :
-  int -> Femto_ebpf.Insn.t -> Femto_ebpf.Insn.kind -> (unit, Fault.t) result
-(** Reserved-field-zero checks, shared with the CertFC checker. *)
+  Femto_ebpf.Program.t -> int -> Femto_ebpf.Insn.kind -> (unit, Fault.t) result
+(** Reserved-field-zero checks on slot [pc], shared with the CertFC
+    checker. *)
 
 val verify :
   ?helpers:Helper.t -> Config.t -> Femto_ebpf.Program.t -> (ok, Fault.t) result

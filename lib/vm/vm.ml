@@ -10,7 +10,7 @@
 
    An instance carries one of two execution tiers, fixed by its loader:
 
-   - Decoded: the pre-decoded defensive interpreter loop ([load]).
+   - Decoded: the defensive interpreter loop over the wire slots ([load]).
    - Ir:      the superblock tier — one specialized closure per
               optimized IR block ([Femto_analysis.Ir]/[Passes] lift and
               rewrite the program; [Compile.compile_ir] emits it).
@@ -37,12 +37,10 @@ type tier = Decoded | Ir
 let tier_name = function Decoded -> "decoded" | Ir -> "ir"
 
 (* Everything needed to spawn further instances without redoing verify /
-   analyze / compile: the program, its shared pre-decoded view and the
-   compiled artifact.  All fields are immutable and shared by every
-   instance spawned from the image. *)
+   analyze / compile: the program and the compiled artifact.  All fields
+   are immutable and shared by every instance spawned from the image. *)
 type image = {
   i_program : Femto_ebpf.Program.t;
-  i_kinds : Femto_ebpf.Insn.kind array;
   i_config : Config.t;
   i_cycle_cost : (Femto_ebpf.Insn.kind -> int) option;
   i_helpers : Helper.t;
@@ -64,11 +62,11 @@ let emit_tier t =
   Obs.event (fun () ->
       Otrace.Tier_selected { tier = tier_name (tier t); proven = t.proven })
 
-let create_interp ?kinds ~config ~cycle_cost ~helpers ~regions program =
+let create_interp ~config ~cycle_cost ~helpers ~regions program =
   match cycle_cost with
   | Some cycle_cost ->
-      Interp.create ~config ~cycle_cost ?kinds ~helpers ~regions program
-  | None -> Interp.create ~config ?kinds ~helpers ~regions program
+      Interp.create ~config ~cycle_cost ~helpers ~regions program
+  | None -> Interp.create ~config ~helpers ~regions program
 
 (* Shared constructor: the caller certifies [program] already passed
    pre-flight verification.  An [ir] selects the IR tier; [proofs] (the
@@ -94,7 +92,6 @@ let make_verified ~config ~cycle_cost ~proofs ~ir ~helpers ~regions program =
   let image =
     {
       i_program = program;
-      i_kinds = Interp.kinds interp;
       i_config = config;
       i_cycle_cost = cycle_cost;
       i_helpers = helpers;
@@ -106,7 +103,7 @@ let make_verified ~config ~cycle_cost ~proofs ~ir ~helpers ~regions program =
   emit_tier t;
   t
 
-(* [load] verifies then pre-decodes; a program that fails pre-flight
+(* [load] verifies then instantiates; a program that fails pre-flight
    checks is never instantiated. *)
 let load ?(config = Config.default) ?cycle_cost ~helpers ~regions program =
   match Verifier.verify ~helpers config program with
@@ -166,15 +163,14 @@ let image_program img = img.i_program
 let image_proven img = img.i_proven
 
 (* [spawn] is the cheap path: no verification, no analysis, no decode
-   (the kinds array is shared), no compilation (the closure graph is
+   (the program is read in place), no compilation (the closure graph is
    shared via [Compile.instantiate]).  The instance privately owns its
    stack buffer, register file, stats, memory-region table and inline
    cache slots — nothing else. *)
 let spawn ?(regions = []) img =
   let interp =
-    create_interp ~kinds:img.i_kinds ~config:img.i_config
-      ~cycle_cost:img.i_cycle_cost ~helpers:img.i_helpers ~regions
-      img.i_program
+    create_interp ~config:img.i_config ~cycle_cost:img.i_cycle_cost
+      ~helpers:img.i_helpers ~regions img.i_program
   in
   let compiled =
     Option.map (fun code -> Compile.instantiate code interp) img.i_code

@@ -87,11 +87,10 @@ val ram_bytes : t -> int
 (** {2 Image / instance split}
 
     A verified instance doubles as a spawn template: {!image_of} captures
-    the whole immutable graph — program, shared pre-decoded instruction
-    views, compiled closure artifact — and {!spawn}
-    binds it to fresh private run state (stack, registers, stats, memory
-    map, inline-cache slots) without re-verifying, re-analyzing,
-    re-decoding or re-compiling anything. *)
+    the whole immutable graph — program and compiled closure artifact —
+    and {!spawn} binds it to fresh private run state (stack, registers,
+    stats, memory map, inline-cache slots) without re-verifying,
+    re-analyzing or re-compiling anything. *)
 
 type image
 

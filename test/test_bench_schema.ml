@@ -14,6 +14,7 @@ module Dispatch_bench = Femto_bench.Dispatch_bench
 module Spawn_bench = Femto_bench.Spawn_bench
 module Fleet_bench = Femto_bench.Fleet_bench
 module Edge_bench = Femto_bench.Edge_bench
+module Install_bench = Femto_bench.Install_bench
 module Jsonx = Femto_obs.Jsonx
 
 let check_valid label doc =
@@ -56,6 +57,24 @@ let test_dispatch_emitter () =
       [ ("dispatch/dagsum-decoded", 40.0); ("dispatch/dagsum-ir", 120.0) ]
   in
   Alcotest.(check bool) "slower IR fails its floor" true (slow.failures <> [])
+
+let install_total =
+  { Install_bench.stage = "total"; ns = 215_000.; words = 27_234. }
+
+let install_stages =
+  [
+    { Install_bench.stage = "verify"; ns = 12_000.; words = 8. };
+    { Install_bench.stage = "lift"; ns = 86_000.; words = 12_298. };
+  ]
+
+let test_install_emitter () =
+  let o = Install_bench.outcome ~total:install_total install_stages in
+  check_valid "install doc" (family_doc "install" o);
+  Alcotest.(check int) "one row per stage and the total" 3 (List.length o.rows);
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "ratio is 100 000 / minor words"
+    [ (Install_bench.ratio_key, 100_000. /. 27_234.) ]
+    o.ratios
 
 let spawn_rows =
   List.map
@@ -265,7 +284,14 @@ let run_of name ratios = (family name, { Family.rows = []; ratios; failures = []
 
 (* Each family with committed ratios, and the tolerance it must keep:
    the gate is one rule, but no family's bound may loosen. *)
-let gated = [ ("spawn", 0.6); ("fleet", 0.6); ("edge", 0.5); ("corpus", 0.5) ]
+let gated =
+  [
+    ("spawn", 0.6);
+    ("fleet", 0.6);
+    ("edge", 0.5);
+    ("corpus", 0.5);
+    ("install", 0.9);
+  ]
 
 let test_gate_one_rule () =
   let doc = baseline () in
@@ -405,6 +431,13 @@ let test_edge_baseline_current () =
   let live = List.map fst (Edge_bench.outcome edge_rows).ratios in
   check_current "edge" ~live ~required:live
 
+let test_install_baseline_current () =
+  let live =
+    List.map fst
+      (Install_bench.outcome ~total:install_total install_stages).ratios
+  in
+  check_current "install" ~live ~required:live
+
 let suite =
   [
     ( "emitters",
@@ -414,6 +447,7 @@ let suite =
         Alcotest.test_case "spawn doc conforms" `Quick test_spawn_emitter;
         Alcotest.test_case "fleet doc conforms" `Quick test_fleet_emitter;
         Alcotest.test_case "edge doc conforms" `Quick test_edge_emitter;
+        Alcotest.test_case "install doc conforms" `Quick test_install_emitter;
       ] );
     ( "validator",
       [
@@ -442,6 +476,8 @@ let suite =
           test_fleet_baseline_current;
         Alcotest.test_case "edge baseline current" `Quick
           test_edge_baseline_current;
+        Alcotest.test_case "install baseline current" `Quick
+          test_install_baseline_current;
       ] );
   ]
 

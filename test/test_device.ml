@@ -166,6 +166,54 @@ let test_broken_program_rejected_not_persisted () =
   Alcotest.(check int) "flash untouched" 0
     (List.length (Slots.scan (Device.slots rig.device)))
 
+let post_install rig envelope =
+  let outcome = ref None in
+  Client.post rig.client ~dst:device_addr ~path:"/suit/install"
+    ~payload:envelope (fun result ->
+      outcome := match result with Ok r -> Some r.Message.code | _ -> None);
+  ignore (Kernel.run rig.kernel ());
+  !outcome
+
+let test_install_releases_upload () =
+  let rig = make_rig () in
+  let code = deploy rig ~sequence:1L ~uuid:hook_a "mov r0, 11\nexit" in
+  Alcotest.(check bool) "2.04" true (code = Some Message.code_changed);
+  let payload, digest = Device.pending_upload rig.device in
+  Alcotest.(check int) "payload released" 0 (String.length payload);
+  Alcotest.(check bool) "digest released" true (digest = None)
+
+let test_refused_install_keeps_upload () =
+  let rig = make_rig () in
+  let payload =
+    Femto_ebpf.Program.to_string (Femto_ebpf.Asm.assemble "mov r0, 7\nexit")
+  in
+  let envelope key =
+    Suit.sign
+      (Suit.make ~vendor_id:identity.Device.vendor_id
+         ~class_id:identity.Device.class_id ~sequence:1L
+         [ Suit.component_for ~storage_uuid:hook_a payload ])
+      key
+  in
+  let attacker = Cose.make_key ~key_id:"fleet" ~secret:"guessed" in
+  let refused = ref None in
+  Client.post_blockwise rig.client ~dst:device_addr ~path:"/suit/slot" ~payload
+    (fun _ ->
+      Client.post rig.client ~dst:device_addr ~path:"/suit/install"
+        ~payload:(envelope attacker) (fun result ->
+          refused :=
+            match result with Ok r -> Some r.Message.code | _ -> None));
+  ignore (Kernel.run rig.kernel ());
+  Alcotest.(check bool) "4.01" true (!refused = Some Message.code_unauthorized);
+  let held, digest = Device.pending_upload rig.device in
+  Alcotest.(check string) "payload kept" payload held;
+  Alcotest.(check bool) "digest kept" true (digest <> None);
+  (* the corrected manifest alone, no second upload *)
+  Alcotest.(check bool) "2.04" true
+    (post_install rig (envelope key) = Some Message.code_changed);
+  Alcotest.(check (option int64)) "runs" (Some 7L) (run_hook rig hook_a);
+  Alcotest.(check int) "released" 0
+    (String.length (fst (Device.pending_upload rig.device)))
+
 let test_management_endpoints () =
   let rig = make_rig () in
   ignore (deploy rig ~sequence:1L ~uuid:hook_a "mov r0, 1\nexit");
@@ -388,6 +436,10 @@ let suite =
     Alcotest.test_case "wrong key" `Quick test_wrong_key_rejected;
     Alcotest.test_case "broken program not persisted" `Quick
       test_broken_program_rejected_not_persisted;
+    Alcotest.test_case "install releases upload" `Quick
+      test_install_releases_upload;
+    Alcotest.test_case "refused install keeps upload" `Quick
+      test_refused_install_keeps_upload;
     Alcotest.test_case "management endpoints" `Quick test_management_endpoints;
     Alcotest.test_case "corrupt slot skipped" `Quick test_corrupt_slot_skipped_on_boot;
     Alcotest.test_case "install sweeps tampered stale image" `Quick

@@ -202,6 +202,125 @@ let prop_bytes_roundtrip =
       let program = Program.of_insns insns in
       Program.equal program (Program.of_bytes (Program.to_bytes program)))
 
+(* --- the flat program: accessors, codec and kind table ---------------- *)
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* Random wire slots: any opcode byte, registers 0-15, any offset/imm. *)
+let gen_slots =
+  QCheck.Gen.(
+    map
+      (fun slots ->
+        let b = Bytes.create (8 * List.length slots) in
+        List.iteri
+          (fun i (opcode, (dst, src), offset, imm) ->
+            Insn.encode_into b (8 * i)
+              (Insn.make opcode ~dst ~src ~offset ~imm))
+          slots;
+        b)
+      (list_size (int_range 0 64)
+         (quad (int_range 0 255)
+            (pair (int_range 0 15) (int_range 0 15))
+            (int_range (-32768) 32767)
+            (map Int32.of_int (int_range (-0x8000_0000) 0x7fff_ffff)))))
+
+let prop_accessors_match_decode =
+  QCheck.Test.make ~name:"flat accessors = Insn.decode_from" ~count:300
+    (QCheck.make ~print:hex gen_slots) (fun b ->
+      let p = Program.of_bytes b in
+      let ok = ref (Program.length p * 8 = Bytes.length b) in
+      for pc = 0 to Program.length p - 1 do
+        let insn = Insn.decode_from b (8 * pc) in
+        ok :=
+          !ok
+          && Program.opcode p pc = insn.Insn.opcode
+          && Program.dst p pc = insn.Insn.dst
+          && Program.src p pc = insn.Insn.src
+          && Program.offset p pc = insn.Insn.offset
+          && Program.imm p pc = Int32.to_int insn.Insn.imm
+          && Program.kind p pc = Insn.kind insn
+          && Program.unsafe_kind p pc = Insn.kind insn
+          && Program.unsafe_dst p pc = insn.Insn.dst
+          && Program.unsafe_src p pc = insn.Insn.src
+          && Program.unsafe_offset p pc = insn.Insn.offset
+          && Program.unsafe_imm p pc = Int32.to_int insn.Insn.imm
+          && Insn.equal (Program.get p pc) insn
+      done;
+      !ok)
+
+let prop_wire_roundtrip =
+  QCheck.Test.make ~name:"to_bytes (of_bytes b) = b" ~count:300
+    (QCheck.make ~print:hex gen_slots) (fun b ->
+      let p = Program.of_bytes b in
+      Bytes.equal (Program.to_bytes p) b
+      && Program.equal p (Program.of_insns (Array.to_list (Program.insns p))))
+
+(* An independent opcode classifier: the reference for the kind table. *)
+let reference_kind opcode =
+  let open Opcode in
+  let src = source_of_code opcode in
+  match opcode land 0x07 with
+  | 0x07 -> (
+      match alu_op_of_code opcode with
+      | Some op -> Insn.Alu (true, op, src)
+      | None -> Insn.Invalid opcode)
+  | 0x04 -> (
+      if opcode land 0xf0 = 0xd0 then Insn.End (endianness_of_source src)
+      else
+        match alu_op_of_code opcode with
+        | Some op -> Insn.Alu (false, op, src)
+        | None -> Insn.Invalid opcode)
+  | 0x01 ->
+      if opcode land 0xe0 = 0x60 then Insn.Load (size_of_code opcode)
+      else Insn.Invalid opcode
+  | 0x02 ->
+      if opcode land 0xe0 = 0x60 then Insn.Store_imm (size_of_code opcode)
+      else Insn.Invalid opcode
+  | 0x03 ->
+      if opcode land 0xe0 = 0x60 then Insn.Store_reg (size_of_code opcode)
+      else Insn.Invalid opcode
+  | 0x00 -> if opcode = 0x18 then Insn.Lddw_head else Insn.Invalid opcode
+  | 0x05 -> (
+      if opcode = 0x05 then Insn.Ja
+      else if opcode = 0x85 then Insn.Call
+      else if opcode = 0x95 then Insn.Exit
+      else
+        match jmp_cond_of_code opcode with
+        | Some c -> Insn.Jcond (true, c, src)
+        | None -> Insn.Invalid opcode)
+  | _ -> (
+      match jmp_cond_of_code opcode with
+      | Some c -> Insn.Jcond (false, c, src)
+      | None -> Insn.Invalid opcode)
+
+let test_kind_table () =
+  for opcode = 0 to 255 do
+    if Insn.kind (Insn.make opcode) <> reference_kind opcode then
+      Alcotest.failf "opcode 0x%02x misclassified" opcode
+  done;
+  List.iter
+    (fun opcode ->
+      Alcotest.(check bool)
+        (Printf.sprintf "opcode 0x%x" opcode)
+        true
+        (Insn.kind (Insn.make opcode) = reference_kind opcode))
+    [ 0x100; 0x118; 0x1b7; 0x195 ]
+
+let test_of_insns_refuses_unrepresentable () =
+  let refuses name insn =
+    match Program.of_insns [ insn; Insn.make 0x95 ] with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "opcode 256" (Insn.make 0x100);
+  refuses "dst 16" (Insn.make 0xb7 ~dst:16);
+  refuses "src -1" (Insn.make 0xbf ~src:(-1));
+  refuses "offset 32768" (Insn.make 0x05 ~offset:32768);
+  refuses "offset -32769" (Insn.make 0x05 ~offset:(-32769))
+
 let suite =
   [
     Alcotest.test_case "insn roundtrip" `Quick test_insn_roundtrip;
@@ -222,6 +341,11 @@ let suite =
     Alcotest.test_case "disasm roundtrip" `Quick test_disasm_roundtrip;
     QCheck_alcotest.to_alcotest prop_disasm_roundtrip;
     QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
+    QCheck_alcotest.to_alcotest prop_accessors_match_decode;
+    QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+    Alcotest.test_case "kind table = reference" `Quick test_kind_table;
+    Alcotest.test_case "of_insns refuses unrepresentable" `Quick
+      test_of_insns_refuses_unrepresentable;
   ]
 
 let () = Alcotest.run "femto_ebpf" [ ("ebpf", suite) ]

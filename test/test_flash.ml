@@ -220,7 +220,7 @@ let test_persistence_across_reboot () =
   let flash = make_flash () in
   let slots = Slots.create ~flash ~count:4 in
   let program = Femto_ebpf.Asm.assemble "mov r0, 77\nexit" in
-  let payload = Bytes.to_string (Femto_ebpf.Program.to_bytes program) in
+  let payload = Femto_ebpf.Program.to_string program in
   slots_ok "store" (Slots.store slots ~slot:0 { Slots.sequence = 3L; hook_uuid = uuid; payload });
   (* --- reboot --- *)
   let slots' = Slots.create ~flash ~count:4 in

@@ -56,7 +56,7 @@ let make_update_rig ?(loss_permille = 200) () =
       ~install:(fun ~sequence:_ ~storage_uuid payload ->
         if storage_uuid <> hook_uuid then Error "wrong hook"
         else
-          match Femto_ebpf.Program.of_bytes (Bytes.of_string payload) with
+          match Femto_ebpf.Program.of_string payload with
           | exception Femto_ebpf.Program.Truncated m -> Error m
           | program ->
               Result.map_error Engine.attach_error_to_string
@@ -86,7 +86,7 @@ let current_version rig =
   | _ -> Alcotest.fail "trigger failed"
 
 let deploy rig ~key ~sequence program ~mitm =
-  let bytes = Bytes.to_string (Femto_ebpf.Program.to_bytes program) in
+  let bytes = Femto_ebpf.Program.to_string program in
   let manifest =
     Suit.make ~sequence [ Suit.component_for ~storage_uuid:hook_uuid bytes ]
   in
