@@ -538,7 +538,9 @@ let pipeline_cmd =
   in
   let domains_arg =
     Arg.(value & opt int Femto_suit.Pipeline.default_domains
-         & info [ "domains" ] ~doc:"Worker domains for the verification pool.")
+         & info [ "domains" ]
+             ~doc:"Domains that verify updates, the calling domain included \
+                   (1 = no worker domains).")
   in
   let size_arg =
     Arg.(value & opt int 4096

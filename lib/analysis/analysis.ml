@@ -488,8 +488,8 @@ let analyze ?helpers (config : Config.t) program :
           unreachable;
         }
 
-let load_outcome ?(config = Config.default) ?cycle_cost ?passes ~helpers
-    ~regions program =
+let load ?(config = Config.default) ?cycle_cost ?passes ~helpers ~regions
+    program =
   match analyze ~helpers config program with
   | Result.Error fault -> Result.Error fault
   | Result.Ok outcome ->
@@ -504,14 +504,8 @@ let load_outcome ?(config = Config.default) ?cycle_cost ?passes ~helpers
       if Obs.enabled () then
         Metrics.observe m_ir_build_ns (Obs.now_ns () -. t0);
       Result.Ok
-        ( Vm.load_analyzed ~config ?cycle_cost ?proofs:outcome.fastpath ~ir
-            ~helpers ~regions program,
-          outcome )
-
-let load ?config ?cycle_cost ?passes ~helpers ~regions program =
-  match load_outcome ?config ?cycle_cost ?passes ~helpers ~regions program with
-  | Result.Error fault -> Result.Error fault
-  | Result.Ok (vm, _outcome) -> Result.Ok vm
+        (Vm.load_analyzed ~config ?cycle_cost ?proofs:outcome.fastpath ~ir
+           ~helpers ~regions program)
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering (schema femto-analysis/1).                          *)

@@ -79,18 +79,6 @@ val load :
     per-pc proofs, which compile the budget guard out; programs with
     analysis diagnostics still load and run fully checked. *)
 
-val load_outcome :
-  ?config:Femto_vm.Config.t ->
-  ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
-  ?passes:Passes.config ->
-  helpers:Femto_vm.Helper.t ->
-  regions:Femto_vm.Region.t list ->
-  Femto_ebpf.Program.t ->
-  (Femto_vm.Vm.t * outcome, Femto_vm.Fault.t) result
-(** Like {!load}, additionally returning the analysis {!outcome} so the
-    caller can attach the proofs/diagnostics to a container image and
-    spawn further instances without re-running the analyzer. *)
-
 val fault_diag : Femto_vm.Fault.t -> diag
 (** Render a structural verifier fault as an [Error] diagnostic. *)
 

@@ -357,28 +357,23 @@ let build_image t ~key ~hook ~extra_regions ~granted container =
   let helpers = Syscall.build ~extra:t.extra_helpers ~granted facilities in
   let regions = Hook.ctx_region hook :: extra_regions in
   let cycle_cost = Platform.cycle_cost t.platform runtime in
-  let make vm outcome =
-    Image.create ~key ~runtime ~vm_image:(Femto_vm.Vm.image_of vm) ~outcome
-      ~baseline ~local_fwd ~tenant_fwd ~global_fwd ~dyn
+  let loaded =
+    match runtime with
+    | Platform.Fc ->
+        Femto_analysis.Analysis.load ~config:t.config ~cycle_cost ~helpers
+          ~regions program
+    | Platform.Rbpf ->
+        Femto_vm.Vm.load ~config:t.config ~cycle_cost ~helpers ~regions program
+    | Platform.Certfc ->
+        (* [spawn] falls back to [attach] before reaching here *)
+        assert false
   in
-  match runtime with
-  | Platform.Fc -> (
-      match
-        Femto_analysis.Analysis.load_outcome ~config:t.config ~cycle_cost
-          ~helpers ~regions program
-      with
-      | Ok (vm, outcome) -> Ok (make vm (Some outcome), vm)
-      | Error fault -> Error fault)
-  | Platform.Rbpf -> (
-      match
-        Femto_vm.Vm.load ~config:t.config ~cycle_cost ~helpers ~regions
-          program
-      with
-      | Ok vm -> Ok (make vm None, vm)
-      | Error fault -> Error fault)
-  | Platform.Certfc ->
-      (* [spawn] falls back to [attach] before reaching here *)
-      assert false
+  Result.map
+    (fun vm ->
+      ( Image.create ~key ~runtime ~vm_image:(Femto_vm.Vm.image_of vm)
+          ~baseline ~local_fwd ~tenant_fwd ~global_fwd ~dyn,
+        vm ))
+    loaded
 
 (* Bind a spawned VM into [container]: private CoW view over the image's
    frozen kv baseline, and a [prepare_run] hook that re-points the

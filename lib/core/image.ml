@@ -1,10 +1,11 @@
 (* Container image: the immutable, shareable product of one cold attach.
 
    One image captures everything the expensive load path produces —
-   verified bytecode, the analyzer's proofs and diagnostics, the
-   superblock IR and the compiled closure artifact (all inside
-   [Femto_vm.Vm.image]) — plus the frozen local-store baseline and the
-   forward kv indirections its helper table was compiled against.
+   verified bytecode, the superblock IR and the compiled closure
+   artifact, built with the analyzer's proofs (all inside
+   [Femto_vm.Vm.image]) — plus the
+   frozen local-store baseline and the forward kv indirections its
+   helper table was compiled against.
    Instances spawned from it privately own only their stack window, the
    interpreter run state and a copy-on-write kv delta; everything else
    is shared by reference, which is what makes spawning thousands of
@@ -19,9 +20,6 @@ type t = {
   key : string; (* hex sha-256; the image-cache key *)
   runtime : Femto_platform.Platform.engine;
   vm_image : Femto_vm.Vm.image;
-  outcome : Femto_analysis.Analysis.outcome option;
-      (* analyzer proofs/diagnostics, attached once at image build (Fc
-         runtime only: Rbpf loads through the plain checked loader) *)
   baseline : Kvstore.t;
       (* frozen snapshot of the local store at image build; every
          spawned instance's CoW local store reads through it *)
@@ -101,13 +99,12 @@ let key_of ~runtime ~granted program =
     :: Femto_platform.Platform.engine_name runtime
     :: caps)
 
-let create ~key ~runtime ~vm_image ~outcome ~baseline ~local_fwd ~tenant_fwd
+let create ~key ~runtime ~vm_image ~baseline ~local_fwd ~tenant_fwd
     ~global_fwd ~dyn =
   {
     key;
     runtime;
     vm_image;
-    outcome;
     baseline;
     local_fwd;
     tenant_fwd;
@@ -119,7 +116,6 @@ let create ~key ~runtime ~vm_image ~outcome ~baseline ~local_fwd ~tenant_fwd
 let key t = t.key
 let runtime t = t.runtime
 let vm_image t = t.vm_image
-let outcome t = t.outcome
 let baseline t = t.baseline
 let spawns t = t.spawns
 let record_spawn t = t.spawns <- t.spawns + 1

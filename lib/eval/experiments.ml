@@ -518,47 +518,38 @@ let multi_instance () =
 (* --- ablations: the design choices DESIGN.md calls out --- *)
 
 (* Ablation A — install-time transpilation (§11): one-off cold-start cost
-   vs per-execution speed, comparing the interpreter, the transpiled
-   engine and CertFC on fletcher32. *)
+   vs per-execution speed, comparing the decoded interpreter, the IR tier
+   (lifted, optimized and closure-compiled at install by
+   [Analysis.load]) and CertFC on fletcher32. *)
 let ablation_transpile () =
   let program = Fletcher.ebpf_program () in
   let helpers = Femto_vm.Helper.create () in
   let regions () = Fletcher.regions ~ctx_vaddr:0x2000_0000L data in
-  let interp_cold () =
-    ignore (Femto_vm.Vm.load ~helpers ~regions:(regions ()) program)
+  let load_interp () = Femto_vm.Vm.load ~helpers ~regions:(regions ()) program in
+  let load_ir () =
+    Femto_analysis.Analysis.load ~helpers ~regions:(regions ()) program
   in
-  let transpile_cold () =
-    ignore (Femto_vm.Transpile.load ~helpers ~regions:(regions ()) program)
+  let load_certfc () =
+    Femto_certfc.Certfc.load ~helpers ~regions:(regions ()) program
   in
-  let certfc_cold () =
-    ignore (Femto_certfc.Certfc.load ~helpers ~regions:(regions ()) program)
-  in
-  let interp_vm =
-    match Femto_vm.Vm.load ~helpers ~regions:(regions ()) program with
+  let loaded = function
     | Ok vm -> vm
     | Error fault -> failwith (Femto_vm.Fault.to_string fault)
   in
-  let transpiled =
-    match Femto_vm.Transpile.load ~helpers ~regions:(regions ()) program with
-    | Ok t -> t
-    | Error fault -> failwith (Femto_vm.Fault.to_string fault)
-  in
-  let certfc_vm =
-    match Femto_certfc.Certfc.load ~helpers ~regions:(regions ()) program with
-    | Ok vm -> vm
-    | Error fault -> failwith (Femto_vm.Fault.to_string fault)
-  in
+  let interp_vm = loaded (load_interp ()) in
+  let ir_vm = loaded (load_ir ()) in
+  let certfc_vm = loaded (load_certfc ()) in
   let args = [| 0x2000_0000L |] in
   let rows =
     [
       ( "interpreter (decoded)",
-        Measure.time_ns interp_cold,
+        Measure.time_ns (fun () -> ignore (load_interp ())),
         Measure.time_ns (fun () -> Femto_vm.Vm.run interp_vm ~args) );
-      ( "transpiled at install (closure-compiled)",
-        Measure.time_ns transpile_cold,
-        Measure.time_ns (fun () -> Femto_vm.Transpile.run transpiled ~args) );
+      ( "IR tier (compiled at install)",
+        Measure.time_ns (fun () -> ignore (load_ir ())),
+        Measure.time_ns (fun () -> Femto_vm.Vm.run ir_vm ~args) );
       ( "CertFC (defensive, pure)",
-        Measure.time_ns certfc_cold,
+        Measure.time_ns (fun () -> ignore (load_certfc ())),
         Measure.time_ns (fun () -> Femto_certfc.Certfc.run certfc_vm ~args) );
     ]
   in

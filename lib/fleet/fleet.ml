@@ -11,10 +11,10 @@
      cross-shard channel is the outbox, filled by the shard's network
      gateway during its epoch and drained by the owner domain at the
      barrier — in shard order, FIFO within a shard.
-   - The mutex/condvar barrier gives the owner a happens-before edge
-     over every worker write (and vice versa for the next epoch), so the
-     owner may read shard state and inject next-epoch traffic without
-     further locking.
+   - An epoch's compute is one [Pool.run], whose return is the barrier:
+     it gives the owner a happens-before edge over every worker write
+     (and vice versa for the next epoch), so the owner may read shard
+     state and inject next-epoch traffic without further locking.
    - Global Obs metrics are disabled while workers run (shared mutable
      histograms are lossy under concurrent update); shards keep plain
      local counters that the owner merges afterwards.  The one remaining
@@ -41,6 +41,7 @@ module Asm = Femto_ebpf.Asm
 module Crypto = Femto_crypto.Crypto
 module Obs = Femto_obs.Obs
 module Ometrics = Femto_obs.Metrics
+module Pool = Femto_par.Pool
 
 (* Merged by the owner domain after a campaign; never touched by
    workers. *)
@@ -181,16 +182,6 @@ type server = {
   mutable acks_rejected : int;
 }
 
-type pool = {
-  pm : Mutex.t;
-  go : Condition.t;
-  finished : Condition.t;
-  mutable until : int64;
-  mutable generation : int;
-  mutable remaining : int;
-  mutable stop : bool;
-}
-
 type t = {
   config : config;
   cfg_wave : int;
@@ -201,8 +192,6 @@ type t = {
   program_v1 : Program.t;
   mutable epoch : int;
   mutable cross_shard : int; (* datagrams exchanged at barriers *)
-  mutable pool : pool option;
-  mutable workers : unit Domain.t array;
 }
 
 (* --- event fingerprinting --- *)
@@ -492,104 +481,13 @@ let create (config : config) =
     program_v1;
     epoch = 0;
     cross_shard = 0;
-    pool = None;
-    workers = [||];
   }
 
-(* --- epochs, barriers, domain pool --- *)
+(* --- epochs and barriers --- *)
 
 let epoch_cycles t =
   Int64.of_int
     (Clock.cycles_of_us (Kernel.clock t.shards.(0).kernel) t.config.epoch_us)
-
-let run_shard_epoch shard ~until =
-  let fired = Kernel.run_timers_until shard.kernel ~until in
-  shard.stats.s_timer_events <- shard.stats.s_timer_events + fired
-
-(* Worker w (1-based) runs shards with s mod domains = w; the owner
-   domain takes residue 0.  The generation counter is the barrier: the
-   owner bumps it under the mutex to start an epoch, workers count
-   [remaining] down when their shards are done. *)
-let worker_loop t pool w =
-  let my_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock pool.pm;
-    while (not pool.stop) && pool.generation = !my_gen do
-      Condition.wait pool.go pool.pm
-    done;
-    if pool.stop then begin
-      running := false;
-      Mutex.unlock pool.pm
-    end
-    else begin
-      my_gen := pool.generation;
-      let until = pool.until in
-      Mutex.unlock pool.pm;
-      let domains = t.config.domains in
-      Array.iter
-        (fun shard ->
-          if shard.s_index mod domains = w then run_shard_epoch shard ~until)
-        t.shards;
-      Mutex.lock pool.pm;
-      pool.remaining <- pool.remaining - 1;
-      if pool.remaining = 0 then Condition.signal pool.finished;
-      Mutex.unlock pool.pm
-    end
-  done
-
-let start_pool t =
-  if t.config.domains > 1 && t.pool = None then begin
-    let pool =
-      {
-        pm = Mutex.create ();
-        go = Condition.create ();
-        finished = Condition.create ();
-        until = 0L;
-        generation = 0;
-        remaining = 0;
-        stop = false;
-      }
-    in
-    t.pool <- Some pool;
-    t.workers <-
-      Array.init
-        (t.config.domains - 1)
-        (fun i -> Domain.spawn (fun () -> worker_loop t pool (i + 1)))
-  end
-
-let stop_pool t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-      Mutex.lock pool.pm;
-      pool.stop <- true;
-      Condition.broadcast pool.go;
-      Mutex.unlock pool.pm;
-      Array.iter Domain.join t.workers;
-      t.workers <- [||];
-      t.pool <- None
-
-let run_epoch_compute t ~until =
-  match t.pool with
-  | None -> Array.iter (fun shard -> run_shard_epoch shard ~until) t.shards
-  | Some pool ->
-      Mutex.lock pool.pm;
-      pool.until <- until;
-      pool.generation <- pool.generation + 1;
-      pool.remaining <- Array.length t.workers;
-      Condition.broadcast pool.go;
-      Mutex.unlock pool.pm;
-      let domains = t.config.domains in
-      Array.iter
-        (fun shard ->
-          if shard.s_index mod domains = 0 then run_shard_epoch shard ~until)
-        t.shards;
-      Mutex.lock pool.pm;
-      while pool.remaining > 0 do
-        Condition.wait pool.finished pool.pm
-      done;
-      Mutex.unlock pool.pm
 
 (* Owner-only, between epochs: drain every shard's outbox in shard
    order (FIFO within a shard).  Acks to the campaign server are
@@ -676,17 +574,30 @@ let push_wave t =
 
 (* --- driving --- *)
 
-let run_one_epoch t ~push =
+let run_one_epoch t pool ~push =
   t.epoch <- t.epoch + 1;
   let until = Int64.mul (Int64.of_int t.epoch) (epoch_cycles t) in
-  run_epoch_compute t ~until;
+  let domains = Pool.domains pool in
+  Pool.run pool (fun w ->
+      Array.iter
+        (fun shard ->
+          if shard.s_index mod domains = w then begin
+            let fired = Kernel.run_timers_until shard.kernel ~until in
+            shard.stats.s_timer_events <- shard.stats.s_timer_events + fired
+          end)
+        t.shards);
   barrier_exchange t;
   if push then push_wave t
 
+let with_pool ~domains f =
+  let pool = Pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
 let run_epochs t n =
-  for _ = 1 to n do
-    run_one_epoch t ~push:false
-  done
+  with_pool ~domains:1 (fun pool ->
+      for _ = 1 to n do
+        run_one_epoch t pool ~push:false
+      done)
 
 let send_datagram t ~src_device ~dst_device payload =
   let shard = t.shards.(src_device mod t.config.shards) in
@@ -770,23 +681,22 @@ let run_campaign t =
   Obs.set_enabled false;
   let t0 = Obs.now_ns () in
   let epoch0 = t.epoch in
-  start_pool t;
-  while
-    (t.server.next_push < n || t.server.acks_done < n)
-    && t.epoch - epoch0 < t.config.max_epochs
-  do
-    run_one_epoch t ~push:true
-  done;
-  (* drain one extra telemetry period so every device's new firmware
-     provably fires before we inspect final state *)
+  (* after the campaign, drain one extra telemetry period so every
+     device's new firmware provably fires before we inspect final state *)
   let drain =
     if t.config.telemetry_us = 0 then 0
     else ((t.config.telemetry_us + t.config.epoch_us - 1) / t.config.epoch_us) + 1
   in
-  for _ = 1 to drain do
-    run_one_epoch t ~push:false
-  done;
-  stop_pool t;
+  with_pool ~domains:t.config.domains (fun pool ->
+      while
+        (t.server.next_push < n || t.server.acks_done < n)
+        && t.epoch - epoch0 < t.config.max_epochs
+      do
+        run_one_epoch t pool ~push:true
+      done;
+      for _ = 1 to drain do
+        run_one_epoch t pool ~push:false
+      done);
   let wall_ns = Obs.now_ns () -. t0 in
   Obs.set_enabled obs_was;
   let report = build_report t ~epochs:(t.epoch - epoch0) ~wall_ns in

@@ -62,7 +62,8 @@ val run_campaign : t -> report
 (** Push the signed v2 manifest to every device in rolling waves and run
     epochs until every device has acknowledged (or [max_epochs]); then
     drain one extra telemetry period so the new firmware provably fires.
-    Starts the domain pool on entry and joins it before returning.
+    Creates a {!Femto_par.Pool} of [domains] on entry and joins it on
+    every exit path, an exception included.
     Obs metrics are disabled while worker domains run and per-shard
     plain counters are merged into [fleet.*] metrics afterwards. *)
 
@@ -84,8 +85,7 @@ val send_datagram : t -> src_device:int -> dst_device:int -> bytes -> unit
 
 val run_epochs : t -> int -> unit
 (** Drive the wheel for [n] epochs without campaign traffic (telemetry
-    and in-flight datagrams still run).  Single-domain unless a campaign
-    started the pool earlier. *)
+    and in-flight datagrams still run), on the calling domain. *)
 
 val device_inbox : t -> int -> bytes list
 (** Drain the device's mailbox of non-SUIT datagrams (delivery order). *)

@@ -1,31 +1,35 @@
-(* Parallel multi-tenant update verification (PR 5 tentpole, part 3).
+(* Parallel multi-tenant update verification.
 
-   A pool of OCaml 5 worker domains runs the pure half of the update
-   pipeline ({!Suit.prepare}: signature check, manifest decode, payload
-   digests) for different tenants concurrently; the stateful half
+   The pure half of the update pipeline ({!Suit.prepare}: signature
+   check, manifest decode, payload digests) runs for different tenants
+   concurrently on a {!Femto_par.Pool}; the stateful half
    ({!Suit.commit}: rollback, identity, install, sequence advance) only
-   ever runs on the domain that owns the pool, inside [drain].
+   ever runs on the domain that owns the pipeline, inside [drain].
 
    Invariants:
 
-   - Per-tenant ordering.  A tenant's jobs are assigned to a worker by
-     tenant hash, so one tenant's updates are always prepared by the same
-     worker in submission order — a tenant can never observe its own
-     sequence numbers out of order.
+   - Per-tenant ordering.  [submit] appends a job to the FIFO of pool
+     index [hash tenant mod domains], so one tenant's updates are always
+     prepared by the same index in submission order — a tenant can
+     never observe its own sequence numbers out of order.  Only the
+     owner touches the FIFOs outside [Pool.run], and index i only FIFO i
+     inside it, so they need no lock.
    - Global commit order.  [drain] applies commits strictly in global
-     submission order, so the pool accepts and rejects exactly the same
-     update sets as a sequential [Suit.process] loop over the same jobs
-     (asserted differentially in the tests).
+     submission order, so the pipeline accepts and rejects exactly the
+     same update sets as a sequential [Suit.process] loop over the same
+     jobs (asserted differentially in the tests).
    - Main-domain effects.  Worker domains touch no device state, no
      hosting-engine state, and no Obs registry; metrics and trace events
-     are recorded from the submitting domain only.
-   - Backpressure.  At most [queue_depth] jobs may be awaiting a worker;
-     [submit] blocks (and counts a backpressure_wait) until space frees
-     up, bounding memory on a flood of updates. *)
+     are recorded from the owning domain only.
+   - Backpressure.  At most [queue_depth] jobs await preparation: the
+     [submit] that reaches that many prepares them all with one
+     [Pool.run] (and counts a backpressure_wait), bounding memory on a
+     flood of updates. *)
 
 module Obs = Femto_obs.Obs
 module Ometrics = Femto_obs.Metrics
 module Otrace = Femto_obs.Trace
+module Pool = Femto_par.Pool
 
 let m_submitted = Obs.counter "suit.pipeline.submitted"
 let m_committed = Obs.counter "suit.pipeline.committed"
@@ -35,163 +39,104 @@ let m_backpressure = Obs.counter "suit.pipeline.backpressure_waits"
 let m_latency_ns = Obs.histogram "suit.pipeline.latency_ns"
 let g_inflight = Obs.gauge "suit.pipeline.inflight"
 
-type task = {
-  seq : int; (* global submission order *)
+(* [prepared] is forced by exactly one pool index inside a [Pool.run],
+   or by the owner in [commit]; never by two domains at once. *)
+type job = {
   tenant : string;
   device : Suit.device;
   t_submit : float;
-  run : unit -> (Suit.prepared, Suit.error) result;
+  prepared : (Suit.prepared, Suit.error) result Lazy.t;
 }
 
 type t = {
-  mutex : Mutex.t;
-  work_ready : Condition.t; (* workers wait for queued tasks *)
-  space_ready : Condition.t; (* submit waits for backpressure room *)
-  task_done : Condition.t; (* drain waits for prepared results *)
-  queues : task Queue.t array; (* one FIFO per worker: per-tenant order *)
-  prepared : (int, task * (Suit.prepared, Suit.error) result) Hashtbl.t;
+  pool : Pool.t;
+  queues : job Queue.t array; (* pool index i prepares queues.(i) *)
+  jobs : job Queue.t; (* every job not yet committed, in submission order *)
   queue_depth : int;
-  mutable queued : int; (* tasks submitted but not yet prepared *)
-  mutable next_seq : int;
-  mutable next_commit : int;
-  mutable stopping : bool;
-  mutable workers : unit Domain.t array;
+  mutable pending : int; (* jobs submitted but not yet prepared *)
+  mutable stopped : bool;
 }
 
-let default_domains = max 1 (Domain.recommended_domain_count () - 1)
+let default_domains = Domain.recommended_domain_count ()
 let default_queue_depth = 32
-
-let worker_loop pool index =
-  let queue = pool.queues.(index) in
-  let rec loop () =
-    Mutex.lock pool.mutex;
-    while Queue.is_empty queue && not pool.stopping do
-      Condition.wait pool.work_ready pool.mutex
-    done;
-    if Queue.is_empty queue then (* stopping and drained *)
-      Mutex.unlock pool.mutex
-    else begin
-      let task = Queue.pop queue in
-      Mutex.unlock pool.mutex;
-      let result =
-        try task.run ()
-        with exn -> Error (Suit.Malformed (Printexc.to_string exn))
-      in
-      Mutex.lock pool.mutex;
-      Hashtbl.replace pool.prepared task.seq (task, result);
-      pool.queued <- pool.queued - 1;
-      Condition.broadcast pool.task_done;
-      Condition.broadcast pool.space_ready;
-      Mutex.unlock pool.mutex;
-      loop ()
-    end
-  in
-  loop ()
 
 let create ?(domains = default_domains) ?(queue_depth = default_queue_depth)
     () =
   if domains < 1 then invalid_arg "Pipeline.create: domains must be >= 1";
   if queue_depth < 1 then
     invalid_arg "Pipeline.create: queue_depth must be >= 1";
-  let pool =
-    {
-      mutex = Mutex.create ();
-      work_ready = Condition.create ();
-      space_ready = Condition.create ();
-      task_done = Condition.create ();
-      queues = Array.init domains (fun _ -> Queue.create ());
-      prepared = Hashtbl.create 64;
-      queue_depth;
-      queued = 0;
-      next_seq = 0;
-      next_commit = 0;
-      stopping = false;
-      workers = [||];
-    }
-  in
-  pool.workers <-
-    Array.init domains (fun i -> Domain.spawn (fun () -> worker_loop pool i));
-  pool
+  {
+    pool = Pool.create ~domains;
+    queues = Array.init domains (fun _ -> Queue.create ());
+    jobs = Queue.create ();
+    queue_depth;
+    pending = 0;
+    stopped = false;
+  }
 
-let domains pool = Array.length pool.queues
+let domains t = Pool.domains t.pool
 
-(* Stable tenant -> worker assignment: per-tenant FIFO order. *)
-let worker_for pool tenant = Hashtbl.hash tenant mod Array.length pool.queues
+let prepare_pending t =
+  if t.pending > 0 then begin
+    Pool.run t.pool (fun i ->
+        Queue.iter (fun job -> ignore (Lazy.force job.prepared)) t.queues.(i);
+        Queue.clear t.queues.(i));
+    t.pending <- 0
+  end
 
-let submit pool ?digests ~tenant ~device ~envelope ~payloads () =
+let submit t ?digests ~tenant ~device ~envelope ~payloads () =
+  if t.stopped then invalid_arg "Pipeline.submit: pipeline is shut down";
   let key = device.Suit.key in
-  let run () = Suit.prepare ~key ?digests ~envelope ~payloads () in
-  Mutex.lock pool.mutex;
-  if pool.stopping then begin
-    Mutex.unlock pool.mutex;
-    invalid_arg "Pipeline.submit: pool is shut down"
-  end;
-  let waited = ref false in
-  while pool.queued >= pool.queue_depth do
-    waited := true;
-    Condition.wait pool.space_ready pool.mutex
-  done;
-  let task =
+  let job =
     {
-      seq = pool.next_seq;
       tenant;
       device;
       t_submit = (if Obs.enabled () then Obs.now_ns () else 0.0);
-      run;
+      prepared =
+        lazy
+          (try Suit.prepare ~key ?digests ~envelope ~payloads ()
+           with exn -> Error (Suit.Malformed (Printexc.to_string exn)));
     }
   in
-  pool.next_seq <- pool.next_seq + 1;
-  pool.queued <- pool.queued + 1;
-  Queue.push task pool.queues.(worker_for pool tenant);
-  Condition.broadcast pool.work_ready;
-  Mutex.unlock pool.mutex;
+  Queue.push job t.queues.(Hashtbl.hash tenant mod Array.length t.queues);
+  Queue.push job t.jobs;
+  t.pending <- t.pending + 1;
+  let full = t.pending >= t.queue_depth in
+  if full then prepare_pending t;
   if Obs.enabled () then begin
     Ometrics.incr m_submitted;
-    if !waited then Ometrics.incr m_backpressure;
-    Ometrics.set g_inflight (float_of_int (pool.next_seq - pool.next_commit))
+    if full then Ometrics.incr m_backpressure;
+    Ometrics.set g_inflight (float_of_int (Queue.length t.jobs))
   end
 
-(* [drain pool] commits every submitted job, in global submission order,
-   on the calling (owner) domain; returns [(tenant, outcome)] pairs in
-   that same order. *)
-let drain pool =
-  let rec take_ready acc =
-    Mutex.lock pool.mutex;
-    if pool.next_commit >= pool.next_seq then begin
-      Mutex.unlock pool.mutex;
-      List.rev acc
-    end
-    else begin
-      while not (Hashtbl.mem pool.prepared pool.next_commit) do
-        Condition.wait pool.task_done pool.mutex
-      done;
-      let task, result = Hashtbl.find pool.prepared pool.next_commit in
-      Hashtbl.remove pool.prepared pool.next_commit;
-      pool.next_commit <- pool.next_commit + 1;
-      Mutex.unlock pool.mutex;
-      let outcome = Suit.commit task.device result in
-      if Obs.enabled () then begin
-        Ometrics.incr m_committed;
-        Ometrics.incr
-          (match outcome with Ok _ -> m_accepted | Error _ -> m_rejected);
-        let ns = Obs.now_ns () -. task.t_submit in
-        Ometrics.observe m_latency_ns ns;
-        Ometrics.set g_inflight
-          (float_of_int (pool.next_seq - pool.next_commit));
-        Obs.event (fun () ->
-            Otrace.Pipeline_update
-              { tenant = task.tenant; ok = Result.is_ok outcome; ns })
-      end;
-      take_ready ((task.tenant, outcome) :: acc)
-    end
-  in
-  take_ready []
+let commit t job =
+  let outcome = Suit.commit job.device (Lazy.force job.prepared) in
+  if Obs.enabled () then begin
+    Ometrics.incr m_committed;
+    Ometrics.incr
+      (match outcome with Ok _ -> m_accepted | Error _ -> m_rejected);
+    let ns = Obs.now_ns () -. job.t_submit in
+    Ometrics.observe m_latency_ns ns;
+    Ometrics.set g_inflight (float_of_int (Queue.length t.jobs));
+    Obs.event (fun () ->
+        Otrace.Pipeline_update
+          { tenant = job.tenant; ok = Result.is_ok outcome; ns })
+  end;
+  (job.tenant, outcome)
 
-let shutdown pool =
-  let pending = drain pool in
-  Mutex.lock pool.mutex;
-  pool.stopping <- true;
-  Condition.broadcast pool.work_ready;
-  Mutex.unlock pool.mutex;
-  Array.iter Domain.join pool.workers;
-  pending
+(* [drain t] prepares what is pending, then commits every submitted
+   job, in global submission order, on the calling (owner) domain. *)
+let drain t =
+  prepare_pending t;
+  let rec commit_all acc =
+    match Queue.take_opt t.jobs with
+    | None -> List.rev acc
+    | Some job -> commit_all (commit t job :: acc)
+  in
+  commit_all []
+
+let shutdown t =
+  let outcomes = drain t in
+  t.stopped <- true;
+  Pool.shutdown t.pool;
+  outcomes

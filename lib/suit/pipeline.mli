@@ -1,12 +1,12 @@
 (** Parallel multi-tenant update verification.
 
-    A pool of OCaml 5 worker domains runs {!Suit.prepare} (signature,
-    decode, digests — the pure gates) for different tenants concurrently;
-    {!Suit.commit} (rollback, identity, install) runs on the owning
-    domain only, inside {!drain}, in global submission order.  Jobs for
-    one tenant always go to the same worker, preserving per-tenant
-    ordering, so the pool accepts and rejects exactly the same update
-    sets as a sequential {!Suit.process} loop.
+    A {!Femto_par.Pool} of OCaml 5 domains runs {!Suit.prepare}
+    (signature, decode, digests — the pure gates) for different tenants
+    concurrently; {!Suit.commit} (rollback, identity, install) runs on
+    the owning domain only, inside {!drain}, in global submission order.
+    Jobs for one tenant are always prepared by the same pool index,
+    preserving per-tenant ordering, so the pipeline accepts and rejects
+    exactly the same update sets as a sequential {!Suit.process} loop.
 
     Observed through the [suit.pipeline.*] metrics: submitted, committed,
     accepted, rejected, backpressure_waits counters, a latency_ns
@@ -16,15 +16,18 @@
 type t
 
 val default_domains : int
-(** [max 1 (Domain.recommended_domain_count () - 1)] — leaves the owning
-    domain its own core when there is more than one. *)
+(** [Domain.recommended_domain_count ()]: the owning domain plus one
+    worker domain per further core. *)
 
 val default_queue_depth : int
 
 val create : ?domains:int -> ?queue_depth:int -> unit -> t
-(** Spawn the worker domains.  [queue_depth] bounds the number of jobs
-    awaiting a worker; beyond it, [submit] blocks (backpressure).
-    Raises [Invalid_argument] if either is < 1. *)
+(** [domains] counts the owning domain, so [create ~domains] spawns
+    [domains - 1] worker domains and [~domains:1] prepares every job on
+    the caller.  [queue_depth] bounds the number of jobs awaiting
+    preparation; the [submit] that reaches it prepares them all before
+    returning (backpressure).  Raises [Invalid_argument] if either is
+    < 1. *)
 
 val domains : t -> int
 
@@ -37,16 +40,16 @@ val submit :
   payloads:(string * string) list ->
   unit ->
   unit
-(** Enqueue one update for verification.  The device's key is read on
-    the worker domain; all other device state is only touched at commit.
-    Blocks while [queue_depth] jobs are already waiting.  Raises
-    [Invalid_argument] after [shutdown]. *)
+(** Enqueue one update for verification.  The device's key is read at
+    submit; all other device state is only touched at commit.  When
+    [queue_depth] jobs are waiting, prepares them across the pool before
+    returning.  Raises [Invalid_argument] after [shutdown]. *)
 
 val drain : t -> (string * (Suit.t, Suit.error) result) list
-(** Commit every job submitted so far, in submission order, on the
-    calling domain; returns [(tenant, outcome)] in that order.  Call
-    from the domain that owns the devices (the one that created the
-    pool). *)
+(** Prepare the jobs still waiting, then commit every job submitted so
+    far, in submission order, on the calling domain; returns
+    [(tenant, outcome)] in that order.  Call from the domain that owns
+    the devices (the one that created the pipeline). *)
 
 val shutdown : t -> (string * (Suit.t, Suit.error) result) list
 (** Drain outstanding jobs, then stop and join the worker domains.

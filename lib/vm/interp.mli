@@ -59,8 +59,8 @@ val resume : pc:int -> t -> (int64, Fault.t) result
 
 (** {2 Shared instruction semantics}
 
-    Used by the CertFC engine and the install-time transpiler so all
-    three execution engines agree bit-for-bit. *)
+    Used by the CertFC engine, the IR tier's closures and its constant
+    folder, so every execution engine agrees bit-for-bit. *)
 
 val alu64 : int -> Femto_ebpf.Opcode.alu_op -> int64 -> int64 -> (int64, Fault.t) result
 val alu32 : int -> Femto_ebpf.Opcode.alu_op -> int64 -> int64 -> (int64, Fault.t) result

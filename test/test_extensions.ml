@@ -1,10 +1,11 @@
 (* Tests for the paper's §11 extensions implemented in this repo:
-   install-time transpilation (Femto_vm.Transpile) and variable-length
+   install-time transpilation (the IR tier, which [Analysis.load] lifts,
+   optimizes and compiles to closures at install) and variable-length
    instruction compression (Femto_ebpf.Compact). *)
 
 open Femto_ebpf
 module Vm = Femto_vm.Vm
-module Transpile = Femto_vm.Transpile
+module Analysis = Femto_analysis.Analysis
 module Fault = Femto_vm.Fault
 module Config = Femto_vm.Config
 module Helper = Femto_vm.Helper
@@ -12,13 +13,13 @@ module Fletcher = Femto_workloads.Fletcher
 
 let no_helpers = Helper.create ()
 
-(* --- transpiler --- *)
+(* --- install-time transpilation --- *)
 
 let run_transpiled ?(regions = []) ?(args = [||]) source =
   let program = Asm.assemble source in
-  match Transpile.load ~helpers:no_helpers ~regions program with
+  match Analysis.load ~helpers:no_helpers ~regions program with
   | Error fault -> Error fault
-  | Ok t -> Transpile.run t ~args
+  | Ok vm -> Vm.run vm ~args
 
 let test_transpile_basic () =
   match run_transpiled "mov r0, 40\nadd r0, 2\nexit" with
@@ -37,10 +38,10 @@ let test_transpile_fletcher () =
   let data = Fletcher.input_360 in
   let regions = Fletcher.regions ~ctx_vaddr:0x2000_0000L data in
   let program = Fletcher.ebpf_program () in
-  match Transpile.load ~helpers:no_helpers ~regions program with
+  match Analysis.load ~helpers:no_helpers ~regions program with
   | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
-  | Ok t -> (
-      match Transpile.run t ~args:[| 0x2000_0000L |] with
+  | Ok vm -> (
+      match Vm.run vm ~args:[| 0x2000_0000L |] with
       | Ok v ->
           Alcotest.(check int64) "matches native"
             (Int64.of_int (Fletcher.checksum data)) v
@@ -59,16 +60,16 @@ let test_transpile_div_by_zero () =
 let test_transpile_branch_budget () =
   let program = Asm.assemble "loop:\nja loop" in
   let config = { Config.default with Config.max_branches = 30 } in
-  match Transpile.load ~config ~helpers:no_helpers ~regions:[] program with
+  match Analysis.load ~config ~helpers:no_helpers ~regions:[] program with
   | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
-  | Ok t -> (
-      match Transpile.run t with
+  | Ok vm -> (
+      match Vm.run vm with
       | Error (Fault.Branch_budget_exhausted _) -> ()
       | Ok _ | Error _ -> Alcotest.fail "expected budget fault")
 
 let test_transpile_rejects_invalid () =
   let program = Program.of_insns [ Insn.make 0xb7 ~dst:12; Insn.make 0x95 ] in
-  match Transpile.load ~helpers:no_helpers ~regions:[] program with
+  match Analysis.load ~helpers:no_helpers ~regions:[] program with
   | Error (Fault.Invalid_register _) -> ()
   | Ok _ -> Alcotest.fail "accepted invalid program"
   | Error fault -> Alcotest.failf "wrong fault: %s" (Fault.to_string fault)
@@ -78,10 +79,10 @@ let test_transpile_helpers () =
   Helper.register helpers ~id:1 ~name:"triple" (fun _mem args ->
       Ok (Int64.mul args.Helper.a1 3L));
   let program = Asm.assemble "mov r1, 14\ncall 1\nexit" in
-  match Transpile.load ~helpers ~regions:[] program with
+  match Analysis.load ~helpers ~regions:[] program with
   | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)
-  | Ok t -> (
-      match Transpile.run t with
+  | Ok vm -> (
+      match Vm.run vm with
       | Ok v -> Alcotest.(check int64) "helper" 42L v
       | Error fault -> Alcotest.failf "run: %s" (Fault.to_string fault))
 
@@ -134,12 +135,12 @@ let prop_transpile_equals_interp =
     (QCheck.make gen_program) (fun program ->
       let config = { Config.default with Config.max_branches = 128 } in
       let a = Vm.load ~config ~helpers:no_helpers ~regions:[] program in
-      let b = Transpile.load ~config ~helpers:no_helpers ~regions:[] program in
+      let b = Analysis.load ~config ~helpers:no_helpers ~regions:[] program in
       match (a, b) with
       | Error _, Error _ -> true
       | Ok _, Error _ | Error _, Ok _ -> false
-      | Ok vm, Ok t -> (
-          match (Vm.run vm, Transpile.run t) with
+      | Ok vm, Ok ir -> (
+          match (Vm.run vm, Vm.run ir) with
           | Ok x, Ok y -> Int64.equal x y
           | Error x, Error y -> String.equal (fault_tag x) (fault_tag y)
           | _ -> false))

@@ -390,6 +390,32 @@ let test_footprint_gauges () =
   Alcotest.(check (float 0.0)) "engine.instance_words gauge"
     (float_of_int instance_words)
     (Metrics.gauge_value (Obs.gauge "engine.instance_words"));
+  (* a 4 KiB straight-line update program (4 register initialisations,
+     505 ALU fillers, lddw, exit): its image keeps no per-pc analysis
+     arrays; with the analyzer's outcome attached it was 1 866 words *)
+  let engine = make_engine () in
+  let _h = Engine.register_hook engine ~uuid:"h" ~name:"g" ~ctx_size:8 () in
+  let b = Buffer.create 8192 in
+  for r = 2 to 5 do
+    Printf.bprintf b "mov r%d, %d\n" r (r * 101)
+  done;
+  for i = 0 to 504 do
+    Printf.bprintf b "%s r%d, %d\n"
+      (if i land 1 = 0 then "add" else "xor")
+      (2 + (i land 3))
+      (i * 37 mod 1000)
+  done;
+  Buffer.add_string b "lddw r0, 0x12345678\nexit\n";
+  let program = assemble (Buffer.contents b) in
+  Alcotest.(check int) "512 slots" 512 (Program.length program);
+  ignore
+    (ok_or_fail
+       (Engine.spawn engine ~hook_uuid:"h"
+          (container engine program ~contract:(Contract.require []))));
+  let image_words, _ = Engine.update_footprint_gauges engine in
+  Alcotest.(check bool)
+    (Printf.sprintf "512-slot image words %d < 1 866" image_words)
+    true (image_words < 1_866);
   Obs.reset ();
   Obs.set_enabled false
 
