@@ -248,8 +248,10 @@ let workloads () =
 (* Per-layer batching: L1 kernels run in µs, L2 hooks in tens of µs, L3
    storms in ms.  Short smoke batches trade statistical niceness for
    wall-clock budget — the gate compares ratios of identically-batched
-   rows, so the estimator bias cancels. *)
-let timing = function "l1" -> (1, 10, 2) | "l2" -> (1, 5, 2) | _ -> (1, 2, 2)
+   rows, so the estimator bias cancels.  L3 rows are the best of nine
+   single runs: a domain wake-up the host delays by a millisecond lands
+   in one run, and one slow run cannot decide a best-of-nine row. *)
+let timing = function "l1" -> (1, 10, 2) | "l2" -> (1, 5, 2) | _ -> (1, 1, 9)
 
 let measure_workload (w : Harness.workload) =
   let warmup, iters, trials = timing w.layer in

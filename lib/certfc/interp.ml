@@ -64,7 +64,7 @@ let create ?(config = Config.default) ?(cycle_cost = no_cost) ~helpers ~regions
   {
     program;
     config;
-    mem = Mem.create (stack :: regions);
+    mem = Mem.create ~stack regions;
     stack_data;
     helpers;
     cycle_cost;

@@ -114,5 +114,8 @@ let rom_on_platform (platform : Femto_platform.Platform.t) rom =
 
 (* The paper's per-instance RAM for a Femto-Container: VM stack (512 B) +
    housekeeping + region table = 624 B.  We measure our instance the same
-   way: deep size of the live VM instance object. *)
-let instance_ram_bytes instance = Measure.reachable_bytes instance
+   way: deep size of the live VM instance object, plus [lent] — the bytes
+   of run state it borrows per run and so does not reach (an rBPF
+   instance's stack and registers live in its domain's run frames). *)
+let instance_ram_bytes ?(lent = 0) instance =
+  Measure.reachable_bytes instance + lent

@@ -161,6 +161,8 @@ type shard = {
   mutable members : device array; (* filled after boot (devices need
                                      their shard to boot) *)
   outbox : (int * int * bytes) Queue.t; (* (src, dst, datagram) *)
+  ack_ok : bytes; (* encoded acks with message id 0 and no token, *)
+  ack_rej : bytes; (* shared by every shard; see [send_ack] *)
   quota : int option; (* per-device CoW delta quota *)
   stats : shard_stats;
 }
@@ -226,6 +228,20 @@ let unframe payload =
           String.sub payload (4 + n) (String.length payload - 4 - n) )
 
 (* The campaign's confirmable POST /suit carrying the framed update. *)
+(* A datagram that is [template] with its CoAP message id (bytes 2-3,
+   big endian) replaced: the only per-device bytes of a push or a
+   token-less ack. *)
+let with_message_id template id =
+  let datagram = Bytes.copy template in
+  Bytes.set_uint16_be datagram 2 (id land 0xffff);
+  datagram
+
+let ack_message ?(token = "") ~ok ~message_id () =
+  Message.make ~msg_type:Message.Acknowledgement ~token
+    ~payload:(if ok then "ok" else "rej")
+    ~code:(if ok then Message.code_changed else Message.code_bad_request)
+    ~message_id ()
+
 let make_push ~envelope ~firmware ~message_id =
   Message.make ~msg_type:Message.Confirmable
     ~options:(Message.options_of_path "suit")
@@ -279,14 +295,19 @@ let install_firmware shard dev payload =
 
 (* --- device-side traffic --- *)
 
+(* The campaign's pushes carry no token, so an ack is one of two
+   encodings made at [create] with the message id patched in; a token
+   changes the encoding's length, so a push that carried one is acked by
+   a full encode. *)
 let send_ack shard dev (msg : Message.t) ~ok =
-  let ack =
-    Message.make ~msg_type:Message.Acknowledgement ~token:msg.Message.token
-      ~payload:(if ok then "ok" else "rej")
-      ~code:(if ok then Message.code_changed else Message.code_bad_request)
-      ~message_id:msg.Message.message_id ()
+  let message_id = msg.Message.message_id in
+  let datagram =
+    if msg.Message.token = "" then
+      with_message_id (if ok then shard.ack_ok else shard.ack_rej) message_id
+    else
+      Message.encode (ack_message ~token:msg.Message.token ~ok ~message_id ())
   in
-  Network.send shard.net ~src:dev.addr ~dst:server_addr (Message.encode ack)
+  Network.send shard.net ~src:dev.addr ~dst:server_addr datagram
 
 let handle_update shard dev (msg : Message.t) =
   let ok =
@@ -427,6 +448,8 @@ let create (config : config) =
       acks_rejected = 0;
     }
   in
+  let ack_ok = Message.encode (ack_message ~ok:true ~message_id:0 ())
+  and ack_rej = Message.encode (ack_message ~ok:false ~message_id:0 ()) in
   let shards =
     Array.init shards_n (fun s ->
         let kernel = Kernel.create () in
@@ -445,6 +468,8 @@ let create (config : config) =
             programs = Hashtbl.create 4;
             members = [||];
             outbox = Queue.create ();
+            ack_ok;
+            ack_rej;
             quota = config.delta_quota;
             stats =
               {
@@ -529,11 +554,11 @@ let barrier_exchange t =
 let push_message t ~message_id =
   make_push ~envelope:t.server.envelope ~firmware:t.server.firmware ~message_id
 
-(* The CoAP header's message id sits at bytes 2-3, big endian. *)
-let push_datagram t ~id =
-  let datagram = Bytes.copy t.server.push_template in
-  Bytes.set_uint16_be datagram 2 (id land 0xffff);
-  datagram
+let push_datagram t ~id = with_message_id t.server.push_template id
+
+let ack_datagram t ~ok ~id =
+  let shard = t.shards.(0) in
+  with_message_id (if ok then shard.ack_ok else shard.ack_rej) id
 
 let push_to t dev =
   let shard = t.shards.(dev.id mod t.config.shards) in

@@ -77,6 +77,17 @@ val push_datagram : t -> id:int -> bytes
     [push_message ~message_id:(id land 0xffff)], made by patching the
     message id into a copy of one encoding made at {!create}. *)
 
+val ack_message :
+  ?token:string -> ok:bool -> message_id:int -> unit -> Femto_coap.Message.t
+(** A device's ack of an update push: [2.04 "ok"] when the update
+    installed, [4.00 "rej"] when it was refused. *)
+
+val ack_datagram : t -> ok:bool -> id:int -> bytes
+(** The ack a device sends for a token-less push with message id [id]:
+    the encoding of [ack_message ~ok ~message_id:(id land 0xffff) ()],
+    made by patching the message id into one of two encodings made at
+    {!create}.  A push with a token is acked by a full encode. *)
+
 val send_datagram : t -> src_device:int -> dst_device:int -> bytes -> unit
 (** Device-to-device traffic (cross-shard when the shards differ): the
     datagram leaves [src_device]'s radio during the next epoch and

@@ -8,12 +8,15 @@
 
    Invariants:
 
-   - Per-tenant ordering.  [submit] appends a job to the FIFO of pool
-     index [hash tenant mod domains], so one tenant's updates are always
-     prepared by the same index in submission order — a tenant can
-     never observe its own sequence numbers out of order.  Only the
-     owner touches the FIFOs outside [Pool.run], and index i only FIFO i
-     inside it, so they need no lock.
+   - Per-tenant ordering.  [submit] appends a job to the FIFO of the
+     pool index its tenant already has pending jobs on, or else of the
+     index with the fewest pending jobs, so one tenant's pending updates
+     are always prepared by one index in submission order — a tenant
+     can never observe its own sequence numbers out of order.  The
+     tenant-to-index table only holds tenants with pending jobs, so it
+     never exceeds [queue_depth] entries.  Only the owner touches the
+     FIFOs outside [Pool.run], and index i only FIFO i inside it, so
+     they need no lock.
    - Global commit order.  [drain] applies commits strictly in global
      submission order, so the pipeline accepts and rejects exactly the
      same update sets as a sequential [Suit.process] loop over the same
@@ -43,6 +46,7 @@ let g_inflight = Obs.gauge "suit.pipeline.inflight"
    or by the owner in [commit]; never by two domains at once. *)
 type job = {
   tenant : string;
+  seq : int; (* submission number *)
   device : Suit.device;
   t_submit : float;
   prepared : (Suit.prepared, Suit.error) result Lazy.t;
@@ -53,7 +57,9 @@ type t = {
   queues : job Queue.t array; (* pool index i prepares queues.(i) *)
   jobs : job Queue.t; (* every job not yet committed, in submission order *)
   queue_depth : int;
+  index_of : (string, int) Hashtbl.t; (* tenants with pending jobs *)
   mutable pending : int; (* jobs submitted but not yet prepared *)
+  mutable submitted : int;
   mutable stopped : bool;
 }
 
@@ -70,7 +76,9 @@ let create ?(domains = default_domains) ?(queue_depth = default_queue_depth)
     queues = Array.init domains (fun _ -> Queue.create ());
     jobs = Queue.create ();
     queue_depth;
+    index_of = Hashtbl.create queue_depth;
     pending = 0;
+    submitted = 0;
     stopped = false;
   }
 
@@ -81,8 +89,22 @@ let prepare_pending t =
     Pool.run t.pool (fun i ->
         Queue.iter (fun job -> ignore (Lazy.force job.prepared)) t.queues.(i);
         Queue.clear t.queues.(i));
+    Hashtbl.clear t.index_of;
     t.pending <- 0
   end
+
+(* The index a tenant's pending jobs are on, else the least loaded one
+   (the lowest on a tie). *)
+let index_for t tenant =
+  match Hashtbl.find_opt t.index_of tenant with
+  | Some i -> i
+  | None ->
+      let best = ref 0 in
+      Array.iteri
+        (fun i q -> if Queue.length q < Queue.length t.queues.(!best) then best := i)
+        t.queues;
+      Hashtbl.add t.index_of tenant !best;
+      !best
 
 let submit t ?digests ~tenant ~device ~envelope ~payloads () =
   if t.stopped then invalid_arg "Pipeline.submit: pipeline is shut down";
@@ -90,6 +112,7 @@ let submit t ?digests ~tenant ~device ~envelope ~payloads () =
   let job =
     {
       tenant;
+      seq = t.submitted;
       device;
       t_submit = (if Obs.enabled () then Obs.now_ns () else 0.0);
       prepared =
@@ -98,7 +121,8 @@ let submit t ?digests ~tenant ~device ~envelope ~payloads () =
            with exn -> Error (Suit.Malformed (Printexc.to_string exn)));
     }
   in
-  Queue.push job t.queues.(Hashtbl.hash tenant mod Array.length t.queues);
+  t.submitted <- t.submitted + 1;
+  Queue.push job t.queues.(index_for t tenant);
   Queue.push job t.jobs;
   t.pending <- t.pending + 1;
   let full = t.pending >= t.queue_depth in
@@ -108,6 +132,11 @@ let submit t ?digests ~tenant ~device ~envelope ~payloads () =
     if full then Ometrics.incr m_backpressure;
     Ometrics.set g_inflight (float_of_int (Queue.length t.jobs))
   end
+
+let pending t =
+  Array.map
+    (fun q -> List.rev (Queue.fold (fun acc j -> (j.tenant, j.seq) :: acc) [] q))
+    t.queues
 
 let commit t job =
   let outcome = Suit.commit job.device (Lazy.force job.prepared) in

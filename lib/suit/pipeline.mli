@@ -4,9 +4,10 @@
     (signature, decode, digests — the pure gates) for different tenants
     concurrently; {!Suit.commit} (rollback, identity, install) runs on
     the owning domain only, inside {!drain}, in global submission order.
-    Jobs for one tenant are always prepared by the same pool index,
-    preserving per-tenant ordering, so the pipeline accepts and rejects
-    exactly the same update sets as a sequential {!Suit.process} loop.
+    A tenant's pending jobs are always prepared by one pool index, in
+    submission order; a tenant without pending jobs goes to the index
+    with the fewest.  The pipeline accepts and rejects exactly the same
+    update sets as a sequential {!Suit.process} loop.
 
     Observed through the [suit.pipeline.*] metrics: submitted, committed,
     accepted, rejected, backpressure_waits counters, a latency_ns
@@ -44,6 +45,10 @@ val submit :
     submit; all other device state is only touched at commit.  When
     [queue_depth] jobs are waiting, prepares them across the pool before
     returning.  Raises [Invalid_argument] after [shutdown]. *)
+
+val pending : t -> (string * int) list array
+(** The jobs awaiting preparation, per pool index, in the order that
+    index will prepare them: (tenant, submission number from 0). *)
 
 val drain : t -> (string * (Suit.t, Suit.error) result) list
 (** Prepare the jobs still waiting, then commit every job submitted so

@@ -18,8 +18,11 @@
    The register file is a flat 88-byte buffer accessed through the
    unboxed bytes-load/store primitives, so straight-line ALU chains run
    without minor-heap allocation — the property the engine's warm pool
-   relies on.  Stores additionally maintain a dirty high-water mark over
-   the stack so [reset] zeroes only the bytes the previous run touched. *)
+   relies on.  Stores additionally maintain a dirty window over the
+   stack so [reset] zeroes only the bytes earlier runs touched.  The
+   register file, the stack and the dirty window belong to the run's
+   [Frame], lent by the domain; every closure takes the frame's [ctx],
+   which also points at the running instance's [state]. *)
 
 open Femto_ebpf
 module Obs = Femto_obs.Obs
@@ -45,31 +48,42 @@ let m_ir_elided = Obs.counter "vm.ir_checks_elided"
 external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Everything a run mutates lives in [state], which is passed to every
-   generated closure as a parameter: the closures themselves are pure
-   functions of the bytecode and can be shared between any number of
-   instances (the container image/instance split relies on this — see
+(* Everything a run mutates lives in [state] (per instance) or in the
+   run's [Frame] (per run), both reached through the [ctx] passed to
+   every generated closure: the closures themselves are pure functions
+   of the bytecode and can be shared between any number of instances
+   (the container image/instance split relies on this — see
    [instantiate]).  That includes the run statistics and the per-site
    region inline caches, which earlier revisions captured at compile
    time and would have leaked between instances. *)
 type state = {
-  rf : bytes; (* 11 registers x 8 bytes *)
-  stack : bytes; (* shared with the paired Interp instance *)
   mem : Mem.t;
   stats : Interp.stats; (* shared with the paired Interp instance *)
   interp : Interp.t; (* the decoded loop budget-guarded blocks resume in *)
   snapshot : Region.t array; (* this instance's allow-list at creation *)
-  cache_ok : bool; (* snapshot pairwise disjoint: inline caches sound *)
+  cache_ok : bool; (* snapshot and stack disjoint: inline caches sound *)
   rcache : Region.t option array; (* per-site region inline caches *)
-  mutable dirty_lo : int; (* dirty stack window [dirty_lo, dirty_hi) *)
-  mutable dirty_hi : int;
 }
+
+(* What the generated closures receive: the lent frame's buffers and the
+   instance running on it.  One per frame, kept in the frame's [slot]
+   and pointed at the running instance at each run entry, so a closure
+   reaches a register or a stack byte in one load, as when instances
+   owned them. *)
+type ctx = {
+  rf : bytes; (* the frame's IR register file: 11 registers x 8 bytes *)
+  stack : bytes; (* the frame's stack *)
+  fr : Frame.t; (* its dirty window, decoded registers and region *)
+  mutable inst : state;
+}
+
+type Frame.slot += Ctx of ctx
 
 (* The immutable compiled artifact: generated closures plus compile-time
    metadata.  Shared (never written after compilation) between every
    instance spawned from the same image. *)
 type code = {
-  entry : state -> unit; (* the superblock trampoline *)
+  entry : ctx -> unit; (* the superblock trampoline *)
   stack_top : int64; (* pre-boxed r10 reset value *)
   stack_size : int;
   ir_blocks : int; (* superblocks compiled *)
@@ -84,12 +98,13 @@ type mode = Checked | Proven
 
 exception Vm_fault of Fault.t
 
-let[@inline always] reg st i = get64 st.rf (i lsl 3)
-let[@inline always] set_reg st i v = set64 st.rf (i lsl 3) v
+let[@inline always] reg cx i = get64 cx.rf (i lsl 3)
+let[@inline always] set_reg cx i v = set64 cx.rf (i lsl 3) v
 
 (* Only regions that were in the instance's allow-list snapshot may be
    inline-cached: regions appended later scan *after* every snapshot
-   region in [Mem.find], so a cached hit can never shadow them. *)
+   region in [Mem.find], so a cached hit can never shadow them.  The
+   snapshot holds no stack, so no cache ever holds a lent frame. *)
 let in_snapshot st r =
   let ok = ref false in
   Array.iter (fun r' -> if r' == r then ok := true) st.snapshot;
@@ -110,58 +125,52 @@ let store_direct data o nbytes v =
   | 4 -> Bytes.set_int32_le data o (Int64.to_int32 v)
   | _ -> Bytes.set_int64_le data o v
 
-(* Pairwise disjointness of an instance's allow-list is what makes a
-   per-site region inline cache sound: with disjoint regions, [Mem.find]
-   first-match is determined by containment alone, and regions appended
-   later scan *after* every cached candidate, so a hit on a snapshot
-   region can never shadow a better match.  Checked per instance (at
-   [instantiate] time), since different instances of the same code can
-   carry different region layouts. *)
-let regions_disjoint (rs : Region.t array) =
+(* Pairwise disjointness of an instance's allow-list and its stack span
+   is what makes a per-site region inline cache sound: with disjoint
+   regions, [Mem.find] first-match is determined by containment alone,
+   and regions appended later scan *after* every cached candidate, so a
+   hit on a snapshot region can never shadow a better match.  Checked
+   per instance (at [instantiate] time), since different instances of
+   the same code can carry different region layouts. *)
+let regions_disjoint (config : Config.t) (rs : Region.t array) =
   let n = Array.length rs in
-  let span (r : Region.t) =
-    let lo = r.Region.vaddr in
-    let hi = Int64.add lo (Int64.of_int (Region.length r)) in
-    (lo, hi)
+  let overlap a_lo a_len b_lo b_len =
+    a_len > 0 && b_len > 0
+    && Int64.unsigned_compare a_lo (Int64.add b_lo (Int64.of_int b_len)) < 0
+    && Int64.unsigned_compare b_lo (Int64.add a_lo (Int64.of_int a_len)) < 0
   in
-  let wraps (r : Region.t) =
-    let lo, hi = span r in
-    Region.length r > 0 && Int64.unsigned_compare hi lo <= 0
+  let wraps lo len =
+    len > 0 && Int64.unsigned_compare (Int64.add lo (Int64.of_int len)) lo <= 0
   in
-  let overlap a b =
-    let a_lo, a_hi = span a and b_lo, b_hi = span b in
-    Region.length a > 0 && Region.length b > 0
-    && Int64.unsigned_compare a_lo b_hi < 0
-    && Int64.unsigned_compare b_lo a_hi < 0
-  in
-  let ok = ref true in
+  let stack_lo = config.Config.stack_vaddr
+  and stack_len = config.Config.stack_size in
+  let ok = ref (not (wraps stack_lo stack_len)) in
   for i = 0 to n - 1 do
-    if wraps rs.(i) then ok := false;
+    let lo = rs.(i).Region.vaddr and len = Region.length rs.(i) in
+    if wraps lo len || overlap lo len stack_lo stack_len then ok := false;
     for j = i + 1 to n - 1 do
-      if overlap rs.(i) rs.(j) then ok := false
+      if overlap lo len rs.(j).Region.vaddr (Region.length rs.(j)) then
+        ok := false
     done
   done;
   !ok
 
-(* Private run state for one instance over [cache_sites] inline-cache
+(* Private state for one instance over [cache_sites] inline-cache
    slots.  Everything else the closures touch is reached through this
-   record, so building it is the entire per-instance cost of the
-   compiled tier.  The interpreter is the instance's own, so a budget
-   hand-over runs on this instance's registers, stack and stats. *)
+   record or the run's frame, so building it is the entire per-instance
+   cost of the compiled tier.  The interpreter is the instance's own, so
+   a budget hand-over runs on this instance's memory map and stats. *)
 let fresh_state ~cache_sites interp =
   let mem = Interp.mem interp in
   let snapshot = Mem.raw_regions mem in
   {
-    rf = Bytes.make 88 '\000';
-    stack = Interp.stack_data interp;
     mem;
     stats = Interp.stats interp;
     interp;
     snapshot;
-    cache_ok = cache_sites > 0 && regions_disjoint snapshot;
+    cache_ok =
+      cache_sites > 0 && regions_disjoint (Interp.config interp) snapshot;
     rcache = Array.make cache_sites None;
-    dirty_lo = max_int;
-    dirty_hi = 0;
   }
 
 (* Bind shared compiled code to a fresh instance: no verification,
@@ -216,151 +225,151 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
     incr n_cache_sites;
     s
   in
-  let[@inline] bulk_acct st dn dc =
-    let stats = st.stats in
+  let[@inline] bulk_acct cx dn dc =
+    let stats = cx.inst.stats in
     stats.Interp.insns_executed <- stats.Interp.insns_executed + dn;
     stats.Interp.cycles <- stats.Interp.cycles + dc
   in
-  let[@inline] mark_dirty st lo hi =
-    if lo < st.dirty_lo then st.dirty_lo <- lo;
-    if hi > st.dirty_hi then st.dirty_hi <- hi
+  let[@inline] mark_dirty cx lo hi =
+    if lo < cx.fr.Frame.dirty_lo then cx.fr.Frame.dirty_lo <- lo;
+    if hi > cx.fr.Frame.dirty_hi then cx.fr.Frame.dirty_hi <- hi
   in
-  let mark_checked_store st addr nbytes =
+  let mark_checked_store cx addr nbytes =
     let o = Int64.to_int (Int64.sub addr stack_vaddr) in
     if o >= 0 && o < stack_size then
-      mark_dirty st (max 0 o) (min stack_size (o + nbytes))
+      mark_dirty cx (max 0 o) (min stack_size (o + nbytes))
   in
   (* Non-faulting 64-bit ALU, no accounting (batched elsewhere). *)
   let gen_alu64 ~dst ~(src : Ir.operand) (op : Opcode.alu_op)
-      (k : state -> int) =
+      (k : ctx -> int) =
     match src with
     | Ir.Imm v -> (
         match op with
-        | Opcode.Add -> fun st -> set_reg st dst (Int64.add (reg st dst) v); k st
-        | Opcode.Sub -> fun st -> set_reg st dst (Int64.sub (reg st dst) v); k st
-        | Opcode.Mul -> fun st -> set_reg st dst (Int64.mul (reg st dst) v); k st
+        | Opcode.Add -> fun cx -> set_reg cx dst (Int64.add (reg cx dst) v); k cx
+        | Opcode.Sub -> fun cx -> set_reg cx dst (Int64.sub (reg cx dst) v); k cx
+        | Opcode.Mul -> fun cx -> set_reg cx dst (Int64.mul (reg cx dst) v); k cx
         | Opcode.Div ->
             (* zero divisors become [Trap] at lift time *)
-            fun st -> set_reg st dst (Int64.unsigned_div (reg st dst) v); k st
+            fun cx -> set_reg cx dst (Int64.unsigned_div (reg cx dst) v); k cx
         | Opcode.Mod ->
-            fun st -> set_reg st dst (Int64.unsigned_rem (reg st dst) v); k st
-        | Opcode.Or -> fun st -> set_reg st dst (Int64.logor (reg st dst) v); k st
-        | Opcode.And -> fun st -> set_reg st dst (Int64.logand (reg st dst) v); k st
-        | Opcode.Xor -> fun st -> set_reg st dst (Int64.logxor (reg st dst) v); k st
+            fun cx -> set_reg cx dst (Int64.unsigned_rem (reg cx dst) v); k cx
+        | Opcode.Or -> fun cx -> set_reg cx dst (Int64.logor (reg cx dst) v); k cx
+        | Opcode.And -> fun cx -> set_reg cx dst (Int64.logand (reg cx dst) v); k cx
+        | Opcode.Xor -> fun cx -> set_reg cx dst (Int64.logxor (reg cx dst) v); k cx
         | Opcode.Lsh ->
             let sh = Int64.to_int (Int64.logand v 63L) in
-            fun st -> set_reg st dst (Int64.shift_left (reg st dst) sh); k st
+            fun cx -> set_reg cx dst (Int64.shift_left (reg cx dst) sh); k cx
         | Opcode.Rsh ->
             let sh = Int64.to_int (Int64.logand v 63L) in
-            fun st ->
-              set_reg st dst (Int64.shift_right_logical (reg st dst) sh);
-              k st
+            fun cx ->
+              set_reg cx dst (Int64.shift_right_logical (reg cx dst) sh);
+              k cx
         | Opcode.Arsh ->
             let sh = Int64.to_int (Int64.logand v 63L) in
-            fun st -> set_reg st dst (Int64.shift_right (reg st dst) sh); k st
-        | Opcode.Neg -> fun st -> set_reg st dst (Int64.neg (reg st dst)); k st
-        | Opcode.Mov -> fun st -> set_reg st dst v; k st)
+            fun cx -> set_reg cx dst (Int64.shift_right (reg cx dst) sh); k cx
+        | Opcode.Neg -> fun cx -> set_reg cx dst (Int64.neg (reg cx dst)); k cx
+        | Opcode.Mov -> fun cx -> set_reg cx dst v; k cx)
     | Ir.Reg src -> (
         match op with
         | Opcode.Add ->
-            fun st -> set_reg st dst (Int64.add (reg st dst) (reg st src)); k st
+            fun cx -> set_reg cx dst (Int64.add (reg cx dst) (reg cx src)); k cx
         | Opcode.Sub ->
-            fun st -> set_reg st dst (Int64.sub (reg st dst) (reg st src)); k st
+            fun cx -> set_reg cx dst (Int64.sub (reg cx dst) (reg cx src)); k cx
         | Opcode.Mul ->
-            fun st -> set_reg st dst (Int64.mul (reg st dst) (reg st src)); k st
+            fun cx -> set_reg cx dst (Int64.mul (reg cx dst) (reg cx src)); k cx
         | Opcode.Div | Opcode.Mod ->
             assert false (* fault-capable: handled by the flush generator *)
         | Opcode.Or ->
-            fun st -> set_reg st dst (Int64.logor (reg st dst) (reg st src)); k st
+            fun cx -> set_reg cx dst (Int64.logor (reg cx dst) (reg cx src)); k cx
         | Opcode.And ->
-            fun st ->
-              set_reg st dst (Int64.logand (reg st dst) (reg st src));
-              k st
+            fun cx ->
+              set_reg cx dst (Int64.logand (reg cx dst) (reg cx src));
+              k cx
         | Opcode.Xor ->
-            fun st ->
-              set_reg st dst (Int64.logxor (reg st dst) (reg st src));
-              k st
+            fun cx ->
+              set_reg cx dst (Int64.logxor (reg cx dst) (reg cx src));
+              k cx
         | Opcode.Lsh ->
-            fun st ->
-              set_reg st dst
-                (Int64.shift_left (reg st dst)
-                   (Int64.to_int (Int64.logand (reg st src) 63L)));
-              k st
+            fun cx ->
+              set_reg cx dst
+                (Int64.shift_left (reg cx dst)
+                   (Int64.to_int (Int64.logand (reg cx src) 63L)));
+              k cx
         | Opcode.Rsh ->
-            fun st ->
-              set_reg st dst
-                (Int64.shift_right_logical (reg st dst)
-                   (Int64.to_int (Int64.logand (reg st src) 63L)));
-              k st
+            fun cx ->
+              set_reg cx dst
+                (Int64.shift_right_logical (reg cx dst)
+                   (Int64.to_int (Int64.logand (reg cx src) 63L)));
+              k cx
         | Opcode.Arsh ->
-            fun st ->
-              set_reg st dst
-                (Int64.shift_right (reg st dst)
-                   (Int64.to_int (Int64.logand (reg st src) 63L)));
-              k st
-        | Opcode.Neg -> fun st -> set_reg st dst (Int64.neg (reg st dst)); k st
-        | Opcode.Mov -> fun st -> set_reg st dst (reg st src); k st)
+            fun cx ->
+              set_reg cx dst
+                (Int64.shift_right (reg cx dst)
+                   (Int64.to_int (Int64.logand (reg cx src) 63L)));
+              k cx
+        | Opcode.Neg -> fun cx -> set_reg cx dst (Int64.neg (reg cx dst)); k cx
+        | Opcode.Mov -> fun cx -> set_reg cx dst (reg cx src); k cx)
   in
   (* One IR step -> one closure in the block body; [dn]/[dc] is the
      batched accounting this step must apply first (0 for non-flush
      steps, which were folded into a later flush point). *)
-  let gen_step (s : Ir.step) dn dc (k : state -> int) : state -> int =
+  let gen_step (s : Ir.step) dn dc (k : ctx -> int) : ctx -> int =
     let pc = s.Ir.pc in
     match s.Ir.op with
     | Ir.Nop -> k
     | Ir.Movk { dst; v } ->
-        fun st ->
-          set_reg st dst v;
-          k st
+        fun cx ->
+          set_reg cx dst v;
+          k cx
     | Ir.Alu
         { op = (Opcode.Div | Opcode.Mod) as op; is64; dst; src = Ir.Reg src }
       ->
         if is64 then
           let div = op = Opcode.Div in
-          fun st ->
-            bulk_acct st dn dc;
-            let sv = reg st src in
+          fun cx ->
+            bulk_acct cx dn dc;
+            let sv = reg cx src in
             if Int64.equal sv 0L then
               raise (Vm_fault (Fault.Division_by_zero { pc }));
-            set_reg st dst
-              (if div then Int64.unsigned_div (reg st dst) sv
-               else Int64.unsigned_rem (reg st dst) sv);
-            k st
+            set_reg cx dst
+              (if div then Int64.unsigned_div (reg cx dst) sv
+               else Int64.unsigned_rem (reg cx dst) sv);
+            k cx
         else
-          fun st ->
-            bulk_acct st dn dc;
-            (match Interp.alu32 pc op (reg st dst) (reg st src) with
-            | Ok r -> set_reg st dst r
+          fun cx ->
+            bulk_acct cx dn dc;
+            (match Interp.alu32 pc op (reg cx dst) (reg cx src) with
+            | Ok r -> set_reg cx dst r
             | Error f -> raise (Vm_fault f));
-            k st
+            k cx
     | Ir.Alu { is64 = true; op; dst; src } -> gen_alu64 ~dst ~src op k
     | Ir.Alu { is64 = false; op; dst; src } -> (
         (* non-faulting 32-bit (imm divisors statically nonzero): routed
            through the shared semantics for exact parity *)
         match src with
         | Ir.Imm v ->
-            fun st ->
-              (match Interp.alu32 pc op (reg st dst) v with
-              | Ok r -> set_reg st dst r
+            fun cx ->
+              (match Interp.alu32 pc op (reg cx dst) v with
+              | Ok r -> set_reg cx dst r
               | Error f -> raise (Vm_fault f));
-              k st
+              k cx
         | Ir.Reg src ->
-            fun st ->
-              (match Interp.alu32 pc op (reg st dst) (reg st src) with
-              | Ok r -> set_reg st dst r
+            fun cx ->
+              (match Interp.alu32 pc op (reg cx dst) (reg cx src) with
+              | Ok r -> set_reg cx dst r
               | Error f -> raise (Vm_fault f));
-              k st)
+              k cx)
     | Ir.Swap { dst; endianness; width } ->
-        fun st ->
-          (match Interp.byte_swap pc endianness width (reg st dst) with
-          | Ok v -> set_reg st dst v
+        fun cx ->
+          (match Interp.byte_swap pc endianness width (reg cx dst) with
+          | Ok v -> set_reg cx dst v
           | Error f -> raise (Vm_fault f));
-          k st
+          k cx
     | Ir.Load { dst; base; off; nbytes; elide = true; _ } ->
         let off64 = Int64.of_int off in
-        if nbytes = 8 then fun st ->
+        if nbytes = 8 then fun cx ->
           let o =
-            Int64.to_int (Int64.sub (Int64.add (reg st base) off64) stack_vaddr)
+            Int64.to_int (Int64.sub (Int64.add (reg cx base) off64) stack_vaddr)
           in
           if o < 0 || o > stack_size - 8 then
             raise
@@ -368,15 +377,15 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
                  (Fault.Memory_access
                     {
                       pc;
-                      addr = Int64.add (reg st base) off64;
+                      addr = Int64.add (reg cx base) off64;
                       size = 8;
                       write = false;
                     }));
-          set_reg st dst (get64 st.stack o);
-          k st
-        else fun st ->
+          set_reg cx dst (get64 cx.stack o);
+          k cx
+        else fun cx ->
           let o =
-            Int64.to_int (Int64.sub (Int64.add (reg st base) off64) stack_vaddr)
+            Int64.to_int (Int64.sub (Int64.add (reg cx base) off64) stack_vaddr)
           in
           if o < 0 || o + nbytes > stack_size then
             raise
@@ -384,29 +393,29 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
                  (Fault.Memory_access
                     {
                       pc;
-                      addr = Int64.add (reg st base) off64;
+                      addr = Int64.add (reg cx base) off64;
                       size = nbytes;
                       write = false;
                     }));
-          set_reg st dst (load_direct st.stack o nbytes);
-          k st
+          set_reg cx dst (load_direct cx.stack o nbytes);
+          k cx
     | Ir.Load { dst; base; off; nbytes; hoist; _ } ->
         let off64 = Int64.of_int off in
         if hoist then begin
           let slot = fresh_slot () in
-          fun st ->
-            bulk_acct st dn dc;
-            let addr = Int64.add (reg st base) off64 in
-            (match Array.unsafe_get st.rcache slot with
+          fun cx ->
+            bulk_acct cx dn dc;
+            let addr = Int64.add (reg cx base) off64 in
+            (match Array.unsafe_get cx.inst.rcache slot with
             | Some r when Region.contains r addr nbytes ->
-                set_reg st dst
+                set_reg cx dst
                   (load_direct r.Region.data (Region.offset_of r addr) nbytes)
             | _ -> (
-                match Mem.find st.mem ~addr ~size:nbytes ~write:false with
+                match Mem.find cx.inst.mem ~addr ~size:nbytes ~write:false with
                 | Some r ->
-                    if st.cache_ok && in_snapshot st r then
-                      st.rcache.(slot) <- Some r;
-                    set_reg st dst
+                    if cx.inst.cache_ok && in_snapshot cx.inst r then
+                      cx.inst.rcache.(slot) <- Some r;
+                    set_reg cx dst
                       (load_direct r.Region.data (Region.offset_of r addr)
                          nbytes)
                 | None ->
@@ -414,25 +423,25 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
                       (Vm_fault
                          (Fault.Memory_access
                             { pc; addr; size = nbytes; write = false }))));
-            k st
+            k cx
         end
-        else fun st ->
-          bulk_acct st dn dc;
-          let addr = Int64.add (reg st base) off64 in
-          (match Mem.load st.mem ~addr ~size:nbytes with
-          | Ok v -> set_reg st dst v
+        else fun cx ->
+          bulk_acct cx dn dc;
+          let addr = Int64.add (reg cx base) off64 in
+          (match Mem.load cx.inst.mem ~addr ~size:nbytes with
+          | Ok v -> set_reg cx dst v
           | Error () ->
               raise
                 (Vm_fault
                    (Fault.Memory_access { pc; addr; size = nbytes; write = false })));
-          k st
+          k cx
     | Ir.Store { base; off; nbytes; v; elide = true; _ } ->
         let off64 = Int64.of_int off in
         let gen_store read_v =
-          if nbytes = 8 then fun st ->
+          if nbytes = 8 then fun cx ->
             let o =
               Int64.to_int
-                (Int64.sub (Int64.add (reg st base) off64) stack_vaddr)
+                (Int64.sub (Int64.add (reg cx base) off64) stack_vaddr)
             in
             if o < 0 || o > stack_size - 8 then
               raise
@@ -440,18 +449,18 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
                    (Fault.Memory_access
                       {
                         pc;
-                        addr = Int64.add (reg st base) off64;
+                        addr = Int64.add (reg cx base) off64;
                         size = 8;
                         write = true;
                       }));
-            if o < st.dirty_lo then st.dirty_lo <- o;
-            if o + 8 > st.dirty_hi then st.dirty_hi <- o + 8;
-            set64 st.stack o (read_v st);
-            k st
-          else fun st ->
+            if o < cx.fr.Frame.dirty_lo then cx.fr.Frame.dirty_lo <- o;
+            if o + 8 > cx.fr.Frame.dirty_hi then cx.fr.Frame.dirty_hi <- o + 8;
+            set64 cx.stack o (read_v cx);
+            k cx
+          else fun cx ->
             let o =
               Int64.to_int
-                (Int64.sub (Int64.add (reg st base) off64) stack_vaddr)
+                (Int64.sub (Int64.add (reg cx base) off64) stack_vaddr)
             in
             if o < 0 || o + nbytes > stack_size then
               raise
@@ -459,123 +468,123 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
                    (Fault.Memory_access
                       {
                         pc;
-                        addr = Int64.add (reg st base) off64;
+                        addr = Int64.add (reg cx base) off64;
                         size = nbytes;
                         write = true;
                       }));
-            mark_dirty st o (o + nbytes);
-            store_direct st.stack o nbytes (read_v st);
-            k st
+            mark_dirty cx o (o + nbytes);
+            store_direct cx.stack o nbytes (read_v cx);
+            k cx
         in
         (match v with
         | Ir.Imm c -> gen_store (fun _ -> c)
-        | Ir.Reg r -> gen_store (fun st -> reg st r))
+        | Ir.Reg r -> gen_store (fun cx -> reg cx r))
     | Ir.Store { base; off; nbytes; v; hoist; _ } ->
         let off64 = Int64.of_int off in
         let read_v =
           match v with
-          | Ir.Imm c -> fun (_ : state) -> c
-          | Ir.Reg r -> fun st -> reg st r
+          | Ir.Imm c -> fun (_ : ctx) -> c
+          | Ir.Reg r -> fun cx -> reg cx r
         in
         if hoist then begin
           let slot = fresh_slot () in
-          fun st ->
-            bulk_acct st dn dc;
-            let addr = Int64.add (reg st base) off64 in
-            (match Array.unsafe_get st.rcache slot with
+          fun cx ->
+            bulk_acct cx dn dc;
+            let addr = Int64.add (reg cx base) off64 in
+            (match Array.unsafe_get cx.inst.rcache slot with
             | Some r when Region.contains r addr nbytes ->
                 store_direct r.Region.data (Region.offset_of r addr) nbytes
-                  (read_v st);
-                mark_checked_store st addr nbytes
+                  (read_v cx);
+                mark_checked_store cx addr nbytes
             | _ -> (
-                match Mem.find st.mem ~addr ~size:nbytes ~write:true with
+                match Mem.find cx.inst.mem ~addr ~size:nbytes ~write:true with
                 | Some r ->
-                    if st.cache_ok && in_snapshot st r then
-                      st.rcache.(slot) <- Some r;
+                    if cx.inst.cache_ok && in_snapshot cx.inst r then
+                      cx.inst.rcache.(slot) <- Some r;
                     store_direct r.Region.data (Region.offset_of r addr) nbytes
-                      (read_v st);
-                    mark_checked_store st addr nbytes
+                      (read_v cx);
+                    mark_checked_store cx addr nbytes
                 | None ->
                     raise
                       (Vm_fault
                          (Fault.Memory_access
                             { pc; addr; size = nbytes; write = true }))));
-            k st
+            k cx
         end
-        else fun st ->
-          bulk_acct st dn dc;
-          let addr = Int64.add (reg st base) off64 in
-          (match Mem.store st.mem ~addr ~size:nbytes (read_v st) with
-          | Ok () -> mark_checked_store st addr nbytes
+        else fun cx ->
+          bulk_acct cx dn dc;
+          let addr = Int64.add (reg cx base) off64 in
+          (match Mem.store cx.inst.mem ~addr ~size:nbytes (read_v cx) with
+          | Ok () -> mark_checked_store cx addr nbytes
           | Error () ->
               raise
                 (Vm_fault
                    (Fault.Memory_access { pc; addr; size = nbytes; write = true })));
-          k st
+          k cx
     | Ir.Call { id } -> (
         match Helper.find helpers id with
         | None ->
-            fun st ->
-              bulk_acct st dn dc;
+            fun cx ->
+              bulk_acct cx dn dc;
               raise (Vm_fault (Fault.Unknown_helper { pc; id }))
         | Some entry ->
             let name = entry.Helper.name in
             let hcost = entry.Helper.cost_cycles in
             let fn = entry.Helper.fn in
-            fun st ->
-              bulk_acct st dn dc;
-              st.stats.Interp.helper_calls <- st.stats.Interp.helper_calls + 1;
+            fun cx ->
+              bulk_acct cx dn dc;
+              cx.inst.stats.Interp.helper_calls <- cx.inst.stats.Interp.helper_calls + 1;
               if Obs.tracing () then
                 Obs.event (fun () -> Otrace.Helper_call { id; name });
-              st.stats.Interp.cycles <- st.stats.Interp.cycles + hcost;
+              cx.inst.stats.Interp.cycles <- cx.inst.stats.Interp.cycles + hcost;
               let a =
                 {
-                  Helper.a1 = reg st 1;
-                  a2 = reg st 2;
-                  a3 = reg st 3;
-                  a4 = reg st 4;
-                  a5 = reg st 5;
+                  Helper.a1 = reg cx 1;
+                  a2 = reg cx 2;
+                  a3 = reg cx 3;
+                  a4 = reg cx 4;
+                  a5 = reg cx 5;
                 }
               in
-              (match fn st.mem a with
-              | Ok r0 -> set_reg st 0 r0
+              (match fn cx.inst.mem a with
+              | Ok r0 -> set_reg cx 0 r0
               | Error message ->
                   raise (Vm_fault (Fault.Helper_error { pc; id; message })));
-              st.dirty_lo <- 0;
-              st.dirty_hi <- stack_size;
-              k st)
+              cx.fr.Frame.dirty_lo <- 0;
+              cx.fr.Frame.dirty_hi <- stack_size;
+              k cx)
     | Ir.Jcond { is64; cond; dst; src; dest } -> (
         (* Taken side exits leave the superblock; the block-entry guard
            already reserved one branch, so no compare is needed here. *)
-        let taken : state -> int =
+        let taken : ctx -> int =
           match dest with
           | Ir.Block id ->
-              fun st ->
-                st.stats.Interp.branches_taken <-
-                  st.stats.Interp.branches_taken + 1;
+              fun cx ->
+                cx.inst.stats.Interp.branches_taken <-
+                  cx.inst.stats.Interp.branches_taken + 1;
                 id
           | Ir.Out_of_range target ->
-              fun st ->
-                st.stats.Interp.branches_taken <-
-                  st.stats.Interp.branches_taken + 1;
+              fun cx ->
+                cx.inst.stats.Interp.branches_taken <-
+                  cx.inst.stats.Interp.branches_taken + 1;
                 raise (Vm_fault (Fault.Fall_off_end { pc = target }))
         in
         match src with
         | Ir.Imm v ->
-            fun st ->
-              bulk_acct st dn dc;
-              if Interp.condition cond is64 (reg st dst) v then taken st
-              else k st
+            fun cx ->
+              bulk_acct cx dn dc;
+              if Interp.condition cond is64 (reg cx dst) v then taken cx
+              else k cx
         | Ir.Reg src ->
-            fun st ->
-              bulk_acct st dn dc;
-              if Interp.condition cond is64 (reg st dst) (reg st src) then
-                taken st
-              else k st)
+            fun cx ->
+              bulk_acct cx dn dc;
+              if Interp.condition cond is64 (reg cx dst) (reg cx src) then
+                taken cx
+              else k cx)
     | Ir.Trap f ->
         let exn = Vm_fault f in
-        fun st ->
-          bulk_acct st dn dc;
+        fun cx ->
+          bulk_acct cx dn dc;
           raise exn
     | Ir.Trap_pre f ->
         (* decoded-tier register-range check: faults before accounting;
@@ -583,27 +592,27 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
            preceding steps' accounting, which the decoded tier has also
            already performed at this point *)
         let exn = Vm_fault f in
-        fun st ->
-          bulk_acct st dn dc;
+        fun cx ->
+          bulk_acct cx dn dc;
           raise exn
   in
   (* Finish the run in the decoded loop at [pc]: the register file goes
      over and comes back, and the dirty window widens to the whole stack
      because interpreter stores are not tracked. *)
-  let resume_decoded st pc =
-    let regs = Interp.registers st.interp in
+  let resume_decoded cx pc =
+    let regs = cx.fr.Frame.regs in
     for i = 0 to 10 do
-      regs.(i) <- reg st i
+      regs.(i) <- reg cx i
     done;
-    let outcome = Interp.resume ~pc st.interp in
+    let outcome = Interp.resume ~pc cx.inst.interp cx.fr in
     for i = 0 to 10 do
-      set_reg st i regs.(i)
+      set_reg cx i regs.(i)
     done;
-    st.dirty_lo <- 0;
-    st.dirty_hi <- stack_size;
+    cx.fr.Frame.dirty_lo <- 0;
+    cx.fr.Frame.dirty_hi <- stack_size;
     match outcome with Ok _ -> -1 | Error f -> raise (Vm_fault f)
   in
-  let gen_block (b : Ir.block) : state -> int =
+  let gen_block (b : Ir.block) : ctx -> int =
     let steps = b.Ir.steps in
     let n = Array.length steps in
     (* Forward pass: batch accounting between flush points.  Non-flush
@@ -626,38 +635,38 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
       end
     done;
     let tdn = !pn and tdc = !pcyc in
-    let term_k : state -> int =
+    let term_k : ctx -> int =
       match b.Ir.term with
       | Ir.Exit { weight; cost; _ } ->
           let dni = tdn + weight and dci = tdc + cost in
-          fun st ->
-            bulk_acct st dni dci;
+          fun cx ->
+            bulk_acct cx dni dci;
             -1
       | Ir.Jump { weight; cost; dest; _ } -> (
           let dni = tdn + weight and dci = tdc + cost in
           match dest with
           | Ir.Block id ->
-              fun st ->
-                bulk_acct st dni dci;
-                st.stats.Interp.branches_taken <-
-                  st.stats.Interp.branches_taken + 1;
+              fun cx ->
+                bulk_acct cx dni dci;
+                cx.inst.stats.Interp.branches_taken <-
+                  cx.inst.stats.Interp.branches_taken + 1;
                 id
           | Ir.Out_of_range target ->
-              fun st ->
-                bulk_acct st dni dci;
-                st.stats.Interp.branches_taken <-
-                  st.stats.Interp.branches_taken + 1;
+              fun cx ->
+                bulk_acct cx dni dci;
+                cx.inst.stats.Interp.branches_taken <-
+                  cx.inst.stats.Interp.branches_taken + 1;
                 raise (Vm_fault (Fault.Fall_off_end { pc = target })))
       | Ir.Fall { dest } ->
           if tdn = 0 && tdc = 0 then fun _ -> dest
           else
-            fun st ->
-              bulk_acct st tdn tdc;
+            fun cx ->
+              bulk_acct cx tdn tdc;
               dest
       | Ir.Halt f ->
           let exn = Vm_fault f in
-          fun st ->
-            bulk_acct st tdn tdc;
+          fun cx ->
+            bulk_acct cx tdn tdc;
             raise exn
     in
     let body = ref term_k in
@@ -674,31 +683,31 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
       let w = b.Ir.weight in
       let head = b.Ir.head in
       if b.Ir.branch then
-        fun st ->
+        fun cx ->
           if
-            st.stats.Interp.insns_executed + w > ilimit
-            || st.stats.Interp.branches_taken >= blimit
-          then resume_decoded st head
-          else body st
+            cx.inst.stats.Interp.insns_executed + w > ilimit
+            || cx.inst.stats.Interp.branches_taken >= blimit
+          then resume_decoded cx head
+          else body cx
       else
-        fun st ->
-          if st.stats.Interp.insns_executed + w > ilimit then
-            resume_decoded st head
-          else body st
+        fun cx ->
+          if cx.inst.stats.Interp.insns_executed + w > ilimit then
+            resume_decoded cx head
+          else body cx
     end
   in
   let nblocks = Array.length ir.Ir.blocks in
-  let bcode = Array.make nblocks (fun (_ : state) -> -1) in
+  let bcode = Array.make nblocks (fun (_ : ctx) -> -1) in
   Array.iteri (fun i b -> bcode.(i) <- gen_block b) ir.Ir.blocks;
   let entry =
-    if nblocks = 0 then fun (_ : state) ->
+    if nblocks = 0 then fun (_ : ctx) ->
       (* only an empty program lifts to zero superblocks *)
       raise (Vm_fault (Fault.Fall_off_end { pc = 0 }))
     else
-      fun st ->
+      fun cx ->
         let next = ref 0 in
         while !next >= 0 do
-          next := (Array.unsafe_get bcode !next) st
+          next := (Array.unsafe_get bcode !next) cx
         done
   in
   let elided = Ir.elided_checks ir in
@@ -728,45 +737,76 @@ let hoisted_count t = t.sh.hoisted
 let runs t = t.runs
 
 (* [reset] is the warm pool's dividend: instead of zeroing the whole
-   frame it zeroes only the dirty window the previous run's stores
-   produced, then re-arms r10.  The register file is 88 bytes, cleared
-   unconditionally. *)
-let reset t =
-  let st = t.st in
-  Bytes.fill st.rf 0 88 '\000';
-  if st.dirty_hi > st.dirty_lo then
-    Bytes.fill st.stack st.dirty_lo (st.dirty_hi - st.dirty_lo) '\000';
-  st.dirty_lo <- max_int;
-  st.dirty_hi <- 0;
-  set64 st.rf 80 t.sh.stack_top
+   stack it zeroes only the frame's dirty window — the stores earlier
+   runs on this frame produced — then re-arms r10.  The register file
+   is 88 bytes, cleared unconditionally. *)
+let reset t cx =
+  let fr = cx.fr in
+  Bytes.fill cx.rf 0 88 '\000';
+  if fr.Frame.dirty_hi > fr.Frame.dirty_lo then
+    Bytes.fill cx.stack fr.Frame.dirty_lo
+      (fr.Frame.dirty_hi - fr.Frame.dirty_lo)
+      '\000';
+  fr.Frame.dirty_lo <- max_int;
+  fr.Frame.dirty_hi <- 0;
+  set64 cx.rf 80 t.sh.stack_top
 
-let[@inline] load_args st (args : int64 array) =
+let[@inline] load_args cx (args : int64 array) =
   let n = Array.length args in
-  if n > 0 then set64 st.rf 8 (Array.unsafe_get args 0);
-  if n > 1 then set64 st.rf 16 (Array.unsafe_get args 1);
-  if n > 2 then set64 st.rf 24 (Array.unsafe_get args 2);
-  if n > 3 then set64 st.rf 32 (Array.unsafe_get args 3);
-  if n > 4 then set64 st.rf 40 (Array.unsafe_get args 4)
+  if n > 0 then set64 cx.rf 8 (Array.unsafe_get args 0);
+  if n > 1 then set64 cx.rf 16 (Array.unsafe_get args 1);
+  if n > 2 then set64 cx.rf 24 (Array.unsafe_get args 2);
+  if n > 3 then set64 cx.rf 32 (Array.unsafe_get args 3);
+  if n > 4 then set64 cx.rf 40 (Array.unsafe_get args 4)
 
-let exec_exn ~args t =
+(* The frame's context, pointed at [t]'s state; built on the frame's
+   first IR run. *)
+let ctx_of t (fr : Frame.t) =
+  match fr.Frame.slot with
+  | Some (Ctx cx) ->
+      if cx.inst != t.st then cx.inst <- t.st;
+      cx
+  | _ ->
+      let cx = { rf = fr.Frame.rf; stack = fr.Frame.stack; fr; inst = t.st } in
+      fr.Frame.slot <- Some (Ctx cx);
+      cx
+
+let exec_exn ~args t fr =
+  let cx = ctx_of t fr in
   t.runs <- t.runs + 1;
-  reset t;
-  load_args t.st args;
+  reset t cx;
+  load_args cx args;
   let stats = t.st.stats in
   stats.Interp.insns_executed <- 0;
   stats.Interp.branches_taken <- 0;
   stats.Interp.helper_calls <- 0;
   stats.Interp.cycles <- 0;
-  t.sh.entry t.st
+  t.sh.entry cx
 
+(* A violated analyzer proof or unsafe escape, contained as a memory
+   fault. *)
+let escaped =
+  Fault.Memory_access { pc = 0; addr = 0L; size = 0; write = false }
+
+(* [exec] and [fire] borrow a frame for the run and give it back on
+   every exit path. *)
 let exec ?(args = [||]) t =
-  match exec_exn ~args t with
-  | () -> Ok (get64 t.st.rf 0)
-  | exception Vm_fault f -> Error f
+  let interp = t.st.interp in
+  let outer = Mem.stack t.st.mem in
+  let fr = Interp.lend interp in
+  match exec_exn ~args t fr with
+  | () ->
+      Interp.give_back interp ~outer fr;
+      Ok (get64 fr.Frame.rf 0)
+  | exception Vm_fault f ->
+      Interp.give_back interp ~outer fr;
+      Error f
   | exception Invalid_argument _ ->
-      (* A violated analyzer proof or unsafe escape: contain it as a
-         memory fault. *)
-      Error (Fault.Memory_access { pc = 0; addr = 0L; size = 0; write = false })
+      Interp.give_back interp ~outer fr;
+      Error escaped
+  | exception e ->
+      Interp.give_back interp ~outer fr;
+      raise e
 
 (* [run] mirrors [Interp.run]'s observability envelope so engine-level
    accounting is identical whichever tier a container runs on. *)
@@ -805,8 +845,12 @@ let run ?(args = [||]) t =
    successful run of an allocation-free program performs zero minor-heap
    allocation.  Returns [false] when the run faulted. *)
 let fire ~args t =
-  match exec_exn ~args t with
+  let interp = t.st.interp in
+  let outer = Mem.stack t.st.mem in
+  let fr = Interp.lend interp in
+  match exec_exn ~args t fr with
   | () ->
+      Interp.give_back interp ~outer fr;
       if Obs.enabled () then begin
         let stats = t.st.stats in
         Ometrics.incr m_runs;
@@ -817,6 +861,7 @@ let fire ~args t =
       end;
       true
   | exception Vm_fault f ->
+      Interp.give_back interp ~outer fr;
       if Obs.enabled () then begin
         let stats = t.st.stats in
         Ometrics.incr m_runs;
@@ -830,20 +875,28 @@ let fire ~args t =
       end;
       false
   | exception Invalid_argument _ ->
+      Interp.give_back interp ~outer fr;
       if Obs.enabled () then begin
         Ometrics.incr m_runs;
         Ometrics.incr m_faults
       end;
       false
+  | exception e ->
+      Interp.give_back interp ~outer fr;
+      raise e
 
-let result t = get64 t.st.rf 0
+(* The frame the instance's last run on this domain borrowed, until the
+   next run takes it. *)
+let last_frame t = Frame.last (Interp.config t.st.interp)
+let result t = get64 (last_frame t).Frame.rf 0
 
 let copy_registers t dst =
+  let rf = (last_frame t).Frame.rf in
   for i = 0 to 10 do
-    dst.(i) <- get64 t.st.rf (i lsl 3)
+    dst.(i) <- get64 rf (i lsl 3)
   done
 
 let ram_bytes t =
   let word = Sys.word_size / 8 in
-  88 (* register file *)
+  88 (* register file, borrowed with the frame *)
   + (t.sh.ir_blocks * word)

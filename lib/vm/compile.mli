@@ -7,17 +7,19 @@
     budgets; [Proven] mode is granted only to DAGs inside both static
     budgets, so the budget guard is compiled out.
 
-    The instance is a warm pool entry: registers live in an unboxed byte
-    buffer, stores maintain a dirty high-water mark over the stack, and
-    [reset] zeroes only what the previous run touched — so [fire] on an
+    The instance is a warm pool entry: each run borrows a {!Frame} from
+    its domain, whose registers live in an unboxed byte buffer; stores
+    maintain the frame's dirty window over the stack, and [reset] zeroes
+    only what earlier runs on the frame touched — so [fire] on an
     allocation-free program performs zero minor-heap allocation. *)
 
 type t
 
 type code
 (** The immutable compiled artifact: generated closures plus compile-time
-    metadata.  All run-time mutable state (registers, stack, stats, dirty
-    window, region inline caches) lives in the instance, so one [code]
+    metadata.  All run-time mutable state lives in the instance (stats,
+    region inline caches) or in the run's frame (registers, stack, dirty
+    window), so one [code]
     value can back any number of instances — the container image/instance
     split shares it via [shared]/[instantiate]. *)
 
@@ -31,8 +33,8 @@ exception Vm_fault of Fault.t
 
 val compile_ir : mode:mode -> ir:Ir.program -> Interp.t -> t
 (** One specialized closure per IR block, threaded by a block-id
-    trampoline.  The instance shares [interp]'s memory map, stack buffer
-    and stats record.  Instruction/cycle accounting is batched at
+    trampoline.  The instance shares [interp]'s memory map and stats
+    record; each run borrows its registers and stack from a {!Frame}.  Instruction/cycle accounting is batched at
     fault-capable steps and block exits; in [Checked] mode a per-block
     headroom guard hands the run to [Interp.resume] at the block's head
     pc when a budget could expire mid-block, so budget faults (payload
@@ -49,9 +51,8 @@ val shared : t -> code
 
 val instantiate : code -> Interp.t -> t
 (** Bind shared compiled code to a fresh interpreter instance.  Performs
-    no verification, analysis or compilation — only the per-instance run
-    state (register file, inline-cache slots, region snapshot) is
-    allocated.  The interpreter must have been created from the same
+    no verification, analysis or compilation — only the per-instance
+    state (inline-cache slots, region snapshot) is allocated.  The interpreter must have been created from the same
     program and config the code was compiled from. *)
 
 val run : ?args:int64 array -> t -> (int64, Fault.t) result
@@ -63,7 +64,8 @@ val fire : args:int64 array -> t -> bool
     minor-heap allocation on success for allocation-free programs. *)
 
 val result : t -> int64
-(** r0 as left by the most recent execution. *)
+(** r0 as left by the most recent execution on this domain, until the
+    next one takes its frame. *)
 
 val elided_count : t -> int
 (** IR memory checks elided against analyzer proofs. *)
@@ -74,8 +76,10 @@ val hoisted_count : t -> int
 val runs : t -> int
 
 val copy_registers : t -> int64 array -> unit
-(** Copy the register file into [dst] (length >= 11) without allocating. *)
+(** Copy the register file of the most recent execution on this domain
+    into [dst] (length >= 11) without allocating. *)
 
 val ram_bytes : t -> int
-(** Additional state owned by this tier: register file plus the block
-    table (shared when the instance was spawned from an image). *)
+(** Additional state used by this tier: its register file (borrowed with
+    the frame) plus the block table (shared when the instance was spawned
+    from an image). *)

@@ -38,70 +38,64 @@ type t = {
   program : Program.t;
   config : Config.t;
   mem : Mem.t;
-  stack_data : bytes;
   helpers : Helper.t;
-  regs : int64 array;
   cycle_cost : Insn.kind -> int;
   stats : stats;
 }
 
 let no_cost (_ : Insn.kind) = 0
 
-(* [create] binds the program to fresh run state; nothing is decoded.
-   The caller is expected to have run [Verifier.verify] first; [run]
-   still never crashes the host on an unverified program — it faults
-   instead. *)
+(* [create] binds the program to its memory map and statistics; nothing
+   is decoded, and no stack or register file is allocated: each run
+   borrows those from its domain's frames ([Frame]).  The caller is
+   expected to have run [Verifier.verify] first; [run] still never
+   crashes the host on an unverified program — it faults instead. *)
 let create ?(config = Config.default) ?(cycle_cost = no_cost) ~helpers
     ~regions program =
-  let stack_data = Bytes.make config.Config.stack_size '\000' in
-  let stack =
-    Region.make ~name:"stack" ~vaddr:config.Config.stack_vaddr
-      ~perm:Region.Read_write stack_data
-  in
   {
     program;
     config;
-    mem = Mem.create (stack :: regions);
-    stack_data;
+    mem = Mem.create ~stack:Frame.unlent regions;
     helpers;
-    regs = Array.make 11 0L;
     cycle_cost;
     stats = fresh_stats ();
   }
 
 let mem t = t.mem
 let stats t = t.stats
-let registers t = t.regs
 
 (* Structural accessors for the IR backend (Compile), which shares this
-   instance's memory map, stack buffer and stats record so both tiers
-   observe identical state. *)
+   instance's memory map and stats record so both tiers observe
+   identical state. *)
 let config t = t.config
 let helpers t = t.helpers
-let stack_data t = t.stack_data
 
 (* Per-instance RAM in the paper's Table 3 sense: the state one container
-   instance owns — VM stack, register file, statistics, and its memory
-   region table — excluding the shared bytecode and helper tables.
-   Computed from the actual buffer sizes of this instance. *)
+   instance uses — VM stack and register file (the frame every run
+   borrows), statistics, and its memory region table — excluding the
+   shared bytecode and helper tables. *)
 let ram_bytes t =
   let word = Sys.word_size / 8 in
-  let stack = Bytes.length t.stack_data in
-  let regs = 11 * 8 in
   let stats_struct = 5 * word in
   let region_table =
     List.fold_left
       (fun acc (_ : Region.t) -> acc + (6 * word))
       (2 * word) (Mem.regions t.mem)
   in
-  stack + regs + stats_struct + region_table
+  Frame.ram_bytes t.config + stats_struct + region_table
 
-let reset t =
-  Array.fill t.regs 0 11 0L;
-  Bytes.fill t.stack_data 0 (Bytes.length t.stack_data) '\000';
-  t.regs.(10) <-
-    Int64.add t.config.Config.stack_vaddr
-      (Int64.of_int t.config.Config.stack_size)
+(* [lend t] borrows a frame for one run of [t] and puts its stack in
+   [t]'s memory map; [give_back t ~outer fr] returns the frame and puts
+   back [outer], the stack slot as it was before [lend] — the unlent
+   placeholder, or the frame of an outer run of this same instance. *)
+let lend t =
+  let fr = Frame.acquire t.config in
+  Mem.set_stack t.mem fr.Frame.region;
+  fr
+
+let give_back t ~outer fr =
+  Mem.set_stack t.mem outer;
+  Frame.release fr
 
 let mask32 v = Int64.logand v 0xFFFF_FFFFL
 let low32 v = Int64.to_int32 v
@@ -210,13 +204,14 @@ let condition cond is64 (dst : int64) (src : int64) =
 
 exception Abort of Fault.t
 
-(* [resume ~pc t] runs the fully defended loop from [pc] over the
-   instance's current registers, stack and stats, and returns r0: budget
-   counters compared per instruction, every memory access resolved
-   through the allow-list.  It resets nothing, so the compiled tier can
-   hand a partly executed run over at any instruction boundary. *)
-let resume ~pc t =
-  let regs = t.regs in
+(* [resume ~pc t fr] runs the fully defended loop from [pc] over the
+   frame's current registers and stack and the instance's stats, and
+   returns r0: budget counters compared per instruction, every memory
+   access resolved through the allow-list.  It resets nothing, so the
+   compiled tier can hand a partly executed run over at any instruction
+   boundary. *)
+let resume ~pc t (fr : Frame.t) =
+  let regs = fr.Frame.regs in
   let program = t.program in
   let len = Program.length program in
   let stats = t.stats in
@@ -347,14 +342,31 @@ let resume ~pc t =
    preloaded from [args] and returns r0.  The container context pointer of
    the paper arrives in r1. *)
 let exec_checked ~args t =
-  reset t;
-  Array.iteri (fun i v -> if i < 5 then t.regs.(i + 1) <- v) args;
+  let outer = Mem.stack t.mem in
+  let fr = lend t in
+  let regs = fr.Frame.regs in
+  Array.fill regs 0 11 0L;
+  Bytes.fill fr.Frame.stack 0 (Bytes.length fr.Frame.stack) '\000';
+  (* the loop does not track its stores: the IR tier's next reset of
+     this frame zeroes the whole stack *)
+  fr.Frame.dirty_lo <- 0;
+  fr.Frame.dirty_hi <- Bytes.length fr.Frame.stack;
+  regs.(10) <-
+    Int64.add t.config.Config.stack_vaddr
+      (Int64.of_int t.config.Config.stack_size);
+  Array.iteri (fun i v -> if i < 5 then regs.(i + 1) <- v) args;
   let stats = t.stats in
   stats.insns_executed <- 0;
   stats.branches_taken <- 0;
   stats.helper_calls <- 0;
   stats.cycles <- 0;
-  resume ~pc:0 t
+  match resume ~pc:0 t fr with
+  | outcome ->
+      give_back t ~outer fr;
+      outcome
+  | exception e ->
+      give_back t ~outer fr;
+      raise e
 
 (* [run] = [exec_checked] plus observability: per-run counters fed from the
    stats record, a run-latency histogram, and (when tracing) Vm_run /

@@ -4,27 +4,36 @@
    register-computed) address against the list; an access that no region
    permits aborts execution — Figure 4 of the paper. *)
 
-type t = { mutable regions : Region.t array }
+(* The stack comes first in every scan.  Its slot is mutable because
+   the VM lends each run a stack from the domain's frames (see [Frame]);
+   [regions] is the instance's own allow-list. *)
+type t = { mutable stack : Region.t; mutable regions : Region.t array }
 
-let create regions = { regions = Array.of_list regions }
-let regions t = Array.to_list t.regions
+let create ~stack regions = { stack; regions = Array.of_list regions }
+let regions t = t.stack :: Array.to_list t.regions
+let stack t = t.stack
+let set_stack t region = t.stack <- region
+let with_stack t stack = { t with stack }
 let raw_regions t = t.regions
 let add_region t region = t.regions <- Array.append t.regions [| region |]
 
+let permits region ~addr ~size ~write =
+  (if write then Region.writable region.Region.perm
+   else Region.readable region.Region.perm)
+  && Region.contains region addr size
+
 let find t ~addr ~size ~write =
-  let n = Array.length t.regions in
-  let rec scan i =
-    if i >= n then None
-    else
-      let region = t.regions.(i) in
-      let allowed =
-        if write then Region.writable region.Region.perm
-        else Region.readable region.Region.perm
-      in
-      if allowed && Region.contains region addr size then Some region
-      else scan (i + 1)
-  in
-  scan 0
+  if permits t.stack ~addr ~size ~write then Some t.stack
+  else
+    let n = Array.length t.regions in
+    let rec scan i =
+      if i >= n then None
+      else
+        let region = t.regions.(i) in
+        if permits region ~addr ~size ~write then Some region
+        else scan (i + 1)
+    in
+    scan 0
 
 (* Loads zero-extend to 64 bits, as eBPF LDX does. *)
 let load_raw data off size =

@@ -29,6 +29,7 @@ module Verifier = Verifier
 module Interp = Interp
 module Compile = Compile
 module Ir = Ir
+module Frame = Frame
 module Obs = Femto_obs.Obs
 module Otrace = Femto_obs.Trace
 
@@ -131,20 +132,26 @@ let run ?(args = [||]) t =
   | None -> Interp.run ~args t.interp
 
 let stats t = Interp.stats t.interp
-let mem t = Interp.mem t.interp
 let compiled t = t.compiled
 let interp t = t.interp
 let proven_count t = t.proven
 
-(* The register file of whichever tier executes; for the compiled tier
-   the interpreter's array doubles as the snapshot buffer. *)
+(* An instance owns no stack or registers: a run borrows them from its
+   domain's frames, and they hold that run's values until the next run
+   on the domain takes the frame. *)
+let frame t = Frame.last (Interp.config t.interp)
+
+let mem t =
+  Mem.with_stack (Interp.mem t.interp) (frame t).Frame.region
+
+(* The register file of whichever tier executed; for the compiled tier
+   the frame's decoded array doubles as the snapshot buffer. *)
 let registers t =
-  match t.compiled with
-  | Some c ->
-      let regs = Interp.registers t.interp in
-      Compile.copy_registers c regs;
-      regs
-  | None -> Interp.registers t.interp
+  let regs = (frame t).Frame.regs in
+  (match t.compiled with
+  | Some c -> Compile.copy_registers c regs
+  | None -> ());
+  regs
 
 let ram_bytes t =
   Interp.ram_bytes t.interp
@@ -165,8 +172,8 @@ let image_proven img = img.i_proven
 (* [spawn] is the cheap path: no verification, no analysis, no decode
    (the program is read in place), no compilation (the closure graph is
    shared via [Compile.instantiate]).  The instance privately owns its
-   stack buffer, register file, stats, memory-region table and inline
-   cache slots — nothing else. *)
+   stats, memory-region table and inline cache slots — nothing else:
+   its stack and register files are lent per run by the domain. *)
 let spawn ?(regions = []) img =
   let interp =
     create_interp ~config:img.i_config ~cycle_cost:img.i_cycle_cost

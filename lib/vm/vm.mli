@@ -23,6 +23,7 @@ module Verifier = Verifier
 module Interp = Interp
 module Compile = Compile
 module Ir = Ir
+module Frame = Frame
 
 type tier = Decoded | Ir
 
@@ -70,8 +71,16 @@ val run : ?args:int64 array -> t -> (int64, Fault.t) result
 (** Execute from slot 0 with r1..r5 preloaded from [args]; returns r0. *)
 
 val stats : t -> Interp.stats
+
 val mem : t -> Mem.t
+(** The instance's memory map, its stack slot showing the stack of the
+    calling domain's current {!Frame}: after a run, that run's stack,
+    until the next run on the domain. *)
+
 val registers : t -> int64 array
+(** The registers of the calling domain's current {!Frame}: after a run,
+    that run's, until the next run on the domain.  An instance owns no
+    stack or register file; every run borrows them. *)
 
 val tier : t -> tier
 val compiled : t -> Compile.t option
@@ -81,16 +90,17 @@ val proven_count : t -> int
 (** Memory checks the IR tier elided against analyzer proofs. *)
 
 val ram_bytes : t -> int
-(** Per-instance RAM (paper Table 3 sense), including the compiled
-    tier's block table when present. *)
+(** Per-instance RAM (paper Table 3 sense): the borrowed frame's stack
+    and registers, stats and region table, plus the compiled tier's
+    register file and block table when present. *)
 
 (** {2 Image / instance split}
 
     A verified instance doubles as a spawn template: {!image_of} captures
     the whole immutable graph — program and compiled closure artifact —
-    and {!spawn} binds it to fresh private run state (stack, registers,
-    stats, memory map, inline-cache slots) without re-verifying,
-    re-analyzing or re-compiling anything. *)
+    and {!spawn} binds it to fresh private state (stats, memory map,
+    inline-cache slots) without re-verifying, re-analyzing or
+    re-compiling anything. *)
 
 type image
 
@@ -101,8 +111,10 @@ val image_of : t -> image
 
 val spawn : ?regions:Region.t list -> image -> t
 (** Instantiate the image over a fresh memory map ([regions], plus the
-    private stack the interpreter always adds).  O(private state); the
-    shared graph is untouched. *)
+    stack slot every run fills with the stack it borrows).  Allocates no
+    stack and no register file: a run borrows both from the frame stack
+    of the domain it runs on ({!Frame}), so a spawned instance may run on
+    any domain.  O(private state); the shared graph is untouched. *)
 
 val image_tier : image -> tier
 val image_program : image -> Femto_ebpf.Program.t

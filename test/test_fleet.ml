@@ -295,13 +295,31 @@ let test_push_patched_equals_encoded () =
         (Bytes.to_string (Fleet.push_datagram fleet ~id)))
     [ 0; 1; 0xffff; 0x10000 ]
 
+(* Acks are two encodings made at create with the message id patched
+   in; each must equal the full per-device encode. *)
+let test_ack_patched_equals_encoded () =
+  let fleet = Fleet.create (config ~devices:4 ~shards:2 ()) in
+  List.iter
+    (fun (ok, id) ->
+      let expected =
+        Femto_coap.Message.encode
+          (Fleet.ack_message ~ok ~message_id:(id land 0xffff) ())
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s id %#x" (if ok then "ok" else "rej") id)
+        (Bytes.to_string expected)
+        (Bytes.to_string (Fleet.ack_datagram fleet ~ok ~id)))
+    (List.concat_map
+       (fun id -> [ (true, id); (false, id) ])
+       [ 0; 1; 0xffff; 0x10000 ])
+
 (* --- footprint sanity (the hard gate lives in bench/fleet_bench.ml) --- *)
 
 (* Marginal resident words per device between a 256- and a 512-device
-   fleet.  The bounds are the measured marginals (353 words after boot,
-   389 after a campaign on x86-64, OCaml 5) plus about 15 %: a hash
-   table or a boxed field creeping back into per-device state fails
-   them. *)
+   fleet.  The bounds are the measured marginals (250 words after boot,
+   286 after a campaign on x86-64, OCaml 5) plus about 8 %: a hash
+   table, a boxed field or a per-instance stack creeping back into
+   per-device state fails them. *)
 let marginal_words ~campaign ~telemetry_us =
   let words n =
     let fleet =
@@ -320,12 +338,12 @@ let check_marginal ~bound marginal =
     true (marginal < bound)
 
 let test_resident_words_scale () =
-  check_marginal ~bound:408 (marginal_words ~campaign:false ~telemetry_us:0)
+  check_marginal ~bound:270 (marginal_words ~campaign:false ~telemetry_us:0)
 
 (* After a campaign every device has respawned onto v2 and its telemetry
    has written its CoW kv delta (local[1], local[9]). *)
 let test_resident_words_after_campaign () =
-  check_marginal ~bound:448
+  check_marginal ~bound:310
     (marginal_words ~campaign:true ~telemetry_us:(config ()).Fleet.telemetry_us)
 
 let suite =
@@ -351,6 +369,8 @@ let suite =
           test_cross_shard_datagram;
         Alcotest.test_case "patched push = per-device encode" `Quick
           test_push_patched_equals_encoded;
+        Alcotest.test_case "patched ack = per-device encode" `Quick
+          test_ack_patched_equals_encoded;
       ] );
     ( "images",
       [

@@ -272,6 +272,134 @@ let prop_tight_budget_fallback =
           && String.equal d_fresh (observed spawned)
       | _ -> false)
 
+(* --- run frames: lent per run, owned by no instance ---------------- *)
+
+(* An instance owns no stack or register file: each run borrows a frame
+   from its domain ([Femto_vm.Frame]), one per nesting depth.  Lending
+   must change nothing a run can observe. *)
+
+(* Copies of [vm]'s own regions (the stack slot excluded): a spawn over
+   them starts from the same memory as [vm]'s next run. *)
+let copy_regions vm =
+  List.filter_map
+    (fun (r : Femto_vm.Region.t) ->
+      if r == Femto_vm.Mem.stack (Vm.mem vm) then None
+      else
+        Some
+          { r with Femto_vm.Region.data = Bytes.copy r.Femto_vm.Region.data })
+    (Femto_vm.Mem.regions (Vm.mem vm))
+
+let both_tiers ~helpers (program, config) =
+  let load ldr =
+    match ldr ~config ~helpers ~regions:(data_regions ()) program with
+    | Ok vm -> [ vm ]
+    | Error _ -> []
+  in
+  load (fun ~config ~helpers ~regions p -> Vm.load ~config ~helpers ~regions p)
+  @ load (fun ~config ~helpers ~regions p ->
+        Analysis.load ~config ~helpers ~regions p)
+
+let prop_interleaved_runs =
+  QCheck.Test.make ~name:"frames: interleaved runs = runs on fresh spawns"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_repeat 3 gen_fallback_case)
+           (list_size (int_range 1 12) (pair (int_range 0 5) (int_range 0 1)))))
+    (fun (cases, schedule) ->
+      let helpers = fallback_helpers () in
+      let instances = Array.of_list (List.concat_map (both_tiers ~helpers) cases) in
+      let n = Array.length instances in
+      n = 0
+      || List.for_all
+           (fun (i, a) ->
+             let vm = instances.(i mod n) in
+             let twin = Vm.spawn ~regions:(copy_regions vm) (Vm.image_of vm) in
+             let args = [| Int64.of_int a |] in
+             let got = observed ~args vm in
+             String.equal got (observed ~args twin))
+           schedule)
+
+(* The outer program calls helper 3 between its stack stores and loads;
+   with [nest] the helper runs a second container (its own stack traffic,
+   either tier) to completion before returning the same value. *)
+let prop_nested_run =
+  let call3 = QCheck.Gen.return (Insn.make Opcode.call ~imm:3l) in
+  let gen_outer =
+    QCheck.Gen.map
+      (fun insns -> Program.of_insns (insns @ [ Insn.make Opcode.exit' ]))
+      (gen_insns ~extra:[ (3, call3) ] ())
+  in
+  QCheck.Test.make
+    ~name:"frames: a container run inside a helper leaves the outer run intact"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (o, i, _, _) ->
+         Femto_ebpf.Disasm.to_string o ^ "\n--- inner\n"
+         ^ Femto_ebpf.Disasm.to_string i)
+       QCheck.Gen.(quad gen_outer gen_program bool bool))
+    (fun (outer, inner, outer_ir, inner_ir) ->
+      let load ~ir ~helpers program =
+        if ir then
+          Analysis.load ~config ~helpers ~regions:(data_regions ()) program
+        else Vm.load ~config ~helpers ~regions:(data_regions ()) program
+      in
+      match load ~ir:inner_ir ~helpers:no_helpers inner with
+      | Error _ -> true
+      | Ok inner_vm -> (
+          let helpers ~nest =
+            let h = fallback_helpers () in
+            Helper.register h ~id:3 ~name:"nest" (fun _ _ ->
+                if nest then ignore (Vm.run inner_vm);
+                Ok 7L);
+            h
+          in
+          match
+            ( load ~ir:outer_ir ~helpers:(helpers ~nest:true) outer,
+              load ~ir:outer_ir ~helpers:(helpers ~nest:false) outer )
+          with
+          | Ok nested, Ok alone ->
+              String.equal (observed nested) (observed alone)
+          | Error _, Error _ -> true
+          | _ -> false))
+
+(* Spawned on domain 0, run at the same time on both indices of a
+   2-domain pool: each index borrows its own domain's frame. *)
+let prop_two_domains =
+  QCheck.Test.make
+    ~name:"frames: spawns run on both indices of a 2-domain pool = sequential"
+    ~count:40
+    (QCheck.make QCheck.Gen.(pair gen_fallback_case gen_fallback_case))
+    (fun (c0, c1) ->
+      let helpers = fallback_helpers () in
+      match (both_tiers ~helpers c0, both_tiers ~helpers c1) with
+      | _ :: _ as l0, (_ :: _ as l1) ->
+          let images =
+            Array.of_list (List.map Vm.image_of (l0 @ l1))
+          in
+          let runs vm =
+            List.map (fun a -> observed ~args:[| a |] vm) [ 0L; 1L; 0L; 0L ]
+          in
+          let expected =
+            Array.map
+              (fun img -> runs (Vm.spawn ~regions:(data_regions ()) img))
+              images
+          in
+          let spawned =
+            Array.map (fun img -> Vm.spawn ~regions:(data_regions ()) img) images
+          in
+          let got = Array.make (Array.length images) [] in
+          let pool = Femto_par.Pool.create ~domains:2 in
+          Fun.protect
+            ~finally:(fun () -> Femto_par.Pool.shutdown pool)
+            (fun () ->
+              Femto_par.Pool.run pool (fun i ->
+                  Array.iteri
+                    (fun j vm -> if j mod 2 = i then got.(j) <- runs vm)
+                    spawned));
+          got = expected
+      | _ -> true)
+
 (* --- goldens --- *)
 
 let assemble = Asm.assemble
@@ -562,6 +690,9 @@ let () =
         QCheck_alcotest.to_alcotest prop_ir_exact
         :: List.map QCheck_alcotest.to_alcotest
              (prop_passes_exact @ [ prop_tight_budget_fallback ]) );
+      ( "frames",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_interleaved_runs; prop_nested_run; prop_two_domains ] );
       ( "goldens",
         [
           Alcotest.test_case "dagsum elides proven checks" `Quick

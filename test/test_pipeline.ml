@@ -205,6 +205,48 @@ let test_digest_hints_through_pool () =
   | _ -> Alcotest.fail "unexpected results");
   Alcotest.(check int) "installed" 1 (List.length !installed)
 
+(* The update storm's shape: 4 tenants x 4 updates at 2 domains.  Both
+   submission orders leave 8 jobs on each pool index, each tenant on one
+   index, its jobs in submission order. *)
+let test_balanced_assignment () =
+  let tenants = List.init 4 (Printf.sprintf "tenant-%d") in
+  let check_order name order =
+    let devices = List.map (fun t -> (t, fst (make_device ()))) tenants in
+    let pool = Pipeline.create ~domains:2 () in
+    List.iter
+      (fun (tenant, sequence) ->
+        let payload = Printf.sprintf "%s v%Ld" tenant sequence in
+        Pipeline.submit pool ~tenant ~device:(List.assoc tenant devices)
+          ~envelope:(envelope ~sequence payload)
+          ~payloads:[ (uuid, payload) ] ())
+      order;
+    let pending = Pipeline.pending pool in
+    Alcotest.(check (list int))
+      (name ^ ": jobs per index") [ 8; 8 ]
+      (Array.to_list (Array.map List.length pending));
+    List.iter
+      (fun tenant ->
+        let on i = List.filter (fun (t, _) -> t = tenant) pending.(i) in
+        let seqs = List.map snd (on 0 @ on 1) in
+        Alcotest.(check bool)
+          (name ^ ": " ^ tenant ^ " on one index") true
+          (on 0 = [] || on 1 = []);
+        Alcotest.(check (list int))
+          (name ^ ": " ^ tenant ^ " in submission order")
+          (List.sort compare seqs) seqs)
+      tenants;
+    List.iter
+      (fun (tenant, r) ->
+        Alcotest.(check bool) (name ^ ": " ^ tenant ^ " accepted") true
+          (Result.is_ok r))
+      (Pipeline.shutdown pool)
+  in
+  let sequences = [ 1L; 2L; 3L; 4L ] in
+  check_order "round robin"
+    (List.concat_map (fun s -> List.map (fun t -> (t, s)) tenants) sequences);
+  check_order "tenant by tenant"
+    (List.concat_map (fun t -> List.map (fun s -> (t, s)) sequences) tenants)
+
 let suite =
   [
     Alcotest.test_case "pool = sequential (1 domain)" `Quick
@@ -220,6 +262,8 @@ let suite =
       test_failed_install_isolated;
     Alcotest.test_case "digest hints through pool" `Quick
       test_digest_hints_through_pool;
+    Alcotest.test_case "balanced tenant assignment" `Quick
+      test_balanced_assignment;
   ]
 
 let () = Alcotest.run "femto_pipeline" [ ("pipeline", suite) ]
