@@ -19,8 +19,9 @@
                            the clean/lossy profiles must accept
 
    The gated ratios are cached_handler_x (hard floor {!cached_floor})
-   and cached_udp_x; both are compared against the committed
-   bench/baseline.json with tolerance 0.5. *)
+   and cached_udp_x, the median over paired, interleaved UDP trials;
+   both are compared against the committed bench/baseline.json with
+   tolerance 0.5. *)
 
 module Jsonx = Femto_obs.Jsonx
 module Measure = Femto_eval.Measure
@@ -122,14 +123,25 @@ let time_handler_path server ~path ~iters ~src_base =
 
 (* --- UDP loopback rows ------------------------------------------------ *)
 
-let time_udp server ~path ~n =
+let median xs =
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  sorted.(Array.length sorted / 2)
+
+(* Uncached and cached GETs over one socket, in [trials] paired trials:
+   each trial times a batch of [batch] GETs of each path back to back,
+   in alternating order, and yields one uncached/cached ratio of the
+   batch means.  A loopback stall lands in one batch of one trial, and
+   the gated ratio is the median over the trials, so one stall cannot
+   decide it.  Returns both paths' samples and the per-trial ratios. *)
+let time_udp_paired server ~trials ~batch =
   let transport = Transport.create () in
   Transport.spawn transport server;
   let client =
     Transport.Client.create ~ack_timeout_s:1.0 ~port:(Transport.port transport)
       ()
   in
-  let one () =
+  let one path =
     match Transport.Client.get client ~path with
     | Ok response when fst response.Message.code = 2 -> ()
     | Ok response ->
@@ -138,17 +150,44 @@ let time_udp server ~path ~n =
              (Message.code_to_string response.Message.code))
     | Error `Timeout -> failwith (Printf.sprintf "udp get %s: timeout" path)
   in
-  for _ = 1 to 20 do one () done;
-  let samples = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let t0 = Unix.gettimeofday () in
-    one ();
-    samples.(i) <- (Unix.gettimeofday () -. t0) *. 1e9
+  for _ = 1 to 20 do
+    one "/run";
+    one "/cached"
   done;
+  let uncached = Array.make (trials * batch) 0.0 in
+  let cached = Array.make (trials * batch) 0.0 in
+  let time_batch path samples trial =
+    let sum = ref 0.0 in
+    for i = 0 to batch - 1 do
+      let t0 = Unix.gettimeofday () in
+      one path;
+      let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+      samples.((trial * batch) + i) <- ns;
+      sum := !sum +. ns
+    done;
+    !sum /. float_of_int batch
+  in
+  let ratios =
+    Array.init trials (fun trial ->
+        let u, c =
+          if trial land 1 = 0 then
+            let u = time_batch "/run" uncached trial in
+            (u, time_batch "/cached" cached trial)
+          else
+            let c = time_batch "/cached" cached trial in
+            (time_batch "/run" uncached trial, c)
+        in
+        u /. c)
+  in
   Transport.Client.close client;
   Transport.stop transport;
+  (uncached, cached, ratios)
+
+let udp_row name samples =
   let mean, p50, p90, p99 = stats_of_samples samples in
-  (mean, p50, p90, p99, 1e9 /. mean)
+  { (plain_row name mean) with
+    e_p50 = Some p50; e_p90 = Some p90; e_p99 = Some p99;
+    e_rps = Some (1e9 /. mean) }
 
 (* --- observe fan-out -------------------------------------------------- *)
 
@@ -263,22 +302,31 @@ let row_json r =
     @ [ ("ok", Jsonx.Bool r.e_ok) ])
 
 (* Gated ratios, both higher-is-better: uncached over cached mean ns on
-   the handler path (also floored at [cached_floor]) and over UDP. *)
-let ratios rows =
+   the handler path (also floored at [cached_floor]) and over UDP.  A run
+   that timed paired UDP trials passes their ratios as [udp_pairs], and
+   cached_udp_x is then their median. *)
+let ratios ?udp_pairs rows =
   let ns name =
     List.find_map
       (fun r -> if r.e_name = "edge/" ^ name then Some r.e_ns else None)
       rows
   in
+  let mean_ratio path =
+    match (ns (path ^ "-uncached"), ns (path ^ "-cached")) with
+    | Some uncached, Some cached -> Some (uncached /. cached)
+    | _ -> None
+  in
+  let udp =
+    match udp_pairs with
+    | Some pairs -> Some (median pairs)
+    | None -> mean_ratio "udp-get"
+  in
   List.filter_map
-    (fun (key, path) ->
-      match (ns (path ^ "-uncached"), ns (path ^ "-cached")) with
-      | Some uncached, Some cached -> Some (key, uncached /. cached)
-      | _ -> None)
-    [ ("cached_handler_x", "handler"); ("cached_udp_x", "udp-get") ]
+    (fun (key, x) -> Option.map (fun x -> (key, x)) x)
+    [ ("cached_handler_x", mean_ratio "handler"); ("cached_udp_x", udp) ]
 
-let outcome rows =
-  let ratios = ratios rows in
+let outcome ?udp_pairs rows =
+  let ratios = ratios ?udp_pairs rows in
   {
     Family.rows = List.map row_json rows;
     ratios;
@@ -296,7 +344,8 @@ let outcome rows =
   }
 
 let run () =
-  let udp_requests = 400 and handler_iters = 4000 and observers = 100 in
+  let udp_trials = 9 and udp_batch = 44 in
+  let handler_iters = 4000 and observers = 100 in
   (* handler path: fresh server per resource so the cache stays cold
      for the uncached row whatever the order *)
   let handler_server = make_edge_server ~addr:1 in
@@ -308,12 +357,9 @@ let run () =
     time_handler_path handler_server ~path:"/cached" ~iters:handler_iters
       ~src_base:2_000_000
   in
-  let udp_server = make_edge_server ~addr:2 in
-  let u_mean, u_p50, u_p90, u_p99, u_rps =
-    time_udp udp_server ~path:"/run" ~n:udp_requests
-  in
-  let c_mean, c_p50, c_p90, c_p99, c_rps =
-    time_udp udp_server ~path:"/cached" ~n:udp_requests
+  let udp_uncached, udp_cached, udp_pairs =
+    time_udp_paired (make_edge_server ~addr:2) ~trials:udp_trials
+      ~batch:udp_batch
   in
   let fanout_ns, fanout_complete = fanout_row ~observers ~iters:20 in
   let update_rows =
@@ -331,12 +377,8 @@ let run () =
   in
   let rows =
     [
-      { e_name = "edge/udp-get-uncached"; e_ns = u_mean;
-        e_p50 = Some u_p50; e_p90 = Some u_p90; e_p99 = Some u_p99;
-        e_rps = Some u_rps; e_accepted = None; e_ok = true };
-      { e_name = "edge/udp-get-cached"; e_ns = c_mean;
-        e_p50 = Some c_p50; e_p90 = Some c_p90; e_p99 = Some c_p99;
-        e_rps = Some c_rps; e_accepted = None; e_ok = true };
+      udp_row "edge/udp-get-uncached" udp_uncached;
+      udp_row "edge/udp-get-cached" udp_cached;
       plain_row "edge/handler-uncached" uncached_ns;
       plain_row "edge/handler-cached" cached_ns;
       { (plain_row (Printf.sprintf "edge/observe-fanout-%d" observers) fanout_ns)
@@ -344,7 +386,7 @@ let run () =
     ]
     @ update_rows
   in
-  let o = outcome rows in
+  let o = outcome ~udp_pairs rows in
   Printf.printf "\nEdge smoke (loopback UDP + simulated hostile matrix)\n%s\n"
     (String.make 58 '-');
   List.iter
@@ -359,6 +401,10 @@ let run () =
         (if r.e_ok then "" else "  NOT OK"))
     rows;
   List.iter (fun (k, v) -> Printf.printf "  %-28s %12.2fx\n" k v) o.ratios;
+  Printf.printf "  (cached_udp_x: median of %d paired trials, %.2f-%.2fx)\n"
+    udp_trials
+    (Array.fold_left min infinity udp_pairs)
+    (Array.fold_left max 0.0 udp_pairs);
   o
 
 let family = { Family.name = "edge"; tolerance = 0.5; run }

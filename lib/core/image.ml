@@ -30,9 +30,11 @@ type t = {
          against: re-pointed at the running instance's stores before
          each dispatch.  A fleet shares one image across many engines
          (one per device), so the global store forwards too.  Binding is
-         per-dispatch and unsynchronized: an image must only ever be
-         dispatched from one domain — fleet shards own disjoint image
-         caches, which enforces this. *)
+         per-dispatch and unsynchronized: an image must be dispatched
+         from one domain at a time.  Fleet shards own disjoint image
+         caches and each shard runs on one domain per epoch, so an image
+         may move between domains only across an epoch barrier, which
+         orders the two domains' dispatches. *)
   dyn : Syscall.dyn ref;
       (* the engine-side time/sensor/trace closures, re-pointed with the
          stores — the helper table dereferences the ref on each call *)

@@ -3,18 +3,25 @@
    Determinism contract, in one place:
 
    - Devices are partitioned into [shards] by [id mod shards]; the shard
-     count is part of the scenario, the domain count is not.  Shard s is
-     executed by domain [s mod domains], so any domain count yields the
-     same per-shard instruction stream.
-   - Between barriers a shard touches only its own state: kernel, clock,
-     network (with its own RNG), image cache, devices.  The only
-     cross-shard channel is the outbox, filled by the shard's network
-     gateway during its epoch and drained by the owner domain at the
-     barrier — in shard order, FIFO within a shard.
-   - An epoch's compute is one [Pool.run], whose return is the barrier:
-     it gives the owner a happens-before edge over every worker write
-     (and vice versa for the next epoch), so the owner may read shard
-     state and inject next-epoch traffic without further locking.
+     count is part of the scenario, the domain count is not.  Each
+     shard's devices are booted together, in id order, so a shard's
+     records sit next to each other in memory.
+   - In each epoch every shard runs on exactly one domain: whichever
+     pool index claims it from the epoch's atomic counter.  Which domain
+     that is varies from run to run and cannot show in the output,
+     because between barriers a shard touches only its own state:
+     kernel, clock, network (with its own RNG), image cache, devices.
+     The only cross-shard channels are the outbox, filled by the shard's
+     network gateway during its epoch and drained by the owner domain at
+     the barrier — in shard order, FIFO within a shard — and the inbound
+     queue, which the owner fills at the barrier and the shard sends on
+     its own network before its next epoch fires any timer.
+   - An epoch's compute is one [Pool.run], whose return is the barrier
+     and orders one epoch before the next: it gives the owner a
+     happens-before edge over every worker write (and the workers one
+     over every owner write of the previous exchange), so the owner may
+     read shard state and inject next-epoch traffic, and a shard may
+     move to another domain next epoch, without further locking.
    - Global Obs metrics are disabled while workers run (shared mutable
      histograms are lossy under concurrent update); shards keep plain
      local counters that the owner merges afterwards.  The one remaining
@@ -158,9 +165,13 @@ type shard = {
   net : Network.t;
   images : (string, Image.t) Hashtbl.t; (* shared per shard *)
   programs : (string, Program.t) Hashtbl.t; (* payload digest → decoded *)
-  mutable members : device array; (* filled after boot (devices need
-                                     their shard to boot) *)
+  mutable members : device array;
+      (* ids s, s + shards, ... in order; filled after boot (devices
+         need their shard to boot) *)
   outbox : (int * int * bytes) Queue.t; (* (src, dst, datagram) *)
+  inbound : (int * int * bytes) Queue.t;
+      (* (src, dst, datagram) queued by the owner between epochs and sent
+         on [net] by the shard itself, first thing in its next epoch *)
   ack_ok : bytes; (* encoded acks with message id 0 and no token, *)
   ack_rej : bytes; (* shared by every shard; see [send_ack] *)
   quota : int option; (* per-device CoW delta quota *)
@@ -188,8 +199,8 @@ type t = {
   config : config;
   cfg_wave : int;
   shards : shard array;
-  mutable devices : device array;
-      (* by id; device i lives in shard i mod shards *)
+  devices : device array;
+      (* by id; device i is [members.(i / shards)] of shard i mod shards *)
   server : server;
   program_v1 : Program.t;
   mutable epoch : int;
@@ -205,8 +216,7 @@ let ev_datagram = 3
 let record_event dev kind time =
   dev.events <- dev.events + 1;
   dev.event_hash <-
-    (((dev.event_hash * 1_000_003) + kind) lxor Int64.to_int time)
-    land max_int
+    (((dev.event_hash * 1_000_003) + kind) lxor time) land max_int
 
 (* --- push frame: [len(envelope)][envelope][firmware] --- *)
 
@@ -331,22 +341,24 @@ let handle_update shard dev (msg : Message.t) =
   send_ack shard dev msg ~ok
 
 let handle_datagram shard dev ~src:_ data =
-  record_event dev ev_datagram (Kernel.now shard.kernel);
-  Clock.advance_to dev.clock (Kernel.now shard.kernel);
+  let now = Kernel.now_int shard.kernel in
+  record_event dev ev_datagram now;
+  Clock.advance_to_int dev.clock now;
   match Message.decode data with
   | exception Message.Parse_error _ -> ignore (Mailbox.send dev.inbox data)
   | msg ->
       if msg.Message.code = Message.code_post
          && Message.path_string msg = "/suit"
       then begin
-        record_event dev ev_update (Kernel.now shard.kernel);
+        record_event dev ev_update now;
         handle_update shard dev msg
       end
       else ignore (Mailbox.send dev.inbox data)
 
 let fire_telemetry shard dev =
-  record_event dev ev_telemetry (Kernel.now shard.kernel);
-  Clock.advance_to dev.clock (Kernel.now shard.kernel);
+  let now = Kernel.now_int shard.kernel in
+  record_event dev ev_telemetry now;
+  Clock.advance_to_int dev.clock now;
   ignore (Engine.fire dev.engine dev.hook);
   dev.telemetry_fires <- dev.telemetry_fires + 1;
   shard.stats.s_telemetry <- shard.stats.s_telemetry + 1
@@ -468,6 +480,7 @@ let create (config : config) =
             programs = Hashtbl.create 4;
             members = [||];
             outbox = Queue.create ();
+            inbound = Queue.create ();
             ack_ok;
             ack_rej;
             quota = config.delta_quota;
@@ -485,17 +498,24 @@ let create (config : config) =
             Queue.add (src, dst, payload) shard.outbox);
         shard)
   in
+  (* shard by shard, so a shard's epoch walks records that were
+     allocated together; within a shard in id order, which keeps its
+     wheel sequence numbers, node table and RNG draws as they were *)
+  Array.iter
+    (fun shard ->
+      let s = shard.s_index in
+      shard.members <-
+        Array.init
+          ((devices - s + shards_n - 1) / shards_n)
+          (fun k ->
+            boot_device shard ~program_v1 ~key
+              ~telemetry_us:config.telemetry_us
+              ~id:(s + (k * shards_n))))
+    shards;
   let all =
     Array.init devices (fun id ->
-        boot_device
-          shards.(id mod shards_n)
-          ~program_v1 ~key ~telemetry_us:config.telemetry_us ~id)
+        shards.(id mod shards_n).members.(id / shards_n))
   in
-  let buckets = Array.make shards_n [] in
-  for id = devices - 1 downto 0 do
-    buckets.(id mod shards_n) <- all.(id) :: buckets.(id mod shards_n)
-  done;
-  Array.iteri (fun s shard -> shard.members <- Array.of_list buckets.(s)) shards;
   if Obs.enabled () then Ometrics.set m_devices (float_of_int devices);
   {
     config;
@@ -514,9 +534,22 @@ let epoch_cycles t =
   Int64.of_int
     (Clock.cycles_of_us (Kernel.clock t.shards.(0).kernel) t.config.epoch_us)
 
+(* What the owner sends into a shard between epochs — barrier re-sends,
+   campaign pushes, [send_datagram] — waits in the shard's [inbound]
+   queue, and the shard sends it, in queue order, before its next epoch
+   fires any timer.  Its clock has not moved since the barrier, so each
+   send draws the same loss and sequence numbers as a send made at the
+   barrier, and the fragmenting and frame scheduling run on the domain
+   that claimed the shard instead of on the owner alone. *)
+let send_inbound shard =
+  while not (Queue.is_empty shard.inbound) do
+    let src, dst, payload = Queue.pop shard.inbound in
+    Network.send shard.net ~src ~dst payload
+  done
+
 (* Owner-only, between epochs: drain every shard's outbox in shard
    order (FIFO within a shard).  Acks to the campaign server are
-   absorbed here; device-to-device datagrams are re-sent on the
+   absorbed here; device-to-device datagrams are queued for the
    destination shard's network, whose clock equals the source's at a
    barrier, so delivery scheduling is deterministic. *)
 let record_ack t ~src ~payload =
@@ -544,7 +577,7 @@ let barrier_exchange t =
         if dst = server_addr then record_ack t ~src ~payload
         else if dst >= 1 && dst <= n then
           let dst_shard = t.shards.((dst - 1) mod t.config.shards) in
-          Network.send dst_shard.net ~src ~dst payload
+          Queue.add (src, dst, payload) dst_shard.inbound
         (* anything else is addressed into the void: drop, like a radio *)
       done)
     t.shards
@@ -563,8 +596,7 @@ let ack_datagram t ~ok ~id =
 let push_to t dev =
   let shard = t.shards.(dev.id mod t.config.shards) in
   t.server.pushed_epoch.(dev.id) <- t.epoch;
-  Network.send shard.net ~src:server_addr ~dst:dev.addr
-    (push_datagram t ~id:dev.id)
+  Queue.add (server_addr, dev.addr, push_datagram t ~id:dev.id) shard.inbound
 
 (* An ack normally lands two barriers after its push (frame latency ≪
    epoch); wait well past that before re-pushing so lossless runs never
@@ -599,18 +631,27 @@ let push_wave t =
 
 (* --- driving --- *)
 
+(* Every pool index claims the next unclaimed shard until none is left,
+   so a domain that drew light shards takes more of them; a shard's cost
+   moves from epoch to epoch with its push and ack traffic, which a
+   fixed deal cannot follow. *)
 let run_one_epoch t pool ~push =
   t.epoch <- t.epoch + 1;
   let until = Int64.mul (Int64.of_int t.epoch) (epoch_cycles t) in
-  let domains = Pool.domains pool in
-  Pool.run pool (fun w ->
-      Array.iter
-        (fun shard ->
-          if shard.s_index mod domains = w then begin
-            let fired = Kernel.run_timers_until shard.kernel ~until in
-            shard.stats.s_timer_events <- shard.stats.s_timer_events + fired
-          end)
-        t.shards);
+  let next = Atomic.make 0 in
+  let n = Array.length t.shards in
+  Pool.run pool (fun _ ->
+      let rec claim () =
+        let s = Atomic.fetch_and_add next 1 in
+        if s < n then begin
+          let shard = t.shards.(s) in
+          send_inbound shard;
+          let fired = Kernel.run_timers_until shard.kernel ~until in
+          shard.stats.s_timer_events <- shard.stats.s_timer_events + fired;
+          claim ()
+        end
+      in
+      claim ());
   barrier_exchange t;
   if push then push_wave t
 
@@ -626,7 +667,7 @@ let run_epochs t n =
 
 let send_datagram t ~src_device ~dst_device payload =
   let shard = t.shards.(src_device mod t.config.shards) in
-  Network.send shard.net ~src:(src_device + 1) ~dst:(dst_device + 1) payload
+  Queue.add (src_device + 1, dst_device + 1, payload) shard.inbound
 
 let device_inbox t id = Mailbox.drain t.devices.(id).inbox
 

@@ -5,12 +5,15 @@
     CoW kv delta, SUIT processor, radio node and cycle clock — but
     shares its firmware image per shard through the PR 8 image cache, so
     the marginal footprint stays a few KB per device.  Devices are
-    statically partitioned into [shards] (independent of the domain
-    count, which is what makes runs bit-deterministic across 1/2/4
-    domains); each shard has its own kernel (the event wheel), network
-    and RNG, and shards run lock-free between wheel-epoch barriers.
-    Cross-shard CoAP datagrams are queued whole on the sending shard and
-    exchanged by the owner domain at the barrier, in shard order.
+    partitioned into [shards] by id (independent of the domain count,
+    which is what makes runs bit-deterministic across 1/2/4 domains) and
+    booted shard by shard; each shard has its own kernel (the event
+    wheel), network and RNG, and shards run lock-free between
+    wheel-epoch barriers.  In each epoch every shard runs on exactly one
+    domain, whichever claims it first, and the pool's return orders one
+    epoch before the next.  Cross-shard CoAP datagrams are queued whole
+    on the sending shard and exchanged by the owner domain at the
+    barrier, in shard order.
 
     The headline scenario is {!run_campaign}: a rolling firmware-update
     campaign pushes a signed SUIT manifest to every device while

@@ -15,15 +15,15 @@ let default_frequency_hz = 64_000_000
 let create ?(frequency_hz = default_frequency_hz) () = { now = 0; frequency_hz }
 
 let now t = Int64.of_int t.now
+let now_int t = t.now
 let frequency_hz t = t.frequency_hz
 
 let advance t cycles =
   if cycles < 0 then invalid_arg "Clock.advance: negative";
   t.now <- t.now + cycles
 
-let advance_to t time =
-  if Int64.compare time (Int64.of_int t.now) > 0 then
-    t.now <- Int64.to_int time
+let advance_to_int t time = if time > t.now then t.now <- time
+let advance_to t time = advance_to_int t (Int64.to_int time)
 
 let cycles_of_us t us = us * t.frequency_hz / 1_000_000
 

@@ -12,6 +12,10 @@ val default_frequency_hz : int
 val create : ?frequency_hz:int -> unit -> t
 
 val now : t -> int64
+
+val now_int : t -> int
+(** [now] as an immediate int, which never allocates. *)
+
 val frequency_hz : t -> int
 
 val advance : t -> int -> unit
@@ -19,6 +23,9 @@ val advance : t -> int -> unit
 
 val advance_to : t -> int64 -> unit
 (** Jump forward to an absolute time (idle skip); never moves backward. *)
+
+val advance_to_int : t -> int -> unit
+(** [advance_to] with the time as an immediate int. *)
 
 val cycles_of_us : t -> int -> int
 val us_of_cycles : t -> int64 -> float

@@ -4,7 +4,9 @@
     events are handled first-scheduled-first — deterministic by
     construction.  Backed by a binary min-heap: [add] and [pop] are
     O(log n), which is what keeps a fleet shard's wheel cheap with one
-    parked timer per simulated device. *)
+    parked timer per simulated device.  Times are cycle counts; the
+    queue stores them as immediate ints, so an entry is one small block
+    and the [_int] variants below never box a time. *)
 
 type 'a t
 
@@ -14,6 +16,10 @@ val length : 'a t -> int
 
 val add : 'a t -> at:int64 -> 'a -> unit
 (** Schedule a payload at an absolute cycle time. *)
+
+val add_int : 'a t -> at:int -> 'a -> unit
+(** [add] with the time as an immediate int: allocates the queue entry
+    (4 words) and nothing else, once the heap has room. *)
 
 val peek_time : 'a t -> int64 option
 (** Time of the earliest pending event. *)
@@ -28,4 +34,8 @@ val advance_until : 'a t -> until:int64 -> (at:int64 -> 'a -> unit) -> int
     [until] in (time, seq) order, handing each its due time; events the
     callbacks re-arm at or before [until] fire in the same call.
     Exactly equivalent to a [pop_due] loop.  Returns the number of
-    events fired — one fleet-wheel epoch is one [advance_until]. *)
+    events fired. *)
+
+val advance_until_int : 'a t -> until:int -> (int -> 'a -> unit) -> int
+(** [advance_until] with immediate-int times — one fleet-wheel epoch is
+    one call. *)

@@ -51,6 +51,7 @@ let create ?(frequency_hz = Clock.default_frequency_hz)
 
 let clock t = t.clock
 let now t = Clock.now t.clock
+let now_int t = Clock.now_int t.clock
 let now_us t = Clock.us_of_cycles t.clock (Clock.now t.clock)
 let current_tid t = t.current_tid
 let context_switches t = t.switches
@@ -84,17 +85,21 @@ let add_switch_hook t hook = t.switch_hooks <- t.switch_hooks @ [ hook ]
 let at_cycles t ~at callback = Event_queue.add t.timers ~at callback
 
 let after_cycles t ~cycles callback =
-  at_cycles t ~at:(Int64.add (now t) (Int64.of_int cycles)) callback
+  Event_queue.add_int t.timers ~at:(Clock.now_int t.clock + cycles) callback
 
 let after_us t ~us callback =
   after_cycles t ~cycles:(Clock.cycles_of_us t.clock us) callback
 
-(* Re-arming periodic timer; [callback] may return [false] to stop. *)
+(* Re-arming periodic timer; [callback] may return [false] to stop.  The
+   timer is one closure that re-arms itself, one period after the clock
+   at its fire, so a fire allocates only its queue entry — a fleet
+   shard re-arms one of these per device every telemetry period. *)
 let every_us t ~us callback =
-  let rec arm () =
-    after_us t ~us (fun kernel -> if callback kernel then arm ())
+  let period = Clock.cycles_of_us t.clock us in
+  let rec tick kernel =
+    if callback kernel then after_cycles kernel ~cycles:period tick
   in
-  arm ()
+  after_cycles t ~cycles:period tick
 
 let sleep_us t thread ~us =
   thread.state <- Blocked;
@@ -118,8 +123,8 @@ let pick_next t =
 
 let fire_due_timers t =
   ignore
-    (Event_queue.advance_until t.timers ~until:(now t) (fun ~at:_ callback ->
-         callback t))
+    (Event_queue.advance_until_int t.timers ~until:(Clock.now_int t.clock)
+       (fun _at callback -> callback t))
 
 (* Timer-only epoch run: fire every timer due at or before [until] in
    (time, seq) order, advancing the clock to each timer's due time
@@ -130,8 +135,9 @@ let fire_due_timers t =
    threads.  Returns the number of timers fired. *)
 let run_timers_until t ~until =
   let fired =
-    Event_queue.advance_until t.timers ~until (fun ~at callback ->
-        Clock.advance_to t.clock at;
+    Event_queue.advance_until_int t.timers ~until:(Int64.to_int until)
+      (fun at callback ->
+        Clock.advance_to_int t.clock at;
         callback t)
   in
   Clock.advance_to t.clock until;

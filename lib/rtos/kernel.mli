@@ -27,6 +27,10 @@ val create : ?frequency_hz:int -> ?context_switch_cost:int -> unit -> t
 
 val clock : t -> Clock.t
 val now : t -> int64
+
+val now_int : t -> int
+(** [now] as an immediate int, which never allocates. *)
+
 val now_us : t -> float
 
 val current_tid : t -> int
@@ -53,7 +57,9 @@ val after_cycles : t -> cycles:int -> (t -> unit) -> unit
 val after_us : t -> us:int -> (t -> unit) -> unit
 
 val every_us : t -> us:int -> (t -> bool) -> unit
-(** Re-arming periodic timer; return [false] from the callback to stop. *)
+(** Re-arming periodic timer: the callback first runs [us] after the
+    call, then [us] after the clock at each fire, until it returns
+    [false].  A fire allocates only its queue entry. *)
 
 val sleep_us : t -> thread -> us:int -> unit
 

@@ -98,6 +98,71 @@ let test_determinism_under_loss () =
   in
   Alcotest.(check string) "lossy run domain-invariant" (run 1) (run 4)
 
+(* Skewed load at 2 % loss: shard 1's devices send many datagrams among
+   themselves, so its first epoch costs far more than any other shard's
+   and the domains finish shards out of index order; every device also
+   sends one datagram to a device of shard 0, so the barrier re-sends
+   datagrams from every shard onto shard 0's network, where their order
+   decides the loss draws.  Which domain ran a shard must not show:
+   states and inboxes match at 1/2/4 domains. *)
+let test_determinism_skewed_load () =
+  let devices = 480 and shards = 8 in
+  let per_shard = devices / shards in
+  let run domains =
+    let fleet = Fleet.create (config ~devices ~shards ~domains ~loss:20 ()) in
+    let send src dst tag =
+      Fleet.send_datagram fleet ~src_device:src ~dst_device:dst
+        (Bytes.of_string (Printf.sprintf "%d-%s" src tag))
+    in
+    for src = 0 to devices - 1 do
+      send src ((src * 37) mod per_shard * shards) "to-0";
+      if src mod shards = 1 then
+        for j = 1 to 16 do
+          let dst = ((((src * 7) + j) mod per_shard) * shards) + 1 in
+          send src dst (string_of_int j)
+        done
+    done;
+    let r = Fleet.run_campaign fleet in
+    Alcotest.(check int) "complete under skew" 0 r.Fleet.r_incomplete;
+    let inboxes =
+      List.init devices (fun id ->
+          Fleet.device_inbox fleet id
+          |> List.map Bytes.to_string |> String.concat ",")
+    in
+    (Fleet.fingerprint fleet, inboxes)
+  in
+  let f1, i1 = run 1 in
+  Alcotest.(check bool) "traffic delivered" true
+    (List.exists (fun inbox -> inbox <> "") i1);
+  List.iter
+    (fun domains ->
+      let f, i = run domains in
+      Alcotest.(check string) (Printf.sprintf "1 = %d domains" domains) f1 f;
+      Alcotest.(check (list string))
+        (Printf.sprintf "inboxes 1 = %d domains" domains)
+        i1 i)
+    [ 2; 4 ]
+
+(* Devices boot shard by shard, but every by-id view stays by id:
+   line i of the determinism witness is device i. *)
+let test_states_by_id () =
+  let fleet = Fleet.create (config ~devices:50 ~shards:7 ()) in
+  Array.iteri
+    (fun i line ->
+      let prefix = Printf.sprintf "d%d " i in
+      Alcotest.(check bool)
+        (Printf.sprintf "line %d is device %d: %s" i i line)
+        true
+        (String.length line >= String.length prefix
+        && String.sub line 0 (String.length prefix) = prefix))
+    (Fleet.device_states fleet);
+  (* and traffic addressed by id reaches that id *)
+  Fleet.send_datagram fleet ~src_device:3 ~dst_device:48
+    (Bytes.of_string "to-48");
+  Fleet.run_epochs fleet 4;
+  Alcotest.(check (list string)) "delivered by id" [ "to-48" ]
+    (List.map Bytes.to_string (Fleet.device_inbox fleet 48))
+
 let test_seed_changes_behaviour () =
   let fp seed =
     let fleet =
@@ -362,6 +427,10 @@ let suite =
           test_determinism_under_loss;
         Alcotest.test_case "seed changes history" `Quick
           test_seed_changes_behaviour;
+        Alcotest.test_case "skewed load domain-invariant" `Quick
+          test_determinism_skewed_load;
+        Alcotest.test_case "states by id after shard-major boot" `Quick
+          test_states_by_id;
       ] );
     ( "traffic",
       [

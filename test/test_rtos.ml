@@ -166,6 +166,65 @@ let test_periodic_timer () =
   ignore (Kernel.run kernel ());
   Alcotest.(check int) "five firings" 5 !count
 
+(* A periodic timer driven by the fleet's epoch loop: each fire sees the
+   clock at its due time, an exact multiple of the period. *)
+let test_periodic_exact_multiples () =
+  let kernel = Kernel.create () in
+  let period = Clock.cycles_of_us (Kernel.clock kernel) 100 in
+  let fires = ref [] in
+  Kernel.every_us kernel ~us:100 (fun k ->
+      fires := Kernel.now k :: !fires;
+      true);
+  (* three epochs whose bounds fall between fires *)
+  List.iter
+    (fun until -> ignore (Kernel.run_timers_until kernel ~until))
+    [ Int64.of_int ((3 * period) + 5); Int64.of_int (7 * period); 1_000_000L ];
+  let expected =
+    List.init (1_000_000 / period) (fun i -> Int64.of_int ((i + 1) * period))
+  in
+  Alcotest.(check (list int64)) "fires at k * period" expected
+    (List.rev !fires)
+
+let test_periodic_stops () =
+  let kernel = Kernel.create () in
+  let count = ref 0 in
+  Kernel.every_us kernel ~us:100 (fun _ ->
+      incr count;
+      !count < 3);
+  let fired = Kernel.run_timers_until kernel ~until:1_000_000L in
+  Alcotest.(check int) "three fires" 3 !count;
+  Alcotest.(check int) "nothing else queued" 3 fired;
+  Alcotest.(check int) "stays stopped" 0
+    (Kernel.run_timers_until kernel ~until:10_000_000L)
+
+(* A warm fire re-arms the timer's own closure: the only allocation is
+   the queue entry (a 4-word block, the time an immediate int).  The
+   marginal words of [n] more fires cancel the per-call overhead. *)
+let test_periodic_fire_allocation () =
+  let kernel = Kernel.create () in
+  let period = Clock.cycles_of_us (Kernel.clock kernel) 100 in
+  let count = ref 0 in
+  Kernel.every_us kernel ~us:100 (fun _ ->
+      incr count;
+      true);
+  let horizon = ref 0 in
+  let words_for fires =
+    horizon := !horizon + (fires * period);
+    let until = Int64.of_int !horizon in
+    let before = Gc.minor_words () in
+    let fired = Kernel.run_timers_until kernel ~until in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "fired" fires fired;
+    words
+  in
+  ignore (words_for 16);
+  let one = words_for 1 in
+  let many = words_for 1001 in
+  let per_fire = (many -. one) /. 1000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per warm fire <= 4" per_fire)
+    true (per_fire <= 4.)
+
 let test_sleep_and_wake () =
   let kernel = Kernel.create () in
   let phases = ref [] in
@@ -403,6 +462,11 @@ let suite =
     Alcotest.test_case "round robin" `Quick test_round_robin_same_priority;
     Alcotest.test_case "timer order" `Quick test_timer_fires_in_order;
     Alcotest.test_case "periodic timer" `Quick test_periodic_timer;
+    Alcotest.test_case "periodic exact multiples" `Quick
+      test_periodic_exact_multiples;
+    Alcotest.test_case "periodic stops on false" `Quick test_periodic_stops;
+    Alcotest.test_case "periodic fire allocation" `Quick
+      test_periodic_fire_allocation;
     Alcotest.test_case "sleep and wake" `Quick test_sleep_and_wake;
     Alcotest.test_case "context switch hook" `Quick test_context_switch_hook;
     Alcotest.test_case "switch cost" `Quick test_context_switch_charges_cycles;
