@@ -174,7 +174,11 @@ let outcome ~cores rows fp =
   }
 
 let run () =
-  let rows = [ run_campaign_row ~domains:1; run_campaign_row ~domains:2 ] in
+  (* bound in sequence: list elements are evaluated right to left, and
+     the 1-domain campaign is meant to run first *)
+  let one = run_campaign_row ~domains:1 in
+  let two = run_campaign_row ~domains:2 in
+  let rows = [ one; two ] in
   let fp = measure_footprint () in
   let cores = effective_cores () in
   Printf.printf "\nFleet smoke (%d devices, %d shards, %d core(s))\n%s\n"

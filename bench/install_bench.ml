@@ -4,8 +4,10 @@
    register initialisations, 505 seeded ALU fillers, [lddw r0, C] and
    [exit] — 512 slots, 4 KiB.  The row times [Program.of_bytes] +
    [Analysis.load] on its wire bytes (the whole install compile: decode,
-   verify, analyze, lift, passes, VM build) and counts the minor-heap
-   words one load allocates; per-stage rows split both numbers.
+   verify, analyze, IR build, VM build) and counts the minor-heap words
+   one load allocates; per-stage rows split both numbers.  The [ir] row
+   is [Passes.run]: lift into the flat scratch, the four passes, and the
+   step records built once.
 
    The gated ratio is [inv_minor_words_x] = 100 000 / minor words per
    load: deterministic for a given compiler, so its gate does not
@@ -16,7 +18,6 @@ module Jsonx = Femto_obs.Jsonx
 module Measure = Femto_eval.Measure
 module Program = Femto_ebpf.Program
 module Analysis = Femto_analysis.Analysis
-module Ir = Femto_analysis.Ir
 module Passes = Femto_analysis.Passes
 module Vm = Femto_vm.Vm
 module Platform = Femto_platform.Platform
@@ -101,19 +102,17 @@ let run () =
     | Ok o -> o
     | Error f -> failwith (Femto_vm.Fault.to_string f)
   in
-  let lift () =
-    Ir.lift ~cost:cycle_cost ~facts:analysis.Analysis.mem_facts program
+  let build_ir () =
+    Passes.run ~cost:cycle_cost ~facts:analysis.Analysis.mem_facts program
   in
-  let lifted = lift () in
-  let ir, _ = Passes.run lifted in
+  let ir, _ = build_ir () in
   let stages =
     [
       measure "of_bytes" (fun () -> Program.of_bytes bytes);
       measure "verify" (fun () ->
           Femto_vm.Verifier.verify ~helpers config program);
       measure "analyze" (fun () -> Analysis.analyze ~helpers config program);
-      measure "lift" lift;
-      measure "passes" (fun () -> Passes.run lifted);
+      measure "ir" build_ir;
       measure "vm_build" (fun () ->
           Vm.load_analyzed ~config ~cycle_cost
             ?proofs:analysis.Analysis.fastpath ~ir ~helpers ~regions:[]

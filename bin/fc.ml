@@ -144,11 +144,10 @@ let analyze_cmd =
     let json =
       match (ir, report) with
       | true, Ok outcome ->
-          let lifted =
-            Femto_analysis.Ir.lift ~cost:Femto_vm.Interp.no_cost
+          let optimized, preport =
+            Femto_analysis.Passes.run ~cost:Femto_vm.Interp.no_cost
               ~facts:outcome.Femto_analysis.Analysis.mem_facts program
           in
-          let optimized, preport = Femto_analysis.Passes.run lifted in
           let ir_json = Femto_analysis.Passes.to_json optimized preport in
           (match json with
           | Femto_obs.Jsonx.Obj fields ->

@@ -499,8 +499,9 @@ let load ?(config = Config.default) ?cycle_cost ?passes ~helpers ~regions
          the analyzer owns the IR just as it owns the proofs. *)
       let cost = match cycle_cost with Some c -> c | None -> Interp.no_cost in
       let t0 = Obs.now_ns () in
-      let lifted = Ir.lift ~cost ~facts:outcome.mem_facts program in
-      let ir, _report = Passes.run ?config:passes lifted in
+      let ir, _report =
+        Passes.run ?config:passes ~cost ~facts:outcome.mem_facts program
+      in
       if Obs.enabled () then
         Metrics.observe m_ir_build_ns (Obs.now_ns () -. t0);
       Result.Ok

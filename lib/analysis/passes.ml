@@ -29,14 +29,13 @@
                    contains analyzer bugs); every remaining access is
                    hoisted behind a per-site region inline cache.
 
-   [run] copies each block's step array once on entry; every stage then
-   rewrites that private copy in place and the block aggregates are
-   rebuilt once at the end.  The caller's program is never mutated.  A
-   fresh array per stage would cost more than the rewrites: on OCaml 5
-   a boxed array over 256 words is allocated straight in the major
-   heap, and [Array.map]/[Array.of_list] seed it with a young step,
-   which forces a minor collection that promotes every live step. *)
+   [run] lifts the program into its domain's flat scratch ([Ir]), every
+   enabled stage rewrites those entries in place, and the [Vir] program
+   is built once from what survives.  No stage allocates: immediates stay
+   unboxed in the scratch's bytes, and folds evaluate in place through
+   [Interp]'s register-file kernels. *)
 
+open Femto_ebpf
 module Vir = Femto_vm.Ir
 module Interp = Femto_vm.Interp
 module Obs = Femto_obs.Obs
@@ -76,229 +75,151 @@ type report = {
   hoisted : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Helpers.                                                           *)
-
-let live_steps p =
-  Vir.count_ops (function Vir.Nop -> false | _ -> true) p
-
-(* Rebuild the per-block aggregates a rewrite may have changed. *)
-let refresh (b : Vir.block) =
-  let weight =
-    Array.fold_left (fun w (s : Vir.step) -> w + s.Vir.weight) 0 b.Vir.steps
-    + (match b.Vir.term with
-      | Vir.Exit { weight; _ } | Vir.Jump { weight; _ } -> weight
-      | Vir.Fall _ | Vir.Halt _ -> 0)
-  in
-  let branch =
-    (match b.Vir.term with Vir.Jump _ -> true | _ -> false)
-    || Array.exists
-         (fun (s : Vir.step) ->
-           match s.Vir.op with Vir.Jcond _ -> true | _ -> false)
-         b.Vir.steps
-  in
-  { b with Vir.weight; branch }
-
-(* A block under rewrite: its private step array, of which the first
-   [len] entries are live (const_fold may truncate), and its terminator. *)
-type work = {
-  block : Vir.block;
-  steps : Vir.step array;
-  mutable len : int;
-  mutable term : Vir.terminator;
-}
-
-let work_of (b : Vir.block) =
-  let steps = Array.copy b.Vir.steps in
-  { block = b; steps; len = Array.length steps; term = b.Vir.term }
-
-let block_of w =
-  let steps =
-    if w.len = Array.length w.steps then w.steps else Array.sub w.steps 0 w.len
-  in
-  refresh { w.block with Vir.steps; term = w.term }
+(* Entry [e]'s immediate, read and written unboxed ([Ir.get64] and
+   [Ir.set64] are primitives, so this holds across the module boundary
+   whatever the build inlines), and the kind and registers of its slot. *)
+let[@inline] imm (s : Ir.scratch) e = Ir.get64 s.imm (8 * e)
+let[@inline] set_imm (s : Ir.scratch) e v = Ir.set64 s.imm (8 * e) v
+let[@inline] kind (s : Ir.scratch) e = Program.kind s.program s.pc.(e)
+let[@inline] dst (s : Ir.scratch) e = Program.dst s.program s.pc.(e)
+let[@inline] src (s : Ir.scratch) e = Program.src s.program s.pc.(e)
 
 (* ------------------------------------------------------------------ *)
 (* canon: ALU-chain canonicalization.                                 *)
 
-let canon_block count w =
-  let steps = w.steps and n = w.len in
-  for i = 0 to n - 1 do
-    let s = steps.(i) in
-    match s.Vir.op with
-    (* sub-imm is add of the negation; normal form feeds add-merging *)
-    | Vir.Alu { is64 = true; op = Femto_ebpf.Opcode.Sub; dst; src = Vir.Imm v }
-      ->
+let add_imm (s : Ir.scratch) e =
+  match (s.tag.(e), kind s e) with
+  | Ir.Slot, Insn.Alu (true, _, _) ->
+      s.aop.(e) = Opcode.Add && not s.by_reg.(e)
+  | _ -> false
+
+let canon_block (s : Ir.scratch) count b =
+  let first = s.first.(b) in
+  let stop = first + s.len.(b) in
+  for e = first to stop - 1 do
+    match (s.tag.(e), kind s e, s.aop.(e)) with
+    | Ir.Slot, Insn.Alu (true, _, _), Opcode.Sub when not s.by_reg.(e) ->
+        (* sub-imm is add of the negation; normal form feeds merging *)
         incr count;
-        steps.(i) <-
-          {
-            s with
-            Vir.op =
-              Vir.Alu
-                {
-                  is64 = true;
-                  op = Femto_ebpf.Opcode.Add;
-                  dst;
-                  src = Vir.Imm (Int64.neg v);
-                };
-          }
-    | Vir.Alu { is64 = true; op = Femto_ebpf.Opcode.Mov; dst; src = Vir.Imm v }
-      ->
-        incr count;
-        steps.(i) <- { s with Vir.op = Vir.Movk { dst; v } }
-    | Vir.Alu { is64 = false; op = Femto_ebpf.Opcode.Mov; dst; src = Vir.Imm v }
-      ->
+        s.aop.(e) <- Opcode.Add;
+        set_imm s e (Int64.neg (imm s e))
+    | Ir.Slot, Insn.Alu (is64, _, _), Opcode.Mov when not s.by_reg.(e) ->
         (* 32-bit mov-imm zero-extends its low half *)
         incr count;
-        steps.(i) <-
-          { s with Vir.op = Vir.Movk { dst; v = Int64.logand v 0xFFFF_FFFFL } }
+        s.tag.(e) <- Ir.Movk;
+        if not is64 then set_imm s e (Int64.logand (imm s e) 0xFFFF_FFFFL)
     | _ -> ()
   done;
-  (* Merge runs of add-imm on the same register: one step carries the
-     summed immediate, weight and cost of the whole chain. *)
-  for i = 0 to n - 2 do
-    match (steps.(i).Vir.op, steps.(i + 1).Vir.op) with
-    | ( Vir.Alu { is64 = true; op = Femto_ebpf.Opcode.Add; dst = d1; src = Vir.Imm a },
-        Vir.Alu { is64 = true; op = Femto_ebpf.Opcode.Add; dst = d2; src = Vir.Imm b } )
-      when d1 = d2 ->
-        incr count;
-        let s1 = steps.(i) and s2 = steps.(i + 1) in
-        steps.(i) <- { s1 with Vir.op = Vir.Nop; weight = 0; cost = 0 };
-        steps.(i + 1) <-
-          {
-            Vir.pc = s1.Vir.pc;
-            weight = s1.Vir.weight + s2.Vir.weight;
-            cost = s1.Vir.cost + s2.Vir.cost;
-            op =
-              Vir.Alu
-                {
-                  is64 = true;
-                  op = Femto_ebpf.Opcode.Add;
-                  dst = d1;
-                  src = Vir.Imm (Int64.add a b);
-                };
-          }
-    | _ -> ()
+  (* Merge runs of add-imm on the same register: the chain's last entry
+     takes the summed immediate, weight and cost and the first one's pc;
+     the others become weightless [Nop]s. *)
+  for e = first to stop - 2 do
+    if add_imm s e && add_imm s (e + 1) && dst s e = dst s (e + 1) then begin
+      incr count;
+      s.pc.(e + 1) <- s.pc.(e);
+      s.weight.(e + 1) <- s.weight.(e) + s.weight.(e + 1);
+      s.cost.(e + 1) <- s.cost.(e) + s.cost.(e + 1);
+      set_imm s (e + 1) (Int64.add (imm s e) (imm s (e + 1)));
+      s.tag.(e) <- Ir.Nop;
+      s.weight.(e) <- 0;
+      s.cost.(e) <- 0
+    end
   done
 
 (* ------------------------------------------------------------------ *)
 (* const_fold: forward constant propagation and branch folding.       *)
 
-(* Each step yields at most one step, so the block is compacted in
-   place behind a write index [out] that never overtakes [i]. *)
-let const_fold_block count w =
-  let consts : int64 option array = Array.make 11 None in
-  let steps = w.steps and n = w.len in
-  let out = ref 0 in
-  let i = ref 0 in
-  let truncated = ref false in
-  while (not !truncated) && !i < n do
-    let s = steps.(!i) in
-    let operand_const = function
-      | Vir.Imm v -> Some v
-      | Vir.Reg r -> consts.(r)
-    in
-    let put s' =
-      steps.(!out) <- s';
-      incr out
-    in
-    let emit op' = put { s with Vir.op = op' } in
-    let keep () = put s in
-    (match s.Vir.op with
-    | Vir.Nop | Vir.Trap _ | Vir.Trap_pre _ -> keep ()
-    | Vir.Movk { dst; v } ->
-        consts.(dst) <- Some v;
-        keep ()
-    | Vir.Alu { is64; op; dst; src } -> (
-        let sv = operand_const src in
-        let dv = consts.(dst) in
-        let f = if is64 then Interp.alu64 else Interp.alu32 in
-        let eval d v =
-          match f s.Vir.pc op d v with Ok r -> Some r | Error _ -> None
+(* Bit r of [known] is set when register r holds a constant, kept in the
+   folder's register file [s.consts].  An immediate operand is copied to
+   its operand slot, so every fold evaluates in place through [Interp]'s
+   register-file kernels — the decoded tier's own semantics — and
+   nothing is boxed. *)
+let const_fold_block (s : Ir.scratch) count b =
+  let consts = s.consts in
+  let first = s.first.(b) in
+  let stop = first + s.len.(b) in
+  let known = ref (1 lsl Ir.operand_slot) in
+  let is_known r = !known land (1 lsl r) <> 0 in
+  (* where entry [i]'s operand sits in [consts] *)
+  let operand i =
+    if s.by_reg.(i) then src s i
+    else begin
+      Ir.set64 consts (8 * Ir.operand_slot) (imm s i);
+      Ir.operand_slot
+    end
+  in
+  let fold i dst =
+    incr count;
+    known := !known lor (1 lsl dst);
+    s.tag.(i) <- Ir.Movk;
+    set_imm s i (Ir.get64 consts (8 * dst))
+  in
+  let e = ref first in
+  while !e < stop do
+    let i = !e in
+    incr e;
+    let dst = dst s i in
+    match (s.tag.(i), kind s i) with
+    | Ir.Movk, _ ->
+        Ir.set64 consts (8 * dst) (imm s i);
+        known := !known lor (1 lsl dst)
+    | Ir.Slot, Insn.Alu (is64, _, _) ->
+        let op = s.aop.(i) and src = operand i in
+        let faults =
+          (op = Opcode.Div || op = Opcode.Mod)
+          && Interp.zero_divisor is64 (Ir.get64 consts (8 * src))
         in
-        let fold =
-          match (op, dv, sv) with
-          (* mov ignores dst; evaluate through the shared semantics so
-             the 32-bit variant zero-extends exactly like the decoded
-             tier *)
-          | Femto_ebpf.Opcode.Mov, _, Some v -> eval 0L v
-          | _, Some d, Some v -> eval d v
-          | _ -> None
-        in
-        match fold with
-        | Some r ->
+        if is_known src && (op = Opcode.Mov || is_known dst) && not faults
+        then begin
+          (* mov ignores dst's value, and the 32-bit class zero-extends
+             exactly like the decoded tier *)
+          Interp.alu_regs is64 op consts ~dst ~src;
+          fold i dst
+        end
+        else begin
+          (* a known register operand becomes an immediate: div/mod by
+             a proven-nonzero register stops being fault-capable *)
+          if s.by_reg.(i) && is_known src && not faults then begin
             incr count;
-            consts.(dst) <- Some r;
-            emit (Vir.Movk { dst; v = r })
-        | None -> (
-            (* a known register operand becomes an immediate: div/mod by
-               a proven-nonzero register stops being fault-capable *)
-            match (src, sv) with
-            | Vir.Reg _, Some v
-              when (match op with
-                   | Femto_ebpf.Opcode.Div | Femto_ebpf.Opcode.Mod ->
-                       not
-                         (if is64 then Int64.equal v 0L
-                          else Int64.equal (Int64.logand v 0xFFFF_FFFFL) 0L)
-                   | _ -> true) ->
-                incr count;
-                consts.(dst) <- None;
-                emit (Vir.Alu { is64; op; dst; src = Vir.Imm v })
-            | _ ->
-                consts.(dst) <- None;
-                keep ()))
-    | Vir.Swap { dst; endianness; width } -> (
-        match consts.(dst) with
-        | Some v -> (
-            match Interp.byte_swap s.Vir.pc endianness width v with
-            | Ok r ->
-                incr count;
-                consts.(dst) <- Some r;
-                emit (Vir.Movk { dst; v = r })
-            | Error _ ->
-                consts.(dst) <- None;
-                keep ())
-        | None ->
-            consts.(dst) <- None;
-            keep ())
-    | Vir.Load { dst; _ } ->
-        consts.(dst) <- None;
-        keep ()
-    | Vir.Store ({ v = Vir.Reg r; _ } as st) -> (
-        match consts.(r) with
-        | Some v ->
-            incr count;
-            emit (Vir.Store { st with v = Vir.Imm v })
-        | None -> keep ())
-    | Vir.Store _ -> keep ()
-    | Vir.Call _ ->
+            s.by_reg.(i) <- false;
+            set_imm s i (Ir.get64 consts (8 * src))
+          end;
+          known := !known land lnot (1 lsl dst)
+        end
+    | Ir.Slot, Insn.End endianness ->
+        if is_known dst then begin
+          let bits = Program.imm s.program s.pc.(i) in
+          Interp.byte_swap_regs endianness ~bits consts ~dst;
+          fold i dst
+        end
+    | Ir.Slot, Insn.Load _ -> known := !known land lnot (1 lsl dst)
+    | Ir.Slot, (Insn.Store_imm _ | Insn.Store_reg _) ->
+        let r = src s i in
+        if s.by_reg.(i) && is_known r then begin
+          incr count;
+          s.by_reg.(i) <- false;
+          set_imm s i (Ir.get64 consts (8 * r))
+        end
+    | Ir.Slot, Insn.Call ->
         (* helpers write only r0 *)
-        consts.(0) <- None;
-        keep ()
-    | Vir.Jcond { is64; cond; dst; src; dest } -> (
-        match (consts.(dst), operand_const src) with
-        | Some d, Some v ->
-            incr count;
-            if Interp.condition cond is64 d v then begin
-              (* taken on every path: the branch becomes the terminator
-                 and the unreachable block suffix is dropped *)
-              w.term <-
-                Vir.Jump
-                  {
-                    pc = s.Vir.pc;
-                    weight = s.Vir.weight;
-                    cost = s.Vir.cost;
-                    dest;
-                  };
-              truncated := true
-            end
-            else
-              (* never taken: accounted no-op *)
-              emit Vir.Nop
-        | _ -> keep ()));
-    incr i
-  done;
-  w.len <- !out
+        known := !known land lnot 1
+    | Ir.Slot, Insn.Jcond (is64, cond, _) ->
+        let src = operand i in
+        if is_known dst && is_known src then begin
+          incr count;
+          if Interp.condition_regs cond is64 consts ~dst ~src then begin
+            (* taken on every path: the branch becomes the terminator
+               and the unreachable block suffix is dropped *)
+            s.tag.(i) <- Ir.Jump;
+            s.len.(b) <- i - first;
+            e := stop
+          end
+          else
+            (* never taken: accounted no-op *)
+            s.tag.(i) <- Ir.Nop
+        end
+    | _ -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* dead_elim: dead register-write elimination.                        *)
@@ -307,39 +228,29 @@ let const_fold_block count w =
    becomes visible), leave the block, or read/write memory or helpers.
    Between observation points, a pure write overwritten before any read
    is invisible and becomes an accounted [Nop]. *)
-let dead_elim_block count w =
-  let steps = w.steps in
+let dead_elim_block (s : Ir.scratch) count b =
   let all_live = 0x7FF in
   (* bit r set = r's current value may still be read.  The register file
      is test-visible after any run, and successor blocks may read any
      register, so every block exit counts as a full observation. *)
   let live = ref all_live in
-  for i = w.len - 1 downto 0 do
-    let s = steps.(i) in
-    match s.Vir.op with
-    | Vir.Movk { dst; _ } when !live land (1 lsl dst) = 0 ->
+  let first = s.first.(b) in
+  for e = first + s.len.(b) - 1 downto first do
+    let bit = 1 lsl dst s e in
+    match (s.tag.(e), kind s e, s.aop.(e)) with
+    | Ir.Nop, _, _ -> ()
+    | Ir.Slot, Insn.Alu _, (Opcode.Div | Opcode.Mod) when s.by_reg.(e) ->
+        (* may fault: everything visible *)
+        live := all_live
+    | (Ir.Movk, _, _ | Ir.Slot, Insn.Alu _, _) when !live land bit = 0 ->
         incr count;
-        steps.(i) <- { s with Vir.op = Vir.Nop }
-    | Vir.Movk { dst; _ } -> live := !live land lnot (1 lsl dst)
-    | Vir.Alu { op; dst; src; _ }
-      when (match op with
-           | Femto_ebpf.Opcode.Div | Femto_ebpf.Opcode.Mod -> (
-               match src with Vir.Reg _ -> false | Vir.Imm _ -> true)
-           | _ -> true) ->
-        if !live land (1 lsl dst) = 0 then begin
-          incr count;
-          steps.(i) <- { s with Vir.op = Vir.Nop }
-        end
-        else begin
-          (* reads dst (except mov) and the register operand *)
-          (match op with
-          | Femto_ebpf.Opcode.Mov -> live := !live land lnot (1 lsl dst)
-          | _ -> live := !live lor (1 lsl dst));
-          match src with
-          | Vir.Reg r -> live := !live lor (1 lsl r)
-          | Vir.Imm _ -> ()
-        end
-    | Vir.Nop -> ()
+        s.tag.(e) <- Ir.Nop
+    | Ir.Movk, _, _ -> live := !live land lnot bit
+    | Ir.Slot, Insn.Alu _, op ->
+        (* reads dst (except a move) and the register operand *)
+        if op = Opcode.Mov then live := !live land lnot bit
+        else live := !live lor bit;
+        if s.by_reg.(e) then live := !live lor (1 lsl src s e)
     | _ ->
         (* fault-capable / memory / helper / branch: everything visible *)
         live := all_live
@@ -348,51 +259,49 @@ let dead_elim_block count w =
 (* ------------------------------------------------------------------ *)
 (* bounds_elim: check elision and region-cache hoisting.              *)
 
-let bounds_elim_block count w =
-  let steps = w.steps in
-  for i = 0 to w.len - 1 do
-    let s = steps.(i) in
-    match s.Vir.op with
-    | Vir.Load ({ fact; _ } as l) -> (
-        match fact with
+let bounds_elim_block ~facts (s : Ir.scratch) count b =
+  let first = s.first.(b) in
+  for e = first to first + s.len.(b) - 1 do
+    match (s.tag.(e), kind s e) with
+    | Ir.Slot, (Insn.Load _ | Insn.Store_imm _ | Insn.Store_reg _) -> (
+        match Ir.fact_of s facts e with
         | Some { Vir.base_kind = Vir.Base_stack; proven = true; _ } ->
             incr count;
-            steps.(i) <- { s with Vir.op = Vir.Load { l with elide = true } }
-        | _ ->
-            steps.(i) <- { s with Vir.op = Vir.Load { l with hoist = true } })
-    | Vir.Store ({ fact; _ } as st) -> (
-        match fact with
-        | Some { Vir.base_kind = Vir.Base_stack; proven = true; _ } ->
-            incr count;
-            steps.(i) <- { s with Vir.op = Vir.Store { st with elide = true } }
-        | _ ->
-            steps.(i) <- { s with Vir.op = Vir.Store { st with hoist = true } })
+            s.check.(e) <- Ir.Elided
+        | _ -> s.check.(e) <- Ir.Hoisted)
     | _ -> ()
   done
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline.                                                          *)
 
-let run ?(config = all) (p : Vir.program) : Vir.program * report =
-  let steps_before = live_steps p in
-  let work = Array.map work_of p.Vir.blocks in
+let run ?(config = all) ~cost ~facts program : Vir.program * report =
+  let s = Ir.scratch () in
+  Ir.lift_into s ~cost program;
   let stage enabled name f =
     let count = ref 0 in
-    if enabled then Array.iter (f count) work;
+    if enabled then
+      for b = 0 to s.blocks - 1 do
+        f s count b
+      done;
     { name; enabled; rewrites = !count }
   in
+  (* the lifter builds no [Nop], and one terminator per block *)
+  let steps_before = s.entries - s.blocks in
   let canon = stage config.canon "canon" canon_block in
   let fold = stage config.const_fold "const_fold" const_fold_block in
   let dead = stage config.dead_elim "dead_elim" dead_elim_block in
-  let bounds = stage config.bounds_elim "bounds_elim" bounds_elim_block in
-  let p = { p with Vir.blocks = Array.map block_of work } in
+  let bounds =
+    stage config.bounds_elim "bounds_elim" (bounds_elim_block ~facts)
+  in
+  let p = Ir.to_program s ~facts in
   let elided = Vir.elided_checks p and hoisted = Vir.hoisted_checks p in
   let report =
     {
       passes = [ canon; fold; dead; bounds ];
       blocks = Array.length p.Vir.blocks;
       steps_before;
-      steps_after = live_steps p;
+      steps_after = Vir.count_ops (function Vir.Nop -> false | _ -> true) p;
       folded = fold.rewrites;
       eliminated = dead.rewrites;
       elided;

@@ -55,26 +55,53 @@ let read t ~offset ~length =
   | Ok () -> Ok (Bytes.sub t.data offset length)
 
 (* Program bytes: every written bit must go 1 -> 0 or stay; a 0 -> 1
-   transition means the caller forgot to erase. *)
-let write t ~offset payload =
-  let length = Bytes.length payload in
+   transition means the caller forgot to erase.  [first_violation] is
+   the index of the first payload byte that would set a bit, or -1.  It
+   compares a word at a time and scans bytes only inside a word that
+   sets a bit (and in the tail), so the first violating page is the
+   same as a byte-by-byte scan's. *)
+let first_violation data offset payload =
+  let length = String.length payload in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < length do
+    let k = !i in
+    if
+      k + 8 <= length
+      && Int64.logand
+           (String.get_int64_ne payload k)
+           (Int64.logxor (Bytes.get_int64_ne data (offset + k)) (-1L))
+         = 0L
+    then i := k + 8
+    else begin
+      let stop = min length (k + 8) in
+      let j = ref k in
+      while !found < 0 && !j < stop do
+        let current = Char.code (Bytes.get data (offset + !j)) in
+        if Char.code payload.[!j] land lnot current <> 0 then found := !j;
+        incr j
+      done;
+      i := stop
+    end
+  done;
+  !found
+
+let write_string t ~offset payload =
+  let length = String.length payload in
   match check_range t offset length with
   | Error e -> Error e
   | Ok () ->
-      let violating_page = ref None in
-      for i = 0 to length - 1 do
-        let current = Char.code (Bytes.get t.data (offset + i)) in
-        let wanted = Char.code (Bytes.get payload i) in
-        (* wanted must be a subset of current's set bits *)
-        if wanted land lnot current <> 0 && !violating_page = None then
-          violating_page := Some ((offset + i) / t.page_size)
-      done;
-      (match !violating_page with
-      | Some page -> Error (Write_needs_erase { page })
-      | None ->
-          Bytes.blit payload 0 t.data offset length;
-          t.writes <- t.writes + 1;
-          Ok ())
+      let bad = first_violation t.data offset payload in
+      if bad >= 0 then
+        Error (Write_needs_erase { page = (offset + bad) / t.page_size })
+      else begin
+        Bytes.blit_string payload 0 t.data offset length;
+        t.writes <- t.writes + 1;
+        Ok ()
+      end
+
+(* [payload] is only read, and only during the call. *)
+let write t ~offset payload =
+  write_string t ~offset (Bytes.unsafe_to_string payload)
 
 let erase_page t ~page =
   if page < 0 || page >= t.pages then

@@ -27,7 +27,11 @@ val read : t -> offset:int -> length:int -> (bytes, error) result
 
 val write : t -> offset:int -> bytes -> (unit, error) result
 (** Program bytes; fails with [Write_needs_erase] if any bit would go
-    0 -> 1. *)
+    0 -> 1, naming the page of the first such byte, and then writes
+    nothing. *)
+
+val write_string : t -> offset:int -> string -> (unit, error) result
+(** {!write} from a string, without copying it. *)
 
 val erase_page : t -> page:int -> (unit, error) result
 

@@ -128,9 +128,9 @@ let stream_write stream chunk =
     let* () =
       Result.map_error
         (fun e -> Flash_error e)
-        (Flash.write t.flash
+        (Flash.write_string t.flash
            ~offset:(offset t stream.slot + header_size + stream.written)
-           (Bytes.of_string chunk))
+           chunk)
     in
     stream.written <- stream.written + len;
     Ok ()

@@ -164,7 +164,7 @@ type shard = {
   kernel : Kernel.t; (* the shard's wheel *)
   net : Network.t;
   images : (string, Image.t) Hashtbl.t; (* shared per shard *)
-  programs : (string, Program.t) Hashtbl.t; (* payload digest → decoded *)
+  programs : (string, Program.t) Hashtbl.t; (* payload → decoded *)
   mutable members : device array;
       (* ids s, s + shards, ... in order; filled after boot (devices
          need their shard to boot) *)
@@ -259,14 +259,16 @@ let make_push ~envelope ~firmware ~message_id =
 
 (* --- firmware install (the Suit.device install callback) --- *)
 
+(* Keyed by the payload bytes themselves: [Suit.process] has already
+   checked them against the manifest's digest, so hashing them again
+   would only repeat that work. *)
 let program_for shard payload =
-  let digest = Crypto.to_hex (Crypto.sha256 payload) in
-  match Hashtbl.find_opt shard.programs digest with
+  match Hashtbl.find_opt shard.programs payload with
   | Some p -> Ok p
   | None -> (
       match Program.of_string payload with
       | p ->
-          Hashtbl.replace shard.programs digest p;
+          Hashtbl.replace shard.programs payload p;
           Ok p
       | exception _ -> Error "undecodable firmware payload")
 

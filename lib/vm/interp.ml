@@ -100,79 +100,110 @@ let give_back t ~outer fr =
 let mask32 v = Int64.logand v 0xFFFF_FFFFL
 let low32 v = Int64.to_int32 v
 
-let alu64 pc op (dst : int64) (src : int64) =
+(* The value kernels below are total on a nonzero divisor and inlined
+   where they are used, so a caller that keeps its operands unboxed (the
+   IR constant folder) evaluates without allocating; [alu64]/[alu32]/
+   [byte_swap] add the fault checks every engine shares. *)
+let[@inline] alu64_value op (dst : int64) (src : int64) =
   let open Int64 in
   match (op : Opcode.alu_op) with
-  | Opcode.Add -> Ok (add dst src)
-  | Opcode.Sub -> Ok (sub dst src)
-  | Opcode.Mul -> Ok (mul dst src)
-  | Opcode.Div ->
-      if equal src 0L then Error (Fault.Division_by_zero { pc })
-      else Ok (unsigned_div dst src)
-  | Opcode.Mod ->
-      if equal src 0L then Error (Fault.Division_by_zero { pc })
-      else Ok (unsigned_rem dst src)
-  | Opcode.Or -> Ok (logor dst src)
-  | Opcode.And -> Ok (logand dst src)
-  | Opcode.Xor -> Ok (logxor dst src)
-  | Opcode.Lsh -> Ok (shift_left dst (to_int (logand src 63L)))
-  | Opcode.Rsh -> Ok (shift_right_logical dst (to_int (logand src 63L)))
-  | Opcode.Arsh -> Ok (shift_right dst (to_int (logand src 63L)))
-  | Opcode.Neg -> Ok (neg dst)
-  | Opcode.Mov -> Ok src
+  | Opcode.Add -> add dst src
+  | Opcode.Sub -> sub dst src
+  | Opcode.Mul -> mul dst src
+  | Opcode.Div -> unsigned_div dst src
+  | Opcode.Mod -> unsigned_rem dst src
+  | Opcode.Or -> logor dst src
+  | Opcode.And -> logand dst src
+  | Opcode.Xor -> logxor dst src
+  | Opcode.Lsh -> shift_left dst (to_int (logand src 63L))
+  | Opcode.Rsh -> shift_right_logical dst (to_int (logand src 63L))
+  | Opcode.Arsh -> shift_right dst (to_int (logand src 63L))
+  | Opcode.Neg -> neg dst
+  | Opcode.Mov -> src
 
-let alu32 pc op (dst : int64) (src : int64) =
+let[@inline] alu32_value op (dst : int64) (src : int64) =
   let open Int32 in
   let d = low32 dst and s = low32 src in
-  let ok v = Ok (mask32 (Int64.of_int32 v)) in
-  match (op : Opcode.alu_op) with
-  | Opcode.Add -> ok (add d s)
-  | Opcode.Sub -> ok (sub d s)
-  | Opcode.Mul -> ok (mul d s)
-  | Opcode.Div ->
-      if equal s 0l then Error (Fault.Division_by_zero { pc })
-      else ok (unsigned_div d s)
-  | Opcode.Mod ->
-      if equal s 0l then Error (Fault.Division_by_zero { pc })
-      else ok (unsigned_rem d s)
-  | Opcode.Or -> ok (logor d s)
-  | Opcode.And -> ok (logand d s)
-  | Opcode.Xor -> ok (logxor d s)
-  | Opcode.Lsh -> ok (shift_left d (Int64.to_int (Int64.logand src 31L)))
-  | Opcode.Rsh -> ok (shift_right_logical d (Int64.to_int (Int64.logand src 31L)))
-  | Opcode.Arsh -> ok (shift_right d (Int64.to_int (Int64.logand src 31L)))
-  | Opcode.Neg -> ok (neg d)
-  | Opcode.Mov -> ok s
+  let r =
+    match (op : Opcode.alu_op) with
+    | Opcode.Add -> add d s
+    | Opcode.Sub -> sub d s
+    | Opcode.Mul -> mul d s
+    | Opcode.Div -> unsigned_div d s
+    | Opcode.Mod -> unsigned_rem d s
+    | Opcode.Or -> logor d s
+    | Opcode.And -> logand d s
+    | Opcode.Xor -> logxor d s
+    | Opcode.Lsh -> shift_left d (Int64.to_int (Int64.logand src 31L))
+    | Opcode.Rsh -> shift_right_logical d (Int64.to_int (Int64.logand src 31L))
+    | Opcode.Arsh -> shift_right d (Int64.to_int (Int64.logand src 31L))
+    | Opcode.Neg -> neg d
+    | Opcode.Mov -> s
+  in
+  mask32 (Int64.of_int32 r)
 
-(* BPF_END byte-order conversion.  The host is little endian, so [Le]
-   truncates and [Be] byte-swaps then truncates. *)
+(* A [Div]/[Mod] by this divisor faults: all 64 bits, or the low 32 for
+   the 32-bit class. *)
+let[@inline] zero_divisor is64 (src : int64) =
+  if is64 then Int64.equal src 0L else Int64.equal (mask32 src) 0L
+
+let alu64 pc op (dst : int64) (src : int64) =
+  match (op : Opcode.alu_op) with
+  | (Opcode.Div | Opcode.Mod) when zero_divisor true src ->
+      Error (Fault.Division_by_zero { pc })
+  | _ -> Ok (alu64_value op dst src)
+
+let alu32 pc op (dst : int64) (src : int64) =
+  match (op : Opcode.alu_op) with
+  | (Opcode.Div | Opcode.Mod) when zero_divisor false src ->
+      Error (Fault.Division_by_zero { pc })
+  | _ -> Ok (alu32_value op dst src)
+
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* BPF_END byte-order conversion at a valid width (16, 32 or 64).  The
+   host is little endian, so [Le] truncates and [Be] byte-swaps then
+   truncates. *)
+let[@inline] byte_swap_value endianness width (v : int64) =
+  match (endianness : Opcode.endianness) with
+  | Opcode.Le ->
+      if Int32.equal width 16l then Int64.logand v 0xFFFFL
+      else if Int32.equal width 32l then Int64.logand v 0xFFFF_FFFFL
+      else v
+  | Opcode.Be ->
+      if Int32.equal width 16l then
+        let v = Int64.to_int v in
+        Int64.of_int (((v land 0xff) lsl 8) lor ((v lsr 8) land 0xff))
+      else if Int32.equal width 32l then
+        let v = Int64.to_int v in
+        Int64.of_int
+          (((v land 0xff) lsl 24)
+          lor (((v lsr 8) land 0xff) lsl 16)
+          lor (((v lsr 16) land 0xff) lsl 8)
+          lor ((v lsr 24) land 0xff))
+      else bswap64 v
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* The kernels over a register file held 8 bytes per register in a
+   [Bytes.t] (the IR constant folder's): no argument or result is an
+   int64, so a call allocates nothing even where it is not inlined. *)
+let alu_regs is64 op regs ~dst ~src =
+  let d = get64 regs (8 * dst) and s = get64 regs (8 * src) in
+  set64 regs (8 * dst)
+    (if is64 then alu64_value op d s else alu32_value op d s)
+
+let byte_swap_regs endianness ~bits regs ~dst =
+  set64 regs (8 * dst)
+    (byte_swap_value endianness (Int32.of_int bits) (get64 regs (8 * dst)))
+
 let byte_swap pc endianness width (v : int64) =
-  let swap16 v =
-    let v = Int64.to_int v in
-    Int64.of_int (((v land 0xff) lsl 8) lor ((v lsr 8) land 0xff))
-  in
-  let swap32 v =
-    let b i = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL) in
-    Int64.of_int ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3)
-  in
-  let swap64 v =
-    let b i = Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL in
-    let acc = ref 0L in
-    for i = 0 to 7 do
-      acc := Int64.logor (Int64.shift_left !acc 8) (b i)
-    done;
-    !acc
-  in
-  match (endianness, width) with
-  | Opcode.Le, 16l -> Ok (Int64.logand v 0xFFFFL)
-  | Opcode.Le, 32l -> Ok (Int64.logand v 0xFFFF_FFFFL)
-  | Opcode.Le, 64l -> Ok v
-  | Opcode.Be, 16l -> Ok (swap16 (Int64.logand v 0xFFFFL))
-  | Opcode.Be, 32l -> Ok (swap32 (Int64.logand v 0xFFFF_FFFFL))
-  | Opcode.Be, 64l -> Ok (swap64 v)
+  match width with
+  | 16l | 32l | 64l -> Ok (byte_swap_value endianness width v)
   | _ -> Error (Fault.Nonzero_field { pc; field = "end width" })
 
-let condition cond is64 (dst : int64) (src : int64) =
+let[@inline] condition cond is64 (dst : int64) (src : int64) =
   let open Int64 in
   if is64 then
     match (cond : Opcode.jmp_cond) with
@@ -201,6 +232,9 @@ let condition cond is64 (dst : int64) (src : int64) =
     | Opcode.Jslt -> Int32.compare d s < 0
     | Opcode.Jsle -> Int32.compare d s <= 0
     | Opcode.Jset -> not (Int32.equal (Int32.logand d s) 0l)
+
+let condition_regs cond is64 regs ~dst ~src =
+  condition cond is64 (get64 regs (8 * dst)) (get64 regs (8 * src))
 
 exception Abort of Fault.t
 

@@ -79,3 +79,29 @@ val alu32 : int -> Femto_ebpf.Opcode.alu_op -> int64 -> int64 -> (int64, Fault.t
 val condition : Femto_ebpf.Opcode.jmp_cond -> bool -> int64 -> int64 -> bool
 val byte_swap :
   int -> Femto_ebpf.Opcode.endianness -> int32 -> int64 -> (int64, Fault.t) result
+
+(** {3 Over a register file in bytes}
+
+    The same semantics over registers held 8 bytes each in a [Bytes.t]
+    (the IR constant folder's known values).  No argument or result is
+    an int64, so a call allocates nothing even where it is not
+    inlined. *)
+
+val zero_divisor : bool -> int64 -> bool
+(** [zero_divisor is64 src]: a [Div]/[Mod] of that class by [src]
+    faults. *)
+
+val alu_regs :
+  bool -> Femto_ebpf.Opcode.alu_op -> Bytes.t -> dst:int -> src:int -> unit
+(** [alu_regs is64 op regs ~dst ~src] sets register [dst] to what
+    [alu64]/[alu32] return for [dst] and [src]; the divisor must not be
+    a [zero_divisor]. *)
+
+val byte_swap_regs :
+  Femto_ebpf.Opcode.endianness -> bits:int -> Bytes.t -> dst:int -> unit
+(** [byte_swap] of register [dst] at width [bits] (16, 32 or 64), in
+    place. *)
+
+val condition_regs :
+  Femto_ebpf.Opcode.jmp_cond -> bool -> Bytes.t -> dst:int -> src:int -> bool
+(** [condition] of registers [dst] and [src]. *)

@@ -64,7 +64,7 @@ let install_total =
 let install_stages =
   [
     { Install_bench.stage = "verify"; ns = 12_000.; words = 8. };
-    { Install_bench.stage = "lift"; ns = 86_000.; words = 12_298. };
+    { Install_bench.stage = "ir"; ns = 40_000.; words = 2_699. };
   ]
 
 let test_install_emitter () =

@@ -126,10 +126,10 @@ let load_checked_ir program =
   match Analysis.analyze ~helpers:no_helpers config program with
   | Error f -> Error f
   | Ok outcome ->
-      let lifted =
-        Lift.lift ~cost:Interp.no_cost ~facts:outcome.Analysis.mem_facts program
+      let ir, _ =
+        Passes.run ~cost:Interp.no_cost ~facts:outcome.Analysis.mem_facts
+          program
       in
-      let ir, _ = Passes.run lifted in
       Ok
         (Vm.load_analyzed ~config ~ir ~helpers:no_helpers ~regions:[] program)
 
@@ -331,8 +331,8 @@ let test_violated_proof_contained () =
     | Vir.Store st -> { s with Vir.op = Vir.Store { st with elide = true } }
     | _ -> s
   in
-  let lifted =
-    Lift.lift ~cost:Interp.no_cost
+  let lifted, _ =
+    Passes.run ~config:Passes.none ~cost:Interp.no_cost
       ~facts:(Array.make (Program.length program) None)
       program
   in

@@ -265,6 +265,68 @@ let prop_slot_roundtrip =
           | Ok loaded -> String.equal loaded.Slots.payload payload
           | Error _ -> false))
 
+(* [Flash.write] checks a word at a time; a byte-by-byte reference over
+   a copy of the flash must agree on the result (the first violating
+   page included) and on every byte left on flash.  Small pages and a
+   payload that mostly clears bits make both outcomes common, at every
+   alignment. *)
+let reference_write image ~page_size ~offset payload =
+  let length = Bytes.length payload in
+  if offset < 0 || offset + length > Bytes.length image then
+    Error (Flash.Out_of_range { offset; length })
+  else begin
+    let bad = ref None in
+    Bytes.iteri
+      (fun i c ->
+        let current = Char.code (Bytes.get image (offset + i)) in
+        if Char.code c land lnot current <> 0 && !bad = None then
+          bad := Some ((offset + i) / page_size))
+      payload;
+    match !bad with
+    | Some page -> Error (Flash.Write_needs_erase { page })
+    | None ->
+        Bytes.blit payload 0 image offset length;
+        Ok ()
+  end
+
+let prop_write_matches_bytewise =
+  let page_size = 16 and pages = 8 in
+  let size = page_size * pages in
+  QCheck.Test.make ~name:"word-wise write = byte-wise reference" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (string_size ~gen:char (return size))
+            (int_range (-4) (size + 4))
+            (pair (string_size ~gen:char (int_range 0 40)) (int_range 0 3))))
+    (fun (before, offset, (noise, mode)) ->
+      let flash = Flash.create ~page_size ~pages () in
+      ignore (Flash.write_string flash ~offset:0 before);
+      let image = Bytes.of_string before in
+      (* mode 0: arbitrary bytes; otherwise clear bits of what is there,
+         with the odd noise byte left unmasked in mode 1 *)
+      let payload =
+        Bytes.init (String.length noise) (fun i ->
+            let n = Char.code noise.[i] in
+            let current =
+              if offset + i >= 0 && offset + i < size then
+                Char.code before.[offset + i]
+              else 0xff
+            in
+            Char.chr
+              (match mode with
+              | 0 -> n
+              | 1 when i = String.length noise / 2 -> n
+              | _ -> n land current))
+      in
+      let expected = reference_write image ~page_size ~offset payload in
+      let got = Flash.write flash ~offset payload in
+      got = expected
+      &&
+      let after = Flash.read flash ~offset:0 ~length:size in
+      Bytes.equal image (ok_or_fail "read" after))
+
 let suite =
   [
     Alcotest.test_case "erased reads ones" `Quick test_erased_flash_reads_ones;
@@ -289,6 +351,7 @@ let suite =
     Alcotest.test_case "stream bad header" `Quick test_stream_bad_header_rejected;
     Alcotest.test_case "persistence across reboot" `Quick test_persistence_across_reboot;
     QCheck_alcotest.to_alcotest prop_slot_roundtrip;
+    QCheck_alcotest.to_alcotest prop_write_matches_bytewise;
   ]
 
 let () = Alcotest.run "femto_flash" [ ("flash", suite) ]

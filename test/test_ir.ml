@@ -149,6 +149,32 @@ let prop_passes_exact =
     single "bounds-elim" { Passes.none with Passes.bounds_elim = true };
   ]
 
+(* Every subset of the pipeline, not only none, all and each pass alone:
+   the stages feed each other (canon feeds folding, folding feeds
+   dead-write elimination), so each of the 16 combinations must be exact
+   too. *)
+let pass_subsets =
+  List.init 16 (fun m ->
+      {
+        Passes.canon = m land 1 <> 0;
+        const_fold = m land 2 <> 0;
+        dead_elim = m land 4 <> 0;
+        bounds_elim = m land 8 <> 0;
+      })
+
+let prop_pass_subsets_exact =
+  QCheck.Test.make ~name:"ir[every pass subset] = decoded" ~count:300
+    (QCheck.make gen_program) (fun program ->
+      let expected =
+        Result.map exact_outcome (load_decoded program) |> Result.to_option
+      in
+      List.for_all
+        (fun passes ->
+          Option.equal String.equal expected
+            (Result.map exact_outcome (load_ir ~passes program)
+            |> Result.to_option))
+        pass_subsets)
+
 (* --- tight budgets: the checked-mode fallback ---------------------- *)
 
 (* With N_b in 1..8 and N_i barely above the program length, block heads
@@ -521,10 +547,8 @@ let lift_optimized ?passes source =
     | Ok o -> o
     | Error f -> Alcotest.failf "analyze: %s" (Fault.to_string f)
   in
-  let lifted =
-    Ir.lift ~cost:Interp.no_cost ~facts:outcome.Analysis.mem_facts program
-  in
-  Passes.run ?config:passes lifted
+  Passes.run ?config:passes ~cost:Interp.no_cost
+    ~facts:outcome.Analysis.mem_facts program
 
 (* Constant folding collapses a pure imm chain to its final value and
    dead-write elimination then drops the intermediates. *)
@@ -601,8 +625,8 @@ let test_superblock_extends_across_jcond () =
         exit
       |}
   in
-  let lifted =
-    Ir.lift ~cost:Interp.no_cost
+  let lifted, _ =
+    Passes.run ~config:Passes.none ~cost:Interp.no_cost
       ~facts:(Array.make (Program.length program) None)
       program
   in
@@ -614,9 +638,10 @@ let test_superblock_extends_across_jcond () =
          match s.Vir.op with Vir.Jcond _ -> true | _ -> false)
        lifted.Vir.blocks.(0).Vir.steps)
 
-(* [Passes.run] rewrites a private copy of the steps in place: the
-   program it is given stays as lifted, so a second pipeline over the
-   same input (here with every pass off) sees the untouched lift. *)
+(* [Passes.run] rewrites its domain's flat scratch in place and reuses
+   it for the next run, so the IR it returns must own its data: an IR
+   built earlier stays as built while later runs rewrite the scratch,
+   and a run after a fully optimizing one starts from a clean lift. *)
 let test_run_leaves_input_intact () =
   let program =
     assemble
@@ -640,9 +665,15 @@ let test_run_leaves_input_intact () =
     | Ok o -> o.Analysis.mem_facts
     | Error f -> Alcotest.failf "analyze: %s" (Fault.to_string f)
   in
-  let lift () = Ir.lift ~cost:Interp.no_cost ~facts program in
+  let run ?config () = Passes.run ?config ~cost:Interp.no_cost ~facts program in
+  let lift () = fst (run ~config:Passes.none ()) in
+  let dump (ir, report) =
+    Femto_obs.Jsonx.to_string (Passes.to_json ir report)
+  in
   let input = lift () in
-  let _, report = Passes.run input in
+  let optimized = run () in
+  let optimized_dump = dump optimized in
+  let report = snd optimized in
   (* every stage rewrote something, so an in-place slip would show *)
   List.iter
     (fun (st : Passes.pass_stat) ->
@@ -650,11 +681,34 @@ let test_run_leaves_input_intact () =
         (st.Passes.name ^ " rewrote")
         true (st.Passes.rewrites > 0))
     report.Passes.passes;
+  (* built before the optimizing run, compared with one built after it *)
   Alcotest.(check bool) "input unchanged" true (input = lift ());
-  let plain, _ = Passes.run ~config:Passes.none input in
-  Alcotest.(check bool)
-    "no-pass run equals a fresh lift" true (plain = lift ());
-  Alcotest.(check bool) "input still unchanged" true (input = lift ())
+  Alcotest.(check string)
+    "optimized IR unchanged by later runs" optimized_dump (dump optimized);
+  Alcotest.(check string) "rerun reproduces it" optimized_dump (dump (run ()))
+
+(* The install compile allocates little: [Analysis.load] of the 512-slot
+   program a signed update installs (the install bench's) stays within
+   5 000 minor words.  The IR build allocates only the step records it
+   returns; the flat scratch it works in is reused. *)
+let test_install_load_words () =
+  let module Install = Femto_bench.Install_bench in
+  let program = Program.of_bytes (Install.program_bytes ()) in
+  let helpers = Helper.create () in
+  let cycle_cost =
+    Femto_platform.Platform.(cycle_cost cortex_m4 Fc)
+  in
+  let load () =
+    match
+      Analysis.load ~config:Config.default ~cycle_cost ~helpers ~regions:[]
+        program
+    with
+    | Ok vm -> vm
+    | Error f -> Alcotest.failf "refused: %s" (Fault.to_string f)
+  in
+  let words = Install.minor_words ~iters:20 load in
+  if words > 5_000. then
+    Alcotest.failf "Analysis.load allocates %.0f minor words (> 5 000)" words
 
 (* The analyzer dedupes repeated uninit-read reports per register. *)
 let test_uninit_dedupe () =
@@ -689,7 +743,8 @@ let () =
       ( "differential",
         QCheck_alcotest.to_alcotest prop_ir_exact
         :: List.map QCheck_alcotest.to_alcotest
-             (prop_passes_exact @ [ prop_tight_budget_fallback ]) );
+             (prop_passes_exact
+             @ [ prop_pass_subsets_exact; prop_tight_budget_fallback ]) );
       ( "frames",
         List.map QCheck_alcotest.to_alcotest
           [ prop_interleaved_runs; prop_nested_run; prop_two_domains ] );
@@ -716,5 +771,7 @@ let () =
           Alcotest.test_case "uninit diags deduped" `Quick test_uninit_dedupe;
           Alcotest.test_case "pass pipeline leaves its input intact" `Quick
             test_run_leaves_input_intact;
+          Alcotest.test_case "install load within 5 000 minor words" `Quick
+            test_install_load_words;
         ] );
     ]
