@@ -13,6 +13,10 @@
    automatically) for image spawns at 1/100/10k residents vs independent
    full attaches.
 
+   A fourth row, spawn/fire_cold, fires 20 000 spawned kv-counter
+   instances once each in creation order and reports ns per fire; it is
+   not gated.
+
    Every spawned instance is checked against the attached instance's
    result before timing starts, so a semantics break can never be
    reported as a speedup.  As a smoke family it has two hard floors:
@@ -34,7 +38,7 @@ let data = Fletcher.input_360
 let hook_uuid = "spawn-bench"
 
 (* local[7] <- local[7] + 1; r0 = new value — the kv workload exercises
-   the CoW store and the forward-helper rebind on every run *)
+   the CoW store and the helpers' host binding on every run *)
 let kv_counter_source =
   {|
     mov r1, 7
@@ -209,6 +213,58 @@ let measure_footprint w =
   { spawn_1_100; spawn_100_10k; attach_1_100;
     fraction = spawn_100_10k /. attach_1_100 }
 
+(* --- fire_cold: one fire each across a fleet-sized heap --- *)
+
+let fire_cold_instances = 20_000
+
+(* Fire [fire_cold_instances] spawned kv-counter instances once each, in
+   creation order, each on its own engine and hook over its own clock as
+   fleet devices are, after respawning each once (as an update campaign
+   does); ns per fire.  What it measures is how many cache misses the
+   private state one fire walks costs, so it is reported, not gated. *)
+let measure_fire_cold w =
+  let images = Hashtbl.create 4 in
+  let spawn engine i =
+    let c = make_container engine w i in
+    ignore (ok_or_attach (Engine.spawn engine ~hook_uuid c));
+    c
+  in
+  let devices =
+    Array.init fire_cold_instances (fun i ->
+        let engine =
+          Engine.create ~clock:(Femto_rtos.Clock.create ()) ~images ()
+        in
+        let hook =
+          Engine.register_hook engine ~uuid:hook_uuid ~name:"fire-cold"
+            ~ctx_size:8 ()
+        in
+        (engine, hook, spawn engine i))
+  in
+  let devices =
+    Array.mapi
+      (fun i (engine, hook, c) ->
+        Engine.detach engine c;
+        (engine, hook, spawn engine i))
+      devices
+  in
+  let t0 = Measure.now_ns () in
+  let faults =
+    Array.fold_left
+      (fun acc (engine, hook, _) -> acc + Engine.fire engine hook)
+      0 devices
+  in
+  let ns = (Measure.now_ns () -. t0) /. float_of_int fire_cold_instances in
+  Array.iter
+    (fun (_, _, c) ->
+      if
+        faults > 0
+        || not
+             (Int64.equal w.expect
+                (Femto_core.Kvstore.fetch (Container.local_store c) 7l))
+      then failwith "spawn/fire_cold: a fire did not count once")
+    devices;
+  ns
+
 (* --- the smoke family --- *)
 
 (* ISSUE 8 acceptance floors; measured numbers land far above/below
@@ -233,7 +289,7 @@ let footprint_workload ws = List.find (fun w -> w.w_name = "dagsum") ws
    when [now <= was / 0.6]. *)
 let inv_fraction_key = "inv_footprint_fraction"
 
-let outcome rows fp =
+let outcome ?fire_cold_ns rows fp =
   {
     Family.rows =
       List.map
@@ -256,7 +312,18 @@ let outcome rows fp =
               ("attach_bytes_per_instance_1_100", Jsonx.Float fp.attach_1_100);
               ("footprint_fraction", Jsonx.Float fp.fraction);
             ];
-        ];
+        ]
+      @ (match fire_cold_ns with
+        | None -> []
+        | Some ns ->
+            [
+              Jsonx.Obj
+                [
+                  ("name", Jsonx.String "spawn/fire_cold");
+                  ("instances", Jsonx.Int fire_cold_instances);
+                  ("ns_per_run", Jsonx.Float ns);
+                ];
+            ]);
     ratios =
       List.map (fun r -> (r.name, speedup r)) rows
       @ [ (inv_fraction_key, 1.0 /. fp.fraction) ];
@@ -278,6 +345,9 @@ let run () =
   let ws = workloads () in
   let rows = List.map measure_workload ws in
   let fp = measure_footprint (footprint_workload ws) in
+  let fire_cold_ns =
+    measure_fire_cold (List.find (fun w -> w.w_name = "kvcounter") ws)
+  in
   Printf.printf "\nSpawn smoke (wall-clock ns/run, best of 3)\n%s\n"
     (String.make 42 '-');
   List.iter
@@ -289,6 +359,10 @@ let run () =
     "  bytes/instance: spawn %.0f (1->100)  %.0f (100->10k)   attach %.0f \
      (1->100)   fraction %.4f\n"
     fp.spawn_1_100 fp.spawn_100_10k fp.attach_1_100 fp.fraction;
-  outcome rows fp
+  Printf.printf
+    "  fire_cold: %.0f ns/fire over %d spawned kv-counter instances \
+     (reported, not gated)\n"
+    fire_cold_ns fire_cold_instances;
+  outcome ~fire_cold_ns rows fp
 
 let family = { Family.name = "spawn"; tolerance = 0.6; run }

@@ -107,22 +107,11 @@ let verify_cmd =
 
 (* --- analyze --- *)
 
-(* A fully populated helper registry (every capability granted, inert
-   facilities) so the analyzer can check call ids and arities for any
-   program that uses the standard syscall ABI. *)
+(* A fully populated helper registry (every capability granted) so the
+   analyzer can check call ids and arities for any program that uses the
+   standard syscall ABI. *)
 let analysis_helpers () =
-  let facilities =
-    {
-      Femto_core.Syscall.local_store = Femto_core.Kvstore.create "local";
-      tenant_store = Femto_core.Kvstore.create "tenant";
-      global_store = Femto_core.Kvstore.create "global";
-      now_ms = (fun () -> 0L);
-      ticks = (fun () -> 0L);
-      read_sensor = (fun _ -> Error "no sensor");
-      trace = ignore;
-    }
-  in
-  Femto_core.Syscall.build ~granted:Femto_core.Contract.all facilities
+  Femto_core.Syscall.build Femto_core.Contract.all
 
 let analyze_cmd =
   let ir_arg =

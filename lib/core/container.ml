@@ -2,7 +2,9 @@
 
    A container belongs to a tenant, declares a contract, and — once
    attached to a hook — owns a VM instance (optimized or CertFC), its
-   private key-value store and its execution statistics.  All state is
+   private key-value store and its execution statistics.  Its helpers
+   reach the container through the host bound to the instance's memory
+   map ([Syscall.Host]).  All state is
    local to the instance (paper §10.3), which is what makes running many
    containers side by side cheap. *)
 
@@ -22,17 +24,23 @@ type t = {
   mutable local_store : Kvstore.t;
       (* mutable: an image-spawned instance swaps in a copy-on-write
          view over the image's frozen baseline *)
-  mutable attached_to : string option; (* hook uuid *)
+  mutable hook_uuid : string; (* [detached] when not attached *)
   mutable instance : instance option;
+  mutable vm : Femto_vm.Vm.t;
+      (* the [Fc_instance] itself, unboxed for the dispatch path, or
+         [no_vm] *)
   mutable executions : int;
   mutable faults : int;
   mutable total_vm_cycles : int;
   mutable last_result : (int64, Fault.t) result option;
-  mutable prepare_run : unit -> unit;
-      (* runs before each execution; image-spawned instances use it to
-         re-point the image's forward kv stores at their own stores
-         (the engine is single-threaded, so rebind-per-run is safe) *)
 }
+
+(* The [hook_uuid] of a container attached to no hook (compared by
+   identity, so it names no hook). *)
+let detached = "(detached)"
+
+(* The [vm] of a container with no fc instance: never run. *)
+let no_vm = Femto_vm.Mem.create ~stack:Femto_vm.Frame.unlent []
 
 let create ~name ~tenant ~contract
     ?(runtime = Femto_platform.Platform.Fc) program =
@@ -43,36 +51,51 @@ let create ~name ~tenant ~contract
     contract;
     runtime;
     local_store = Kvstore.create ("local:" ^ name);
-    attached_to = None;
+    hook_uuid = detached;
     instance = None;
+    vm = no_vm;
     executions = 0;
     faults = 0;
     total_vm_cycles = 0;
     last_result = None;
-    prepare_run = ignore;
   }
+
+(* Fills the free slots of a hook's container array. *)
+let none =
+  create ~name:"" ~tenant:(Tenant.create "") ~contract:(Contract.require [])
+    (Program.of_insns [])
 
 let name t = t.name
 let tenant t = t.tenant
 let program t = t.program
 let bytecode_size t = Program.byte_size t.program
-let attached_to t = t.attached_to
+let attached_to t = if t.hook_uuid == detached then None else Some t.hook_uuid
+let set_attached_to t uuid = t.hook_uuid <- Option.value uuid ~default:detached
 let executions t = t.executions
 let faults t = t.faults
 let total_vm_cycles t = t.total_vm_cycles
 let last_result t = t.last_result
 let local_store t = t.local_store
 let set_local_store t store = t.local_store <- store
-let set_prepare_run t f = t.prepare_run <- f
+
+(* Install [instance] (or none), with [host] bound for its helpers. *)
+let set_instance t ~host instance =
+  t.instance <- instance;
+  t.vm <- no_vm;
+  match instance with
+  | Some (Fc_instance vm) ->
+      Femto_vm.Vm.set_host vm host;
+      t.vm <- vm
+  | Some (Certfc_instance vm) ->
+      Femto_vm.Mem.set_host (Femto_certfc.Certfc.mem vm) host
+  | None -> ()
 
 let run_instance ?(args = [||]) t =
-  t.prepare_run ();
   match t.instance with
   | None -> Error (Fault.Helper_error { pc = 0; id = 0; message = "not attached" })
   | Some (Fc_instance vm) ->
       let result = Femto_vm.Vm.run vm ~args in
-      t.total_vm_cycles <-
-        t.total_vm_cycles + (Femto_vm.Vm.stats vm).Femto_vm.Interp.cycles;
+      t.total_vm_cycles <- t.total_vm_cycles + Femto_vm.Vm.cycles vm;
       result
   | Some (Certfc_instance vm) ->
       let result = Femto_certfc.Certfc.run vm ~args in
@@ -85,10 +108,11 @@ let run_instance ?(args = [||]) t =
 
 (* Cycles of the most recent execution only. *)
 let last_run_cycles t =
-  match t.instance with
-  | None -> 0
-  | Some (Fc_instance vm) -> (Femto_vm.Vm.stats vm).Femto_vm.Interp.cycles
-  | Some (Certfc_instance vm) -> (
-      match Femto_certfc.Certfc.last_state vm with
-      | Some state -> state.Femto_certfc.Interp.cycles
-      | None -> 0)
+  if t.vm != no_vm then Femto_vm.Vm.cycles t.vm
+  else
+    match t.instance with
+    | Some (Certfc_instance vm) -> (
+        match Femto_certfc.Certfc.last_state vm with
+        | Some state -> state.Femto_certfc.Interp.cycles
+        | None -> 0)
+    | Some (Fc_instance _) | None -> 0

@@ -36,62 +36,57 @@ let m_spawns = Obs.counter "engine.spawns"
 let g_image_words = Obs.gauge "vm.image_words"
 let g_instance_words = Obs.gauge "engine.instance_words"
 
-type t = {
+(* Declared in [Syscall], with its comments: the helpers reach the
+   engine's facilities through a running container's host binding. *)
+type t = Syscall.engine = {
   platform : Platform.t;
+  charge : Femto_rtos.Clock.t;
   kernel : Kernel.t option;
-  clock : Femto_rtos.Clock.t option;
-      (* kernel-less cycle clock: a fleet device owns a clock but no
-         kernel (its shard's kernel drives the wheel); VM cycle costs
-         are charged here and the time helpers read it *)
+  clock_is_time : bool;
   global_store : Kvstore.t;
-  (* tenants, hooks and sensors are short lists in registration order: a
-     fleet device has one tenant, one hook and no sensor, and a hash
-     table would cost it more than its entries *)
+  mutable fallback_ms : int64;
+  mutable sensors : (int * (unit -> (int64, string) result)) list;
+  mutable trace_log : int64 list;
   mutable tenants : Tenant.t list;
   mutable hooks : Hook.t list;
-  images : (string, Image.t) Hashtbl.t; (* content-hash → container image *)
-  sensors : (int * (unit -> (int64, string) result)) list ref;
+  images : (string, Image.t) Hashtbl.t;
   mutable extra_helpers : (Contract.capability * (Helper.t -> unit)) list;
-  (* refs, not mutable fields: the facility closures handed to helper
-     tables must not capture the engine record itself, or every cached
-     image would transitively reach every attached container and the
-     footprint accounting (shared image vs private instance) would
-     collapse into one blob *)
-  trace_log : int64 list ref; (* newest first; bpf_trace output *)
-  fallback_ms : int64 ref; (* time source when no kernel is attached *)
   config : Femto_vm.Config.t;
-  mutable dyn_cache : Syscall.dyn option;
-      (* the engine's time/sensor/trace closures, built once: every
-         spawn on this engine binds the same dyn record *)
 }
 
 (* [images] shares an image cache across engines: the fleet passes one
    table per shard so a thousand devices on the same firmware build one
-   image.  Callers sharing a table must dispatch all its engines from a
-   single domain (see the binding comment in image.ml). *)
+   image.  The table itself is unsynchronized, so callers sharing one
+   must not spawn from two domains at once. *)
 let create ?(platform = Platform.cortex_m4) ?kernel ?clock ?images
     ?(config = Femto_vm.Config.default) () =
+  let charge =
+    match (kernel, clock) with
+    | Some kernel, _ -> Kernel.clock kernel
+    | None, Some clock -> clock
+    | None, None -> Femto_rtos.Clock.create ()
+  in
   {
     platform;
+    charge;
     kernel;
-    clock;
+    clock_is_time = kernel = None && clock <> None;
     global_store = Kvstore.create "global";
+    fallback_ms = 0L;
+    sensors = [];
+    trace_log = [];
     tenants = [];
     hooks = [];
     images = (match images with Some t -> t | None -> Hashtbl.create 8);
-    sensors = ref [];
     extra_helpers = [];
-    trace_log = ref [];
-    fallback_ms = ref 0L;
     config;
-    dyn_cache = None;
   }
 
 let platform t = t.platform
 let kernel t = t.kernel
-let device_clock t = t.clock
+let device_clock t = if t.clock_is_time then Some t.charge else None
 let global_store t = t.global_store
-let trace_log t = List.rev !(t.trace_log)
+let trace_log t = List.rev t.trace_log
 
 (* --- tenants --- *)
 
@@ -133,77 +128,27 @@ let hooks t = t.hooks
 (* --- facilities --- *)
 
 let register_sensor t ~id read =
-  t.sensors := (id, read) :: List.remove_assoc id !(t.sensors)
+  t.sensors <- (id, read) :: List.remove_assoc id t.sensors
 
 let add_helper_installer t capability install =
   t.extra_helpers <- t.extra_helpers @ [ (capability, install) ]
 
-let advance_fallback_ms t ms = t.fallback_ms := Int64.add !(t.fallback_ms) ms
+let advance_fallback_ms t ms = t.fallback_ms <- Int64.add t.fallback_ms ms
 
-(* The engine's dynamic facilities (time, sensors, trace), built once
-   and shared by every helper table and image binding on this engine.
-   The closures capture only what they need — never [t] itself (see the
-   [trace_log]/[fallback_ms] comment on the engine record). *)
-let dyn_for t =
-  match t.dyn_cache with
-  | Some dyn -> dyn
-  | None ->
-      let kernel = t.kernel in
-      let clock = t.clock in
-      let fallback_ms = t.fallback_ms in
-      let sensors = t.sensors in
-      let trace_log = t.trace_log in
-      let dyn =
-        {
-          Syscall.d_now_ms =
-            (fun () ->
-              match (kernel, clock) with
-              | Some kernel, _ ->
-                  Int64.of_float (Femto_rtos.Kernel.now_us kernel /. 1000.0)
-              | None, Some clock ->
-                  Int64.of_float
-                    (Femto_rtos.Clock.ms_of_cycles clock
-                       (Femto_rtos.Clock.now clock))
-              | None, None -> !fallback_ms);
-          d_ticks =
-            (fun () ->
-              match (kernel, clock) with
-              | Some kernel, _ -> Femto_rtos.Kernel.now kernel
-              | None, Some clock -> Femto_rtos.Clock.now clock
-              | None, None -> Int64.mul !fallback_ms 64_000L);
-          d_read_sensor =
-            (fun id ->
-              match List.assoc_opt id !sensors with
-              | Some read -> read ()
-              | None -> Error (Printf.sprintf "no sensor %d" id));
-          d_trace = (fun v -> trace_log := v :: !trace_log);
-        }
-      in
-      t.dyn_cache <- Some dyn;
-      dyn
+(* What [container]'s helpers reach: the container and this engine. *)
+let host t container = Syscall.Host { container; engine = t }
 
-let facilities_for t container =
-  let dyn = dyn_for t in
-  {
-    Syscall.local_store = Container.local_store container;
-    tenant_store = Tenant.store (Container.tenant container);
-    global_store = t.global_store;
-    now_ms = dyn.Syscall.d_now_ms;
-    ticks = dyn.Syscall.d_ticks;
-    read_sensor = dyn.Syscall.d_read_sensor;
-    trace = dyn.Syscall.d_trace;
-  }
-
-(* Helper table for [container] at [hook]: contract ∩ the policy applying
-   to the container's tenant (per-tenant overrides support different
-   privilege sets on one hook — the §11 extension). *)
-let helpers_for t hook container =
+(* Capabilities granted to [container] at [hook]: contract ∩ the policy
+   applying to the container's tenant (per-tenant overrides support
+   different privilege sets on one hook — the §11 extension). *)
+let granted_for hook container =
   let policy =
-    Hook.policy_for hook
-      ~tenant_id:(Tenant.id (Container.tenant container))
+    Hook.policy_for hook ~tenant_id:(Tenant.id (Container.tenant container))
   in
-  let granted = Contract.grant policy container.Container.contract in
-  Syscall.build ~extra:t.extra_helpers ~granted (facilities_for t container)
+  Contract.grant policy container.Container.contract
+
+let helpers_for t hook container =
+  Syscall.build ~extra:t.extra_helpers (granted_for hook container)
 
 (* --- attach / detach (install & update path) --- *)
 
@@ -258,7 +203,7 @@ let attach t ~hook_uuid ?(extra_regions = []) container =
   match find_hook t hook_uuid with
   | None -> Error (No_such_hook hook_uuid)
   | Some hook -> (
-      match container.Container.attached_to with
+      match Container.attached_to container with
       | Some uuid -> Error (Already_attached uuid)
       | None -> (
           let helpers = helpers_for t hook container in
@@ -277,27 +222,27 @@ let attach t ~hook_uuid ?(extra_regions = []) container =
               Error (Verification_failed fault)
           | Ok instance ->
               if Obs.enabled () then Ometrics.incr m_attaches;
-              container.Container.instance <- Some instance;
-              container.Container.attached_to <- Some hook_uuid;
+              Container.set_instance container ~host:(host t container)
+                (Some instance);
+              Container.set_attached_to container (Some hook_uuid);
               Hook.append_attached hook container;
               Ok hook))
 
 let detach t container =
-  match container.Container.attached_to with
+  match Container.attached_to container with
   | None -> ()
   | Some uuid ->
       (match find_hook t uuid with
       | Some hook -> Hook.remove_attached hook container
       | None -> ());
-      container.Container.attached_to <- None;
-      container.Container.instance <- None;
-      Container.set_prepare_run container ignore
+      Container.set_attached_to container None;
+      Container.set_instance container ~host:Femto_vm.Mem.Unbound None
 
 (* Hot update: replace the program of an attached container.  The new
    program goes through pre-flight verification first; on failure the old
    program keeps running (the paper's safe-update requirement). *)
 let update_program t container program =
-  match container.Container.attached_to with
+  match Container.attached_to container with
   | None -> Error (No_such_hook "(not attached)")
   | Some hook_uuid -> (
       match find_hook t hook_uuid with
@@ -316,45 +261,20 @@ let update_program t container program =
           | Error fault -> Error (Verification_failed fault)
           | Ok instance ->
               container.Container.program <- program;
-              container.Container.instance <- Some instance;
-              (* the fresh instance's helper table captures the current
-                 stores directly; any image forward-binding is stale *)
-              Container.set_prepare_run container ignore;
+              Container.set_instance container ~host:(host t container)
+                (Some instance);
               Ok ()))
 
 (* --- image spawn path --- *)
 
-let granted_for hook container =
-  let policy =
-    Hook.policy_for hook ~tenant_id:(Tenant.id (Container.tenant container))
-  in
-  Contract.grant policy container.Container.contract
-
-(* Cold path of [spawn]: one full verify → analyze → compile, with the
-   helper table compiled against retargetable forward stores so every
-   later instance can re-bind it to its own stores.  The template VM
-   built here becomes the image's first instance. *)
+(* Cold path of [spawn]: one full verify → analyze → compile.  The
+   helper table holds no store (helpers reach the running container
+   through its host binding), so every later instance shares it as is.
+   The template VM built here becomes the image's first instance. *)
 let build_image t ~key ~hook ~extra_regions ~granted container =
   let program = Container.program container in
   let runtime = container.Container.runtime in
-  let baseline = container.Container.local_store in
-  let local_fwd =
-    Kvstore.forward ~target:baseline ("fwd:" ^ Kvstore.name baseline)
-  in
-  let tenant_store = Tenant.store (Container.tenant container) in
-  let tenant_fwd =
-    Kvstore.forward ~target:tenant_store ("fwd:" ^ Kvstore.name tenant_store)
-  in
-  let global_fwd = Kvstore.forward ~target:t.global_store "fwd:global" in
-  let dyn = ref (dyn_for t) in
-  (* everything engine-side goes through an indirection ([Forward]
-     stores, the [dyn] cell), so [Image.bind] can re-point the whole
-     helper table at another instance — even one on another engine *)
-  let facilities =
-    Syscall.facilities_via dyn ~local_store:local_fwd ~tenant_store:tenant_fwd
-      ~global_store:global_fwd
-  in
-  let helpers = Syscall.build ~extra:t.extra_helpers ~granted facilities in
+  let helpers = Syscall.build ~extra:t.extra_helpers granted in
   let regions = Hook.ctx_region hook :: extra_regions in
   let cycle_cost = Platform.cycle_cost t.platform runtime in
   let loaded =
@@ -371,28 +291,21 @@ let build_image t ~key ~hook ~extra_regions ~granted container =
   Result.map
     (fun vm ->
       ( Image.create ~key ~runtime ~vm_image:(Femto_vm.Vm.image_of vm)
-          ~baseline ~local_fwd ~tenant_fwd ~global_fwd ~dyn,
+          ~baseline:container.Container.local_store,
         vm ))
     loaded
 
 (* Bind a spawned VM into [container]: private CoW view over the image's
-   frozen kv baseline, and a [prepare_run] hook that re-points the
-   image's forward stores at this instance before each execution. *)
+   frozen kv baseline, and the host binding its helpers reach. *)
 let adopt_instance t ~hook ~hook_uuid ?delta_quota img vm container =
   (* the view keeps the name of the store it replaces ("local:<name>",
      given at [Container.create]), so a respawn formats no string *)
-  let local =
-    Kvstore.cow ?delta_quota ~parent:(Image.baseline img)
-      (Kvstore.name (Container.local_store container))
-  in
-  Container.set_local_store container local;
-  let tenant_store = Tenant.store (Container.tenant container) in
-  let global_store = t.global_store in
-  let dyn = dyn_for t in
-  Container.set_prepare_run container (fun () ->
-      Image.bind img ~local ~tenant:tenant_store ~global:global_store ~dyn);
-  container.Container.instance <- Some (Container.Fc_instance vm);
-  container.Container.attached_to <- Some hook_uuid;
+  Container.set_local_store container
+    (Kvstore.cow ?delta_quota ~parent:(Image.baseline img)
+       (Kvstore.name (Container.local_store container)));
+  Container.set_instance container ~host:(host t container)
+    (Some (Container.Fc_instance vm));
+  Container.set_attached_to container (Some hook_uuid);
   Hook.append_attached hook container;
   Image.record_spawn img;
   if Obs.enabled () then begin
@@ -412,7 +325,7 @@ let spawn t ~hook_uuid ?(extra_regions = []) ?delta_quota container =
   match find_hook t hook_uuid with
   | None -> Error (No_such_hook hook_uuid)
   | Some hook -> (
-      match container.Container.attached_to with
+      match Container.attached_to container with
       | Some uuid -> Error (Already_attached uuid)
       | None -> (
           match container.Container.runtime with
@@ -481,12 +394,7 @@ let trigger t hook ?ctx () =
   let t0 = if Obs.enabled () then Obs.now_ns () else 0.0 in
   (match ctx with Some bytes -> Hook.set_ctx hook bytes | None -> ());
   hook.Hook.triggers <- hook.Hook.triggers + 1;
-  let charge cycles =
-    match (t.kernel, t.clock) with
-    | Some kernel, _ -> Femto_rtos.Clock.advance (Kernel.clock kernel) cycles
-    | None, Some clock -> Femto_rtos.Clock.advance clock cycles
-    | None, None -> ()
-  in
+  let charge cycles = Femto_rtos.Clock.advance t.charge cycles in
   charge t.platform.Platform.empty_hook_cycles;
   let reports =
     List.map
@@ -538,52 +446,36 @@ let trigger_by_uuid t ~uuid ?ctx () =
    context pointer in r1, and the array's contents never change. *)
 let fire_args = [| Hook.ctx_vaddr |]
 
-let[@inline] charge_cycles t cycles =
-  match (t.kernel, t.clock) with
-  | Some kernel, _ -> Femto_rtos.Clock.advance (Kernel.clock kernel) cycles
-  | None, Some clock -> Femto_rtos.Clock.advance clock cycles
-  | None, None -> ()
-
 let fire_container t container =
-  container.Container.prepare_run ();
-  charge_cycles t
+  Femto_rtos.Clock.advance t.charge
     (Platform.hook_setup_cycles t.platform container.Container.runtime);
+  let vm = container.Container.vm in
   let ok =
-    match container.Container.instance with
-    | Some (Container.Fc_instance vm) -> (
-        match Femto_vm.Vm.compiled vm with
-        | Some cc ->
-            if Obs.enabled () then begin
-              Ometrics.incr m_pool_hits;
-              if Femto_vm.Compile.runs cc > 0 then Ometrics.incr m_pool_resets
-            end;
-            let ok = Femto_vm.Compile.fire cc ~args:fire_args in
-            container.Container.total_vm_cycles <-
-              container.Container.total_vm_cycles
-              + (Femto_vm.Vm.stats vm).Femto_vm.Interp.cycles;
-            ok
-        | None -> (
-            match Container.run_instance container ~args:fire_args with
-            | Ok _ -> true
-            | Error _ -> false))
-    | _ -> (
-        match Container.run_instance container ~args:fire_args with
-        | Ok _ -> true
-        | Error _ -> false)
+    if vm != Container.no_vm then begin
+      if Obs.enabled () && Femto_vm.Vm.tier vm = Femto_vm.Vm.Ir then begin
+        Ometrics.incr m_pool_hits;
+        if Femto_vm.Vm.runs vm > 0 then Ometrics.incr m_pool_resets
+      end;
+      let ok = Femto_vm.Vm.fire ~args:fire_args vm in
+      container.Container.total_vm_cycles <-
+        container.Container.total_vm_cycles + Femto_vm.Vm.cycles vm;
+      ok
+    end
+    else
+      match Container.run_instance container ~args:fire_args with
+      | Ok _ -> true
+      | Error _ -> false
   in
   container.Container.executions <- container.Container.executions + 1;
   if not ok then container.Container.faults <- container.Container.faults + 1;
-  charge_cycles t (Container.last_run_cycles container);
+  Femto_rtos.Clock.advance t.charge (Container.last_run_cycles container);
   ok
 
 let rec fire_loop t hook n i faults =
   if i >= n then faults
   else
-    match Hook.attached_get hook i with
-    | None -> fire_loop t hook n (i + 1) faults
-    | Some container ->
-        let ok = fire_container t container in
-        fire_loop t hook n (i + 1) (if ok then faults else faults + 1)
+    let ok = fire_container t (Hook.attached_get hook i) in
+    fire_loop t hook n (i + 1) (if ok then faults else faults + 1)
 
 (* [fire] is [trigger] minus the report list: the steady-state dispatch
    path for a warmed pool.  Every attached container runs on its warm
@@ -594,7 +486,7 @@ let rec fire_loop t hook n i faults =
    allocation.  Returns the number of faulting containers. *)
 let fire t hook =
   hook.Hook.triggers <- hook.Hook.triggers + 1;
-  charge_cycles t t.platform.Platform.empty_hook_cycles;
+  Femto_rtos.Clock.advance t.charge t.platform.Platform.empty_hook_cycles;
   let n = Hook.attached_count hook in
   let faults = fire_loop t hook n 0 0 in
   if Obs.enabled () then begin

@@ -27,8 +27,9 @@ type t = {
   (* Attached containers in attach order, array-backed so attach is
      amortized O(1) (the list-append version rebuilt the list per
      attach) and the fire path can iterate without allocating.  Slots
-     [0, attached_n) hold [Some c]; the tail is [None]. *)
-  mutable slots : Container.t option array;
+     [0, attached_n) hold the containers; the tail holds
+     [Container.none]. *)
+  mutable slots : Container.t array;
   mutable attached_n : int;
   mutable triggers : int;
 }
@@ -68,9 +69,7 @@ let policy_for t ~tenant_id =
   | None -> t.policy
 (* Attach-order list view (compat for shell/tests); the engine's hot
    path uses [attached_count]/[attached_get] to avoid building it. *)
-let attached t =
-  List.init t.attached_n (fun i ->
-      match t.slots.(i) with Some c -> c | None -> assert false)
+let attached t = List.init t.attached_n (fun i -> t.slots.(i))
 
 let attached_count t = t.attached_n
 let attached_get t i = t.slots.(i)
@@ -78,24 +77,24 @@ let attached_get t i = t.slots.(i)
 let append_attached t container =
   let cap = Array.length t.slots in
   if t.attached_n = cap then begin
-    let grown = Array.make (max 4 (2 * cap)) None in
+    let grown = Array.make (max 1 (2 * cap)) Container.none in
     Array.blit t.slots 0 grown 0 cap;
     t.slots <- grown
   end;
-  t.slots.(t.attached_n) <- Some container;
+  t.slots.(t.attached_n) <- container;
   t.attached_n <- t.attached_n + 1
 
 let remove_attached t container =
   let n = t.attached_n in
   let j = ref 0 in
   for i = 0 to n - 1 do
-    match t.slots.(i) with
-    | Some c when c == container -> ()
-    | slot ->
-        t.slots.(!j) <- slot;
-        incr j
+    let c = t.slots.(i) in
+    if c != container then begin
+      t.slots.(!j) <- c;
+      incr j
+    end
   done;
-  Array.fill t.slots !j (n - !j) None;
+  Array.fill t.slots !j (n - !j) Container.none;
   t.attached_n <- !j
 
 let triggers t = t.triggers

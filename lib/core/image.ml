@@ -3,13 +3,14 @@
    One image captures everything the expensive load path produces —
    verified bytecode, the superblock IR and the compiled closure
    artifact, built with the analyzer's proofs (all inside
-   [Femto_vm.Vm.image]) — plus the
-   frozen local-store baseline and the forward kv indirections its
-   helper table was compiled against.
-   Instances spawned from it privately own only their stack window, the
-   interpreter run state and a copy-on-write kv delta; everything else
-   is shared by reference, which is what makes spawning thousands of
-   residents nearly free.
+   [Femto_vm.Vm.image]) — plus the frozen local-store baseline.
+   Instances spawned from it privately own only their VM instance record
+   and a copy-on-write kv delta; everything else is shared by reference,
+   which is what makes spawning thousands of residents nearly free.  The
+   helper table holds no store: helpers reach the running container's
+   stores through the host bound to its instance ([Syscall.Host]), so an
+   image is not tied to an engine, and its instances may run on any
+   domain.
 
    Images are keyed by content hash (program bytes + runtime + the
    sorted capability names actually granted at the hook), so two
@@ -23,70 +24,62 @@ type t = {
   baseline : Kvstore.t;
       (* frozen snapshot of the local store at image build; every
          spawned instance's CoW local store reads through it *)
-  local_fwd : Kvstore.t;
-  tenant_fwd : Kvstore.t;
-  global_fwd : Kvstore.t;
-      (* the forward stores the image's helper table was compiled
-         against: re-pointed at the running instance's stores before
-         each dispatch.  A fleet shares one image across many engines
-         (one per device), so the global store forwards too.  Binding is
-         per-dispatch and unsynchronized: an image must be dispatched
-         from one domain at a time.  Fleet shards own disjoint image
-         caches and each shard runs on one domain per epoch, so an image
-         may move between domains only across an epoch barrier, which
-         orders the two domains' dispatches. *)
-  dyn : Syscall.dyn ref;
-      (* the engine-side time/sensor/trace closures, re-pointed with the
-         stores — the helper table dereferences the ref on each call *)
   mutable spawns : int; (* instances spawned from this image *)
 }
 
-(* Program digests are memoized by physical identity: spawning reuses
-   the same [Program.t] value, and hashing kilobytes of bytecode on
-   every spawn would dwarf the spawn itself.  The ephemeron keeps the
-   cache from pinning dead programs; distinct-but-equal program values
-   merely hash twice to the same digest. *)
+(* Program digests, memoized per domain.  Spawning reuses one program
+   value, and hashing kilobytes of bytecode on every spawn would dwarf
+   the spawn itself, so a one-entry MRU compared by physical identity
+   answers the common case.  Behind it, a table keyed by content: equal
+   programs decoded separately (one per fleet shard) share one entry,
+   so a lookup walks no chain of equal copies, and the ephemeron keeps
+   the table from pinning dead programs.  Both live in [Domain.DLS], so
+   domains spawning at once neither lock nor evict each other's MRU. *)
 module Digest_cache = Ephemeron.K1.Make (struct
   type t = Femto_ebpf.Program.t
 
-  let equal = ( == )
+  let equal a b =
+    String.equal (Femto_ebpf.Program.to_string a)
+      (Femto_ebpf.Program.to_string b)
+
   let hash = Hashtbl.hash
 end)
 
-let digests = Digest_cache.create 16
+type digests = {
+  mutable last : Femto_ebpf.Program.t;
+  mutable last_digest : string;
+  table : string Digest_cache.t;
+}
 
-(* The ephemeron table is process-global while fleet shards spawn from
-   worker domains concurrently, so its structural mutation is locked.
-   The lock is outside the MRU fast path: a warm spawn never takes it. *)
-let digests_mutex = Mutex.create ()
+let hash_program program =
+  Femto_crypto.Crypto.to_hex
+    (Femto_crypto.Crypto.sha256 (Femto_ebpf.Program.to_string program))
 
-(* One-entry MRU in front of the ephemeron: [Digest_cache.find_opt]
-   pays a structural [Hashtbl.hash] walk over the program on every
-   lookup, while the common case — spawning many instances of one
-   program — needs only a pointer compare.  Cross-domain races on the
-   ref are benign: a single atomic pointer read/write of an immutable
-   pair, worst case a wasted recompute. *)
-let last_digest : (Femto_ebpf.Program.t * string) option ref = ref None
+let digests =
+  Domain.DLS.new_key (fun () ->
+      let empty = Femto_ebpf.Program.of_insns [] in
+      {
+        last = empty;
+        last_digest = hash_program empty;
+        table = Digest_cache.create 8;
+      })
 
 let program_digest program =
-  match !last_digest with
-  | Some (p, d) when p == program -> d
-  | _ ->
-      let d =
-        Mutex.protect digests_mutex (fun () ->
-            match Digest_cache.find_opt digests program with
-            | Some d -> d
-            | None ->
-                let d =
-                  Femto_crypto.Crypto.to_hex
-                    (Femto_crypto.Crypto.sha256
-                       (Femto_ebpf.Program.to_string program))
-                in
-                Digest_cache.replace digests program d;
-                d)
-      in
-      last_digest := Some (program, d);
-      d
+  let c = Domain.DLS.get digests in
+  if c.last == program then c.last_digest
+  else begin
+    let d =
+      match Digest_cache.find_opt c.table program with
+      | Some d -> d
+      | None ->
+          let d = hash_program program in
+          Digest_cache.replace c.table program d;
+          d
+    in
+    c.last <- program;
+    c.last_digest <- d;
+    d
+  end
 
 (* Deterministic cache key: program content hash, runtime, and the
    granted capability names (sorted — grant order is a policy detail).
@@ -101,19 +94,8 @@ let key_of ~runtime ~granted program =
     :: Femto_platform.Platform.engine_name runtime
     :: caps)
 
-let create ~key ~runtime ~vm_image ~baseline ~local_fwd ~tenant_fwd
-    ~global_fwd ~dyn =
-  {
-    key;
-    runtime;
-    vm_image;
-    baseline;
-    local_fwd;
-    tenant_fwd;
-    global_fwd;
-    dyn;
-    spawns = 0;
-  }
+let create ~key ~runtime ~vm_image ~baseline =
+  { key; runtime; vm_image; baseline; spawns = 0 }
 
 let key t = t.key
 let runtime t = t.runtime
@@ -121,15 +103,5 @@ let vm_image t = t.vm_image
 let baseline t = t.baseline
 let spawns t = t.spawns
 let record_spawn t = t.spawns <- t.spawns + 1
-
-(* Re-point the image's forward kv stores and dynamic facilities at one
-   instance (and its engine).  Called from the instance's [prepare_run]
-   hook before each execution; four pointer writes. *)
-let bind t ~local ~tenant ~global ~dyn =
-  Kvstore.retarget t.local_fwd local;
-  Kvstore.retarget t.tenant_fwd tenant;
-  Kvstore.retarget t.global_fwd global;
-  t.dyn := dyn
-
 let proven t = Femto_vm.Vm.image_proven t.vm_image
 let tier t = Femto_vm.Vm.image_tier t.vm_image

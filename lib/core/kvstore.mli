@@ -5,13 +5,12 @@
     assembled by the hosting engine: local (one container), tenant (one
     tenant's containers), global (the whole device).
 
-    Besides the classic bounded table ({!create}), two further
-    representations back the container image/instance split: {!cow}
+    Besides the classic bounded table ({!create}), a second
+    representation backs the container image/instance split: {!cow}
     builds a copy-on-write view over a frozen parent (reads fall
     through, the first write materializes a private delta entry, and
-    teardown is O(delta)), and {!forward} builds a retargetable
-    indirection so helper tables compiled once against a shared image
-    can be re-bound to the running instance's stores per dispatch. *)
+    teardown is O(delta)).  Either is one record plus one entry buffer,
+    allocated on the first write. *)
 
 type t
 
@@ -30,14 +29,6 @@ val cow : ?max_entries:int -> ?delta_quota:int -> parent:t -> string -> t
     budget for instances spawned from a shared image (tombstones are
     exempt: deletion never fails).  The parent must not be mutated while
     the view is live. *)
-
-val forward : target:t -> string -> t
-(** A retargetable indirection: all operations delegate to the current
-    target (capacity included). *)
-
-val retarget : t -> t -> unit
-(** [retarget fwd target] re-points a {!forward} store.
-    @raise Invalid_argument on a non-forward store. *)
 
 val name : t -> string
 
@@ -71,4 +62,4 @@ val parent : t -> t option
 
 val ram_bytes : t -> int
 (** Approximate RAM cost for the footprint experiments; a CoW view is
-    billed only for its delta, a forward only for the indirection. *)
+    billed only for its delta. *)

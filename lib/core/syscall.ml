@@ -2,10 +2,13 @@
 
    Every interaction between a container and the OS goes through these
    helpers, reached with the eBPF [call] instruction (paper §7, "Simple
-   Containerization").  The table is built per container: only helpers
-   whose capability the contract granted are registered, so an ungranted
-   call faults as [Unknown_helper] at run time (and is already flagged by
-   the pre-flight verifier, which checks call targets against the table).
+   Containerization").  A table is built per granted capability set:
+   only helpers whose capability the contract granted are registered, so
+   an ungranted call faults as [Unknown_helper] at run time (and is
+   already flagged by the pre-flight verifier, which checks call targets
+   against the table).  A helper finds the container it serves, and its
+   engine, through the host bound to the instance's memory map
+   ([Host]), so one table serves every container of an image.
 
    Helper IDs are a stable ABI, grouped by capability:
      0x01-0x0f  debug/time      0x10-0x1f  key-value stores
@@ -57,73 +60,99 @@ let standard_names =
 
 let resolve_name name = List.assoc_opt name standard_names
 
-(* Facilities the engine provides to the helpers of one container. *)
-type facilities = {
-  local_store : Kvstore.t;
-  tenant_store : Kvstore.t;
+(* The hosting engine's state.  [Engine] owns it (as [Engine.t]); it is
+   declared here because helpers reach its facilities — the global
+   store, time, sensors and trace log — through a running container's
+   host binding. *)
+type engine = {
+  platform : Femto_platform.Platform.t;
+  charge : Femto_rtos.Clock.t;
+      (* VM cycle costs are charged here: the kernel's clock, the
+         device clock of a kernel-less engine (a fleet device owns a
+         clock but no kernel — its shard's kernel drives the wheel), or
+         the engine's own clock, which nothing reads *)
+  kernel : Femto_rtos.Kernel.t option; (* time source when present *)
+  clock_is_time : bool; (* [charge] is a device clock, read as time *)
   global_store : Kvstore.t;
-  now_ms : unit -> int64;
-  ticks : unit -> int64;
-  read_sensor : int -> (int64, string) result;
-  trace : int64 -> unit;
+  mutable fallback_ms : int64; (* time source when neither is present *)
+  mutable sensors : (int * (unit -> (int64, string) result)) list;
+  mutable trace_log : int64 list; (* newest first; bpf_trace output *)
+  (* tenants and hooks are short lists in registration order: a fleet
+     device has one tenant and one hook, and a hash table would cost it
+     more than its entries *)
+  mutable tenants : Tenant.t list;
+  mutable hooks : Hook.t list;
+  images : (string, Image.t) Hashtbl.t; (* content-hash → container image *)
+  mutable extra_helpers : (Contract.capability * (Helper.t -> unit)) list;
+  config : Femto_vm.Config.t;
 }
 
-(* The per-engine half of the facilities: time, sensors and trace.  An
-   image's helper table is compiled once against a [dyn ref] plus forward
-   kv stores, and [Image.bind] re-points both at the running instance's
-   engine before each dispatch — that is what lets one cached image serve
-   containers on many engines (one engine per fleet device). *)
-type dyn = {
-  d_now_ms : unit -> int64;
-  d_ticks : unit -> int64;
-  d_read_sensor : int -> (int64, string) result;
-  d_trace : int64 -> unit;
-}
+(* The binding a running instance's helpers reach through the memory
+   map they receive: its container and the container's engine.  Helper
+   tables hold no store and no engine state, so one table — and one
+   cached image — serves containers on any number of engines. *)
+type Femto_vm.Mem.host += Host of { container : Container.t; engine : engine }
 
-let dyn_of_facilities f =
-  {
-    d_now_ms = f.now_ms;
-    d_ticks = f.ticks;
-    d_read_sensor = f.read_sensor;
-    d_trace = f.trace;
-  }
+let unbound = Error "no container bound to this instance"
 
-(* Facilities whose dynamic half indirects through [cell]: retargeting
-   the cell retargets every helper compiled against these. *)
-let facilities_via cell ~local_store ~tenant_store ~global_store =
-  {
-    local_store;
-    tenant_store;
-    global_store;
-    now_ms = (fun () -> !cell.d_now_ms ());
-    ticks = (fun () -> !cell.d_ticks ());
-    read_sensor = (fun id -> !cell.d_read_sensor id);
-    trace = (fun v -> !cell.d_trace v);
-  }
+let now_ms e =
+  match e.kernel with
+  | Some kernel -> Int64.of_float (Femto_rtos.Kernel.now_us kernel /. 1000.0)
+  | None ->
+      if e.clock_is_time then
+        Int64.of_float
+          (Femto_rtos.Clock.ms_of_cycles e.charge (Femto_rtos.Clock.now e.charge))
+      else e.fallback_ms
+
+let ticks e =
+  match e.kernel with
+  | Some kernel -> Femto_rtos.Kernel.now kernel
+  | None ->
+      if e.clock_is_time then Femto_rtos.Clock.now e.charge
+      else Int64.mul e.fallback_ms 64_000L
+
+let read_sensor e id =
+  match List.assoc_opt id e.sensors with
+  | Some read -> read ()
+  | None -> Error (Printf.sprintf "no sensor %d" id)
+
+let local_scope (c : Container.t) (_ : engine) = c.Container.local_store
+let tenant_scope (c : Container.t) (_ : engine) = Tenant.store c.Container.tenant
+let global_scope (_ : Container.t) e = e.global_store
 
 let key_of args_value = Int64.to_int32 (Int64.logand args_value 0xFFFF_FFFFL)
 
-let register_kv helpers ~store ~store_id ~fetch_id ~suffix =
+let register_kv helpers ~scope ~store_id ~fetch_id ~suffix =
   Helper.register helpers ~id:store_id ~cost_cycles:80 ~arity:2
     ~name:("bpf_store_" ^ suffix)
-    (fun _mem args ->
-      match Kvstore.store store (key_of args.Helper.a1) args.Helper.a2 with
-      | Ok () -> Ok 0L
-      | Error (`Store_full name) -> Error (Printf.sprintf "store %s full" name));
+    (fun mem args ->
+      match Mem.host mem with
+      | Host { container; engine } -> (
+          match
+            Kvstore.store (scope container engine) (key_of args.Helper.a1)
+              args.Helper.a2
+          with
+          | Ok () -> Ok 0L
+          | Error (`Store_full name) ->
+              Error (Printf.sprintf "store %s full" name))
+      | _ -> unbound);
   Helper.register helpers ~id:fetch_id ~cost_cycles:80 ~arity:2
     ~name:("bpf_fetch_" ^ suffix)
     (fun mem args ->
-      let value = Kvstore.fetch store (key_of args.Helper.a1) in
-      let buf = Bytes.create 8 in
-      Bytes.set_int64_le buf 0 value;
-      match Mem.store_bytes mem ~addr:args.Helper.a2 buf with
-      | Ok () -> Ok 0L
-      | Error () -> Error "fetch destination outside allow-list")
+      match Mem.host mem with
+      | Host { container; engine } -> (
+          let value =
+            Kvstore.fetch (scope container engine) (key_of args.Helper.a1)
+          in
+          match Mem.store mem ~addr:args.Helper.a2 ~size:8 value with
+          | Ok () -> Ok 0L
+          | Error () -> Error "fetch destination outside allow-list")
+      | _ -> unbound)
 
-(* Build the helper table for one container from its granted
-   capabilities.  [extra] lets integration layers (e.g. CoAP) install
-   capability-gated helpers without femto_core depending on them. *)
-let build ?(extra = []) ~granted facilities =
+(* Build the helper table for the granted capabilities.  [extra] lets
+   integration layers (e.g. CoAP) install capability-gated helpers
+   without femto_core depending on them. *)
+let build ?(extra = []) granted =
   let helpers = Helper.create () in
   let has cap = List.mem cap granted in
   (* always available: pure memory move within the allow-list *)
@@ -142,38 +171,48 @@ let build ?(extra = []) ~granted facilities =
   if has Contract.Debug then
     Helper.register helpers ~id:id_trace ~cost_cycles:40 ~arity:1
       ~name:"bpf_trace"
-      (fun _mem args ->
-        facilities.trace args.Helper.a1;
-        Ok 0L);
+      (fun mem args ->
+        match Mem.host mem with
+        | Host { engine; _ } ->
+            engine.trace_log <- args.Helper.a1 :: engine.trace_log;
+            Ok 0L
+        | _ -> unbound);
   if has Contract.Time then begin
     Helper.register helpers ~id:id_now_ms ~cost_cycles:25 ~arity:0
       ~name:"bpf_now_ms"
-      (fun _mem _args -> Ok (facilities.now_ms ()));
+      (fun mem _args ->
+        match Mem.host mem with
+        | Host { engine; _ } -> Ok (now_ms engine)
+        | _ -> unbound);
     Helper.register helpers ~id:id_ticks ~cost_cycles:20 ~arity:0
       ~name:"bpf_ticks"
-      (fun _mem _args -> Ok (facilities.ticks ()))
+      (fun mem _args ->
+        match Mem.host mem with
+        | Host { engine; _ } -> Ok (ticks engine)
+        | _ -> unbound)
   end;
   if has Contract.Kv_local then
-    register_kv helpers ~store:facilities.local_store ~store_id:id_store_local
+    register_kv helpers ~scope:local_scope ~store_id:id_store_local
       ~fetch_id:id_fetch_local ~suffix:"local";
   if has Contract.Kv_tenant then
-    register_kv helpers ~store:facilities.tenant_store
-      ~store_id:id_store_tenant ~fetch_id:id_fetch_tenant ~suffix:"tenant";
+    register_kv helpers ~scope:tenant_scope ~store_id:id_store_tenant
+      ~fetch_id:id_fetch_tenant ~suffix:"tenant";
   if has Contract.Kv_global then
-    register_kv helpers ~store:facilities.global_store
-      ~store_id:id_store_global ~fetch_id:id_fetch_global ~suffix:"global";
+    register_kv helpers ~scope:global_scope ~store_id:id_store_global
+      ~fetch_id:id_fetch_global ~suffix:"global";
   if has Contract.Sensors then
     Helper.register helpers ~id:id_saul_read ~cost_cycles:500 ~arity:2
       ~name:"bpf_saul_read"
       (fun mem args ->
-        match facilities.read_sensor (Int64.to_int args.Helper.a1) with
-        | Error message -> Error message
-        | Ok value -> (
-            let buf = Bytes.create 8 in
-            Bytes.set_int64_le buf 0 value;
-            match Mem.store_bytes mem ~addr:args.Helper.a2 buf with
-            | Ok () -> Ok 0L
-            | Error () -> Error "sensor destination outside allow-list"));
+        match Mem.host mem with
+        | Host { engine; _ } -> (
+            match read_sensor engine (Int64.to_int args.Helper.a1) with
+            | Error message -> Error message
+            | Ok value -> (
+                match Mem.store mem ~addr:args.Helper.a2 ~size:8 value with
+                | Ok () -> Ok 0L
+                | Error () -> Error "sensor destination outside allow-list"))
+        | _ -> unbound);
   List.iter
     (fun (cap, install) -> if has cap then install helpers)
     extra;

@@ -5,7 +5,9 @@
    masked to 32 bits) rather than boxed [Int32.t]: on a 64-bit host every
    Int32 operation allocates, which made hashing the dominant cost of the
    secure-update pipeline.  The message schedule lives in a scratch array
-   inside the context, so steady-state hashing allocates nothing. *)
+   inside the context, the rounds are a top-level function of the state
+   (no closure per block) and the length is an immediate int, so
+   steady-state hashing allocates nothing. *)
 
 let () =
   (* the 32-bit arithmetic below needs the 63-bit native int *)
@@ -36,7 +38,7 @@ type ctx = {
   w : int array; (* 64-word message schedule, reused every block *)
   block : Bytes.t; (* 64-byte input block being filled *)
   mutable block_len : int;
-  mutable total_len : int64;
+  mutable total_len : int; (* bytes hashed so far *)
 }
 
 (* Snapshot a context so a precomputed midstate (e.g. an HMAC key pad)
@@ -61,13 +63,40 @@ let init () =
     w = Array.make 64 0;
     block = Bytes.create 64;
     block_len = 0;
-    total_len = 0L;
+    total_len = 0;
   }
 
 (* Rotate a 32-bit value held in a native int.  The left shift may spill
    past bit 62 and wrap; only the low 32 bits survive the mask, which is
    exactly the rotation result. *)
 let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+(* The 64 rounds over schedule [w], folded into the chaining state [hv].
+   Tail-recursive so a..h live in registers across rounds (the ref-cell
+   version paid 16 memory round-trips per round for the state rotation),
+   and top-level so a block allocates no closure. *)
+let rec rounds hv w t a b c d e f g h =
+  if t = 64 then begin
+    hv.(0) <- (hv.(0) + a) land mask;
+    hv.(1) <- (hv.(1) + b) land mask;
+    hv.(2) <- (hv.(2) + c) land mask;
+    hv.(3) <- (hv.(3) + d) land mask;
+    hv.(4) <- (hv.(4) + e) land mask;
+    hv.(5) <- (hv.(5) + f) land mask;
+    hv.(6) <- (hv.(6) + g) land mask;
+    hv.(7) <- (hv.(7) + h) land mask
+  end
+  else begin
+    let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
+    let ch = e land f lxor (lnot e land g) in
+    let t1 =
+      (h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask
+    in
+    let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
+    let maj = a land b lxor (a land c) lxor (b land c) in
+    let t2 = (s0 + maj) land mask in
+    rounds hv w (t + 1) ((t1 + t2) land mask) a b c ((d + t1) land mask) e f g
+  end
 
 (* Precondition: [offset + 64 <= Bytes.length block] — callers only ever
    hand in full blocks. *)
@@ -91,38 +120,13 @@ let process_block ctx block offset =
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
       land mask)
   done;
-  (* Tail-recursive so a..h live in registers across rounds; the ref-cell
-     version paid 16 memory round-trips per round for the state rotation. *)
   let hv = ctx.h in
-  let rec rounds t a b c d e f g h =
-    if t = 64 then begin
-      hv.(0) <- (hv.(0) + a) land mask;
-      hv.(1) <- (hv.(1) + b) land mask;
-      hv.(2) <- (hv.(2) + c) land mask;
-      hv.(3) <- (hv.(3) + d) land mask;
-      hv.(4) <- (hv.(4) + e) land mask;
-      hv.(5) <- (hv.(5) + f) land mask;
-      hv.(6) <- (hv.(6) + g) land mask;
-      hv.(7) <- (hv.(7) + h) land mask
-    end
-    else begin
-      let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
-      let ch = e land f lxor (lnot e land g) in
-      let t1 =
-        (h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask
-      in
-      let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
-      let maj = a land b lxor (a land c) lxor (b land c) in
-      let t2 = (s0 + maj) land mask in
-      rounds (t + 1) ((t1 + t2) land mask) a b c ((d + t1) land mask) e f g
-    end
-  in
-  rounds 0 hv.(0) hv.(1) hv.(2) hv.(3) hv.(4) hv.(5) hv.(6) hv.(7)
+  rounds hv w 0 hv.(0) hv.(1) hv.(2) hv.(3) hv.(4) hv.(5) hv.(6) hv.(7)
 
 let update ctx data offset length =
   if offset < 0 || length < 0 || offset + length > Bytes.length data then
     invalid_arg "Sha256.update";
-  ctx.total_len <- Int64.add ctx.total_len (Int64.of_int length);
+  ctx.total_len <- ctx.total_len + length;
   let pos = ref offset and remaining = ref length in
   (* top up a partial block first *)
   if ctx.block_len > 0 then begin
@@ -157,7 +161,7 @@ let update_substring ctx s offset length =
 let update_string ctx s = update_substring ctx s 0 (String.length s)
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total_len 8L in
+  let bit_len = Int64.mul (Int64.of_int ctx.total_len) 8L in
   (* append 0x80, pad with zeros to 56 mod 64, then the 64-bit length *)
   let pad_len =
     let used = (ctx.block_len + 1) mod 64 in

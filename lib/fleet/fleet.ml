@@ -24,9 +24,8 @@
      move to another domain next epoch, without further locking.
    - Global Obs metrics are disabled while workers run (shared mutable
      histograms are lossy under concurrent update); shards keep plain
-     local counters that the owner merges afterwards.  The one remaining
-     process-global table, the image digest cache, is mutex-guarded in
-     image.ml. *)
+     local counters that the owner merges afterwards.  The image digest
+     cache is per domain (image.ml). *)
 
 module Engine = Femto_core.Engine
 module Container = Femto_core.Container
@@ -419,11 +418,8 @@ let boot_device shard ~program_v1 ~key ~telemetry_us ~id =
     (* stagger first fires across the period so a shard's wheel is not a
        single thundering herd at t = telemetry_us *)
     let offset_us = telemetry_us * ((id mod 16) + 1) / 16 in
-    Kernel.after_us shard.kernel ~us:offset_us (fun _k ->
-        fire_telemetry shard dev;
-        Kernel.every_us shard.kernel ~us:telemetry_us (fun _k ->
-            fire_telemetry shard dev;
-            true))
+    Kernel.periodic_us shard.kernel ~first_us:offset_us ~us:telemetry_us
+      (fun _k -> fire_telemetry shard dev)
   end;
   dev
 

@@ -9,13 +9,21 @@
    device timer a million-element walk.
 
    Times are kept as immediate ints, like [Clock]'s cycle count: an
-   entry is then one 4-word block with no boxed [int64] beside it, which
-   matters because a fleet wheel allocates one per timer fire and each
-   lives a whole telemetry period.  The [int64] functions convert at the
-   edge; [add_int] and [advance_until_int] are the allocation-free path
-   the kernel uses. *)
+   entry is then one small block with no boxed [int64] beside it.  The
+   [int64] functions convert at the edge; [add_int] and
+   [advance_until_int] are the allocation-free path the kernel uses.  A
+   periodic entry ([add_periodic_int]) is re-armed in place after each
+   fire, so a fleet device's telemetry timer is one block for its whole
+   life and a fire allocates nothing. *)
 
-type 'a entry = { time : int; seq : int; payload : 'a }
+type 'a entry =
+  | Once of { time : int; seq : int; payload : 'a }
+  | Every of {
+      mutable time : int;
+      mutable seq : int;
+      period : int; (* re-armed [period] after each fire *)
+      payload : 'a;
+    }
 
 type 'a t = {
   mutable heap : 'a entry array; (* heap.(0..size-1) is a min-heap *)
@@ -27,7 +35,13 @@ let create () = { heap = [||]; size = 0; next_seq = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let[@inline] time = function Once e -> e.time | Every e -> e.time
+let[@inline] seq = function Once e -> e.seq | Every e -> e.seq
+let[@inline] payload = function Once e -> e.payload | Every e -> e.payload
+
+let earlier a b =
+  let ta = time a and tb = time b in
+  ta < tb || (ta = tb && seq a < seq b)
 
 let grow t entry =
   let cap = Array.length t.heap in
@@ -63,18 +77,27 @@ let rec sift_down heap size i =
     end
   end
 
-let add_int t ~at payload =
-  let entry = { time = at; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
+let push t entry =
   if t.size = Array.length t.heap then grow t entry;
   t.heap.(t.size) <- entry;
   t.size <- t.size + 1;
   sift_up t.heap (t.size - 1)
 
+let next_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let add_int t ~at payload = push t (Once { time = at; seq = next_seq t; payload })
+
+let add_periodic_int t ~at ~period payload =
+  if period <= 0 then invalid_arg "Event_queue.add_periodic_int: period";
+  push t (Every { time = at; seq = next_seq t; period; payload })
+
 let add t ~at payload = add_int t ~at:(Int64.to_int at) payload
 
 let peek_time t =
-  if t.size = 0 then None else Some (Int64.of_int t.heap.(0).time)
+  if t.size = 0 then None else Some (Int64.of_int (time t.heap.(0)))
 
 (* Slots at or past [size] keep their last entry (an array heap has no
    empty value to write); each pins at most one dead payload until the
@@ -93,27 +116,35 @@ let pop t =
   if t.size = 0 then None
   else
     let e = pop_root t in
-    Some (Int64.of_int e.time, e.payload)
+    Some (Int64.of_int (time e), payload e)
 
 (* Pop the next event only if it is due at or before [now]. *)
 let pop_due t ~now =
-  if t.size = 0 || t.heap.(0).time > Int64.to_int now then None
+  if t.size = 0 || time t.heap.(0) > Int64.to_int now then None
   else
     let e = pop_root t in
-    Some (Int64.of_int e.time, e.payload)
+    Some (Int64.of_int (time e), payload e)
 
 (* Batched drain: fire every event due at or before [until], in (time,
    seq) order, handing each its due time.  Exactly equivalent to a
    [pop_due] loop (the QCheck oracle test in test_rtos pins this),
    including when callbacks re-arm new events at or before [until] —
-   those fire in this same call.  Returns the number of events fired.
-   One epoch of the fleet wheel is one [advance_until_int]. *)
+   those fire in this same call.  A periodic entry goes back in after
+   its callback returns, as if the callback had re-armed it last.
+   Returns the number of events fired.  One epoch of the fleet wheel is
+   one [advance_until_int]. *)
 let advance_until_int t ~until f =
   let fired = ref 0 in
-  while t.size > 0 && t.heap.(0).time <= until do
+  while t.size > 0 && time t.heap.(0) <= until do
     let e = pop_root t in
     incr fired;
-    f e.time e.payload
+    match e with
+    | Once { time; payload; _ } -> f time payload
+    | Every r ->
+        f r.time r.payload;
+        r.time <- r.time + r.period;
+        r.seq <- next_seq t;
+        push t e
   done;
   !fired
 

@@ -21,6 +21,13 @@ val add_int : 'a t -> at:int -> 'a -> unit
 (** [add] with the time as an immediate int: allocates the queue entry
     (4 words) and nothing else, once the heap has room. *)
 
+val add_periodic_int : 'a t -> at:int -> period:int -> 'a -> unit
+(** A payload due at [at], [at + period], [at + 2 period], ...: after
+    each fire by {!advance_until}/{!advance_until_int}, the same entry
+    goes back in, sequenced after everything its callback scheduled.
+    ({!pop} and {!pop_due} remove it for good.)
+    @raise Invalid_argument when [period <= 0]. *)
+
 val peek_time : 'a t -> int64 option
 (** Time of the earliest pending event. *)
 

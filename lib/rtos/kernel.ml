@@ -92,14 +92,23 @@ let after_us t ~us callback =
 
 (* Re-arming periodic timer; [callback] may return [false] to stop.  The
    timer is one closure that re-arms itself, one period after the clock
-   at its fire, so a fire allocates only its queue entry — a fleet
-   shard re-arms one of these per device every telemetry period. *)
+   at its fire, so a fire allocates only its queue entry. *)
 let every_us t ~us callback =
   let period = Clock.cycles_of_us t.clock us in
   let rec tick kernel =
     if callback kernel then after_cycles kernel ~cycles:period tick
   in
   after_cycles t ~cycles:period tick
+
+(* Drift-free periodic timer: [callback] runs at [first_us], then every
+   [us] after that due time, for the kernel's lifetime.  One queue entry
+   re-armed in place, so a fire allocates nothing — a fleet shard keeps
+   one per device. *)
+let periodic_us t ~first_us ~us callback =
+  Event_queue.add_periodic_int t.timers
+    ~at:(Clock.now_int t.clock + Clock.cycles_of_us t.clock first_us)
+    ~period:(Clock.cycles_of_us t.clock us)
+    callback
 
 let sleep_us t thread ~us =
   thread.state <- Blocked;

@@ -61,6 +61,13 @@ val every_us : t -> us:int -> (t -> bool) -> unit
     call, then [us] after the clock at each fire, until it returns
     [false].  A fire allocates only its queue entry. *)
 
+val periodic_us : t -> first_us:int -> us:int -> (t -> unit) -> unit
+(** Drift-free periodic timer: the callback runs [first_us] after the
+    call and then every [us] after each due time, for the kernel's
+    lifetime.  One queue entry, re-armed in place after each fire
+    (sequenced after anything the callback scheduled), so a fire
+    allocates nothing. *)
+
 val sleep_us : t -> thread -> us:int -> unit
 
 val run_timers_until : t -> until:int64 -> int

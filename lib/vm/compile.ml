@@ -22,7 +22,7 @@
    stack so [reset] zeroes only the bytes earlier runs touched.  The
    register file, the stack and the dirty window belong to the run's
    [Frame], lent by the domain; every closure takes the frame's [ctx],
-   which also points at the running instance's [state]. *)
+   which also points at the running instance ([Mem.t]). *)
 
 open Femto_ebpf
 module Obs = Femto_obs.Obs
@@ -48,33 +48,25 @@ let m_ir_elided = Obs.counter "vm.ir_checks_elided"
 external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Everything a run mutates lives in [state] (per instance) or in the
-   run's [Frame] (per run), both reached through the [ctx] passed to
-   every generated closure: the closures themselves are pure functions
-   of the bytecode and can be shared between any number of instances
-   (the container image/instance split relies on this — see
-   [instantiate]).  That includes the run statistics and the per-site
-   region inline caches, which earlier revisions captured at compile
-   time and would have leaked between instances. *)
-type state = {
-  mem : Mem.t;
-  stats : Interp.stats; (* shared with the paired Interp instance *)
-  interp : Interp.t; (* the decoded loop budget-guarded blocks resume in *)
-  snapshot : Region.t array; (* this instance's allow-list at creation *)
-  cache_ok : bool; (* snapshot and stack disjoint: inline caches sound *)
-  rcache : Region.t option array; (* per-site region inline caches *)
-}
+(* Everything a run mutates lives in the instance ([Mem.t]: statistics,
+   region inline caches) or in the run's [Frame] (registers, stack,
+   dirty window), both reached through the [ctx] passed to every
+   generated closure: the closures themselves are pure functions of the
+   bytecode and can be shared between any number of instances (the
+   container image/instance split relies on this).  That includes the
+   run statistics and the per-site region inline caches, which earlier
+   revisions captured at compile time and would have leaked between
+   instances. *)
 
 (* What the generated closures receive: the lent frame's buffers and the
    instance running on it.  One per frame, kept in the frame's [slot]
    and pointed at the running instance at each run entry, so a closure
-   reaches a register or a stack byte in one load, as when instances
-   owned them. *)
+   reaches a register or a stack byte in one load. *)
 type ctx = {
   rf : bytes; (* the frame's IR register file: 11 registers x 8 bytes *)
   stack : bytes; (* the frame's stack *)
   fr : Frame.t; (* its dirty window, decoded registers and region *)
-  mutable inst : state;
+  mutable inst : Mem.t;
 }
 
 type Frame.slot += Ctx of ctx
@@ -84,15 +76,16 @@ type Frame.slot += Ctx of ctx
    instance spawned from the same image. *)
 type code = {
   entry : ctx -> unit; (* the superblock trampoline *)
+  interp : Interp.t; (* the decoded loop budget-guarded blocks resume in *)
   stack_top : int64; (* pre-boxed r10 reset value *)
   stack_size : int;
   ir_blocks : int; (* superblocks compiled *)
   elided : int; (* IR memory checks elided against analyzer proofs *)
   hoisted : int; (* IR allow-list scans behind a region inline cache *)
-  cache_sites : int; (* inline-cache slots a [state] must provide *)
+  cache_sites : int; (* inline-cache slots an instance must provide *)
 }
 
-type t = { sh : code; st : state; mutable runs : int }
+type t = { code : code; instance : Mem.t }
 
 type mode = Checked | Proven
 
@@ -105,9 +98,9 @@ let[@inline always] set_reg cx i v = set64 cx.rf (i lsl 3) v
    inline-cached: regions appended later scan *after* every snapshot
    region in [Mem.find], so a cached hit can never shadow them.  The
    snapshot holds no stack, so no cache ever holds a lent frame. *)
-let in_snapshot st r =
+let in_snapshot (m : Mem.t) r =
   let ok = ref false in
-  Array.iter (fun r' -> if r' == r then ok := true) st.snapshot;
+  Array.iter (fun r' -> if r' == r then ok := true) m.Mem.snapshot;
   !ok
 
 (* Little-endian direct access into a stack or region buffer. *)
@@ -130,9 +123,10 @@ let store_direct data o nbytes v =
    regions, [Mem.find] first-match is determined by containment alone,
    and regions appended later scan *after* every cached candidate, so a
    hit on a snapshot region can never shadow a better match.  Checked
-   per instance (at [instantiate] time), since different instances of
-   the same code can carry different region layouts. *)
-let regions_disjoint (config : Config.t) (rs : Region.t array) =
+   per instance (when it is made), since different instances of the
+   same code can carry different region layouts. *)
+let regions_disjoint (config : Config.t) (regions : Region.t list) =
+  let rs = Array.of_list regions in
   let n = Array.length rs in
   let overlap a_lo a_len b_lo b_len =
     a_len > 0 && b_len > 0
@@ -154,32 +148,6 @@ let regions_disjoint (config : Config.t) (rs : Region.t array) =
     done
   done;
   !ok
-
-(* Private state for one instance over [cache_sites] inline-cache
-   slots.  Everything else the closures touch is reached through this
-   record or the run's frame, so building it is the entire per-instance
-   cost of the compiled tier.  The interpreter is the instance's own, so
-   a budget hand-over runs on this instance's memory map and stats. *)
-let fresh_state ~cache_sites interp =
-  let mem = Interp.mem interp in
-  let snapshot = Mem.raw_regions mem in
-  {
-    mem;
-    stats = Interp.stats interp;
-    interp;
-    snapshot;
-    cache_ok =
-      cache_sites > 0 && regions_disjoint (Interp.config interp) snapshot;
-    rcache = Array.make cache_sites None;
-  }
-
-(* Bind shared compiled code to a fresh instance: no verification,
-   analysis or compilation happens here — [m_compile_ns] is deliberately
-   not observed, which the image-cache tests rely on. *)
-let instantiate sh interp =
-  { sh; st = fresh_state ~cache_sites:sh.cache_sites interp; runs = 0 }
-
-let shared t = t.sh
 
 (* ------------------------------------------------------------------ *)
 (* Superblock (IR) backend.                                           *)
@@ -205,7 +173,7 @@ let step_flushes (op : Ir.op) =
    the run continues in the decoded loop at the block's head pc, which
    reproduces the decoded tier's budget faults (payload and partial
    stats) bit-for-bit. *)
-let compile_ir ~mode ~(ir : Ir.program) interp =
+let compile_ir ~mode ~(ir : Ir.program) interp : code =
   let t0 = Obs.now_ns () in
   let config = Interp.config interp in
   let helpers = Interp.helpers interp in
@@ -214,9 +182,9 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
   let checked = mode = Checked in
   let ilimit = Config.dynamic_instruction_limit config in
   let blimit = config.Config.max_branches in
-  (* Region inline caches live in per-instance [state] slots: each hoisted
-     site is assigned a slot index at compile time, and every instance
-     brings its own slot array, snapshot and disjointness verdict — so
+  (* Region inline caches live in per-instance slots: each hoisted site
+     is assigned a slot index at compile time, and every instance brings
+     its own slot array, snapshot and disjointness verdict — so
      code shared between instances with different region layouts can never
      leak a cached region from one instance into another. *)
   let n_cache_sites = ref 0 in
@@ -226,9 +194,9 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
     s
   in
   let[@inline] bulk_acct cx dn dc =
-    let stats = cx.inst.stats in
-    stats.Interp.insns_executed <- stats.Interp.insns_executed + dn;
-    stats.Interp.cycles <- stats.Interp.cycles + dc
+    let m = cx.inst in
+    m.Mem.insns_executed <- m.Mem.insns_executed + dn;
+    m.Mem.cycles <- m.Mem.cycles + dc
   in
   let[@inline] mark_dirty cx lo hi =
     if lo < cx.fr.Frame.dirty_lo then cx.fr.Frame.dirty_lo <- lo;
@@ -406,15 +374,15 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
           fun cx ->
             bulk_acct cx dn dc;
             let addr = Int64.add (reg cx base) off64 in
-            (match Array.unsafe_get cx.inst.rcache slot with
-            | Some r when Region.contains r addr nbytes ->
+            (match Array.unsafe_get cx.inst.Mem.rcache slot with
+            | r when Region.contains r addr nbytes ->
                 set_reg cx dst
                   (load_direct r.Region.data (Region.offset_of r addr) nbytes)
             | _ -> (
-                match Mem.find cx.inst.mem ~addr ~size:nbytes ~write:false with
+                match Mem.find cx.inst ~addr ~size:nbytes ~write:false with
                 | Some r ->
-                    if cx.inst.cache_ok && in_snapshot cx.inst r then
-                      cx.inst.rcache.(slot) <- Some r;
+                    if cx.inst.Mem.cache_ok && in_snapshot cx.inst r then
+                      cx.inst.Mem.rcache.(slot) <- r;
                     set_reg cx dst
                       (load_direct r.Region.data (Region.offset_of r addr)
                          nbytes)
@@ -428,7 +396,7 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
         else fun cx ->
           bulk_acct cx dn dc;
           let addr = Int64.add (reg cx base) off64 in
-          (match Mem.load cx.inst.mem ~addr ~size:nbytes with
+          (match Mem.load cx.inst ~addr ~size:nbytes with
           | Ok v -> set_reg cx dst v
           | Error () ->
               raise
@@ -491,16 +459,16 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
           fun cx ->
             bulk_acct cx dn dc;
             let addr = Int64.add (reg cx base) off64 in
-            (match Array.unsafe_get cx.inst.rcache slot with
-            | Some r when Region.contains r addr nbytes ->
+            (match Array.unsafe_get cx.inst.Mem.rcache slot with
+            | r when Region.contains r addr nbytes ->
                 store_direct r.Region.data (Region.offset_of r addr) nbytes
                   (read_v cx);
                 mark_checked_store cx addr nbytes
             | _ -> (
-                match Mem.find cx.inst.mem ~addr ~size:nbytes ~write:true with
+                match Mem.find cx.inst ~addr ~size:nbytes ~write:true with
                 | Some r ->
-                    if cx.inst.cache_ok && in_snapshot cx.inst r then
-                      cx.inst.rcache.(slot) <- Some r;
+                    if cx.inst.Mem.cache_ok && in_snapshot cx.inst r then
+                      cx.inst.Mem.rcache.(slot) <- r;
                     store_direct r.Region.data (Region.offset_of r addr) nbytes
                       (read_v cx);
                     mark_checked_store cx addr nbytes
@@ -514,7 +482,7 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
         else fun cx ->
           bulk_acct cx dn dc;
           let addr = Int64.add (reg cx base) off64 in
-          (match Mem.store cx.inst.mem ~addr ~size:nbytes (read_v cx) with
+          (match Mem.store cx.inst ~addr ~size:nbytes (read_v cx) with
           | Ok () -> mark_checked_store cx addr nbytes
           | Error () ->
               raise
@@ -533,10 +501,10 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
             let fn = entry.Helper.fn in
             fun cx ->
               bulk_acct cx dn dc;
-              cx.inst.stats.Interp.helper_calls <- cx.inst.stats.Interp.helper_calls + 1;
+              cx.inst.Mem.helper_calls <- cx.inst.Mem.helper_calls + 1;
               if Obs.tracing () then
                 Obs.event (fun () -> Otrace.Helper_call { id; name });
-              cx.inst.stats.Interp.cycles <- cx.inst.stats.Interp.cycles + hcost;
+              cx.inst.Mem.cycles <- cx.inst.Mem.cycles + hcost;
               let a =
                 {
                   Helper.a1 = reg cx 1;
@@ -546,7 +514,7 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
                   a5 = reg cx 5;
                 }
               in
-              (match fn cx.inst.mem a with
+              (match fn cx.inst a with
               | Ok r0 -> set_reg cx 0 r0
               | Error message ->
                   raise (Vm_fault (Fault.Helper_error { pc; id; message })));
@@ -560,13 +528,13 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
           match dest with
           | Ir.Block id ->
               fun cx ->
-                cx.inst.stats.Interp.branches_taken <-
-                  cx.inst.stats.Interp.branches_taken + 1;
+                cx.inst.Mem.branches_taken <-
+                  cx.inst.Mem.branches_taken + 1;
                 id
           | Ir.Out_of_range target ->
               fun cx ->
-                cx.inst.stats.Interp.branches_taken <-
-                  cx.inst.stats.Interp.branches_taken + 1;
+                cx.inst.Mem.branches_taken <-
+                  cx.inst.Mem.branches_taken + 1;
                 raise (Vm_fault (Fault.Fall_off_end { pc = target }))
         in
         match src with
@@ -604,7 +572,7 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
     for i = 0 to 10 do
       regs.(i) <- reg cx i
     done;
-    let outcome = Interp.resume ~pc cx.inst.interp cx.fr in
+    let outcome = Interp.resume ~pc interp cx.inst cx.fr in
     for i = 0 to 10 do
       set_reg cx i regs.(i)
     done;
@@ -648,14 +616,14 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
           | Ir.Block id ->
               fun cx ->
                 bulk_acct cx dni dci;
-                cx.inst.stats.Interp.branches_taken <-
-                  cx.inst.stats.Interp.branches_taken + 1;
+                cx.inst.Mem.branches_taken <-
+                  cx.inst.Mem.branches_taken + 1;
                 id
           | Ir.Out_of_range target ->
               fun cx ->
                 bulk_acct cx dni dci;
-                cx.inst.stats.Interp.branches_taken <-
-                  cx.inst.stats.Interp.branches_taken + 1;
+                cx.inst.Mem.branches_taken <-
+                  cx.inst.Mem.branches_taken + 1;
                 raise (Vm_fault (Fault.Fall_off_end { pc = target })))
       | Ir.Fall { dest } ->
           if tdn = 0 && tdc = 0 then fun _ -> dest
@@ -685,13 +653,13 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
       if b.Ir.branch then
         fun cx ->
           if
-            cx.inst.stats.Interp.insns_executed + w > ilimit
-            || cx.inst.stats.Interp.branches_taken >= blimit
+            cx.inst.Mem.insns_executed + w > ilimit
+            || cx.inst.Mem.branches_taken >= blimit
           then resume_decoded cx head
           else body cx
       else
         fun cx ->
-          if cx.inst.stats.Interp.insns_executed + w > ilimit then
+          if cx.inst.Mem.insns_executed + w > ilimit then
             resume_decoded cx head
           else body cx
     end
@@ -717,30 +685,29 @@ let compile_ir ~mode ~(ir : Ir.program) interp =
     Ometrics.observe m_compile_ns compile_ns;
     Ometrics.add m_ir_elided elided
   end;
-  let sh =
-    {
-      entry;
-      stack_top =
-        Int64.add config.Config.stack_vaddr
-          (Int64.of_int config.Config.stack_size);
-      stack_size;
-      ir_blocks = nblocks;
-      elided;
-      hoisted;
-      cache_sites = !n_cache_sites;
-    }
-  in
-  instantiate sh interp
+  {
+    entry;
+    interp;
+    stack_top =
+      Int64.add config.Config.stack_vaddr (Int64.of_int config.Config.stack_size);
+    stack_size;
+    ir_blocks = nblocks;
+    elided;
+    hoisted;
+    cache_sites = !n_cache_sites;
+  }
 
-let elided_count t = t.sh.elided
-let hoisted_count t = t.sh.hoisted
-let runs t = t.runs
+let cache_sites code = code.cache_sites
+let elided code = code.elided
+let elided_count t = t.code.elided
+let hoisted_count t = t.code.hoisted
+let runs t = t.instance.Mem.runs
 
 (* [reset] is the warm pool's dividend: instead of zeroing the whole
    stack it zeroes only the frame's dirty window — the stores earlier
    runs on this frame produced — then re-arms r10.  The register file
    is 88 bytes, cleared unconditionally. *)
-let reset t cx =
+let reset code cx =
   let fr = cx.fr in
   Bytes.fill cx.rf 0 88 '\000';
   if fr.Frame.dirty_hi > fr.Frame.dirty_lo then
@@ -749,7 +716,7 @@ let reset t cx =
       '\000';
   fr.Frame.dirty_lo <- max_int;
   fr.Frame.dirty_hi <- 0;
-  set64 cx.rf 80 t.sh.stack_top
+  set64 cx.rf 80 code.stack_top
 
 let[@inline] load_args cx (args : int64 array) =
   let n = Array.length args in
@@ -759,29 +726,28 @@ let[@inline] load_args cx (args : int64 array) =
   if n > 3 then set64 cx.rf 32 (Array.unsafe_get args 3);
   if n > 4 then set64 cx.rf 40 (Array.unsafe_get args 4)
 
-(* The frame's context, pointed at [t]'s state; built on the frame's
+(* The frame's context, pointed at instance [m]; built on the frame's
    first IR run. *)
-let ctx_of t (fr : Frame.t) =
+let ctx_of m (fr : Frame.t) =
   match fr.Frame.slot with
   | Some (Ctx cx) ->
-      if cx.inst != t.st then cx.inst <- t.st;
+      if cx.inst != m then cx.inst <- m;
       cx
   | _ ->
-      let cx = { rf = fr.Frame.rf; stack = fr.Frame.stack; fr; inst = t.st } in
+      let cx = { rf = fr.Frame.rf; stack = fr.Frame.stack; fr; inst = m } in
       fr.Frame.slot <- Some (Ctx cx);
       cx
 
-let exec_exn ~args t fr =
-  let cx = ctx_of t fr in
-  t.runs <- t.runs + 1;
-  reset t cx;
+let exec_exn ~args code m fr =
+  let cx = ctx_of m fr in
+  m.Mem.runs <- m.Mem.runs + 1;
+  reset code cx;
   load_args cx args;
-  let stats = t.st.stats in
-  stats.Interp.insns_executed <- 0;
-  stats.Interp.branches_taken <- 0;
-  stats.Interp.helper_calls <- 0;
-  stats.Interp.cycles <- 0;
-  t.sh.entry cx
+  m.Mem.insns_executed <- 0;
+  m.Mem.branches_taken <- 0;
+  m.Mem.helper_calls <- 0;
+  m.Mem.cycles <- 0;
+  code.entry cx
 
 (* A violated analyzer proof or unsafe escape, contained as a memory
    fault. *)
@@ -790,37 +756,38 @@ let escaped =
 
 (* [exec] and [fire] borrow a frame for the run and give it back on
    every exit path. *)
-let exec ?(args = [||]) t =
-  let interp = t.st.interp in
-  let outer = Mem.stack t.st.mem in
-  let fr = Interp.lend interp in
-  match exec_exn ~args t fr with
+let exec ~args code m =
+  let outer = Mem.stack m in
+  let fr = Interp.lend code.interp m in
+  match exec_exn ~args code m fr with
   | () ->
-      Interp.give_back interp ~outer fr;
+      Interp.give_back m ~outer fr;
       Ok (get64 fr.Frame.rf 0)
   | exception Vm_fault f ->
-      Interp.give_back interp ~outer fr;
+      Interp.give_back m ~outer fr;
       Error f
   | exception Invalid_argument _ ->
-      Interp.give_back interp ~outer fr;
+      Interp.give_back m ~outer fr;
       Error escaped
   | exception e ->
-      Interp.give_back interp ~outer fr;
+      Interp.give_back m ~outer fr;
       raise e
 
-(* [run] mirrors [Interp.run]'s observability envelope so engine-level
+let count_run (m : Mem.t) =
+  Ometrics.incr m_runs;
+  Ometrics.add m_insns m.Mem.insns_executed;
+  Ometrics.add m_branches m.Mem.branches_taken;
+  Ometrics.add m_helper_calls m.Mem.helper_calls;
+  Ometrics.add m_cycles m.Mem.cycles
+
+(* [run_on] mirrors [Interp.run]'s observability envelope so engine-level
    accounting is identical whichever tier a container runs on. *)
-let run ?(args = [||]) t =
-  if not (Obs.enabled ()) then exec ~args t
+let run_on ?(args = [||]) code m =
+  if not (Obs.enabled ()) then exec ~args code m
   else begin
     let t0 = Obs.now_ns () in
-    let outcome = exec ~args t in
-    let stats = t.st.stats in
-    Ometrics.incr m_runs;
-    Ometrics.add m_insns stats.Interp.insns_executed;
-    Ometrics.add m_branches stats.Interp.branches_taken;
-    Ometrics.add m_helper_calls stats.Interp.helper_calls;
-    Ometrics.add m_cycles stats.Interp.cycles;
+    let outcome = exec ~args code m in
+    count_run m;
     Ometrics.observe m_run_ns (Obs.now_ns () -. t0);
     (match outcome with
     | Ok _ -> ()
@@ -831,72 +798,62 @@ let run ?(args = [||]) t =
     Obs.event (fun () ->
         Otrace.Vm_run
           {
-            insns = stats.Interp.insns_executed;
-            branches = stats.Interp.branches_taken;
-            helpers = stats.Interp.helper_calls;
-            cycles = stats.Interp.cycles;
+            insns = m.Mem.insns_executed;
+            branches = m.Mem.branches_taken;
+            helpers = m.Mem.helper_calls;
+            cycles = m.Mem.cycles;
             ok = Result.is_ok outcome;
           });
     outcome
   end
 
-(* [fire] is the engine's steady-state dispatch entry: no result value is
-   constructed and only counters (plain mutable stores) are updated, so a
-   successful run of an allocation-free program performs zero minor-heap
-   allocation.  Returns [false] when the run faulted. *)
-let fire ~args t =
-  let interp = t.st.interp in
-  let outer = Mem.stack t.st.mem in
-  let fr = Interp.lend interp in
-  match exec_exn ~args t fr with
+(* [fire_on] is the engine's steady-state dispatch entry: no result value
+   is constructed and only counters (plain mutable stores) are updated,
+   so a successful run of an allocation-free program performs zero
+   minor-heap allocation.  Returns [false] when the run faulted. *)
+let fire_on ~args code m =
+  let outer = Mem.stack m in
+  let fr = Interp.lend code.interp m in
+  match exec_exn ~args code m fr with
   | () ->
-      Interp.give_back interp ~outer fr;
-      if Obs.enabled () then begin
-        let stats = t.st.stats in
-        Ometrics.incr m_runs;
-        Ometrics.add m_insns stats.Interp.insns_executed;
-        Ometrics.add m_branches stats.Interp.branches_taken;
-        Ometrics.add m_helper_calls stats.Interp.helper_calls;
-        Ometrics.add m_cycles stats.Interp.cycles
-      end;
+      Interp.give_back m ~outer fr;
+      if Obs.enabled () then count_run m;
       true
   | exception Vm_fault f ->
-      Interp.give_back interp ~outer fr;
+      Interp.give_back m ~outer fr;
       if Obs.enabled () then begin
-        let stats = t.st.stats in
-        Ometrics.incr m_runs;
-        Ometrics.add m_insns stats.Interp.insns_executed;
-        Ometrics.add m_branches stats.Interp.branches_taken;
-        Ometrics.add m_helper_calls stats.Interp.helper_calls;
-        Ometrics.add m_cycles stats.Interp.cycles;
+        count_run m;
         Ometrics.incr m_faults;
         Obs.event (fun () ->
             Otrace.Fault { kind = Fault.kind f; detail = Fault.to_string f })
       end;
       false
   | exception Invalid_argument _ ->
-      Interp.give_back interp ~outer fr;
+      Interp.give_back m ~outer fr;
       if Obs.enabled () then begin
         Ometrics.incr m_runs;
         Ometrics.incr m_faults
       end;
       false
   | exception e ->
-      Interp.give_back interp ~outer fr;
+      Interp.give_back m ~outer fr;
       raise e
+
+let run ?args t = run_on ?args t.code t.instance
+let fire ~args t = fire_on ~args t.code t.instance
 
 (* The frame the instance's last run on this domain borrowed, until the
    next run takes it. *)
-let last_frame t = Frame.last (Interp.config t.st.interp)
+let last_frame t = Frame.last (Interp.config t.code.interp)
 let result t = get64 (last_frame t).Frame.rf 0
 
-let copy_registers t dst =
-  let rf = (last_frame t).Frame.rf in
+let copy_registers code dst =
+  let rf = (Frame.last (Interp.config code.interp)).Frame.rf in
   for i = 0 to 10 do
     dst.(i) <- get64 rf (i lsl 3)
   done
 
-let ram_bytes t =
+let ram_bytes code =
   let word = Sys.word_size / 8 in
   88 (* register file, borrowed with the frame *)
-  + (t.sh.ir_blocks * word)
+  + (code.ir_blocks * word)

@@ -31,42 +31,36 @@ type stats = {
   mutable cycles : int; (* accumulated platform cycle-model cost *)
 }
 
-let fresh_stats () =
-  { insns_executed = 0; branches_taken = 0; helper_calls = 0; cycles = 0 }
-
+(* What every instance of one program shares: the decoded tier needs
+   nothing else, and the instance ([Mem.t]) holds everything a run
+   mutates. *)
 type t = {
   program : Program.t;
   config : Config.t;
-  mem : Mem.t;
   helpers : Helper.t;
   cycle_cost : Insn.kind -> int;
-  stats : stats;
 }
 
 let no_cost (_ : Insn.kind) = 0
 
-(* [create] binds the program to its memory map and statistics; nothing
-   is decoded, and no stack or register file is allocated: each run
+(* [create] binds the program to its helpers and cost model; nothing is
+   decoded, and no stack or register file is allocated: each run
    borrows those from its domain's frames ([Frame]).  The caller is
    expected to have run [Verifier.verify] first; [run] still never
    crashes the host on an unverified program — it faults instead. *)
-let create ?(config = Config.default) ?(cycle_cost = no_cost) ~helpers
-    ~regions program =
+let create ?(config = Config.default) ?(cycle_cost = no_cost) ~helpers program
+    =
+  { program; config; helpers; cycle_cost }
+
+let stats (m : Mem.t) =
   {
-    program;
-    config;
-    mem = Mem.create ~stack:Frame.unlent regions;
-    helpers;
-    cycle_cost;
-    stats = fresh_stats ();
+    insns_executed = m.Mem.insns_executed;
+    branches_taken = m.Mem.branches_taken;
+    helper_calls = m.Mem.helper_calls;
+    cycles = m.Mem.cycles;
   }
 
-let mem t = t.mem
-let stats t = t.stats
-
-(* Structural accessors for the IR backend (Compile), which shares this
-   instance's memory map and stats record so both tiers observe
-   identical state. *)
+let program t = t.program
 let config t = t.config
 let helpers t = t.helpers
 
@@ -74,27 +68,28 @@ let helpers t = t.helpers
    instance uses — VM stack and register file (the frame every run
    borrows), statistics, and its memory region table — excluding the
    shared bytecode and helper tables. *)
-let ram_bytes t =
+let ram_bytes t (m : Mem.t) =
   let word = Sys.word_size / 8 in
   let stats_struct = 5 * word in
   let region_table =
     List.fold_left
       (fun acc (_ : Region.t) -> acc + (6 * word))
-      (2 * word) (Mem.regions t.mem)
+      (2 * word) (Mem.regions m)
   in
   Frame.ram_bytes t.config + stats_struct + region_table
 
-(* [lend t] borrows a frame for one run of [t] and puts its stack in
-   [t]'s memory map; [give_back t ~outer fr] returns the frame and puts
-   back [outer], the stack slot as it was before [lend] — the unlent
-   placeholder, or the frame of an outer run of this same instance. *)
-let lend t =
+(* [lend t m] borrows a frame for one run on instance [m] and puts its
+   stack in [m]'s memory map; [give_back m ~outer fr] returns the frame
+   and puts back [outer], the stack slot as it was before [lend] — the
+   unlent placeholder, or the frame of an outer run of this same
+   instance. *)
+let lend t m =
   let fr = Frame.acquire t.config in
-  Mem.set_stack t.mem fr.Frame.region;
+  Mem.set_stack m fr.Frame.region;
   fr
 
-let give_back t ~outer fr =
-  Mem.set_stack t.mem outer;
+let give_back m ~outer fr =
+  Mem.set_stack m outer;
   Frame.release fr
 
 let mask32 v = Int64.logand v 0xFFFF_FFFFL
@@ -238,17 +233,16 @@ let condition_regs cond is64 regs ~dst ~src =
 
 exception Abort of Fault.t
 
-(* [resume ~pc t fr] runs the fully defended loop from [pc] over the
-   frame's current registers and stack and the instance's stats, and
+(* [resume ~pc t m fr] runs the fully defended loop from [pc] over the
+   frame's current registers and stack and instance [m]'s stats, and
    returns r0: budget counters compared per instruction, every memory
    access resolved through the allow-list.  It resets nothing, so the
    compiled tier can hand a partly executed run over at any instruction
    boundary. *)
-let resume ~pc t (fr : Frame.t) =
+let resume ~pc t (m : Mem.t) (fr : Frame.t) =
   let regs = fr.Frame.regs in
   let program = t.program in
   let len = Program.length program in
-  let stats = t.stats in
   let dynamic_limit = Config.dynamic_instruction_limit t.config in
   let fault f = raise (Abort f) in
   try
@@ -265,10 +259,10 @@ let resume ~pc t (fr : Frame.t) =
          verified programs; it keeps even unverified garbage contained. *)
       if dst > 10 then fault (Fault.Invalid_register { pc = p; reg = dst });
       if src > 10 then fault (Fault.Invalid_register { pc = p; reg = src });
-      stats.insns_executed <- stats.insns_executed + 1;
-      if stats.insns_executed > dynamic_limit then
-        fault (Fault.Instruction_budget_exhausted { executed = stats.insns_executed });
-      stats.cycles <- stats.cycles + t.cycle_cost kind;
+      m.Mem.insns_executed <- m.Mem.insns_executed + 1;
+      if m.Mem.insns_executed > dynamic_limit then
+        fault (Fault.Instruction_budget_exhausted { executed = m.Mem.insns_executed });
+      m.Mem.cycles <- m.Mem.cycles + t.cycle_cost kind;
       let next = ref (p + 1) in
       (match kind with
       | Insn.Alu (is64, op, source) -> (
@@ -285,7 +279,7 @@ let resume ~pc t (fr : Frame.t) =
           let off = Program.unsafe_offset program p in
           let addr = Int64.add regs.(src) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
-          match Mem.load t.mem ~addr ~size:nbytes with
+          match Mem.load m ~addr ~size:nbytes with
           | Ok v -> regs.(dst) <- v
           | Error () ->
               fault
@@ -296,7 +290,7 @@ let resume ~pc t (fr : Frame.t) =
           let addr = Int64.add regs.(dst) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
           let v = Int64.of_int (Program.unsafe_imm program p) in
-          match Mem.store t.mem ~addr ~size:nbytes v with
+          match Mem.store m ~addr ~size:nbytes v with
           | Ok () -> ()
           | Error () ->
               fault
@@ -306,7 +300,7 @@ let resume ~pc t (fr : Frame.t) =
           let off = Program.unsafe_offset program p in
           let addr = Int64.add regs.(dst) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
-          match Mem.store t.mem ~addr ~size:nbytes regs.(src) with
+          match Mem.store m ~addr ~size:nbytes regs.(src) with
           | Ok () -> ()
           | Error () ->
               fault
@@ -327,9 +321,9 @@ let resume ~pc t (fr : Frame.t) =
           | Ok v -> regs.(dst) <- v
           | Error e -> fault e)
       | Insn.Ja ->
-          stats.branches_taken <- stats.branches_taken + 1;
-          if stats.branches_taken > t.config.Config.max_branches then
-            fault (Fault.Branch_budget_exhausted { taken = stats.branches_taken });
+          m.Mem.branches_taken <- m.Mem.branches_taken + 1;
+          if m.Mem.branches_taken > t.config.Config.max_branches then
+            fault (Fault.Branch_budget_exhausted { taken = m.Mem.branches_taken });
           next := p + 1 + Program.unsafe_offset program p
       | Insn.Jcond (is64, cond, source) ->
           let src_value =
@@ -338,9 +332,9 @@ let resume ~pc t (fr : Frame.t) =
             | Opcode.Src_reg -> regs.(src)
           in
           if condition cond is64 regs.(dst) src_value then begin
-            stats.branches_taken <- stats.branches_taken + 1;
-            if stats.branches_taken > t.config.Config.max_branches then
-              fault (Fault.Branch_budget_exhausted { taken = stats.branches_taken });
+            m.Mem.branches_taken <- m.Mem.branches_taken + 1;
+            if m.Mem.branches_taken > t.config.Config.max_branches then
+              fault (Fault.Branch_budget_exhausted { taken = m.Mem.branches_taken });
             next := p + 1 + Program.unsafe_offset program p
           end
       | Insn.Call -> (
@@ -348,10 +342,10 @@ let resume ~pc t (fr : Frame.t) =
           match Helper.find t.helpers id with
           | None -> fault (Fault.Unknown_helper { pc = p; id })
           | Some entry -> (
-              stats.helper_calls <- stats.helper_calls + 1;
+              m.Mem.helper_calls <- m.Mem.helper_calls + 1;
               Obs.event (fun () ->
                   Otrace.Helper_call { id; name = entry.Helper.name });
-              stats.cycles <- stats.cycles + entry.Helper.cost_cycles;
+              m.Mem.cycles <- m.Mem.cycles + entry.Helper.cost_cycles;
               let args =
                 {
                   Helper.a1 = regs.(1);
@@ -361,7 +355,7 @@ let resume ~pc t (fr : Frame.t) =
                   a5 = regs.(5);
                 }
               in
-              match entry.Helper.fn t.mem args with
+              match entry.Helper.fn m args with
               | Ok r0 -> regs.(0) <- r0
               | Error message ->
                   fault (Fault.Helper_error { pc = p; id; message })))
@@ -375,9 +369,9 @@ let resume ~pc t (fr : Frame.t) =
 (* [exec_checked t ~args] executes the program from slot 0 with r1..r5
    preloaded from [args] and returns r0.  The container context pointer of
    the paper arrives in r1. *)
-let exec_checked ~args t =
-  let outer = Mem.stack t.mem in
-  let fr = lend t in
+let exec_checked ~args t m =
+  let outer = Mem.stack m in
+  let fr = lend t m in
   let regs = fr.Frame.regs in
   Array.fill regs 0 11 0L;
   Bytes.fill fr.Frame.stack 0 (Bytes.length fr.Frame.stack) '\000';
@@ -389,33 +383,31 @@ let exec_checked ~args t =
     Int64.add t.config.Config.stack_vaddr
       (Int64.of_int t.config.Config.stack_size);
   Array.iteri (fun i v -> if i < 5 then regs.(i + 1) <- v) args;
-  let stats = t.stats in
-  stats.insns_executed <- 0;
-  stats.branches_taken <- 0;
-  stats.helper_calls <- 0;
-  stats.cycles <- 0;
-  match resume ~pc:0 t fr with
+  m.Mem.insns_executed <- 0;
+  m.Mem.branches_taken <- 0;
+  m.Mem.helper_calls <- 0;
+  m.Mem.cycles <- 0;
+  match resume ~pc:0 t m fr with
   | outcome ->
-      give_back t ~outer fr;
+      give_back m ~outer fr;
       outcome
   | exception e ->
-      give_back t ~outer fr;
+      give_back m ~outer fr;
       raise e
 
 (* [run] = [exec_checked] plus observability: per-run counters fed from the
    stats record, a run-latency histogram, and (when tracing) Vm_run /
    Fault events into the global ring. *)
-let run ?(args = [||]) t =
-  if not (Obs.enabled ()) then exec_checked ~args t
+let run ?(args = [||]) t m =
+  if not (Obs.enabled ()) then exec_checked ~args t m
   else begin
     let t0 = Obs.now_ns () in
-    let outcome = exec_checked ~args t in
-    let stats = t.stats in
+    let outcome = exec_checked ~args t m in
     Ometrics.incr m_runs;
-    Ometrics.add m_insns stats.insns_executed;
-    Ometrics.add m_branches stats.branches_taken;
-    Ometrics.add m_helper_calls stats.helper_calls;
-    Ometrics.add m_cycles stats.cycles;
+    Ometrics.add m_insns m.Mem.insns_executed;
+    Ometrics.add m_branches m.Mem.branches_taken;
+    Ometrics.add m_helper_calls m.Mem.helper_calls;
+    Ometrics.add m_cycles m.Mem.cycles;
     Ometrics.observe m_run_ns (Obs.now_ns () -. t0);
     (match outcome with
     | Ok _ -> ()
@@ -426,10 +418,10 @@ let run ?(args = [||]) t =
     Obs.event (fun () ->
         Otrace.Vm_run
           {
-            insns = stats.insns_executed;
-            branches = stats.branches_taken;
-            helpers = stats.helper_calls;
-            cycles = stats.cycles;
+            insns = m.Mem.insns_executed;
+            branches = m.Mem.branches_taken;
+            helpers = m.Mem.helper_calls;
+            cycles = m.Mem.cycles;
             ok = Result.is_ok outcome;
           });
     outcome

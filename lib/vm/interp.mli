@@ -16,6 +16,9 @@ type stats = {
 }
 
 type t
+(** What every instance of one program shares: the program, its
+    configuration, helpers and cycle model.  An instance is a {!Mem.t}:
+    it holds everything a run mutates. *)
 
 val no_cost : Femto_ebpf.Insn.kind -> int
 
@@ -23,51 +26,49 @@ val create :
   ?config:Config.t ->
   ?cycle_cost:(Femto_ebpf.Insn.kind -> int) ->
   helpers:Helper.t ->
-  regions:Region.t list ->
   Femto_ebpf.Program.t ->
   t
-(** Bind a program to its memory map and statistics; nothing is
-    decoded and no stack or register file is allocated — every run
-    borrows a {!Frame} from its domain.  Callers should verify first;
-    [run] still never crashes the host on an unverified program — it
-    faults instead. *)
+(** Bind a program to its helpers and cost model; nothing is decoded
+    and no stack or register file is allocated — every run borrows a
+    {!Frame} from its domain.  Callers should verify first; [run] still
+    never crashes the host on an unverified program — it faults
+    instead. *)
 
-val mem : t -> Mem.t
-(** The instance's memory map.  Its stack slot holds {!Frame.unlent}
-    between runs and the lent frame's stack during one. *)
-
-val stats : t -> stats
+val stats : Mem.t -> stats
+(** A copy of the instance's statistics of its last run. *)
 
 (** {2 Structural accessors}
 
-    Used by the IR backend ([Compile]), which shares this instance's
-    memory map and stats record. *)
+    Used by the IR backend ([Compile]). *)
 
+val program : t -> Femto_ebpf.Program.t
 val config : t -> Config.t
 val helpers : t -> Helper.t
 
-val lend : t -> Frame.t
-(** Borrow a frame for one run and put its stack in the memory map.
-    Read [Mem.stack (mem t)] first: {!give_back} needs it. *)
+val lend : t -> Mem.t -> Frame.t
+(** Borrow a frame for one run of the instance and put its stack in the
+    instance's memory map.  Read [Mem.stack] first: {!give_back} needs
+    it. *)
 
-val give_back : t -> outer:Region.t -> Frame.t -> unit
+val give_back : Mem.t -> outer:Region.t -> Frame.t -> unit
 (** Return the frame and restore the stack slot to [outer], on every
     exit path of the run. *)
 
-val ram_bytes : t -> int
+val ram_bytes : t -> Mem.t -> int
 (** Per-instance RAM in the paper's Table 3 sense: the borrowed frame's
     stack and register file ({!Frame.ram_bytes}), statistics and the
     region table. *)
 
-val run : ?args:int64 array -> t -> (int64, Fault.t) result
-(** Execute from slot 0 with r1..r5 preloaded from [args]; returns r0. *)
+val run : ?args:int64 array -> t -> Mem.t -> (int64, Fault.t) result
+(** Execute the instance from slot 0 with r1..r5 preloaded from [args];
+    returns r0. *)
 
-val resume : pc:int -> t -> Frame.t -> (int64, Fault.t) result
+val resume : pc:int -> t -> Mem.t -> Frame.t -> (int64, Fault.t) result
 (** Continue a run at [pc] over the frame's registers and stack and the
-    instance's stats, without resetting any of them and without the observability envelope
-    of {!run}.  The IR tier hands a block over to this loop when the
-    block might exhaust a budget, so budget faults keep the decoded
-    interpreter's payload and partial stats. *)
+    instance's stats, without resetting any of them and without the
+    observability envelope of {!run}.  The IR tier hands a block over to
+    this loop when the block might exhaust a budget, so budget faults
+    keep the decoded interpreter's payload and partial stats. *)
 
 (** {2 Shared instruction semantics}
 

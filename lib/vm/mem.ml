@@ -1,20 +1,61 @@
-(* Runtime memory-access checking against a container's allow-list.
+(* One VM instance: its memory map and the rest of its private state.
 
    Every load/store computed by the VM resolves its (possibly
-   register-computed) address against the list; an access that no region
-   permits aborts execution — Figure 4 of the paper. *)
+   register-computed) address against the allow-list; an access that no
+   region permits aborts execution — Figure 4 of the paper. *)
+
+type shared = ..
+type shared += No_image
+type host = ..
+type host += Unbound
 
 (* The stack comes first in every scan.  Its slot is mutable because
    the VM lends each run a stack from the domain's frames (see [Frame]);
-   [regions] is the instance's own allow-list. *)
-type t = { mutable stack : Region.t; mutable regions : Region.t array }
+   [regions] is the instance's own allow-list.  The rest is what else an
+   instance owns, kept in this one record so a run reaches all of it in
+   one load. *)
+type t = {
+  shared : shared;
+  mutable host : host;
+  mutable stack : Region.t;
+  mutable regions : Region.t array;
+  snapshot : Region.t array;
+  rcache : Region.t array;
+  cache_ok : bool;
+  mutable insns_executed : int;
+  mutable branches_taken : int;
+  mutable helper_calls : int;
+  mutable cycles : int;
+  mutable runs : int;
+}
 
-let create ~stack regions = { stack; regions = Array.of_list regions }
+(* An empty inline-cache slot: a region that contains no address. *)
+let uncached = Region.make ~name:"" ~vaddr:0L ~perm:Region.Read_only Bytes.empty
+
+let create ?(shared = No_image) ?(cache_sites = 0) ?(cache_ok = false) ~stack
+    regions =
+  let regions = Array.of_list regions in
+  {
+    shared;
+    host = Unbound;
+    stack;
+    regions;
+    snapshot = regions;
+    rcache = Array.make cache_sites uncached;
+    cache_ok;
+    insns_executed = 0;
+    branches_taken = 0;
+    helper_calls = 0;
+    cycles = 0;
+    runs = 0;
+  }
+
 let regions t = t.stack :: Array.to_list t.regions
 let stack t = t.stack
 let set_stack t region = t.stack <- region
 let with_stack t stack = { t with stack }
-let raw_regions t = t.regions
+let host t = t.host
+let set_host t host = t.host <- host
 let add_region t region = t.regions <- Array.append t.regions [| region |]
 
 let permits region ~addr ~size ~write =

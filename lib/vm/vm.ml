@@ -38,44 +38,66 @@ type tier = Decoded | Ir
 let tier_name = function Decoded -> "decoded" | Ir -> "ir"
 
 (* Everything needed to spawn further instances without redoing verify /
-   analyze / compile: the program and the compiled artifact.  All fields
-   are immutable and shared by every instance spawned from the image. *)
+   analyze / compile: the decoded tier's shared descriptor and the
+   compiled artifact.  Immutable and shared by every instance spawned
+   from the image; each instance points at it through [self]. *)
 type image = {
-  i_program : Femto_ebpf.Program.t;
-  i_config : Config.t;
-  i_cycle_cost : (Femto_ebpf.Insn.kind -> int) option;
-  i_helpers : Helper.t;
-  i_code : Compile.code option;
-  i_proven : int;
-}
-
-and t = {
   interp : Interp.t;
-  compiled : Compile.t option;
-  proven : int; (* analyzer-proven accesses engaged by this instance *)
-  mutable image : image option;
-      (* filled for verified instances; the spawn template *)
+  code : Compile.code option;
+  proven : int; (* analyzer-proven accesses engaged by the instances *)
+  verified : bool; (* false for [load_unverified]: not a spawn template *)
+  self : Mem.shared; (* [Image] of this record, allocated once *)
 }
 
-let tier t = match t.compiled with Some _ -> Ir | None -> Decoded
+type Mem.shared += Image of image
 
-let emit_tier t =
+(* An instance is its one private record: stack slot, allow-list,
+   statistics, inline caches and the pointer to its image. *)
+type t = Mem.t
+
+let image_of_inst (t : t) =
+  match t.Mem.shared with
+  | Image img -> img
+  | _ -> invalid_arg "Vm: not a VM instance"
+
+let tier_of_image img = match img.code with Some _ -> Ir | None -> Decoded
+let tier t = tier_of_image (image_of_inst t)
+
+let make_image ~verified ~proven interp code =
+  let rec img = { interp; code; proven; verified; self = Image img } in
+  img
+
+(* A fresh instance of [img] over [regions] (plus the stack slot every
+   run fills with the stack it borrows).  [spawn] is the cheap path: no
+   verification, no analysis, no decode (the program is read in place),
+   no compilation (the closure graph is shared).  The instance privately
+   owns one record — stats, memory region table and inline cache slots
+   — plus its allow-list array; its stack and register files are lent
+   per run by the domain. *)
+let instantiate img regions =
+  let config = Interp.config img.interp in
+  let cache_sites =
+    match img.code with Some c -> Compile.cache_sites c | None -> 0
+  in
+  Mem.create ~shared:img.self ~cache_sites
+    ~cache_ok:(cache_sites > 0 && Compile.regions_disjoint config regions)
+    ~stack:Frame.unlent regions
+
+let spawn ?(regions = []) img =
   Obs.event (fun () ->
-      Otrace.Tier_selected { tier = tier_name (tier t); proven = t.proven })
-
-let create_interp ~config ~cycle_cost ~helpers ~regions program =
-  match cycle_cost with
-  | Some cycle_cost ->
-      Interp.create ~config ~cycle_cost ~helpers ~regions program
-  | None -> Interp.create ~config ~helpers ~regions program
+      Otrace.Tier_selected
+        { tier = tier_name (tier_of_image img); proven = img.proven });
+  instantiate img regions
 
 (* Shared constructor: the caller certifies [program] already passed
    pre-flight verification.  An [ir] selects the IR tier; [proofs] (the
    analyzer's per-pc facts, granted only to DAGs inside both budgets)
-   compile its budget guard out. *)
-let make_verified ~config ~cycle_cost ~proofs ~ir ~helpers ~regions program =
-  let interp = create_interp ~config ~cycle_cost ~helpers ~regions program in
-  let compiled =
+   compile its budget guard out.  Every verified instance doubles as a
+   spawn template: its image is just the shared artifacts built here. *)
+let make_verified ?(config = Config.default) ?cycle_cost ~proofs ~ir ~helpers
+    ~regions program =
+  let interp = Interp.create ~config ?cycle_cost ~helpers program in
+  let code =
     Option.map
       (fun ir ->
         let mode =
@@ -84,104 +106,87 @@ let make_verified ~config ~cycle_cost ~proofs ~ir ~helpers ~regions program =
         Compile.compile_ir ~mode ~ir interp)
       ir
   in
-  let proven =
-    match compiled with Some c -> Compile.elided_count c | None -> 0
-  in
-  (* Every verified instance doubles as a spawn template: the image is
-     just shared references to what was computed above, so capturing it
-     is free. *)
-  let image =
-    {
-      i_program = program;
-      i_config = config;
-      i_cycle_cost = cycle_cost;
-      i_helpers = helpers;
-      i_code = Option.map Compile.shared compiled;
-      i_proven = proven;
-    }
-  in
-  let t = { interp; compiled; proven; image = Some image } in
-  emit_tier t;
-  t
+  let proven = match code with Some c -> Compile.elided c | None -> 0 in
+  spawn ~regions (make_image ~verified:true ~proven interp code)
 
 (* [load] verifies then instantiates; a program that fails pre-flight
    checks is never instantiated. *)
-let load ?(config = Config.default) ?cycle_cost ~helpers ~regions program =
-  match Verifier.verify ~helpers config program with
+let load ?config ?cycle_cost ~helpers ~regions program =
+  let checked = Option.value config ~default:Config.default in
+  match Verifier.verify ~helpers checked program with
   | Error fault -> Error fault
   | Ok (_ : Verifier.ok) ->
       Ok
-        (make_verified ~config ~cycle_cost ~proofs:None ~ir:None ~helpers
+        (make_verified ?config ?cycle_cost ~proofs:None ~ir:None ~helpers
            ~regions program)
 
-let load_analyzed ?(config = Config.default) ?cycle_cost ?proofs ?ir ~helpers
-    ~regions program =
-  make_verified ~config ~cycle_cost ~proofs ~ir ~helpers ~regions program
+let load_analyzed ?config ?cycle_cost ?proofs ?ir ~helpers ~regions program =
+  make_verified ?config ?cycle_cost ~proofs ~ir ~helpers ~regions program
 
 (* [load_unverified] skips pre-flight checks; used by tests and benchmarks
    to demonstrate that the interpreter's defensive checks still hold.
    Always decoded: the compiled tier assumes verifier invariants. *)
-let load_unverified ?(config = Config.default) ?cycle_cost ~helpers ~regions
-    program =
-  let interp = create_interp ~config ~cycle_cost ~helpers ~regions program in
-  { interp; compiled = None; proven = 0; image = None }
+let load_unverified ?config ?cycle_cost ~helpers ~regions program =
+  let interp = Interp.create ?config ?cycle_cost ~helpers program in
+  instantiate (make_image ~verified:false ~proven:0 interp None) regions
 
 let run ?(args = [||]) t =
-  match t.compiled with
-  | Some c -> Compile.run ~args c
-  | None -> Interp.run ~args t.interp
+  let img = image_of_inst t in
+  match img.code with
+  | Some c -> Compile.run_on ~args c t
+  | None -> Interp.run ~args img.interp t
 
-let stats t = Interp.stats t.interp
-let compiled t = t.compiled
-let interp t = t.interp
-let proven_count t = t.proven
+(* The engine's warm dispatch: the compiled tier's allocation-free
+   [fire_on], or a decoded run. *)
+let fire ~args t =
+  let img = image_of_inst t in
+  match img.code with
+  | Some c -> Compile.fire_on ~args c t
+  | None -> Result.is_ok (Interp.run ~args img.interp t)
+
+let stats t = Interp.stats t
+let cycles (t : t) = t.Mem.cycles
+let runs (t : t) = t.Mem.runs
+let set_host = Mem.set_host
+
+let compiled t =
+  match (image_of_inst t).code with
+  | Some code -> Some { Compile.code; instance = t }
+  | None -> None
+
+let interp t = (image_of_inst t).interp
+let proven_count t = (image_of_inst t).proven
 
 (* An instance owns no stack or registers: a run borrows them from its
    domain's frames, and they hold that run's values until the next run
    on the domain takes the frame. *)
-let frame t = Frame.last (Interp.config t.interp)
+let frame t = Frame.last (Interp.config (interp t))
 
-let mem t =
-  Mem.with_stack (Interp.mem t.interp) (frame t).Frame.region
+let mem t = Mem.with_stack t (frame t).Frame.region
 
 (* The register file of whichever tier executed; for the compiled tier
    the frame's decoded array doubles as the snapshot buffer. *)
 let registers t =
   let regs = (frame t).Frame.regs in
-  (match t.compiled with
+  (match (image_of_inst t).code with
   | Some c -> Compile.copy_registers c regs
   | None -> ());
   regs
 
 let ram_bytes t =
-  Interp.ram_bytes t.interp
-  + (match t.compiled with Some c -> Compile.ram_bytes c | None -> 0)
+  let img = image_of_inst t in
+  Interp.ram_bytes img.interp t
+  + (match img.code with Some c -> Compile.ram_bytes c | None -> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Image / instance split.                                            *)
 
 let image_of t =
-  match t.image with
-  | Some img -> img
-  | None -> invalid_arg "Vm.image_of: instance was loaded unverified"
+  let img = image_of_inst t in
+  if img.verified then img
+  else invalid_arg "Vm.image_of: instance was loaded unverified"
 
-let image_tier img = match img.i_code with Some _ -> Ir | None -> Decoded
-let image_program img = img.i_program
-let image_proven img = img.i_proven
+let image_tier = tier_of_image
+let image_program img = Interp.program img.interp
+let image_proven img = img.proven
 
-(* [spawn] is the cheap path: no verification, no analysis, no decode
-   (the program is read in place), no compilation (the closure graph is
-   shared via [Compile.instantiate]).  The instance privately owns its
-   stats, memory-region table and inline cache slots — nothing else:
-   its stack and register files are lent per run by the domain. *)
-let spawn ?(regions = []) img =
-  let interp =
-    create_interp ~config:img.i_config ~cycle_cost:img.i_cycle_cost
-      ~helpers:img.i_helpers ~regions img.i_program
-  in
-  let compiled =
-    Option.map (fun code -> Compile.instantiate code interp) img.i_code
-  in
-  let t = { interp; compiled; proven = img.i_proven; image = Some img } in
-  emit_tier t;
-  t

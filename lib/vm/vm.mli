@@ -29,7 +29,10 @@ type tier = Decoded | Ir
 
 val tier_name : tier -> string
 
-type t
+type t = Mem.t
+(** An instance: one private record ({!Mem.t}) holding its stack slot,
+    allow-list, statistics and inline caches, and pointing at the shared
+    image it runs. *)
 
 val load :
   ?config:Config.t ->
@@ -70,7 +73,23 @@ val load_unverified :
 val run : ?args:int64 array -> t -> (int64, Fault.t) result
 (** Execute from slot 0 with r1..r5 preloaded from [args]; returns r0. *)
 
+val fire : args:int64 array -> t -> bool
+(** [run] without a result value: the compiled tier's allocation-free
+    {!Compile.fire_on}, or a decoded run.  [false] when the run
+    faulted. *)
+
 val stats : t -> Interp.stats
+(** A copy of the statistics of the instance's last run. *)
+
+val cycles : t -> int
+(** Cycle-model cost of the instance's last run. *)
+
+val runs : t -> int
+(** Compiled-tier runs of the instance. *)
+
+val set_host : t -> Mem.host -> unit
+(** Bind what the instance's helpers reach through the memory map they
+    receive. *)
 
 val mem : t -> Mem.t
 (** The instance's memory map, its stack slot showing the stack of the
@@ -96,11 +115,11 @@ val ram_bytes : t -> int
 
 (** {2 Image / instance split}
 
-    A verified instance doubles as a spawn template: {!image_of} captures
-    the whole immutable graph — program and compiled closure artifact —
-    and {!spawn} binds it to fresh private state (stats, memory map,
-    inline-cache slots) without re-verifying, re-analyzing or
-    re-compiling anything. *)
+    A verified instance doubles as a spawn template: {!image_of} returns
+    the whole immutable graph it points at — program and compiled
+    closure artifact — and {!spawn} makes a fresh private record (stats,
+    memory map, inline-cache slots) over it without re-verifying,
+    re-analyzing or re-compiling anything. *)
 
 type image
 
@@ -111,10 +130,10 @@ val image_of : t -> image
 
 val spawn : ?regions:Region.t list -> image -> t
 (** Instantiate the image over a fresh memory map ([regions], plus the
-    stack slot every run fills with the stack it borrows).  Allocates no
-    stack and no register file: a run borrows both from the frame stack
-    of the domain it runs on ({!Frame}), so a spawned instance may run on
-    any domain.  O(private state); the shared graph is untouched. *)
+    stack slot every run fills with the stack it borrows): one record
+    and its allow-list array.  Allocates no stack and no register file:
+    a run borrows both from the frame stack of the domain it runs on
+    ({!Frame}), so a spawned instance may run on any domain. *)
 
 val image_tier : image -> tier
 val image_program : image -> Femto_ebpf.Program.t

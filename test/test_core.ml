@@ -42,10 +42,10 @@ let test_kvstore_bounded () =
 (* --- kvstore: model-based properties ---
 
    Random op sequences run on a store and on a [Map] model of what the
-   store means: a Direct table, a CoW view observably equal to an eager
-   copy of its frozen parent (plus the delta quota), or a Forward store
-   that follows its current target.  The model also tracks the CoW
-   delta, since [delta_size] and [ram_bytes] bill it. *)
+   store means: a plain table, or a CoW view observably equal to an
+   eager copy of its frozen parent (plus the delta quota).  The model
+   also tracks the CoW delta, since [delta_size] and [ram_bytes] bill
+   it. *)
 
 module Kmap = Map.Make (Int32)
 
@@ -55,7 +55,6 @@ type kv_op =
   | Kv_mem of int32
   | Kv_remove of int32
   | Kv_clear
-  | Kv_retarget (* forward only: switch to the other target *)
 
 let kv_op_to_string = function
   | Kv_store (k, v) -> Printf.sprintf "store %ld %Ld" k v
@@ -63,7 +62,6 @@ let kv_op_to_string = function
   | Kv_mem k -> Printf.sprintf "mem %ld" k
   | Kv_remove k -> Printf.sprintf "remove %ld" k
   | Kv_clear -> "clear"
-  | Kv_retarget -> "retarget"
 
 (* Few distinct keys, so ops collide; the extremes of int32 included. *)
 let kv_key_gen =
@@ -76,15 +74,14 @@ let kv_value_gen =
       [ map Int64.of_int (int_range (-1000) 1000);
         oneofl [ Int64.min_int; Int64.max_int; -1L ] ])
 
-let kv_op_gen ~retarget =
+let kv_op_gen =
   QCheck.Gen.(
     frequency
-      ([ (6, map2 (fun k v -> Kv_store (k, v)) kv_key_gen kv_value_gen);
-         (3, map (fun k -> Kv_fetch k) kv_key_gen);
-         (2, map (fun k -> Kv_mem k) kv_key_gen);
-         (3, map (fun k -> Kv_remove k) kv_key_gen);
-         (1, return Kv_clear) ]
-      @ if retarget then [ (2, return Kv_retarget) ] else []))
+      [ (6, map2 (fun k v -> Kv_store (k, v)) kv_key_gen kv_value_gen);
+        (3, map (fun k -> Kv_fetch k) kv_key_gen);
+        (2, map (fun k -> Kv_mem k) kv_key_gen);
+        (3, map (fun k -> Kv_remove k) kv_key_gen);
+        (1, return Kv_clear) ])
 
 type kv_model = {
   max_entries : int;
@@ -138,16 +135,14 @@ let kv_agrees store m =
   && Kvstore.is_cow store = m.cow
 
 (* Run one op on [store] and on its model [m]; [true] when every result
-   agrees.  A full store reports the name of [owner], the store that
-   holds the entries (a forward reports its target's). *)
-let kv_step ?owner store m = function
+   agrees.  A full store reports its own name. *)
+let kv_step store m = function
   | Kv_store (k, v) ->
-      let owner = Option.value owner ~default:store in
       let expected = model_store m k v in
       (match Kvstore.store store k v with
        | Ok () -> expected
        | Error (`Store_full name) ->
-           (not expected) && String.equal name (Kvstore.name owner))
+           (not expected) && String.equal name (Kvstore.name store))
   | Kv_fetch k ->
       Kvstore.fetch store k
       = Option.value ~default:0L (Kmap.find_opt k m.logical)
@@ -160,15 +155,14 @@ let kv_step ?owner store m = function
       Kvstore.clear store;
       model_clear m;
       true
-  | Kv_retarget -> true
 
-let kv_ops_arb ~retarget =
+let kv_ops_arb =
   QCheck.make
     ~print:(fun (cap, ops) ->
       Printf.sprintf "max_entries %d: %s" cap
         (String.concat "; " (List.map kv_op_to_string ops)))
     QCheck.Gen.(
-      pair (int_range 0 5) (list_size (int_range 0 60) (kv_op_gen ~retarget)))
+      pair (int_range 0 5) (list_size (int_range 0 60) kv_op_gen))
 
 (* The device-RAM model behind the paper's tables: key (4) + value (8) +
    bookkeeping (8) per owned entry, over a fixed header. *)
@@ -176,7 +170,7 @@ let ram_formula m = (if m.cow then 40 else 24) + (20 * model_own m)
 
 let prop_kv_direct_model =
   QCheck.Test.make ~name:"kvstore: Direct = Map model" ~count:500
-    (kv_ops_arb ~retarget:false) (fun (cap, ops) ->
+    kv_ops_arb (fun (cap, ops) ->
       let store = Kvstore.create ~max_entries:cap "direct" in
       let m = kv_model cap in
       List.for_all
@@ -195,7 +189,7 @@ let prop_kv_cow_model =
                (list_size (int_range 0 5) (pair kv_key_gen kv_value_gen))
                (opt (int_range 0 3))
                (opt (int_range 0 6))))
-        (kv_ops_arb ~retarget:false))
+        kv_ops_arb)
     (fun ((seed, quota, view_max), (cap, ops)) ->
       let parent = Kvstore.create ~max_entries:(cap + 3) "base" in
       List.iter (fun (k, v) -> ignore (Kvstore.store parent k v)) seed;
@@ -215,28 +209,6 @@ let prop_kv_cow_model =
         ops
       && Kvstore.bindings parent = frozen
       && match Kvstore.parent view with Some p -> p == parent | None -> false)
-
-let prop_kv_forward_model =
-  QCheck.Test.make ~name:"kvstore: Forward follows its target across retarget"
-    ~count:500 (kv_ops_arb ~retarget:true) (fun (cap, ops) ->
-      let a = Kvstore.create ~max_entries:cap "a"
-      and b = Kvstore.create ~max_entries:(cap + 1) "b" in
-      let ma = kv_model cap and mb = kv_model (cap + 1) in
-      let fwd = Kvstore.forward ~target:a "fwd" in
-      let on_a = ref true in
-      List.for_all
-        (fun op ->
-          (match op with
-           | Kv_retarget ->
-               on_a := not !on_a;
-               Kvstore.retarget fwd (if !on_a then a else b)
-           | _ -> ());
-          let target, m = if !on_a then (a, ma) else (b, mb) in
-          kv_step ~owner:target fwd m op
-          && kv_agrees fwd m && kv_agrees target m
-          && Kvstore.ram_bytes fwd = 16)
-        ops
-      && kv_agrees a ma && kv_agrees b mb)
 
 (* --- contracts --- *)
 
@@ -857,7 +829,6 @@ let suite =
     Alcotest.test_case "kvstore bounded" `Quick test_kvstore_bounded;
     QCheck_alcotest.to_alcotest prop_kv_direct_model;
     QCheck_alcotest.to_alcotest prop_kv_cow_model;
-    QCheck_alcotest.to_alcotest prop_kv_forward_model;
     Alcotest.test_case "contract intersection" `Quick test_contract_grant_is_intersection;
     Alcotest.test_case "attach and trigger" `Quick test_attach_and_trigger;
     Alcotest.test_case "attach preserves order" `Quick

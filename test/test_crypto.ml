@@ -92,6 +92,21 @@ let test_sha256_copy_independent () =
     (Crypto.to_hex (Crypto.sha256 "common prefix right"))
     (Crypto.to_hex (Sha256.finalize ctx))
 
+let test_sha256_update_allocates_nothing () =
+  (* the firmware hash of every signed update runs this loop: no closure
+     per block, no boxed length per call *)
+  let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  let ctx = Sha256.init () in
+  Sha256.update ctx data 0 4096;
+  let w0 = Gc.minor_words () in
+  Sha256.update ctx data 0 4096;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words of a warm 4 KiB update" 0.0 words;
+  let reference = Bytes.cat data data in
+  Alcotest.(check string) "digest unchanged"
+    (Crypto.to_hex (Sha256.digest_bytes reference))
+    (Crypto.to_hex (Sha256.finalize ctx))
+
 (* RFC 4231 HMAC-SHA256 test cases. *)
 let test_hmac_vectors () =
   let check ~key ~data expected =
@@ -205,6 +220,8 @@ let suite =
     Alcotest.test_case "sha256 block boundaries" `Quick test_sha256_block_boundaries;
     Alcotest.test_case "sha256 incremental" `Quick test_sha256_incremental;
     Alcotest.test_case "sha256 copy" `Quick test_sha256_copy_independent;
+    Alcotest.test_case "sha256 update allocates nothing" `Quick
+      test_sha256_update_allocates_nothing;
     Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
     Alcotest.test_case "constant-time equal" `Quick test_constant_time_equal;
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;

@@ -230,8 +230,8 @@ let test_different_caps_different_image () =
 
 let test_spawned_instances_isolated_kv () =
   (* Two instances of one image accumulate privately: interleaved runs
-     (one hook trigger runs both, in order) must not leak writes across
-     the shared image's forward stores. *)
+     (one hook trigger runs both, in order) must not leak writes through
+     the shared image's helper table. *)
   let engine = make_engine () in
   let hook =
     Engine.register_hook engine ~uuid:"h" ~name:"iso" ~ctx_size:16 ()
@@ -284,9 +284,9 @@ let tenant_increment_source =
 
 let test_tenant_isolation_across_spawned_instances () =
   (* One shared image, instances in two tenants, interleaved on one
-     hook: the image's tenant forward store is re-pointed before every
-     run, so writes land in the running instance's tenant — never the
-     neighbour's. *)
+     hook: each run's helpers reach its own container's tenant through
+     the instance's host binding, so writes land in the running
+     instance's tenant — never the neighbour's. *)
   let engine = make_engine () in
   let hook =
     Engine.register_hook engine ~uuid:"h" ~name:"tenants" ~ctx_size:16 ()
@@ -563,6 +563,242 @@ let prop_spawn_equals_attach =
       in
       String.equal (run_via `Attach) (run_via `Spawn))
 
+(* --- QCheck: many instances of one image, interleaved --- *)
+
+(* Bumps a counter in each scope and returns the local one. *)
+let kv_counters_source =
+  {|
+    mov r1, 7
+    mov r2, r10
+    sub r2, 8
+    call bpf_fetch_local
+    ldxdw r6, [r10-8]
+    add r6, 1
+    mov r1, 7
+    mov r2, r6
+    call bpf_store_local
+    mov r1, 5
+    mov r2, r10
+    sub r2, 16
+    call bpf_fetch_tenant
+    ldxdw r7, [r10-16]
+    add r7, 1
+    mov r1, 5
+    mov r2, r7
+    call bpf_store_tenant
+    mov r1, 3
+    mov r2, r10
+    sub r2, 24
+    call bpf_fetch_global
+    ldxdw r8, [r10-24]
+    add r8, r6
+    mov r1, 3
+    mov r2, r8
+    call bpf_store_global
+    mov r0, r6
+    exit
+  |}
+
+(* n containers of one program, each on its own hook and spread over two
+   tenants, fired in [schedule] order: every run must bind the helpers
+   to its own container's stores, whether the containers were attached
+   (a helper table each) or spawned (one image, one table). *)
+let prop_interleaved_spawn_equals_attach =
+  QCheck.Test.make ~name:"interleaved instances of one image = attach (kv)"
+    ~count:100
+    QCheck.(
+      pair (int_range 2 8) (list_of_size Gen.(int_range 0 60) (int_range 0 7)))
+    (fun (n, schedule) ->
+      let program = assemble kv_counters_source in
+      let contract =
+        Contract.require
+          [ Contract.Kv_local; Contract.Kv_tenant; Contract.Kv_global ]
+      in
+      let run_via kind =
+        let engine = make_engine () in
+        let hooks =
+          Array.init n (fun i ->
+              Engine.register_hook engine ~uuid:(Printf.sprintf "h%d" i)
+                ~name:"q" ~ctx_size:8 ())
+        in
+        let containers =
+          Array.init n (fun i ->
+              let c =
+                container ~name:(Printf.sprintf "c%d" i)
+                  ~tenant_id:(if i land 1 = 0 then "even" else "odd")
+                  engine program ~contract
+              in
+              let hook_uuid = Printf.sprintf "h%d" i in
+              ignore
+                (ok_or_fail
+                   (match kind with
+                   | `Attach -> Engine.attach engine ~hook_uuid c
+                   | `Spawn -> Engine.spawn engine ~hook_uuid c));
+              c)
+        in
+        let results =
+          List.map
+            (fun i ->
+              let i = i mod n in
+              match Engine.trigger engine hooks.(i) () with
+              | [ { Engine.result = Ok v; _ } ] -> Int64.to_string v
+              | _ -> "fault")
+            schedule
+        in
+        let kv store =
+          Kvstore.bindings store
+          |> List.map (fun (k, v) -> Printf.sprintf "%ld=%Ld" k v)
+          |> String.concat ","
+        in
+        String.concat " "
+          (results
+          @ Array.to_list
+              (Array.map (fun c -> kv (Container.local_store c)) containers)
+          @ List.map
+              (fun t -> kv (Femto_core.Tenant.store t))
+              (Engine.tenants engine)
+          @ [ kv (Engine.global_store engine) ])
+      in
+      String.equal (run_via `Attach) (run_via `Spawn))
+
+(* --- image keys across domains --- *)
+
+let test_equal_programs_share_key_across_domains () =
+  (* each domain decodes its own copy of one program, as fleet shards
+     do; the per-domain digest cache must still give every copy the
+     same key, and a shared image table one image *)
+  let source = Program.to_string (assemble kv_increment_source) in
+  let contract = Contract.require [ Contract.Kv_local ] in
+  let images = Hashtbl.create 4 in
+  let spawn_copy name =
+    let program = Program.of_string (Bytes.to_string (Bytes.of_string source)) in
+    let engine = Engine.create ~images () in
+    let _hook = Engine.register_hook engine ~uuid:"h" ~name:"k" ~ctx_size:8 () in
+    let c = container ~name engine program ~contract in
+    ignore (ok_or_fail (Engine.spawn engine ~hook_uuid:"h" c));
+    Image.key_of ~runtime:Femto_platform.Platform.Fc
+      ~granted:[ Contract.Kv_local ] program
+  in
+  let on_domain name = Domain.join (Domain.spawn (fun () -> spawn_copy name)) in
+  let k0 = spawn_copy "main" in
+  let k1 = on_domain "d1" in
+  let k2 = on_domain "d2" in
+  Alcotest.(check string) "domain 1 key" k0 k1;
+  Alcotest.(check string) "domain 2 key" k0 k2;
+  Alcotest.(check int) "one image" 1 (Hashtbl.length images);
+  Alcotest.(check string) "key is the content digest"
+    (Femto_crypto.Crypto.to_hex (Femto_crypto.Crypto.sha256 source))
+    (List.hd (String.split_on_char ':' k0));
+  (* two domains keying their own copies at once agree too *)
+  let keys () =
+    let program = Program.of_string (Bytes.to_string (Bytes.of_string source)) in
+    List.init 200 (fun _ ->
+        Image.key_of ~runtime:Femto_platform.Platform.Fc ~granted:[] program)
+  in
+  let a = Domain.spawn keys and b = Domain.spawn keys in
+  let ka = Domain.join a and kb = Domain.join b in
+  Alcotest.(check bool) "concurrent keys agree" true
+    (List.for_all (String.equal (List.hd ka)) (ka @ kb))
+
+
+(* --- the private blocks of one spawned fleet device --- *)
+
+(* A block set by physical identity: [Hashtbl.hash] only picks the
+   bucket, so blocks with equal contents stay distinct. *)
+module Blocks = Hashtbl.Make (struct
+  type t = Obj.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Add to [seen] every heap block reachable from [root] that is neither
+   in [seen] nor in [stop], without descending into [stop] blocks.  A
+   closure's fields before its environment are code pointers. *)
+let walk ~stop ~seen root =
+  let todo = Stack.create () in
+  Stack.push (Obj.repr root) todo;
+  while not (Stack.is_empty todo) do
+    let v = Stack.pop todo in
+    if Obj.is_block v && (not (Blocks.mem seen v)) && not (Blocks.mem stop v)
+    then begin
+      Blocks.replace seen v ();
+      let tag = Obj.tag v in
+      let first =
+        if tag = Obj.closure_tag then
+          (Obj.obj (Obj.field v 1) : int) land ((1 lsl 55) - 1)
+        else if tag < Obj.no_scan_tag && tag <> Obj.infix_tag then 0
+        else Obj.size v
+      in
+      for i = first to Obj.size v - 1 do
+        Stack.push (Obj.field v i) todo
+      done
+    end
+  done
+
+(* The fleet's v1 firmware: bump the telemetry counter at local[1]. *)
+let fleet_v1_source =
+  {|
+    mov r1, 1
+    mov r2, r10
+    sub r2, 8
+    call bpf_fetch_local
+    ldxdw r3, [r10-8]
+    add r3, 1
+    mov r1, 1
+    mov r2, r3
+    call bpf_store_local
+    mov r0, r3
+    exit
+  |}
+
+let fleet_contract = Contract.require [ Contract.Kv_local ]
+
+(* One device as a fleet shard boots it: its own engine over its own
+   clock and the shard's image table, one hook, one tenant, the
+   firmware spawned, and one telemetry fire. *)
+let boot_fleet_device ~images ~program id =
+  let clock = Femto_rtos.Clock.create () in
+  let engine = Engine.create ~clock ~images () in
+  let hook =
+    Engine.register_hook engine ~uuid:"fleet-app" ~name:"fleet" ~ctx_size:8 ()
+  in
+  let tenant = Engine.add_tenant engine "t" in
+  let c =
+    Container.create ~name:(Printf.sprintf "d%d" id) ~tenant
+      ~contract:fleet_contract program
+  in
+  ignore (ok_or_fail (Engine.spawn engine ~hook_uuid:"fleet-app" c));
+  Alcotest.(check int) "fire ok" 0 (Engine.fire engine hook);
+  (engine, hook, c)
+
+let test_device_private_blocks () =
+  let images = Hashtbl.create 4 in
+  let program = assemble fleet_v1_source in
+  (* the first device builds the image; the next two are cache hits *)
+  let _ = boot_fleet_device ~images ~program 0 in
+  let e1, h1, c1 = boot_fleet_device ~images ~program 1 in
+  let e2, h2, c2 = boot_fleet_device ~images ~program 2 in
+  let shared = Blocks.create 4096 and none = Blocks.create 1 in
+  walk ~stop:none ~seen:shared e2;
+  walk ~stop:none ~seen:shared h2;
+  walk ~stop:none ~seen:shared c2;
+  let own = Blocks.create 64 in
+  walk ~stop:shared ~seen:own e1;
+  walk ~stop:shared ~seen:own h1;
+  walk ~stop:shared ~seen:own c1;
+  let blocks = Blocks.length own in
+  let words = Blocks.fold (fun v () acc -> acc + Obj.size v + 1) own 0 in
+  Printf.printf "private blocks per spawned device: %d (%d words)\n" blocks
+    words;
+  (* engine, clock, global and tenant stores, tenant, hook with its
+     context region and slots, container, its CoW store and buffer, the
+     VM instance record and allow-list, the host binding, the
+     [Some (Fc_instance _)] of the API, list cells and names: 23 *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d private blocks <= 23" blocks)
+    true (blocks <= 23)
+
 let () =
   Alcotest.run "spawn"
     [
@@ -592,7 +828,14 @@ let () =
           Alcotest.test_case "region caches are per-instance" `Quick
             test_region_caches_are_per_instance;
           Alcotest.test_case "footprint gauges" `Quick test_footprint_gauges;
+          Alcotest.test_case "device private blocks" `Quick
+            test_device_private_blocks;
+          Alcotest.test_case "equal programs share a key across domains"
+            `Quick test_equal_programs_share_key_across_domains;
         ] );
       ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_spawn_equals_attach ] );
+        [
+          QCheck_alcotest.to_alcotest prop_spawn_equals_attach;
+          QCheck_alcotest.to_alcotest prop_interleaved_spawn_equals_attach;
+        ] );
     ]
