@@ -289,7 +289,7 @@ let footprint_workload ws = List.find (fun w -> w.w_name = "dagsum") ws
    when [now <= was / 0.6]. *)
 let inv_fraction_key = "inv_footprint_fraction"
 
-let outcome ?fire_cold_ns rows fp =
+let outcome ~fire_cold_ns rows fp =
   {
     Family.rows =
       List.map
@@ -313,17 +313,14 @@ let outcome ?fire_cold_ns rows fp =
               ("footprint_fraction", Jsonx.Float fp.fraction);
             ];
         ]
-      @ (match fire_cold_ns with
-        | None -> []
-        | Some ns ->
+      @ [
+          Jsonx.Obj
             [
-              Jsonx.Obj
-                [
-                  ("name", Jsonx.String "spawn/fire_cold");
-                  ("instances", Jsonx.Int fire_cold_instances);
-                  ("ns_per_run", Jsonx.Float ns);
-                ];
-            ]);
+              ("name", Jsonx.String "spawn/fire_cold");
+              ("instances", Jsonx.Int fire_cold_instances);
+              ("ns_per_run", Jsonx.Float fire_cold_ns);
+            ];
+        ];
     ratios =
       List.map (fun r -> (r.name, speedup r)) rows
       @ [ (inv_fraction_key, 1.0 /. fp.fraction) ];

@@ -25,10 +25,10 @@ type t = {
       (* mutable: an image-spawned instance swaps in a copy-on-write
          view over the image's frozen baseline *)
   mutable hook_uuid : string; (* [detached] when not attached *)
-  mutable instance : instance option;
+  (* the instance, unboxed for the dispatch path: an fc instance in
+     [vm] ([no_vm] when there is none), a CertFC one in [certfc] *)
   mutable vm : Femto_vm.Vm.t;
-      (* the [Fc_instance] itself, unboxed for the dispatch path, or
-         [no_vm] *)
+  mutable certfc : Femto_certfc.Certfc.t option;
   mutable executions : int;
   mutable faults : int;
   mutable total_vm_cycles : int;
@@ -52,8 +52,8 @@ let create ~name ~tenant ~contract
     runtime;
     local_store = Kvstore.create ("local:" ^ name);
     hook_uuid = detached;
-    instance = None;
     vm = no_vm;
+    certfc = None;
     executions = 0;
     faults = 0;
     total_vm_cycles = 0;
@@ -78,41 +78,44 @@ let last_result t = t.last_result
 let local_store t = t.local_store
 let set_local_store t store = t.local_store <- store
 
+let instance t =
+  if t.vm != no_vm then Some (Fc_instance t.vm)
+  else Option.map (fun vm -> Certfc_instance vm) t.certfc
+
 (* Install [instance] (or none), with [host] bound for its helpers. *)
 let set_instance t ~host instance =
-  t.instance <- instance;
   t.vm <- no_vm;
+  t.certfc <- None;
   match instance with
   | Some (Fc_instance vm) ->
       Femto_vm.Vm.set_host vm host;
       t.vm <- vm
   | Some (Certfc_instance vm) ->
-      Femto_vm.Mem.set_host (Femto_certfc.Certfc.mem vm) host
+      Femto_vm.Mem.set_host (Femto_certfc.Certfc.mem vm) host;
+      t.certfc <- Some vm
   | None -> ()
 
+let certfc_cycles vm =
+  match Femto_certfc.Certfc.last_state vm with
+  | Some state -> state.Femto_certfc.Interp.cycles
+  | None -> 0
+
 let run_instance ?(args = [||]) t =
-  match t.instance with
-  | None -> Error (Fault.Helper_error { pc = 0; id = 0; message = "not attached" })
-  | Some (Fc_instance vm) ->
-      let result = Femto_vm.Vm.run vm ~args in
-      t.total_vm_cycles <- t.total_vm_cycles + Femto_vm.Vm.cycles vm;
-      result
-  | Some (Certfc_instance vm) ->
-      let result = Femto_certfc.Certfc.run vm ~args in
-      (match Femto_certfc.Certfc.last_state vm with
-      | Some state ->
-          t.total_vm_cycles <-
-            t.total_vm_cycles + state.Femto_certfc.Interp.cycles
-      | None -> ());
-      result
+  if t.vm != no_vm then begin
+    let result = Femto_vm.Vm.run t.vm ~args in
+    t.total_vm_cycles <- t.total_vm_cycles + Femto_vm.Vm.cycles t.vm;
+    result
+  end
+  else
+    match t.certfc with
+    | Some vm ->
+        let result = Femto_certfc.Certfc.run vm ~args in
+        t.total_vm_cycles <- t.total_vm_cycles + certfc_cycles vm;
+        result
+    | None ->
+        Error (Fault.Helper_error { pc = 0; id = 0; message = "not attached" })
 
 (* Cycles of the most recent execution only. *)
 let last_run_cycles t =
   if t.vm != no_vm then Femto_vm.Vm.cycles t.vm
-  else
-    match t.instance with
-    | Some (Certfc_instance vm) -> (
-        match Femto_certfc.Certfc.last_state vm with
-        | Some state -> state.Femto_certfc.Interp.cycles
-        | None -> 0)
-    | Some (Fc_instance _) | None -> 0
+  else match t.certfc with Some vm -> certfc_cycles vm | None -> 0

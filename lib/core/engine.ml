@@ -36,20 +36,20 @@ let m_spawns = Obs.counter "engine.spawns"
 let g_image_words = Obs.gauge "vm.image_words"
 let g_instance_words = Obs.gauge "engine.instance_words"
 
-(* Declared in [Syscall], with its comments: the helpers reach the
-   engine's facilities through a running container's host binding. *)
-type t = Syscall.engine = {
+type t = {
   platform : Platform.t;
   charge : Femto_rtos.Clock.t;
+      (* VM cycle costs are charged here: the kernel's clock, the
+         device clock of a kernel-less engine, or the engine's own
+         clock, which nothing reads *)
   kernel : Kernel.t option;
-  clock_is_time : bool;
-  global_store : Kvstore.t;
-  mutable fallback_ms : int64;
-  mutable sensors : (int * (unit -> (int64, string) result)) list;
-  mutable trace_log : int64 list;
+  facilities : Syscall.facilities; (* what the helpers reach *)
+  (* tenants and hooks are short lists in registration order: a fleet
+     device has one tenant and one hook, and a hash table would cost it
+     more than its entries *)
   mutable tenants : Tenant.t list;
   mutable hooks : Hook.t list;
-  images : (string, Image.t) Hashtbl.t;
+  images : (string, Image.t) Hashtbl.t; (* content-hash → container image *)
   mutable extra_helpers : (Contract.capability * (Helper.t -> unit)) list;
   config : Femto_vm.Config.t;
 }
@@ -70,11 +70,15 @@ let create ?(platform = Platform.cortex_m4) ?kernel ?clock ?images
     platform;
     charge;
     kernel;
-    clock_is_time = kernel = None && clock <> None;
-    global_store = Kvstore.create "global";
-    fallback_ms = 0L;
-    sensors = [];
-    trace_log = [];
+    facilities =
+      {
+        Syscall.clock = charge;
+        clock_is_time = kernel <> None || clock <> None;
+        global_store = Kvstore.create "global";
+        fallback_ms = 0L;
+        sensors = [];
+        trace_log = [];
+      };
     tenants = [];
     hooks = [];
     images = (match images with Some t -> t | None -> Hashtbl.create 8);
@@ -84,9 +88,11 @@ let create ?(platform = Platform.cortex_m4) ?kernel ?clock ?images
 
 let platform t = t.platform
 let kernel t = t.kernel
-let device_clock t = if t.clock_is_time then Some t.charge else None
-let global_store t = t.global_store
-let trace_log t = List.rev t.trace_log
+let device_clock t =
+  if t.kernel = None && t.facilities.clock_is_time then Some t.charge else None
+
+let global_store t = t.facilities.global_store
+let trace_log t = List.rev t.facilities.trace_log
 
 (* --- tenants --- *)
 
@@ -128,15 +134,19 @@ let hooks t = t.hooks
 (* --- facilities --- *)
 
 let register_sensor t ~id read =
-  t.sensors <- (id, read) :: List.remove_assoc id t.sensors
+  t.facilities.sensors <-
+    (id, read) :: List.remove_assoc id t.facilities.sensors
 
 let add_helper_installer t capability install =
   t.extra_helpers <- t.extra_helpers @ [ (capability, install) ]
 
-let advance_fallback_ms t ms = t.fallback_ms <- Int64.add t.fallback_ms ms
+let advance_fallback_ms t ms =
+  t.facilities.fallback_ms <- Int64.add t.facilities.fallback_ms ms
 
-(* What [container]'s helpers reach: the container and this engine. *)
-let host t container = Syscall.Host { container; engine = t }
+(* What [container]'s helpers reach: the container and this engine's
+   facilities. *)
+let host t container =
+  Syscall.Host { container; facilities = t.facilities }
 
 (* Capabilities granted to [container] at [hook]: contract ∩ the policy
    applying to the container's tenant (per-tenant overrides support
@@ -366,18 +376,26 @@ let image_spawns t =
   Hashtbl.fold (fun _ img acc -> acc + Image.spawns img) t.images 0
 
 (* Refresh the [vm.image_words] / [engine.instance_words] gauges with
-   one reachable-words walk each (explicit, not per-spawn: walking the
+   one reachable-words walk each (explicit, not per spawn: walking the
    heap on every spawn would dwarf the spawn itself at fleet scale).
    The instance gauge is the incremental cost of everything attached on
-   top of the shared images: walk(instances ∪ images) − walk(images). *)
+   top of what the containers share — the images, the engine's
+   facilities (which every container reaches through its host binding),
+   its tenants and its hooks' context regions:
+   walk(containers ∪ shared) − walk(shared). *)
 let update_footprint_gauges t =
   let images = cached_images t in
   let image_words = Obj.reachable_words (Obj.repr images) in
+  let shared =
+    (images, t.facilities, t.tenants, List.map Hook.ctx_region t.hooks)
+  in
+  let shared_words = Obj.reachable_words (Obj.repr shared) in
   let containers = List.concat_map Hook.attached t.hooks in
-  let total_words = Obj.reachable_words (Obj.repr (containers, images)) in
+  let total_words = Obj.reachable_words (Obj.repr (containers, shared)) in
+  let instance_words = total_words - shared_words in
   Ometrics.set g_image_words (float_of_int image_words);
-  Ometrics.set g_instance_words (float_of_int (total_words - image_words));
-  (image_words, total_words - image_words)
+  Ometrics.set g_instance_words (float_of_int instance_words);
+  (image_words, instance_words)
 
 (* --- trigger path --- *)
 

@@ -7,7 +7,7 @@
    an ungranted call faults as [Unknown_helper] at run time (and is
    already flagged by the pre-flight verifier, which checks call targets
    against the table).  A helper finds the container it serves, and its
-   engine, through the host bound to the instance's memory map
+   engine's facilities, through the host bound to the instance's memory map
    ([Host]), so one table serves every container of an image.
 
    Helper IDs are a stable ABI, grouped by capability:
@@ -60,65 +60,52 @@ let standard_names =
 
 let resolve_name name = List.assoc_opt name standard_names
 
-(* The hosting engine's state.  [Engine] owns it (as [Engine.t]); it is
-   declared here because helpers reach its facilities — the global
-   store, time, sensors and trace log — through a running container's
-   host binding. *)
-type engine = {
-  platform : Femto_platform.Platform.t;
-  charge : Femto_rtos.Clock.t;
-      (* VM cycle costs are charged here: the kernel's clock, the
-         device clock of a kernel-less engine (a fleet device owns a
-         clock but no kernel — its shard's kernel drives the wheel), or
-         the engine's own clock, which nothing reads *)
-  kernel : Femto_rtos.Kernel.t option; (* time source when present *)
-  clock_is_time : bool; (* [charge] is a device clock, read as time *)
+(* What a running container's helpers reach of its engine: the cycle
+   clock read as time, the global store, the sensors and the trace log.
+   It reaches no hook and no container, so the engine's footprint walk
+   can leave it out of what the containers own. *)
+type facilities = {
+  clock : Femto_rtos.Clock.t;
+      (* the engine's charge clock: the kernel's clock, or a device
+         clock (a fleet device owns a clock but no kernel — its shard's
+         kernel drives the wheel) *)
+  clock_is_time : bool; (* [clock] is the time source *)
   global_store : Kvstore.t;
-  mutable fallback_ms : int64; (* time source when neither is present *)
+  mutable fallback_ms : int64; (* time source when [clock] is not *)
   mutable sensors : (int * (unit -> (int64, string) result)) list;
   mutable trace_log : int64 list; (* newest first; bpf_trace output *)
-  (* tenants and hooks are short lists in registration order: a fleet
-     device has one tenant and one hook, and a hash table would cost it
-     more than its entries *)
-  mutable tenants : Tenant.t list;
-  mutable hooks : Hook.t list;
-  images : (string, Image.t) Hashtbl.t; (* content-hash → container image *)
-  mutable extra_helpers : (Contract.capability * (Helper.t -> unit)) list;
-  config : Femto_vm.Config.t;
 }
 
 (* The binding a running instance's helpers reach through the memory
-   map they receive: its container and the container's engine.  Helper
+   map they receive: its container and its engine's facilities.  Helper
    tables hold no store and no engine state, so one table — and one
    cached image — serves containers on any number of engines. *)
-type Femto_vm.Mem.host += Host of { container : Container.t; engine : engine }
+type Femto_vm.Mem.host +=
+  | Host of { container : Container.t; facilities : facilities }
 
 let unbound = Error "no container bound to this instance"
 
-let now_ms e =
-  match e.kernel with
-  | Some kernel -> Int64.of_float (Femto_rtos.Kernel.now_us kernel /. 1000.0)
-  | None ->
-      if e.clock_is_time then
-        Int64.of_float
-          (Femto_rtos.Clock.ms_of_cycles e.charge (Femto_rtos.Clock.now e.charge))
-      else e.fallback_ms
+let now_ms f =
+  if f.clock_is_time then
+    Int64.of_float
+      (Femto_rtos.Clock.ms_of_cycles f.clock (Femto_rtos.Clock.now f.clock))
+  else f.fallback_ms
 
-let ticks e =
-  match e.kernel with
-  | Some kernel -> Femto_rtos.Kernel.now kernel
-  | None ->
-      if e.clock_is_time then Femto_rtos.Clock.now e.charge
-      else Int64.mul e.fallback_ms 64_000L
+let ticks f =
+  if f.clock_is_time then Femto_rtos.Clock.now f.clock
+  else Int64.mul f.fallback_ms 64_000L
 
-let read_sensor e id =
-  match List.assoc_opt id e.sensors with
+let read_sensor f id =
+  match List.assoc_opt id f.sensors with
   | Some read -> read ()
   | None -> Error (Printf.sprintf "no sensor %d" id)
 
-let local_scope (c : Container.t) (_ : engine) = c.Container.local_store
-let tenant_scope (c : Container.t) (_ : engine) = Tenant.store c.Container.tenant
-let global_scope (_ : Container.t) e = e.global_store
+let local_scope (c : Container.t) (_ : facilities) = c.Container.local_store
+
+let tenant_scope (c : Container.t) (_ : facilities) =
+  Tenant.store c.Container.tenant
+
+let global_scope (_ : Container.t) f = f.global_store
 
 let key_of args_value = Int64.to_int32 (Int64.logand args_value 0xFFFF_FFFFL)
 
@@ -127,9 +114,9 @@ let register_kv helpers ~scope ~store_id ~fetch_id ~suffix =
     ~name:("bpf_store_" ^ suffix)
     (fun mem args ->
       match Mem.host mem with
-      | Host { container; engine } -> (
+      | Host { container; facilities } -> (
           match
-            Kvstore.store (scope container engine) (key_of args.Helper.a1)
+            Kvstore.store (scope container facilities) (key_of args.Helper.a1)
               args.Helper.a2
           with
           | Ok () -> Ok 0L
@@ -140,9 +127,9 @@ let register_kv helpers ~scope ~store_id ~fetch_id ~suffix =
     ~name:("bpf_fetch_" ^ suffix)
     (fun mem args ->
       match Mem.host mem with
-      | Host { container; engine } -> (
+      | Host { container; facilities } -> (
           let value =
-            Kvstore.fetch (scope container engine) (key_of args.Helper.a1)
+            Kvstore.fetch (scope container facilities) (key_of args.Helper.a1)
           in
           match Mem.store mem ~addr:args.Helper.a2 ~size:8 value with
           | Ok () -> Ok 0L
@@ -173,8 +160,8 @@ let build ?(extra = []) granted =
       ~name:"bpf_trace"
       (fun mem args ->
         match Mem.host mem with
-        | Host { engine; _ } ->
-            engine.trace_log <- args.Helper.a1 :: engine.trace_log;
+        | Host { facilities = f; _ } ->
+            f.trace_log <- args.Helper.a1 :: f.trace_log;
             Ok 0L
         | _ -> unbound);
   if has Contract.Time then begin
@@ -182,13 +169,13 @@ let build ?(extra = []) granted =
       ~name:"bpf_now_ms"
       (fun mem _args ->
         match Mem.host mem with
-        | Host { engine; _ } -> Ok (now_ms engine)
+        | Host { facilities; _ } -> Ok (now_ms facilities)
         | _ -> unbound);
     Helper.register helpers ~id:id_ticks ~cost_cycles:20 ~arity:0
       ~name:"bpf_ticks"
       (fun mem _args ->
         match Mem.host mem with
-        | Host { engine; _ } -> Ok (ticks engine)
+        | Host { facilities; _ } -> Ok (ticks facilities)
         | _ -> unbound)
   end;
   if has Contract.Kv_local then
@@ -205,8 +192,8 @@ let build ?(extra = []) granted =
       ~name:"bpf_saul_read"
       (fun mem args ->
         match Mem.host mem with
-        | Host { engine; _ } -> (
-            match read_sensor engine (Int64.to_int args.Helper.a1) with
+        | Host { facilities; _ } -> (
+            match read_sensor facilities (Int64.to_int args.Helper.a1) with
             | Error message -> Error message
             | Ok value -> (
                 match Mem.store mem ~addr:args.Helper.a2 ~size:8 value with

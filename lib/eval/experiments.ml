@@ -255,7 +255,7 @@ let table3 () =
                 container));
         ignore (Engine.trigger fixture.Setup.engine fixture.Setup.bench_hook ());
         let ram =
-          match container.Container.instance with
+          match Container.instance container with
           | Some (Container.Fc_instance vm) -> Femto_vm.Vm.ram_bytes vm
           | Some (Container.Certfc_instance vm) ->
               Femto_certfc.Interp.ram_bytes vm
@@ -483,7 +483,7 @@ let multi_instance () =
   let formatter, _builder, _trigger = Setup.coap_formatter_container fixture in
   let containers = [ counter; sensor; formatter ] in
   let instance_bytes container =
-    match container.Container.instance with
+    match Container.instance container with
     | Some (Container.Fc_instance vm) -> Femto_vm.Vm.ram_bytes vm
     | Some (Container.Certfc_instance vm) -> Femto_certfc.Interp.ram_bytes vm
     | None -> 0

@@ -31,4 +31,5 @@ val run : t -> (int -> unit) -> unit
     {!shutdown}. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent. *)
+(** Stop the worker domains, without waiting for them to exit.
+    Idempotent. *)

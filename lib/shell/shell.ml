@@ -153,7 +153,7 @@ let free t =
       (fun acc container ->
         acc
         +
-        match container.Container.instance with
+        match Container.instance container with
         | Some (Container.Fc_instance vm) -> Femto_vm.Vm.ram_bytes vm
         | Some (Container.Certfc_instance vm) -> Femto_certfc.Interp.ram_bytes vm
         | None -> 0)

@@ -57,5 +57,5 @@ val drain : t -> (string * (Suit.t, Suit.error) result) list
     the devices (the one that created the pipeline). *)
 
 val shutdown : t -> (string * (Suit.t, Suit.error) result) list
-(** Drain outstanding jobs, then stop and join the worker domains.
+(** Drain outstanding jobs, then stop the worker domains.
     Returns the outcomes of the final drain. *)

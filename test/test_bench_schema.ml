@@ -94,8 +94,17 @@ let spawn_fp =
   }
 
 let test_spawn_emitter () =
-  let o = Spawn_bench.outcome spawn_rows spawn_fp in
+  let o = Spawn_bench.outcome ~fire_cold_ns:750. spawn_rows spawn_fp in
   check_valid "spawn doc" (family_doc "spawn" o);
+  Alcotest.(check bool)
+    "fire_cold row" true
+    (List.exists
+       (function
+         | Jsonx.Obj fields ->
+             List.assoc_opt "name" fields
+             = Some (Jsonx.String "spawn/fire_cold")
+         | _ -> false)
+       o.rows);
   Alcotest.(check (list string)) "floors hold" [] o.failures
 
 let fleet_rows =
@@ -416,7 +425,8 @@ let test_corpus_baseline_current () =
 
 let test_spawn_baseline_current () =
   let live =
-    List.map fst (Spawn_bench.outcome spawn_rows spawn_fp).ratios
+    List.map fst
+      (Spawn_bench.outcome ~fire_cold_ns:750. spawn_rows spawn_fp).ratios
   in
   check_current "spawn" ~live
     ~required:(Spawn_bench.inv_fraction_key :: Spawn_bench.floor_gated)

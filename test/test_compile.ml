@@ -386,7 +386,7 @@ let test_engine_fire_zero_alloc () =
   | Error e -> Alcotest.fail (Engine.attach_error_to_string e));
   (* the analyzer must have proven the stack accesses, otherwise checked
      memory accesses allocate result values *)
-  (match container.Container.instance with
+  (match Container.instance container with
   | Some (Container.Fc_instance vm) ->
       Alcotest.(check bool) "compiled" true (Vm.compiled vm <> None);
       Alcotest.(check bool) "proven" true (Vm.proven_count vm > 0)
@@ -399,7 +399,7 @@ let test_engine_fire_zero_alloc () =
   let delta = Gc.minor_words () -. w0 in
   Alcotest.(check int) "no faults" 0 faults;
   Alcotest.(check (float 0.0)) "zero minor allocation" 0.0 delta;
-  (match container.Container.instance with
+  (match Container.instance container with
   | Some (Container.Fc_instance vm) -> (
       match Vm.compiled vm with
       | Some cc -> Alcotest.(check int64) "result" 20L (Compile.result cc)

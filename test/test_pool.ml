@@ -57,6 +57,18 @@ let test_shutdown_twice () =
   Pool.shutdown pool;
   Pool.shutdown pool
 
+(* [shutdown] does not join its workers, so the pool relies on an
+   exited domain freeing its slot: more pools than the runtime has
+   domain slots (128) come and go one after another. *)
+let test_pools_outnumber_slots () =
+  for _ = 1 to 160 do
+    let pool = Pool.create ~domains:2 in
+    let ran = Array.make 2 false in
+    Pool.run pool (fun i -> ran.(i) <- true);
+    Pool.shutdown pool;
+    Alcotest.(check (array bool)) "both ran" [| true; true |] ran
+  done
+
 let test_run_after_shutdown () =
   let pool = Pool.create ~domains:2 in
   Pool.shutdown pool;
@@ -79,6 +91,8 @@ let () =
             test_raise_then_reuse;
           Alcotest.test_case "create validates" `Quick test_create_validates;
           Alcotest.test_case "shutdown twice" `Quick test_shutdown_twice;
+          Alcotest.test_case "pools outnumber domain slots" `Quick
+            test_pools_outnumber_slots;
           Alcotest.test_case "run after shutdown" `Quick
             test_run_after_shutdown;
         ] );

@@ -370,6 +370,36 @@ let test_region_caches_are_per_instance () =
 
 (* --- footprint gauges --- *)
 
+(* [engine.instance_words] bills what the containers own, not the engine
+   they run on (its kernel, sensors, stores and hooks): the first spawn
+   costs about what each further spawn adds. *)
+let test_instance_words_per_spawn () =
+  let kernel = Femto_rtos.Kernel.create () in
+  let engine = Engine.create ~kernel () in
+  Engine.register_sensor engine ~id:1 (fun () -> Ok 0L);
+  let _h = Engine.register_hook engine ~uuid:"h" ~name:"g" ~ctx_size:8 () in
+  let program = assemble kv_increment_source in
+  let contract = Contract.require [ Contract.Kv_local ] in
+  let spawn i =
+    let c = container ~name:(Printf.sprintf "c%d" i) engine program ~contract in
+    ignore (ok_or_fail (Engine.spawn engine ~hook_uuid:"h" c))
+  in
+  spawn 0;
+  let _, one = Engine.update_footprint_gauges engine in
+  let n = 64 in
+  for i = 1 to n do
+    spawn i
+  done;
+  let _, all = Engine.update_footprint_gauges engine in
+  let per_spawn = (all - one) / n in
+  Printf.printf "instance words: first spawn %d, each further spawn %d\n" one
+    per_spawn;
+  Alcotest.(check bool)
+    (Printf.sprintf "first spawn %d words <= 1.5 x %d" one per_spawn)
+    true
+    (2 * one <= 3 * per_spawn)
+
+
 let test_footprint_gauges () =
   Obs.reset ();
   Obs.set_enabled true;
@@ -500,7 +530,7 @@ let exact_outcome result c =
     | Error f -> "fault:" ^ Fault.to_string f
   in
   let stats =
-    match c.Container.instance with
+    match Container.instance c with
     | Some (Container.Fc_instance vm) ->
         let s = Vm.stats vm in
         Printf.sprintf "insns=%d branches=%d helpers=%d cycles=%d"
@@ -791,13 +821,13 @@ let test_device_private_blocks () =
   let words = Blocks.fold (fun v () acc -> acc + Obj.size v + 1) own 0 in
   Printf.printf "private blocks per spawned device: %d (%d words)\n" blocks
     words;
-  (* engine, clock, global and tenant stores, tenant, hook with its
-     context region and slots, container, its CoW store and buffer, the
-     VM instance record and allow-list, the host binding, the
-     [Some (Fc_instance _)] of the API, list cells and names: 23 *)
+  (* engine and its facilities, clock, global and tenant stores,
+     tenant, hook with its context region and slots, container, its CoW
+     store and buffer, the VM instance record and allow-list, the host
+     binding, list cells and names: 22 *)
   Alcotest.(check bool)
-    (Printf.sprintf "%d private blocks <= 23" blocks)
-    true (blocks <= 23)
+    (Printf.sprintf "%d private blocks <= 22" blocks)
+    true (blocks <= 22)
 
 let () =
   Alcotest.run "spawn"
@@ -828,6 +858,8 @@ let () =
           Alcotest.test_case "region caches are per-instance" `Quick
             test_region_caches_are_per_instance;
           Alcotest.test_case "footprint gauges" `Quick test_footprint_gauges;
+          Alcotest.test_case "instance words per spawn" `Quick
+            test_instance_words_per_spawn;
           Alcotest.test_case "device private blocks" `Quick
             test_device_private_blocks;
           Alcotest.test_case "equal programs share a key across domains"
