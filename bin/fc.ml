@@ -343,14 +343,14 @@ let spawn_cmd =
             exit 1
       in
       (* the first spawn is the cache miss: verify + analyze + compile *)
-      let t0 = Unix.gettimeofday () in
+      let t0 = Femto_obs.Obs.now_ns () in
       let first = make 0 in
       spawn first;
-      let cold_us = (Unix.gettimeofday () -. t0) *. 1e6 in
+      let cold_us = (Femto_obs.Obs.now_ns () -. t0) /. 1e3 in
       let rest = List.init (count - 1) (fun i -> make (i + 1)) in
-      let t1 = Unix.gettimeofday () in
+      let t1 = Femto_obs.Obs.now_ns () in
       List.iter spawn rest;
-      let warm_us = (Unix.gettimeofday () -. t1) *. 1e6 in
+      let warm_us = (Femto_obs.Obs.now_ns () -. t1) /. 1e3 in
       let metric name =
         Femto_obs.Metrics.value (Femto_obs.Obs.counter name)
       in
@@ -549,7 +549,7 @@ let pipeline_cmd =
               () ))
     in
     let pool = Femto_suit.Pipeline.create ~domains () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Femto_obs.Obs.now_ns () in
     for seq = 1 to updates do
       List.iter
         (fun (tenant, device) ->
@@ -575,7 +575,7 @@ let pipeline_cmd =
         devices
     done;
     let results = Femto_suit.Pipeline.shutdown pool in
-    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    let elapsed_ms = (Femto_obs.Obs.now_ns () -. t0) /. 1e6 in
     let accepted =
       List.length (List.filter (fun (_, r) -> Result.is_ok r) results)
     in
@@ -838,8 +838,8 @@ let serve_cmd =
     Server.register_cached ~max_age_s:60 server ~path:"/demo/cached"
       (fun ~src:_ _ -> Server.respond ~payload:(fire ()) Message.code_content);
     let transport = Transport.create ~host ~port () in
-    Printf.printf "fc serve: CoAP on %s:%d (hook %s)\n%!" host
-      (Transport.port transport) hook;
+    Printf.printf "fc serve: CoAP on %s:%d (hook %s, messages up to %d B)\n%!"
+      host (Transport.port transport) hook Message.max_size;
     Transport.spawn transport server;
     let stop = Atomic.make false in
     (try
@@ -872,6 +872,9 @@ let serve_cmd =
                 ("tx_datagrams", Femto_obs.Jsonx.Int tstats.Transport.tx_datagrams);
                 ("tx_bytes", Femto_obs.Jsonx.Int tstats.Transport.tx_bytes);
                 ("peers", Femto_obs.Jsonx.Int (Transport.peer_count transport));
+                ("peer_evictions",
+                 Femto_obs.Jsonx.Int tstats.Transport.peer_evictions);
+                ("rx_oversize", Femto_obs.Jsonx.Int tstats.Transport.rx_oversize);
                 ("suit_accepted",
                  Femto_obs.Jsonx.Int (Femto_device.Device.suit_accepted device));
               ]))
@@ -890,7 +893,8 @@ let serve_cmd =
          "Serve a simulated Femto-Containers device over a real UDP socket: \
           CoAP resources ($(b,/hello), $(b,/demo/run), cached \
           $(b,/demo/cached)), the SUIT upload/install endpoints, discovery \
-          and container listing.")
+          and container listing.  Datagrams over one CoAP message (1152 \
+          bytes, RFC 7252) are answered 4.13 unparsed.")
     Term.(const run $ port_arg $ host_arg $ max_requests_arg $ json_arg)
 
 let get_cmd =
@@ -1026,9 +1030,9 @@ let fleet_cmd =
           loss_permille = loss;
         }
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Femto_obs.Obs.now_ns () in
       let fleet = Fleet.create config in
-      let boot_s = Unix.gettimeofday () -. t0 in
+      let boot_s = (Femto_obs.Obs.now_ns () -. t0) /. 1e9 in
       let r = Fleet.run_campaign fleet in
       let per_core =
         float_of_int r.Fleet.r_updates_ok

@@ -8,8 +8,8 @@
    Option value: a uint encoding (num << 4) | (m << 3) | szx where the
    block size is 2^(szx + 4), szx in 0..6 (16..1024 bytes). *)
 
-let opt_block2 = 23
-let opt_block1 = 27
+let opt_block2 = Message.opt_block2
+let opt_block1 = Message.opt_block1
 
 type t = { num : int; more : bool; szx : int }
 
@@ -42,19 +42,8 @@ let encode t =
     invalid_arg "Block.encode: num must fit 20 bits";
   if t.szx < 0 || t.szx > 6 then
     invalid_arg "Block.encode: szx must be in 0..6";
-  let v = (t.num lsl 4) lor ((if t.more then 1 else 0) lsl 3) lor t.szx in
-  if v = 0 then ""
-  else if v < 0x100 then String.make 1 (Char.chr v)
-  else if v < 0x10000 then
-    let b = Bytes.create 2 in
-    Bytes.set_uint16_be b 0 v;
-    Bytes.to_string b
-  else begin
-    let b = Bytes.create 3 in
-    Bytes.set_uint8 b 0 ((v lsr 16) land 0xff);
-    Bytes.set_uint16_be b 1 (v land 0xffff);
-    Bytes.to_string b
-  end
+  Message.uint_value
+    ((t.num lsl 4) lor ((if t.more then 1 else 0) lsl 3) lor t.szx)
 
 let decode value =
   if String.length value > 3 then None
@@ -67,10 +56,16 @@ let decode value =
 
 let to_option ~number t = (number, encode t)
 
+(* The first option [number] whose value decodes. *)
+let rec first_valid number = function
+  | [] -> None
+  | (n, v) :: rest -> (
+      match if n = number then decode v else None with
+      | Some _ as block -> block
+      | None -> first_valid number rest)
+
 let of_message ~number (message : Message.t) =
-  List.find_map
-    (fun (n, v) -> if n = number then decode v else None)
-    message.Message.options
+  first_valid number message.Message.options
 
 (* Slice [payload] for block [num] of [size] bytes; returns the chunk and
    whether more blocks follow. *)

@@ -52,6 +52,7 @@ let opt_uri_path = 11
 let opt_content_format = 12
 let opt_max_age = 14
 let opt_uri_query = 15
+let opt_size1 = 60 (* RFC 7959 §4 *)
 
 type t = {
   msg_type : msg_type;
@@ -66,6 +67,15 @@ exception Parse_error of string
 
 let parse_error fmt = Format.kasprintf (fun m -> raise (Parse_error m)) fmt
 
+let rec sorted = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a <= b && sorted rest
+  | [ _ ] | [] -> true
+
+(* Options in number order, stable for repeated numbers. *)
+let sort_options options =
+  if sorted options then options
+  else List.stable_sort (fun (a, _) (b, _) -> compare a b) options
+
 let make ?(msg_type = Confirmable) ?(token = "") ?(options = []) ?(payload = "")
     ~code ~message_id () =
   {
@@ -73,14 +83,17 @@ let make ?(msg_type = Confirmable) ?(token = "") ?(options = []) ?(payload = "")
     code;
     message_id;
     token;
-    options = List.stable_sort (fun (a, _) (b, _) -> compare a b) options;
+    options = sort_options options;
     payload;
   }
 
-let uri_path t =
-  List.filter_map (fun (n, v) -> if n = opt_uri_path then Some v else None) t.options
+let uri_path_of options =
+  List.filter_map (fun (n, v) -> if n = opt_uri_path then Some v else None) options
 
-let path_string t = "/" ^ String.concat "/" (uri_path t)
+let uri_path t = uri_path_of t.options
+let path_of_options options = "/" ^ String.concat "/" (uri_path_of options)
+
+let path_string t = path_of_options t.options
 
 (* RFC 7641: the Observe option as a uint (register = 0, deregister = 1;
    in notifications, a sequence number). *)
@@ -92,20 +105,24 @@ let observe t =
       else None)
     t.options
 
-let observe_option v =
-  if v = 0 then (opt_observe, "")
-  else if v < 0x100 then (opt_observe, String.make 1 (Char.chr v))
-  else if v < 0x10000 then
-    ( opt_observe,
-      let b = Bytes.create 2 in
-      Bytes.set_uint16_be b 0 v;
-      Bytes.to_string b )
-  else
-    ( opt_observe,
-      let b = Bytes.create 3 in
-      Bytes.set_uint8 b 0 ((v lsr 16) land 0xff);
-      Bytes.set_uint16_be b 1 (v land 0xffff);
-      Bytes.to_string b )
+(* A uint option value (RFC 7252 §3.2): big-endian, no leading zero
+   bytes, at most 4. *)
+let uint_value v =
+  let n =
+    if v = 0 then 0
+    else if v < 0x100 then 1
+    else if v < 0x10000 then 2
+    else if v < 0x1000000 then 3
+    else 4
+  in
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.set_uint8 b i ((v lsr (8 * (n - 1 - i))) land 0xff)
+  done;
+  Bytes.unsafe_to_string b
+
+(* RFC 7641 §4.4: sequence numbers are 24 bits and wrap. *)
+let observe_option v = (opt_observe, uint_value (v land 0xFFFFFF))
 
 let content_format t =
   List.find_map
@@ -132,144 +149,270 @@ let max_age t =
       else None)
     t.options
 
-let max_age_option v =
-  if v = 0 then (opt_max_age, "")
-  else if v < 0x100 then (opt_max_age, String.make 1 (Char.chr v))
-  else
-    ( opt_max_age,
-      let b = Bytes.create 2 in
-      Bytes.set_uint16_be b 0 (v land 0xFFFF);
-      Bytes.to_string b )
+let max_age_option v = (opt_max_age, uint_value (v land 0xFFFFFFFF))
 
-let content_format_option fmt =
-  if fmt = 0 then (opt_content_format, "")
-  else if fmt < 256 then (opt_content_format, String.make 1 (Char.chr fmt))
-  else
-    ( opt_content_format,
-      let b = Bytes.create 2 in
-      Bytes.set_uint16_be b 0 fmt;
-      Bytes.to_string b )
+let content_format_option fmt = (opt_content_format, uint_value fmt)
 
 (* --- encoding --- *)
 
-let encode_option_header buf ~delta ~length =
-  let nibble v = if v < 13 then v else if v < 269 then 13 else 14 in
-  let dn = nibble delta and ln = nibble length in
-  Buffer.add_char buf (Char.chr ((dn lsl 4) lor ln));
-  let extend v n =
-    if n = 13 then Buffer.add_char buf (Char.chr (v - 13))
-    else if n = 14 then begin
-      let b = Bytes.create 2 in
-      Bytes.set_uint16_be b 0 (v - 269);
-      Buffer.add_bytes buf b
-    end
-  in
-  extend delta dn;
-  extend length ln
+(* RFC 7252 §4.6: with no known path MTU a message must fit 1 152 bytes,
+   the bound every receive buffer here is sized to. *)
+let max_size = 1152
 
-(* [encode_into buf t] appends the wire form to [buf] — the transport's
-   zero-copy reply path reuses one scratch buffer per datagram instead
-   of allocating a fresh one per response. *)
-let encode_into buf t =
-  let tkl = String.length t.token in
-  if tkl > 8 then invalid_arg "CoAP token longer than 8 bytes";
-  Buffer.add_char buf (Char.chr ((1 lsl 6) lor (msg_type_code t.msg_type lsl 4) lor tkl));
-  Buffer.add_char buf (Char.chr (code_to_int t.code));
-  let mid = Bytes.create 2 in
-  Bytes.set_uint16_be mid 0 (t.message_id land 0xFFFF);
-  Buffer.add_bytes buf mid;
-  Buffer.add_string buf t.token;
-  let previous = ref 0 in
-  List.iter
-    (fun (number, value) ->
-      encode_option_header buf ~delta:(number - !previous)
-        ~length:(String.length value);
-      Buffer.add_string buf value;
-      previous := number)
-    t.options;
-  if t.payload <> "" then begin
-    Buffer.add_char buf '\xff';
-    Buffer.add_string buf t.payload
+let nibble v = if v < 13 then v else if v < 269 then 13 else 14
+let ext_bytes n = if n = 13 then 1 else if n = 14 then 2 else 0
+
+(* Bytes of an option header: the nibble byte plus extended delta and
+   length. *)
+let option_header_size ~delta ~length =
+  1 + ext_bytes (nibble delta) + ext_bytes (nibble length)
+
+let write_ext b pos v n =
+  if n = 13 then Bytes.set_uint8 b pos (v - 13)
+  else if n = 14 then Bytes.set_uint16_be b pos (v - 269)
+
+(* Write an option header at [pos]; returns where its value goes. *)
+let write_option_header b pos ~delta ~length =
+  let dn = nibble delta and ln = nibble length in
+  Bytes.set_uint8 b pos ((dn lsl 4) lor ln);
+  write_ext b (pos + 1) delta dn;
+  write_ext b (pos + 1 + ext_bytes dn) length ln;
+  pos + 1 + ext_bytes dn + ext_bytes ln
+
+let rec options_size previous = function
+  | [] -> 0
+  | (number, value) :: rest ->
+      let length = String.length value in
+      option_header_size ~delta:(number - previous) ~length
+      + length + options_size number rest
+
+let rec write_options b pos previous = function
+  | [] -> pos
+  | (number, value) :: rest ->
+      let length = String.length value in
+      let pos = write_option_header b pos ~delta:(number - previous) ~length in
+      Bytes.blit_string value 0 b pos length;
+      write_options b (pos + length) number rest
+
+(* Options, marker and payload: everything after the token. *)
+let tail_size options payload =
+  options_size 0 options
+  + if payload = "" then 0 else 1 + String.length payload
+
+let write_tail b pos options payload =
+  let pos = write_options b pos 0 options in
+  if payload <> "" then begin
+    Bytes.set b pos '\xff';
+    Bytes.blit_string payload 0 b (pos + 1) (String.length payload)
   end
 
+let write_header b ~type_code ~tkl ~code ~message_id =
+  Bytes.set_uint8 b 0 ((1 lsl 6) lor (type_code lsl 4) lor tkl);
+  Bytes.set_uint8 b 1 code;
+  Bytes.set_uint16_be b 2 (message_id land 0xFFFF)
+
 let encode t =
-  let buf = Buffer.create 32 in
-  encode_into buf t;
-  Buffer.to_bytes buf
+  let tkl = String.length t.token in
+  if tkl > 8 then invalid_arg "CoAP token longer than 8 bytes";
+  let b = Bytes.create (4 + tkl + tail_size t.options t.payload) in
+  write_header b ~type_code:(msg_type_code t.msg_type) ~tkl
+    ~code:(code_to_int t.code) ~message_id:t.message_id;
+  Bytes.blit_string t.token 0 b 4 tkl;
+  write_tail b (4 + tkl) t.options t.payload;
+  b
 
-(* --- decoding --- *)
+let encode_into buf t = Buffer.add_bytes buf (encode t)
 
-(* [decode_sub data ~off ~len] parses a message in place from a slice of
-   [data] — the transport's receive path hands in its one reused recv
-   buffer, so nothing is copied until a field (token, option value,
-   payload) is actually materialised. *)
-let decode_sub data ~off ~len =
+(* --- decoding, in place --- *)
+
+(* A validated message inside a byte buffer: offsets only, nothing
+   copied.  The fields a server dispatches on (the Block1/Block2 values
+   and the Observe value, each -1 when absent) are read while the
+   options are validated. *)
+type view = {
+  data : bytes;
+  off : int;
+  stop : int;
+  opts : int;
+  body : int;
+  block1 : int;
+  block2 : int;
+  observe_value : int;
+}
+
+let opt_block2 = 23
+let opt_block1 = 27
+
+(* The fields of the option whose header byte is at [pos], read in
+   place; only valid once [option_end] accepted the option. *)
+let ext_value data at n =
+  if n < 13 then n
+  else if n = 13 then 13 + Bytes.get_uint8 data at
+  else 269 + Bytes.get_uint16_be data at
+
+let option_delta data pos =
+  ext_value data (pos + 1) (Bytes.get_uint8 data pos lsr 4)
+
+let option_value_off data pos =
+  let h = Bytes.get_uint8 data pos in
+  pos + 1 + ext_bytes (h lsr 4) + ext_bytes (h land 0x0f)
+
+let option_length data pos =
+  let h = Bytes.get_uint8 data pos in
+  ext_value data (pos + 1 + ext_bytes (h lsr 4)) (h land 0x0f)
+
+(* Where the option at [pos] ends; Parse_error when it is malformed or
+   runs past [stop]. *)
+let option_end data ~stop pos =
+  let h = Bytes.get_uint8 data pos in
+  if h lsr 4 = 15 || h land 0x0f = 15 then
+    parse_error "reserved option nibble 15";
+  let value = option_value_off data pos in
+  if value > stop then parse_error "truncated option";
+  let e = value + option_length data pos in
+  if e > stop then parse_error "truncated option value";
+  e
+
+(* A big-endian uint of up to 3 bytes (the Block and Observe values). *)
+let uint3 data off len =
+  if len = 0 then 0
+  else if len = 1 then Bytes.get_uint8 data off
+  else if len = 2 then Bytes.get_uint16_be data off
+  else (Bytes.get_uint8 data off lsl 16) lor Bytes.get_uint16_be data (off + 1)
+
+(* A Block value is valid when it fits 3 bytes and its szx is not the
+   reserved 7 (RFC 7959 §2.2); the first valid one counts. *)
+let block_value data voff vlen current =
+  if current >= 0 || vlen > 3 then current
+  else
+    let v = uint3 data voff vlen in
+    if v land 7 = 7 then current else v
+
+let rec scan_options data ~off ~stop ~opts pos previous block1 block2 observe =
+  if pos >= stop || Bytes.get_uint8 data pos = 0xff then begin
+    if pos < stop && pos + 1 >= stop then
+      parse_error "payload marker with empty payload";
+    let body = if pos < stop then pos + 1 else stop in
+    { data; off; stop; opts; body; block1; block2; observe_value = observe }
+  end
+  else begin
+    let next = option_end data ~stop pos in
+    let number = previous + option_delta data pos in
+    let voff = option_value_off data pos in
+    let vlen = next - voff in
+    let block1 =
+      if number = opt_block1 then block_value data voff vlen block1 else block1
+    and block2 =
+      if number = opt_block2 then block_value data voff vlen block2 else block2
+    and observe =
+      (* RFC 7641: 0-3 bytes; a longer value is neither register nor
+         deregister *)
+      if number <> opt_observe || observe <> -1 then observe
+      else if vlen > 3 then 2
+      else uint3 data voff vlen
+    in
+    scan_options data ~off ~stop ~opts next number block1 block2 observe
+  end
+
+let scan data ~off ~len =
   if len < 4 then parse_error "message shorter than header";
   if off < 0 || off + len > Bytes.length data then
     parse_error "slice out of bounds";
-  let at i = Char.code (Bytes.unsafe_get data (off + i)) in
-  let b0 = at 0 in
-  let version = b0 lsr 6 in
-  if version <> 1 then parse_error "bad version %d" version;
-  let msg_type = msg_type_of_code ((b0 lsr 4) land 0x3) in
+  let b0 = Bytes.get_uint8 data off in
+  if b0 lsr 6 <> 1 then parse_error "bad version %d" (b0 lsr 6);
   let tkl = b0 land 0x0f in
   if tkl > 8 then parse_error "token length %d > 8" tkl;
   if 4 + tkl > len then parse_error "truncated token";
-  let code = code_of_int (at 1) in
-  let message_id = (at 2 lsl 8) lor at 3 in
-  let token = Bytes.sub_string data (off + 4) tkl in
-  let pos = ref (4 + tkl) in
-  let options = ref [] in
-  let previous = ref 0 in
-  let payload = ref "" in
-  let byte () =
-    if !pos >= len then parse_error "truncated option";
-    let c = at !pos in
-    incr pos;
-    c
-  in
-  let extended v =
-    if v < 13 then v
-    else if v = 13 then 13 + byte ()
-    else if v = 14 then begin
-      let high = byte () in
-      269 + ((high lsl 8) lor byte ())
-    end
-    else parse_error "reserved option nibble 15"
-  in
-  let rec loop () =
-    if !pos >= len then ()
-    else begin
-      let initial = byte () in
-      if initial = 0xff then begin
-        if !pos >= len then parse_error "payload marker with empty payload";
-        payload := Bytes.sub_string data (off + !pos) (len - !pos);
-        pos := len
-      end
-      else begin
-        let delta = extended (initial lsr 4) in
-        let length = extended (initial land 0x0f) in
-        if !pos + length > len then parse_error "truncated option value";
-        let value = Bytes.sub_string data (off + !pos) length in
-        pos := !pos + length;
-        let number = !previous + delta in
-        previous := number;
-        options := (number, value) :: !options;
-        loop ()
-      end
-    end
-  in
-  loop ();
+  let opts = off + 4 + tkl in
+  scan_options data ~off ~stop:(off + len) ~opts opts 0 (-1) (-1) (-1)
+
+let view_type_code v = (Bytes.get_uint8 v.data v.off lsr 4) land 0x3
+let view_code v = Bytes.get_uint8 v.data (v.off + 1)
+let view_message_id v = Bytes.get_uint16_be v.data (v.off + 2)
+let view_token_length v = Bytes.get_uint8 v.data v.off land 0x0f
+let view_payload v = Bytes.sub_string v.data v.body (v.stop - v.body)
+let view_token v = Bytes.sub_string v.data (v.off + 4) (view_token_length v)
+
+let rec options_of_view data ~stop pos previous =
+  if pos >= stop || Bytes.get_uint8 data pos = 0xff then []
+  else begin
+    let number = previous + option_delta data pos in
+    let voff = option_value_off data pos in
+    let vlen = option_length data pos in
+    (number, Bytes.sub_string data voff vlen)
+    :: options_of_view data ~stop (voff + vlen) number
+  end
+
+let message v =
+  let data = v.data in
   {
-    msg_type;
-    code;
-    message_id;
-    token;
-    options = List.rev !options;
-    payload = !payload;
+    msg_type = msg_type_of_code (view_type_code v);
+    code = code_of_int (view_code v);
+    message_id = view_message_id v;
+    token = view_token v;
+    options = options_of_view data ~stop:v.stop v.opts 0;
+    payload = view_payload v;
   }
 
+let decode_sub data ~off ~len = message (scan data ~off ~len)
 let decode data = decode_sub data ~off:0 ~len:(Bytes.length data)
+
+(* Whether [path] equals the request's [path_string] — "/" and its
+   Uri-Path options joined by "/" — compared in place.  Options are
+   sorted, so the walk stops at the first number past Uri-Path. *)
+let rec same_bytes data voff path at n =
+  n = 0
+  || Bytes.unsafe_get data voff = String.unsafe_get path at
+     && same_bytes data (voff + 1) path (at + 1) (n - 1)
+
+let path_end path at =
+  if at = 0 then String.equal path "/" else at = String.length path
+
+let rec path_walk data ~stop path pos previous at =
+  if pos >= stop || Bytes.get_uint8 data pos = 0xff then path_end path at
+  else begin
+    let number = previous + option_delta data pos in
+    let voff = option_value_off data pos in
+    let vlen = option_length data pos in
+    if number > opt_uri_path then path_end path at
+    else if number < opt_uri_path then
+      path_walk data ~stop path (voff + vlen) number at
+    else
+      at + 1 + vlen <= String.length path
+      && String.unsafe_get path at = '/'
+      && same_bytes data voff path (at + 1) vlen
+      && path_walk data ~stop path (voff + vlen) number (at + 1 + vlen)
+  end
+
+let path_matches v path = path_walk v.data ~stop:v.stop path v.opts 0 0
+
+let view_path v =
+  path_of_options (options_of_view v.data ~stop:v.stop v.opts 0)
+
+(* --- replies, written in front of the request's own header --- *)
+
+(* A piggybacked reply to the request [v] views: ACK for a CON, NON for
+   a NON, with its message id and token; the caller writes the
+   [tail_len] bytes after the token. *)
+let reply_frame v ~code ~tail_len =
+  let tkl = view_token_length v in
+  let b = Bytes.create (4 + tkl + tail_len) in
+  write_header b
+    ~type_code:(if view_type_code v = 0 then 2 else 1)
+    ~tkl ~code ~message_id:(view_message_id v);
+  Bytes.blit v.data (v.off + 4) b 4 tkl;
+  b
+
+let reply_tail v ~code tail =
+  let b = reply_frame v ~code ~tail_len:(Bytes.length tail) in
+  Bytes.blit tail 0 b (Bytes.length b - Bytes.length tail) (Bytes.length tail);
+  b
+
+let reply v ~code ~options ~payload =
+  let options = sort_options options in
+  let b = reply_frame v ~code:(code_to_int code) ~tail_len:(tail_size options payload) in
+  write_tail b (4 + view_token_length v) options payload;
+  b
 
 let equal a b =
   a.msg_type = b.msg_type && a.code = b.code && a.message_id = b.message_id

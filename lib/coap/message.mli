@@ -39,6 +39,9 @@ val opt_content_format : int
 val opt_max_age : int
 val opt_uri_query : int
 
+val opt_size1 : int
+(** RFC 7959 Size1: with a 4.13, the largest request size accepted. *)
+
 type t = {
   msg_type : msg_type;
   code : int * int;
@@ -68,6 +71,10 @@ val observe : t -> int option
 (** The RFC 7641 Observe option (0 register, 1 deregister, else a
     notification sequence number). *)
 
+val uint_value : int -> string
+(** A uint option value (RFC 7252 §3.2): big-endian, no leading zero
+    bytes; [0 <= v < 2^32]. *)
+
 val observe_option : int -> int * string
 val options_of_path : string -> (int * string) list
 val content_format_option : int -> int * string
@@ -79,20 +86,77 @@ val max_age : t -> int option
 (** The Max-Age option as a uint (RFC 7252 §5.10.5). *)
 
 val max_age_option : int -> int * string
+(** Up to 4 bytes, as RFC 7252 allows (2^32 - 1 s). *)
+
+val max_size : int
+(** RFC 7252 §4.6: 1 152 bytes, the largest message this stack receives
+    when no path MTU is known. *)
 
 val encode : t -> bytes
 
 val encode_into : Buffer.t -> t -> unit
-(** Append the wire form to a caller-owned scratch buffer — the
-    transport's reply path reuses one buffer across datagrams. *)
+(** Append the wire form to a caller-owned buffer. *)
 
 val decode : bytes -> t
 (** Raises {!Parse_error} on malformed input. *)
 
 val decode_sub : bytes -> off:int -> len:int -> t
 (** Parse a message from a slice of [data] in place (no upfront copy of
-    the datagram); the transport's receive path hands in its reused recv
-    buffer.  Raises {!Parse_error} on malformed input. *)
+    the datagram).  Raises {!Parse_error} on malformed input. *)
+
+(** {2 In-place requests}
+
+    A server dispatches on a validated message without copying it: a
+    view holds offsets into the receive buffer, and a reply is written
+    in front of a tail the server already holds encoded. *)
+
+val opt_block1 : int
+val opt_block2 : int
+
+type view = private {
+  data : bytes;
+  off : int;  (** message start *)
+  stop : int;  (** message end *)
+  opts : int;  (** first option byte *)
+  body : int;  (** payload start; [stop] when there is none *)
+  block1 : int;  (** first valid Block1 value (RFC 7959), or -1 *)
+  block2 : int;  (** first valid Block2 value, or -1 *)
+  observe_value : int;
+      (** first Observe value, or -1; a value longer than 3 bytes reads
+          as 2 (neither register nor deregister) *)
+}
+
+val scan : bytes -> off:int -> len:int -> view
+(** Validate a message exactly as {!decode_sub} does (same
+    {!Parse_error}s) without building it. *)
+
+val message : view -> t
+(** The decoded message: [decode_sub] is [message (scan ...)]. *)
+
+val view_type_code : view -> int
+(** 0 CON, 1 NON, 2 ACK, 3 RST. *)
+
+val view_code : view -> int
+val view_message_id : view -> int
+val view_payload : view -> string
+val view_token : view -> string
+
+val path_matches : view -> string -> bool
+(** [path_matches v p] is [path_string (message v) = p], compared in
+    place. *)
+
+val view_path : view -> string
+(** [path_string (message v)]. *)
+
+val reply :
+  view -> code:int * int -> options:(int * string) list -> payload:string -> bytes
+(** The piggybacked reply to a request (ACK for CON, NON for NON) with
+    its message id and token: [encode] of the same message, without
+    building it first. *)
+
+val reply_tail : view -> code:int -> bytes -> bytes
+(** A reply whose options and payload are [tail], already encoded (the
+    bytes after the token of an encoded message). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

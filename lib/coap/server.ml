@@ -9,7 +9,14 @@
    {!handle_datagram} and emits replies through a swappable [send]
    function.  [create] wires it to a simulated-network node; the Unix
    transport ({!Transport}) attaches the same server to a real UDP
-   socket, so one set of handlers/sinks serves both worlds. *)
+   socket, so one set of handlers/sinks serves both worlds.
+
+   A datagram is validated in place ({!Message.scan}) and only decoded
+   into a {!Message.t} when a handler runs: a cached GET and a Block1
+   2.31 continue are answered by writing the request's header and token
+   in front of an encoded tail.  All per-peer state sits in fixed-size
+   tables that evict their oldest entry, so no number of peers grows
+   the server. *)
 
 module Network = Femto_net.Network
 module Obs = Femto_obs.Obs
@@ -25,6 +32,9 @@ let m_retransmissions = Obs.counter "coap.retransmissions"
 let m_notifications = Obs.counter "coap.notifications"
 let m_notify_encodes = Obs.counter "coap.notify_encodes"
 let m_dedupe_evictions = Obs.counter "coap.dedupe_evictions"
+let m_upload_evictions = Obs.counter "coap.upload_evictions"
+let m_download_evictions = Obs.counter "coap.download_evictions"
+let m_observer_evictions = Obs.counter "coap.observer_evictions"
 let m_cache_hits = Obs.counter "coap.cache_hits"
 let m_cache_misses = Obs.counter "coap.cache_misses"
 
@@ -52,369 +62,565 @@ type resource =
   | Upload of sink
   | Cached of { handler : handler; max_age_s : int }
 
-(* One fresh entry per cached path: the fully-optioned response (ETag +
-   Max-Age included) plus its wall-clock expiry. *)
-type cache_entry = { ce_response : response; ce_expires : float }
+(* A fresh cached GET response: the response itself (replies that add
+   options to it, Observe or Block2, start from there), its options and
+   payload encoded once, and its expiry on the server's clock. *)
+type cache_entry = { ce_response : response; ce_tail : bytes; ce_expires : float }
+
+type route = {
+  path : string;
+  mutable resource : resource;
+  mutable cached : cache_entry option;
+}
+
+let upload_capacity = 8
+let download_capacity = 8
+let observer_capacity = 128
+
+(* State a peer opens and may abandon: partial uploads, pending Block2
+   downloads, observe registrations.  Entries keyed by (source, path,
+   tag) in slots grown on demand up to a fixed capacity; when every
+   slot is taken the oldest entry is evicted, so the table never grows
+   with the number of peers, and an unused one costs nothing. *)
+module Table = struct
+  type 'a entry = {
+    src : int;
+    path : string;
+    tag : string;
+    mutable value : 'a;
+    age : int; (* insertion order *)
+  }
+
+  type 'a t = {
+    capacity : int;
+    mutable slots : 'a entry option array; (* None: a free slot *)
+    mutable clock : int;
+    mutable evictions : int;
+    metric : Ometrics.counter;
+  }
+
+  let create capacity metric =
+    { capacity; slots = [||]; clock = 0; evictions = 0; metric }
+
+  let entry t i =
+    match t.slots.(i) with Some e -> e | None -> invalid_arg "Table.entry"
+
+  let remove t i = t.slots.(i) <- None
+
+  (* The slot of [src]'s entry for the request's path, or -1. *)
+  let rec find_request t ~src v i =
+    if i = Array.length t.slots then -1
+    else
+      match t.slots.(i) with
+      | Some e when e.src = src && Message.path_matches v e.path -> i
+      | Some _ | None -> find_request t ~src v (i + 1)
+
+  let rec find t ~src ~path ~tag i =
+    if i = Array.length t.slots then -1
+    else
+      match t.slots.(i) with
+      | Some e
+        when e.src = src && String.equal e.path path && String.equal e.tag tag
+        ->
+          i
+      | Some _ | None -> find t ~src ~path ~tag (i + 1)
+
+  let rec free t i =
+    if i = Array.length t.slots then -1
+    else if Option.is_none t.slots.(i) then i
+    else free t (i + 1)
+
+  let rec oldest t i best =
+    if i = Array.length t.slots then best
+    else oldest t (i + 1) (if (entry t i).age < (entry t best).age then i else best)
+
+  (* Store an entry in a free slot, a new one (doubling the slots up to
+     the capacity), or the oldest entry's; returns the slot. *)
+  let add t ~src ~path ~tag value =
+    let n = Array.length t.slots in
+    let i =
+      match free t 0 with
+      | -1 when n < t.capacity ->
+          t.slots <-
+            Array.append t.slots (Array.make (min t.capacity (max 4 (2 * n)) - n) None);
+          n
+      | -1 ->
+          t.evictions <- t.evictions + 1;
+          if Obs.enabled () then Ometrics.incr t.metric;
+          oldest t 0 0
+      | i -> i
+    in
+    t.slots.(i) <- Some { src; path; tag; value; age = t.clock };
+    t.clock <- t.clock + 1;
+    i
+
+  (* The entries for [path], newest first. *)
+  let on_path t path =
+    Array.fold_left
+      (fun acc -> function
+        | Some e when String.equal e.path path -> e :: acc
+        | Some _ | None -> acc)
+      [] t.slots
+    |> List.sort (fun a b -> compare b.age a.age)
+end
 
 type t = {
   addr : int;
   mutable send : dst:int -> bytes -> unit;
-  resources : (string, resource) Hashtbl.t;
+  mutable routes : route list; (* registration order *)
   mutable requests_served : int;
   mutable not_found : int;
-  (* message-id deduplication: CON retransmissions of a request we already
-     answered get the cached *encoded* response again.  Bounded LRU: the
-     ring holds insertion order and overflow evicts the oldest entry. *)
-  recent : (int * int, bytes) Hashtbl.t; (* (src, mid) -> encoded reply *)
-  recent_ring : (int * int) Queue.t;
-  dedupe_capacity : int;
+  (* message-id deduplication: CON retransmissions of a request already
+     answered get the same encoded reply again.  A FIFO ring of the last
+     [Array.length dedupe_keys] replies, keyed by (src, message id)
+     packed into one int; a full ring evicts its oldest entry. *)
+  dedupe_keys : int array;
+  dedupe_replies : bytes array;
+  mutable dedupe_used : int;
+  mutable dedupe_next : int; (* the slot the next reply takes *)
   mutable dedupe_evictions : int;
-  (* idempotent-GET response cache, keyed by path; hits skip dispatch and
-     the handler entirely *)
-  cache : (string, cache_entry) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable now : unit -> float; (* injectable for max-age expiry tests *)
-  (* RFC 7959 state: Block1 reassembly per (src, path), and the full
-     payload of an in-progress Block2 download per (src, path) *)
-  uploads : (int * string, Block.assembly) Hashtbl.t;
-  downloads : (int * string, string) Hashtbl.t;
+  mutable now : unit -> float; (* seconds, for Max-Age *)
+  (* RFC 7959: Block1 reassembly and the full payload of a Block2
+     download, per (src, path); RFC 7641 registrations per (src, path,
+     token) *)
+  uploads : Block.assembly Table.t;
+  downloads : string Table.t;
+  observers : unit Table.t;
   block_size : int;
-  (* RFC 7641 observe relationships: path -> (observer addr, token) *)
-  observers : (string, (int * string) list ref) Hashtbl.t;
   mutable observe_seq : int;
 }
 
 let create_detached ?(block_size = 64) ?(dedupe_capacity = 64) ~addr ~send () =
+  let dedupe_capacity = max 1 dedupe_capacity in
   {
     addr;
     send;
-    resources = Hashtbl.create 8;
+    routes = [];
     requests_served = 0;
     not_found = 0;
-    recent = Hashtbl.create 16;
-    recent_ring = Queue.create ();
-    dedupe_capacity = max 1 dedupe_capacity;
+    dedupe_keys = Array.make dedupe_capacity 0;
+    dedupe_replies = Array.make dedupe_capacity Bytes.empty;
+    dedupe_used = 0;
+    dedupe_next = 0;
     dedupe_evictions = 0;
-    cache = Hashtbl.create 8;
     cache_hits = 0;
     cache_misses = 0;
-    now = Unix.gettimeofday;
-    uploads = Hashtbl.create 4;
-    downloads = Hashtbl.create 4;
+    now = (fun () -> Obs.now_ns () *. 1e-9);
+    uploads = Table.create upload_capacity m_upload_evictions;
+    downloads = Table.create download_capacity m_download_evictions;
+    observers = Table.create observer_capacity m_observer_evictions;
     block_size;
-    observers = Hashtbl.create 4;
     observe_seq = 2;
   }
 
-(* --- the bounded dedupe table --- *)
+(* --- the dedupe ring --- *)
 
-let remember_reply t key encoded =
-  if not (Hashtbl.mem t.recent key) then begin
-    Queue.push key t.recent_ring;
-    if Queue.length t.recent_ring > t.dedupe_capacity then begin
-      let oldest = Queue.pop t.recent_ring in
-      Hashtbl.remove t.recent oldest;
-      t.dedupe_evictions <- t.dedupe_evictions + 1;
-      if Obs.enabled () then Ometrics.incr m_dedupe_evictions
-    end
+let dedupe_key ~src mid = (src lsl 16) lor mid
+
+let rec dedupe_find t key i =
+  if i = t.dedupe_used then -1
+  else if t.dedupe_keys.(i) = key then i
+  else dedupe_find t key (i + 1)
+
+let remember_reply t key reply =
+  let slot = t.dedupe_next in
+  if t.dedupe_used < Array.length t.dedupe_keys then
+    t.dedupe_used <- t.dedupe_used + 1
+  else begin
+    t.dedupe_evictions <- t.dedupe_evictions + 1;
+    if Obs.enabled () then Ometrics.incr m_dedupe_evictions
   end;
-  Hashtbl.replace t.recent key encoded
+  t.dedupe_keys.(slot) <- key;
+  t.dedupe_replies.(slot) <- reply;
+  t.dedupe_next <- (slot + 1) mod Array.length t.dedupe_keys
+
+(* --- routes --- *)
+
+let rec route_for v = function
+  | [] -> raise_notrace Not_found
+  | r :: rest -> if Message.path_matches v r.path then r else route_for v rest
+
+let rec route_named path = function
+  | [] -> raise_notrace Not_found
+  | r :: rest -> if String.equal r.path path then r else route_named path rest
 
 (* --- request handling --- *)
 
-let rec handle t ~src request =
-  match request.Message.msg_type with
-  | Message.Acknowledgement | Message.Reset -> ()
-  | Message.Confirmable | Message.Non_confirmable -> (
-      let key = (src, request.Message.message_id) in
-      match Hashtbl.find_opt t.recent key with
-      | Some cached ->
-          if Obs.enabled () then Ometrics.incr m_retransmissions;
-          t.send ~dst:src cached
-      | None ->
-          let response = dispatch t ~src request in
-          let reply =
-            Message.make
-              ~msg_type:
-                (match request.Message.msg_type with
-                | Message.Confirmable -> Message.Acknowledgement
-                | _ -> Message.Non_confirmable)
-              ~token:request.Message.token ~options:response.options
-              ~payload:response.payload ~code:response.code
-              ~message_id:request.Message.message_id ()
-          in
-          let encoded = Message.encode reply in
-          remember_reply t key encoded;
-          t.send ~dst:src encoded)
+let trace path outcome response =
+  if Obs.enabled () then
+    Obs.event (fun () ->
+        Otrace.Coap_request
+          { path; code = Message.code_to_string response.code; outcome });
+  response
 
-(* Block1: accumulate upload blocks.  For Plain resources the handler
-   only runs when the final block arrives, with the reassembled payload;
-   for Upload sinks every chunk is pushed as it lands (streaming flash
-   writes) with an incremental SHA-256 running alongside, and [finish]
-   fires together with the last block — digest and storage writes
-   complete with the transfer. *)
-and handle_block1 t ~src request block =
-  let path = Message.path_string request in
-  let key = (src, path) in
-  let sink =
-    match Hashtbl.find_opt t.resources path with
-    | Some (Upload s) -> Some s
-    | Some (Plain _) | Some (Cached _) | None -> None
+(* Shared accounting for every handler run: request metrics, the trace
+   event, an exception turned into 5.00 (aborting an upload sink). *)
+let run_resource t route run =
+  t.requests_served <- t.requests_served + 1;
+  if Obs.enabled () then Ometrics.incr m_requests;
+  match run () with
+  | response -> trace route.path "ok" response
+  | exception _ ->
+      (match route.resource with
+      | Upload sink -> ( try sink.abort () with _ -> ())
+      | Plain _ | Cached _ -> ());
+      if Obs.enabled () then Ometrics.incr m_handler_errors;
+      trace route.path "handler_error" (respond Message.code_internal_error)
+
+let not_found t request =
+  t.not_found <- t.not_found + 1;
+  if Obs.enabled () then begin
+    Ometrics.incr m_requests;
+    Ometrics.incr m_not_found;
+    Obs.event (fun () ->
+        Otrace.Coap_request
+          {
+            path = Message.path_string request;
+            code = "4.04";
+            outcome = "not_found";
+          })
+  end;
+  respond Message.code_not_found
+
+(* The route's fresh cache entry, if any (the [Some] already stored). *)
+let fresh t route =
+  match route.cached with
+  | Some entry when entry.ce_expires > t.now () -> route.cached
+  | Some _ | None -> None
+
+let count_hit t =
+  t.cache_hits <- t.cache_hits + 1;
+  t.requests_served <- t.requests_served + 1;
+  if Obs.enabled () then begin
+    Ometrics.incr m_requests;
+    Ometrics.incr m_cache_hits
+  end
+
+(* Store a 2.05 with its ETag and Max-Age stamped on, and its options
+   and payload encoded once for {!Message.reply_tail}. *)
+let fill_cache t route ~max_age_s response =
+  let etag = String.sub (Femto_crypto.Crypto.sha256 response.payload) 0 8 in
+  let response =
+    { response with
+      options =
+        Message.etag_option etag
+        :: Message.max_age_option max_age_s
+        :: response.options }
   in
-  let assembly =
-    match Hashtbl.find_opt t.uploads key with
-    | Some a when block.Block.num > 0 -> a
-    | _ ->
-        let a = Block.create_assembly ~digest:(sink <> None) () in
-        Hashtbl.replace t.uploads key a;
-        if block.Block.num = 0 then
-          Option.iter (fun s -> s.start ()) sink;
-        a
+  let encoded =
+    Message.encode
+      (Message.make ~options:response.options ~payload:response.payload
+         ~code:response.code ~message_id:0 ())
   in
-  match Block.feed assembly block request.Message.payload with
+  route.cached <-
+    Some
+      {
+        ce_response = response;
+        ce_tail = Bytes.sub encoded 4 (Bytes.length encoded - 4);
+        ce_expires = t.now () +. float_of_int max_age_s;
+      };
+  response
+
+(* The idempotent-GET path: a fresh cache entry answers without
+   touching the handler; a miss (or expiry) runs the handler once and
+   stores a 2.05. *)
+let run_cached t ~src route ~handler ~max_age_s request =
+  if request.Message.code <> Message.code_get then
+    run_resource t route (fun () -> handler ~src request)
+  else
+    match fresh t route with
+    | Some entry ->
+        count_hit t;
+        entry.ce_response
+    | None ->
+        t.cache_misses <- t.cache_misses + 1;
+        if Obs.enabled () then Ometrics.incr m_cache_misses;
+        let response = run_resource t route (fun () -> handler ~src request) in
+        if response.code = Message.code_content then
+          fill_cache t route ~max_age_s response
+        else response
+
+let run_handler t ~src route request =
+  match route.resource with
+  | Plain handler -> run_resource t route (fun () -> handler ~src request)
+  | Cached { handler; max_age_s } ->
+      run_cached t ~src route ~handler ~max_age_s request
+  | Upload sink ->
+      (* single-datagram upload (no Block1): drive the sink in one shot *)
+      let payload = request.Message.payload in
+      run_resource t route (fun () ->
+          sink.start ();
+          sink.chunk payload;
+          sink.finish ~src
+            ~digest:(Femto_crypto.Crypto.sha256 payload)
+            ~size:(String.length payload) request)
+
+(* The handler for the request's path, or 4.04. *)
+let run_request t ~src v request =
+  match route_for v t.routes with
+  | route -> run_handler t ~src route request
+  | exception Not_found -> not_found t request
+
+let reply_to v response =
+  Message.reply v ~code:response.code ~options:response.options
+    ~payload:response.payload
+
+let block2_option ~num ~more ~size =
+  Block.to_option ~number:Block.opt_block2 (Block.make ~num ~more ~size)
+
+let continue_reply v =
+  Message.reply v ~code:Message.code_continue
+    ~options:[ (Block.opt_block1, Message.uint_value v.Message.block1) ]
+    ~payload:""
+
+let abort_upload t sink slot v code =
+  Option.iter (fun s -> try s.abort () with _ -> ()) sink;
+  Table.remove t.uploads slot;
+  reply_to v (respond code)
+
+let sink_failed t sink slot v =
+  if Obs.enabled () then Ometrics.incr m_handler_errors;
+  abort_upload t sink slot v Message.code_internal_error
+
+let feed_block t ~src v route sink slot =
+  let value = v.Message.block1 in
+  let block =
+    { Block.num = value lsr 4; more = value land 8 <> 0; szx = value land 7 }
+  in
+  let assembly = (Table.entry t.uploads slot).value in
+  let chunk = Message.view_payload v in
+  match Block.feed assembly block chunk with
   | Block.Continue -> (
       match sink with
-      | None ->
-          respond
-            ~options:[ Block.to_option ~number:Block.opt_block1 block ]
-            Message.code_continue
+      | None -> continue_reply v
       | Some s -> (
-          match s.chunk request.Message.payload with
-          | () ->
-              respond
-                ~options:[ Block.to_option ~number:Block.opt_block1 block ]
-                Message.code_continue
-          | exception _ ->
-              (try s.abort () with _ -> ());
-              Hashtbl.remove t.uploads key;
-              if Obs.enabled () then Ometrics.incr m_handler_errors;
-              respond Message.code_internal_error))
+          match s.chunk chunk with
+          | () -> continue_reply v
+          | exception _ -> sink_failed t sink slot v))
   | Block.Complete payload ->
-      Hashtbl.remove t.uploads key;
-      let full = { request with Message.payload } in
+      Table.remove t.uploads slot;
+      let full = { (Message.message v) with Message.payload } in
       let response =
-        match sink with
-        | None -> run_handler t ~src full
-        | Some s ->
-            run_resource t ~src ~path (Upload s) (fun () ->
-                s.chunk request.Message.payload;
+        match (route, sink) with
+        | Some route, Some s ->
+            run_resource t route (fun () ->
+                s.chunk chunk;
                 let digest =
                   match Block.finalize_digest assembly with
                   | Some d -> d
                   | None -> Femto_crypto.Crypto.sha256 payload
                 in
                 s.finish ~src ~digest ~size:(String.length payload) full)
+        | Some route, None -> run_handler t ~src route full
+        | None, _ -> not_found t full
       in
-      { response with
-        options =
-          Block.to_option ~number:Block.opt_block1 block :: response.options }
+      reply_to v
+        { response with
+          options = Block.to_option ~number:Block.opt_block1 block :: response.options }
   | Block.Out_of_order ->
-      Option.iter (fun s -> try s.abort () with _ -> ()) sink;
-      Hashtbl.remove t.uploads key;
-      respond Message.code_request_entity_incomplete
+      abort_upload t sink slot v Message.code_request_entity_incomplete
 
-(* Block2: slice a large response; the handler runs once (block 0) and the
-   full payload is cached for the follow-up block requests. *)
-and handle_block2 t ~src request num =
-  let path = Message.path_string request in
-  let key = (src, path) in
-  let payload =
-    if num = 0 then begin
-      let response = run_handler t ~src request in
-      if response.code <> Message.code_content then None
-      else begin
-        Hashtbl.replace t.downloads key response.payload;
-        Some (response.payload, response.options)
-      end
-    end
-    else
-      Option.map (fun p -> (p, [])) (Hashtbl.find_opt t.downloads key)
+(* Block1: accumulate upload blocks.  For Plain resources the handler
+   only runs when the final block arrives, with the reassembled payload;
+   for Upload sinks every chunk is pushed as it lands (streaming flash
+   writes) with an incremental SHA-256 running alongside, and [finish]
+   fires together with the last block — digest and storage writes
+   complete with the transfer.  A 2.31 continue is written straight
+   from the request.  Block 0, or a block with no transfer in progress,
+   opens a fresh assembly. *)
+let handle_block1 t ~src v route =
+  let num = v.Message.block1 lsr 4 in
+  let sink =
+    match route with Some { resource = Upload s; _ } -> Some s | _ -> None
   in
-  match payload with
-  | None ->
-      if num = 0 then run_handler t ~src request
-      else respond Message.code_request_entity_incomplete
-  | Some (full, options) -> (
-      match Block.slice ~num ~size:t.block_size full with
-      | None -> respond Message.code_bad_request
-      | Some (chunk, more) ->
-          if not more then Hashtbl.remove t.downloads key;
-          respond
-            ~options:
-              (Block.to_option ~number:Block.opt_block2
-                 (Block.make ~num ~more ~size:t.block_size)
-              :: List.filter (fun (n, _) -> n <> Block.opt_block2) options)
-            ~payload:chunk Message.code_content)
+  let slot = Table.find_request t.uploads ~src v 0 in
+  if slot >= 0 && num > 0 then feed_block t ~src v route sink slot
+  else begin
+    let assembly = Block.create_assembly ~digest:(Option.is_some sink) () in
+    let slot =
+      if slot >= 0 then begin
+        (Table.entry t.uploads slot).value <- assembly;
+        slot
+      end
+      else Table.add t.uploads ~src ~path:(Message.view_path v) ~tag:"" assembly
+    in
+    match sink with
+    | Some s when num = 0 -> (
+        match s.start () with
+        | () -> feed_block t ~src v route sink slot
+        | exception _ -> sink_failed t sink slot v)
+    | Some _ | None -> feed_block t ~src v route sink slot
+  end
+
+(* Block [num] of [full]; the download is dropped with its last block. *)
+let block2_slice t ~src v ~num full options =
+  match Block.slice ~num ~size:t.block_size full with
+  | None -> respond Message.code_bad_request
+  | Some (chunk, more) ->
+      (if not more then
+         let slot = Table.find_request t.downloads ~src v 0 in
+         if slot >= 0 then Table.remove t.downloads slot);
+      respond
+        ~options:
+          (block2_option ~num ~more ~size:t.block_size
+          :: List.filter (fun (n, _) -> n <> Block.opt_block2) options)
+        ~payload:chunk Message.code_content
+
+let keep_download t ~src v payload =
+  let slot = Table.find_request t.downloads ~src v 0 in
+  if slot >= 0 then (Table.entry t.downloads slot).value <- payload
+  else
+    ignore (Table.add t.downloads ~src ~path:(Message.view_path v) ~tag:"" payload)
+
+(* Block2: slice a large response; the handler runs once (block 0) and
+   the full payload is kept for the follow-up block requests. *)
+let handle_block2 t ~src v =
+  let num = v.Message.block2 lsr 4 in
+  if num = 0 then begin
+    let response = run_request t ~src v (Message.message v) in
+    if response.code <> Message.code_content then response
+    else begin
+      keep_download t ~src v response.payload;
+      block2_slice t ~src v ~num response.payload response.options
+    end
+  end
+  else
+    match Table.find_request t.downloads ~src v 0 with
+    | -1 -> respond Message.code_request_entity_incomplete
+    | slot -> block2_slice t ~src v ~num (Table.entry t.downloads slot).value []
 
 (* RFC 7641: register/deregister the observe relationship carried by a
    GET; the response to a registration echoes an Observe option. *)
-and handle_observe t ~src request =
-  match (request.Message.code = Message.code_get, Message.observe request) with
-  | true, Some 0 ->
-      let path = Message.path_string request in
-      let entry =
-        match Hashtbl.find_opt t.observers path with
-        | Some list -> list
-        | None ->
-            let list = ref [] in
-            Hashtbl.replace t.observers path list;
-            list
-      in
-      let key = (src, request.Message.token) in
-      if not (List.mem key !entry) then entry := key :: !entry;
-      `Registered
-  | true, Some 1 ->
-      let path = Message.path_string request in
-      (match Hashtbl.find_opt t.observers path with
-      | Some entry ->
-          entry :=
-            List.filter
-              (fun (a, tok) -> not (a = src && String.equal tok request.Message.token))
-              !entry
-      | None -> ());
-      `Deregistered
-  | _, _ -> `Not_observe
-
-(* Shared accounting for Plain handlers and Upload completions: request
-   metrics, trace events, exceptions to 5.00 (with sink abort). *)
-and run_resource t ~src:_ ~path resource run =
-  let trace outcome response =
-    if Obs.enabled () then
-      Obs.event (fun () ->
-          let major, minor = response.code in
-          Otrace.Coap_request
-            { path; code = Printf.sprintf "%d.%02d" major minor; outcome });
-    response
-  in
-  t.requests_served <- t.requests_served + 1;
-  if Obs.enabled () then Ometrics.incr m_requests;
-  match run () with
-  | response -> trace "ok" response
-  | exception _ ->
-      (match resource with
-      | Upload sink -> ( try sink.abort () with _ -> ())
-      | Plain _ | Cached _ -> ());
-      if Obs.enabled () then Ometrics.incr m_handler_errors;
-      trace "handler_error" (respond Message.code_internal_error)
-
-(* The idempotent-GET fast path: a fresh cache entry answers without
-   touching the handler; a miss (or expiry) runs the handler once and
-   stores the response with its ETag and Max-Age stamped on. *)
-and run_cached t ~src ~path ~handler ~max_age_s request =
-  if request.Message.code <> Message.code_get then
-    run_resource t ~src ~path (Cached { handler; max_age_s }) (fun () ->
-        handler ~src request)
+let handle_observe t ~src v =
+  if Message.view_code v <> Message.code_to_int Message.code_get then
+    `Not_observe
   else
-    match Hashtbl.find_opt t.cache path with
-    | Some entry when entry.ce_expires > t.now () ->
-        t.cache_hits <- t.cache_hits + 1;
-        t.requests_served <- t.requests_served + 1;
-        if Obs.enabled () then begin
-          Ometrics.incr m_requests;
-          Ometrics.incr m_cache_hits
-        end;
-        entry.ce_response
-    | Some _ | None ->
-        t.cache_misses <- t.cache_misses + 1;
-        if Obs.enabled () then Ometrics.incr m_cache_misses;
-        let response =
-          run_resource t ~src ~path
-            (Cached { handler; max_age_s })
-            (fun () -> handler ~src request)
-        in
-        if response.code = Message.code_content then begin
-          let etag =
-            String.sub (Femto_crypto.Crypto.sha256 response.payload) 0 8
-          in
-          let response =
-            { response with
-              options =
-                Message.etag_option etag
-                :: Message.max_age_option max_age_s
-                :: response.options }
-          in
-          Hashtbl.replace t.cache path
-            {
-              ce_response = response;
-              ce_expires = t.now () +. float_of_int max_age_s;
-            };
-          response
-        end
-        else response
+    match v.Message.observe_value with
+    | 0 ->
+        let path = Message.view_path v and tag = Message.view_token v in
+        if Table.find t.observers ~src ~path ~tag 0 < 0 then
+          ignore (Table.add t.observers ~src ~path ~tag ());
+        `Registered
+    | 1 ->
+        let path = Message.view_path v and tag = Message.view_token v in
+        let slot = Table.find t.observers ~src ~path ~tag 0 in
+        if slot >= 0 then Table.remove t.observers slot;
+        `Deregistered
+    | _ -> `Not_observe
 
-and run_handler t ~src request =
-  let path = Message.path_string request in
-  match Hashtbl.find_opt t.resources path with
-  | Some (Plain handler) ->
-      run_resource t ~src ~path (Plain handler) (fun () -> handler ~src request)
-  | Some (Cached { handler; max_age_s }) ->
-      run_cached t ~src ~path ~handler ~max_age_s request
-  | Some (Upload sink) ->
-      (* single-datagram upload (no Block1): drive the sink in one shot *)
-      run_resource t ~src ~path (Upload sink) (fun () ->
-          sink.start ();
-          sink.chunk request.Message.payload;
-          sink.finish ~src
-            ~digest:(Femto_crypto.Crypto.sha256 request.Message.payload)
-            ~size:(String.length request.Message.payload)
-            request)
-  | None ->
-      t.not_found <- t.not_found + 1;
-      if Obs.enabled () then begin
-        Ometrics.incr m_requests;
-        Ometrics.incr m_not_found
-      end;
-      if Obs.enabled () then
-        Obs.event (fun () ->
-            Otrace.Coap_request { path; code = "4.04"; outcome = "not_found" });
-      respond Message.code_not_found
+let dispatch t ~src v route =
+  let observe_status = handle_observe t ~src v in
+  let request = Message.message v in
+  let response =
+    match route with
+    | Some route -> run_handler t ~src route request
+    | None -> not_found t request
+  in
+  let response =
+    match observe_status with
+    | `Registered when response.code = Message.code_content ->
+        { response with options = Message.observe_option 1 :: response.options }
+    | `Registered | `Deregistered | `Not_observe -> response
+  in
+  (* unsolicited large responses switch to Block2 automatically *)
+  if
+    String.length response.payload > t.block_size
+    && response.code = Message.code_content
+  then begin
+    keep_download t ~src v response.payload;
+    match Block.slice ~num:0 ~size:t.block_size response.payload with
+    | Some (chunk, more) ->
+        { response with
+          payload = chunk;
+          options = block2_option ~num:0 ~more ~size:t.block_size :: response.options }
+    | None -> response
+  end
+  else response
 
-and dispatch t ~src request =
-  match Block.of_message ~number:Block.opt_block1 request with
-  | Some block -> handle_block1 t ~src request block
-  | None -> (
-      match Block.of_message ~number:Block.opt_block2 request with
-      | Some block -> handle_block2 t ~src request block.Block.num
-      | None ->
-          let observe_status = handle_observe t ~src request in
-          let response = run_handler t ~src request in
-          let response =
-            match observe_status with
-            | `Registered when response.code = Message.code_content ->
-                { response with
-                  options = Message.observe_option 1 :: response.options }
-            | `Registered | `Deregistered | `Not_observe -> response
-          in
-          (* unsolicited large responses switch to Block2 automatically *)
-          if
-            String.length response.payload > t.block_size
-            && response.code = Message.code_content
-          then begin
-            let key = (src, Message.path_string request) in
-            Hashtbl.replace t.downloads key response.payload;
-            match Block.slice ~num:0 ~size:t.block_size response.payload with
-            | Some (chunk, more) ->
-                { response with
-                  payload = chunk;
-                  options =
-                    Block.to_option ~number:Block.opt_block2
-                      (Block.make ~num:0 ~more ~size:t.block_size)
-                    :: response.options }
-            | None -> response
-          end
-          else response)
+(* The fresh entry that answers a plain GET of a cached route, when it
+   fits one block: the reply is then the request's header and token in
+   front of the stored tail, with no handler, no decode and no encode. *)
+let cached_entry t v route =
+  match route.resource with
+  | Cached _
+    when Message.view_code v = Message.code_to_int Message.code_get
+         && v.Message.observe_value < 0 -> (
+      match fresh t route with
+      | Some entry as hit when String.length entry.ce_response.payload <= t.block_size
+        ->
+          hit
+      | Some _ | None -> None)
+  | Plain _ | Upload _ | Cached _ -> None
+
+let reply_for t ~src v =
+  if v.Message.block1 >= 0 then
+    handle_block1 t ~src v
+      (match route_for v t.routes with
+      | route -> Some route
+      | exception Not_found -> None)
+  else if v.Message.block2 >= 0 then reply_to v (handle_block2 t ~src v)
+  else
+    match route_for v t.routes with
+    | exception Not_found -> reply_to v (dispatch t ~src v None)
+    | route -> (
+        match cached_entry t v route with
+        | Some entry ->
+            count_hit t;
+            Message.reply_tail v
+              ~code:(Message.code_to_int entry.ce_response.code)
+              entry.ce_tail
+        | None -> reply_to v (dispatch t ~src v (Some route)))
+
+let handle t ~src v =
+  if Message.view_type_code v < 2 (* CON or NON: a request *) then begin
+    let key = dedupe_key ~src (Message.view_message_id v) in
+    let slot = dedupe_find t key 0 in
+    if slot >= 0 then begin
+      if Obs.enabled () then Ometrics.incr m_retransmissions;
+      t.send ~dst:src t.dedupe_replies.(slot)
+    end
+    else begin
+      let reply = reply_for t ~src v in
+      remember_reply t key reply;
+      t.send ~dst:src reply
+    end
+  end
 
 (* Transport entry point: one datagram in, zero or one reply out through
    [t.send].  Malformed input is dropped silently, as RFC 7252 wants for
    unparseable messages. *)
 let handle_datagram_sub t ~src data ~off ~len =
-  match Message.decode_sub data ~off ~len with
+  match Message.scan data ~off ~len with
   | exception Message.Parse_error _ -> ()
-  | request -> handle t ~src request
+  | v -> handle t ~src v
 
 let handle_datagram t ~src data =
   handle_datagram_sub t ~src data ~off:0 ~len:(Bytes.length data)
+
+(* A datagram longer than {!Message.max_size}, of which only the first
+   bytes arrived: a request is answered 4.13 with Size1 set to the bound
+   (RFC 7959 §2.9.3), built from its header alone; the rest is never
+   parsed.  Anything that is not a request is dropped. *)
+let reject_oversize t ~src data =
+  if Bytes.length data >= 4 then begin
+    let b0 = Bytes.get_uint8 data 0 and code = Bytes.get_uint8 data 1 in
+    let tkl = b0 land 0x0f and kind = (b0 lsr 4) land 0x3 in
+    if b0 lsr 6 = 1 && tkl <= 8 && kind < 2 && code > 0 && code < 32 then
+      t.send ~dst:src
+        (Message.encode
+           (Message.make
+              ~msg_type:
+                (if kind = 0 then Message.Acknowledgement
+                 else Message.Non_confirmable)
+              ~token:(Bytes.sub_string data 4 tkl)
+              ~options:
+                [ (Message.opt_size1, Message.uint_value Message.max_size) ]
+              ~code:Message.code_request_entity_too_large
+              ~message_id:(Bytes.get_uint16_be data 2)
+              ()))
+  end
 
 let create ?block_size ?dedupe_capacity ~network ~addr () =
   let t =
@@ -432,19 +638,42 @@ let set_send t send = t.send <- send
 let send_fn t = t.send
 let set_time_source t now = t.now <- now
 
-let register t ~path handler = Hashtbl.replace t.resources path (Plain handler)
+(* Registering a path again replaces its resource and drops its cached
+   response. *)
+let add_route t path resource =
+  match route_named path t.routes with
+  | route ->
+      route.resource <- resource;
+      route.cached <- None
+  | exception Not_found ->
+      t.routes <- t.routes @ [ { path; resource; cached = None } ]
+
+let register t ~path handler = add_route t path (Plain handler)
 
 let register_cached ?(max_age_s = 60) t ~path handler =
-  Hashtbl.replace t.resources path (Cached { handler; max_age_s })
+  add_route t path (Cached { handler; max_age_s })
 
-let register_upload t ~path sink = Hashtbl.replace t.resources path (Upload sink)
+let register_upload t ~path sink = add_route t path (Upload sink)
 
-let invalidate t ~path = Hashtbl.remove t.cache path
+let invalidate t ~path =
+  match route_named path t.routes with
+  | route -> route.cached <- None
+  | exception Not_found -> ()
 
 let addr t = t.addr
 let requests_served t = t.requests_served
 let dedupe_evictions t = t.dedupe_evictions
 let cache_stats t = (t.cache_hits, t.cache_misses)
+
+type evictions = { dedupe : int; uploads : int; downloads : int; observers : int }
+
+let evictions (t : t) : evictions =
+  {
+    dedupe = t.dedupe_evictions;
+    uploads = t.uploads.Table.evictions;
+    downloads = t.downloads.Table.evictions;
+    observers = t.observers.Table.evictions;
+  }
 
 (* Insert [token] into a notification encoded with an empty token: the
    header's TKL nibble is patched and the token bytes spliced in after
@@ -466,15 +695,15 @@ let splice_token base ~token =
    notification once (empty token), and fans it out to every registered
    observer with only the per-observer token spliced in — RFC 7641
    server-side, one handler run and one encode for N sends. *)
-let notify t ~path =
-  match Hashtbl.find_opt t.observers path with
-  | None -> 0
-  | Some entry when !entry = [] -> 0
-  | Some entry ->
+let notify (t : t) ~path =
+  match Table.on_path t.observers path with
+  | [] -> 0
+  | newest :: _ as observers ->
+      let count = List.length observers in
       t.observe_seq <- t.observe_seq + 1;
       invalidate t ~path; (* the resource changed: cached reads are stale *)
       if Obs.enabled () then begin
-        Ometrics.add m_notifications (List.length !entry);
+        Ometrics.add m_notifications count;
         Ometrics.incr m_notify_encodes
       end;
       let synthetic =
@@ -482,7 +711,11 @@ let notify t ~path =
           ~options:(Message.options_of_path path)
           ~code:Message.code_get ~message_id:0 ()
       in
-      let response = run_handler t ~src:(fst (List.hd !entry)) synthetic in
+      let response =
+        match route_named path t.routes with
+        | route -> run_handler t ~src:newest.Table.src route synthetic
+        | exception Not_found -> not_found t synthetic
+      in
       let base =
         Message.encode
           (Message.make ~msg_type:Message.Non_confirmable
@@ -491,11 +724,9 @@ let notify t ~path =
              ~message_id:(0x8000 lor t.observe_seq land 0xFFFF) ())
       in
       List.iter
-        (fun (dst, token) -> t.send ~dst (splice_token base ~token))
-        !entry;
-      List.length !entry
+        (fun (o : unit Table.entry) ->
+          t.send ~dst:o.src (splice_token base ~token:o.tag))
+        observers;
+      count
 
-let observer_count t ~path =
-  match Hashtbl.find_opt t.observers path with
-  | Some entry -> List.length !entry
-  | None -> 0
+let observer_count (t : t) ~path = List.length (Table.on_path t.observers path)

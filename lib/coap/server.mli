@@ -9,7 +9,12 @@
     The server consumes datagrams via {!handle_datagram} and replies
     through a swappable send function, so the same handlers/sinks serve
     the simulated network ({!create}) and a real UDP socket
-    ({!create_detached} + {!Transport}). *)
+    ({!create_detached} + {!Transport}).
+
+    Per-peer state is bounded: the dedupe ring, partial uploads
+    ({!upload_capacity}), Block2 downloads ({!download_capacity}) and
+    observe registrations ({!observer_capacity}) each hold a fixed
+    number of entries and evict the oldest when full ({!evictions}). *)
 
 module Network = Femto_net.Network
 
@@ -50,8 +55,8 @@ val create :
   t
 (** Attach a server node to the simulated network.  [block_size]
     (default 64) is the RFC 7959 chunk size for large transfers;
-    [dedupe_capacity] (default 64) bounds the message-id dedupe table
-    (LRU eviction, counted in [coap.dedupe_evictions]). *)
+    [dedupe_capacity] (default 64) bounds the message-id dedupe ring
+    (oldest reply evicted first, counted in [coap.dedupe_evictions]). *)
 
 val create_detached :
   ?block_size:int ->
@@ -68,7 +73,14 @@ val handle_datagram : t -> src:int -> bytes -> unit
 (** Feed one datagram (whole buffer); malformed input is dropped. *)
 
 val handle_datagram_sub : t -> src:int -> bytes -> off:int -> len:int -> unit
-(** Same, parsing a slice of a reused receive buffer in place. *)
+(** Same, parsing a slice of a reused receive buffer in place.  Never
+    raises: handler and sink exceptions become 5.00 replies. *)
+
+val reject_oversize : t -> src:int -> bytes -> unit
+(** [data] starts a datagram that was longer than {!Message.max_size}
+    (only its first bytes arrived).  A request is answered 4.13 with
+    Size1 = {!Message.max_size} (RFC 7959 §2.9.3), built from its header
+    alone; the rest is never parsed, and anything else is dropped. *)
 
 val set_send : t -> (dst:int -> bytes -> unit) -> unit
 val send_fn : t -> dst:int -> bytes -> unit
@@ -95,11 +107,28 @@ val requests_served : t -> int
 val dedupe_evictions : t -> int
 (** LRU evictions from the message-id dedupe table since creation. *)
 
+val upload_capacity : int
+(** Partial Block1 uploads held at once, keyed by (source, path). *)
+
+val download_capacity : int
+(** Pending Block2 downloads held at once, keyed by (source, path). *)
+
+val observer_capacity : int
+(** Observe registrations held at once, keyed by (source, path, token). *)
+
+type evictions = { dedupe : int; uploads : int; downloads : int; observers : int }
+
+val evictions : t -> evictions
+(** Entries each bounded table evicted since creation (also counted in
+    [coap.dedupe_evictions], [coap.upload_evictions],
+    [coap.download_evictions] and [coap.observer_evictions]). *)
+
 val cache_stats : t -> int * int
 (** [(hits, misses)] of the idempotent-GET response cache. *)
 
 val set_time_source : t -> (unit -> float) -> unit
-(** Replace the wall clock used for Max-Age expiry (tests). *)
+(** Replace the clock, in seconds, used for Max-Age expiry (tests); the
+    default reads {!Femto_obs.Obs.now_ns}. *)
 
 val notify : t -> path:string -> int
 (** Re-evaluate the resource once, encode the notification once, and

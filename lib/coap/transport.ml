@@ -1,22 +1,29 @@
 (* Unix-UDP transport: the socket edge in front of a {!Server}.
 
    One acceptor loop (optionally its own domain) drains a nonblocking
-   datagram socket into a single reused receive buffer, parses each
-   datagram in place ({!Message.decode_sub} — no per-datagram copy of
-   the wire bytes), and feeds it to the attached server.  Replies leave
-   through [sendto] directly from the encoded reply buffer.
+   datagram socket into a single reused receive buffer, sized to one
+   CoAP message ({!Message.max_size}) plus the byte that shows a
+   datagram was longer, and hands each datagram to the attached server,
+   which parses it in place.  An oversize datagram is never parsed: the
+   server answers it 4.13 from its header.  Replies leave through
+   [sendto] directly from the encoded reply buffer.
 
    Remote socket peers are mapped to integer addresses above
    [peer_base], so the same server can keep simulated-network neighbours
    (small addresses) and real UDP peers side by side: [attach] swaps the
    server's send function for one that routes peer ids to the socket and
-   falls back to the original behaviour for everything else. *)
+   falls back to the original behaviour for everything else.  Only the
+   last [peer_capacity] peers are remembered: peer ids are handed out in
+   order and peer n lives in slot n mod [peer_capacity], so a new peer
+   evicts the oldest, and a reply to an evicted peer is dropped. *)
 
 module Obs = Femto_obs.Obs
 module Ometrics = Femto_obs.Metrics
 
 let m_rx = Obs.counter "edge.rx_datagrams"
 let m_tx = Obs.counter "edge.tx_datagrams"
+let m_oversize = Obs.counter "edge.rx_oversize"
+let m_peer_evictions = Obs.counter "edge.peer_evictions"
 
 (* Simulated-net addresses are tiny; anything at or above this is a
    socket peer. *)
@@ -27,14 +34,20 @@ type stats = {
   mutable rx_bytes : int;
   mutable tx_datagrams : int;
   mutable tx_bytes : int;
+  mutable rx_oversize : int;
+  mutable peer_evictions : int;
 }
+
+let peer_capacity = 32
 
 type t = {
   socket : Unix.file_descr;
   bound_port : int;
-  (* peer id <-> sockaddr, assigned on first contact *)
+  (* peer id <-> sockaddr for the last [peer_capacity] peers; slot
+     [(id - peer_base) mod peer_capacity] holds peer [id], -1 when free *)
   peers : (Unix.sockaddr, int) Hashtbl.t;
-  peer_addrs : (int, Unix.sockaddr) Hashtbl.t;
+  peer_ids : int array;
+  peer_addrs : Unix.sockaddr array;
   mutable next_peer : int;
   recv_buf : Bytes.t;
   stop : bool Atomic.t;
@@ -42,7 +55,8 @@ type t = {
   stats : stats;
 }
 
-let max_datagram = 65_536
+(* One message and the byte that shows a datagram was longer. *)
+let recv_size = Message.max_size + 1
 
 let create ?(host = "127.0.0.1") ?(port = 0) () =
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
@@ -57,41 +71,60 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
   {
     socket;
     bound_port;
-    peers = Hashtbl.create 16;
-    peer_addrs = Hashtbl.create 16;
+    peers = Hashtbl.create peer_capacity;
+    peer_ids = Array.make peer_capacity (-1);
+    peer_addrs = Array.make peer_capacity (Unix.ADDR_UNIX "");
     next_peer = peer_base;
-    recv_buf = Bytes.create max_datagram;
+    recv_buf = Bytes.create recv_size;
     stop = Atomic.make false;
     acceptor = None;
-    stats = { rx_datagrams = 0; rx_bytes = 0; tx_datagrams = 0; tx_bytes = 0 };
+    stats =
+      {
+        rx_datagrams = 0;
+        rx_bytes = 0;
+        tx_datagrams = 0;
+        tx_bytes = 0;
+        rx_oversize = 0;
+        peer_evictions = 0;
+      };
   }
 
 let port t = t.bound_port
 let stats t = t.stats
 let peer_count t = Hashtbl.length t.peers
 
+let peer_slot id = (id - peer_base) mod peer_capacity
+
 let peer_id t sockaddr =
-  match Hashtbl.find_opt t.peers sockaddr with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find t.peers sockaddr with
+  | id -> id
+  | exception Not_found ->
       let id = t.next_peer in
-      t.next_peer <- t.next_peer + 1;
+      let slot = peer_slot id in
+      if t.peer_ids.(slot) >= 0 then begin
+        Hashtbl.remove t.peers t.peer_addrs.(slot);
+        t.stats.peer_evictions <- t.stats.peer_evictions + 1;
+        if Obs.enabled () then Ometrics.incr m_peer_evictions
+      end;
+      t.next_peer <- id + 1;
+      t.peer_ids.(slot) <- id;
+      t.peer_addrs.(slot) <- sockaddr;
       Hashtbl.replace t.peers sockaddr id;
-      Hashtbl.replace t.peer_addrs id sockaddr;
       id
 
+(* A peer never seen, or evicted since, has nowhere to route. *)
 let send_to_peer t ~dst data =
-  match Hashtbl.find_opt t.peer_addrs dst with
-  | None -> () (* peer never seen: nowhere to route *)
-  | Some sockaddr ->
-      let len = Bytes.length data in
-      (* count before sending: a peer that reads the stats as soon as the
-         reply arrives must already see it *)
-      t.stats.tx_datagrams <- t.stats.tx_datagrams + 1;
-      t.stats.tx_bytes <- t.stats.tx_bytes + len;
-      if Obs.enabled () then Ometrics.incr m_tx;
-      try ignore (Unix.sendto t.socket data 0 len [] sockaddr)
-      with Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
+  let slot = peer_slot dst in
+  if t.peer_ids.(slot) = dst then begin
+    let len = Bytes.length data in
+    (* count before sending: a peer that reads the stats as soon as the
+       reply arrives must already see it *)
+    t.stats.tx_datagrams <- t.stats.tx_datagrams + 1;
+    t.stats.tx_bytes <- t.stats.tx_bytes + len;
+    if Obs.enabled () then Ometrics.incr m_tx;
+    try ignore (Unix.sendto t.socket data 0 len [] t.peer_addrs.(slot))
+    with Unix.Unix_error _ -> () (* a full socket buffer or a gone peer *)
+  end
 
 (* [attach t server]: socket peers route here, everything else keeps the
    server's previous behaviour (e.g. its simulated-network node). *)
@@ -106,7 +139,7 @@ let attach t server =
    datagrams and parsed in place. *)
 let drain t server =
   let rec loop n =
-    match Unix.recvfrom t.socket t.recv_buf 0 max_datagram [] with
+    match Unix.recvfrom t.socket t.recv_buf 0 recv_size [] with
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop n
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
@@ -117,7 +150,13 @@ let drain t server =
         t.stats.rx_bytes <- t.stats.rx_bytes + len;
         if Obs.enabled () then Ometrics.incr m_rx;
         let src = peer_id t sockaddr in
-        Server.handle_datagram_sub server ~src t.recv_buf ~off:0 ~len;
+        if len <= Message.max_size then
+          Server.handle_datagram_sub server ~src t.recv_buf ~off:0 ~len
+        else begin
+          t.stats.rx_oversize <- t.stats.rx_oversize + 1;
+          if Obs.enabled () then Ometrics.incr m_oversize;
+          Server.reject_oversize server ~src t.recv_buf
+        end;
         loop (n + 1)
   in
   loop 0
@@ -174,7 +213,7 @@ module Client = struct
       next_mid = Random.int 0x8000;
       next_token = Random.int 0x8000;
       retransmissions = 0;
-      recv_buf = Bytes.create max_datagram;
+      recv_buf = Bytes.create recv_size;
       ack_timeout_s;
       max_retransmit;
     }
@@ -195,23 +234,27 @@ module Client = struct
   let send_raw t data =
     ignore (Unix.sendto t.socket data 0 (Bytes.length data) [] t.server_addr)
 
-  (* Block until a datagram parses, or [timeout_s] elapses. *)
+  let seconds_until deadline_ns = (deadline_ns -. Obs.now_ns ()) *. 1e-9
+
+  (* Block until a datagram of at most one message parses, or
+     [timeout_s] elapses. *)
   let recv t ~timeout_s =
-    let deadline = Unix.gettimeofday () +. timeout_s in
+    let deadline = Obs.now_ns () +. (timeout_s *. 1e9) in
     let rec wait () =
-      let remaining = deadline -. Unix.gettimeofday () in
+      let remaining = seconds_until deadline in
       if remaining <= 0.0 then None
       else
         match Unix.select [ t.socket ] [] [] remaining with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
         | [], _, _ -> None
         | _ :: _, _, _ -> (
-            match Unix.recvfrom t.socket t.recv_buf 0 max_datagram [] with
+            match Unix.recvfrom t.socket t.recv_buf 0 recv_size [] with
             | exception
                 Unix.Unix_error
                   ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ECONNREFUSED), _, _)
               ->
                 wait ()
+            | len, _ when len > Message.max_size -> wait ()
             | len, _ -> (
                 match Message.decode_sub t.recv_buf ~off:0 ~len with
                 | exception Message.Parse_error _ -> wait ()
@@ -226,9 +269,9 @@ module Client = struct
     let rec attempt n timeout_s =
       send_raw t encoded;
       if n > 0 then t.retransmissions <- t.retransmissions + 1;
-      let deadline = Unix.gettimeofday () +. timeout_s in
+      let deadline = Obs.now_ns () +. (timeout_s *. 1e9) in
       let rec await () =
-        let remaining = deadline -. Unix.gettimeofday () in
+        let remaining = seconds_until deadline in
         if remaining <= 0.0 then
           if n >= t.max_retransmit then Error `Timeout
           else attempt (n + 1) (timeout_s *. 2.0)

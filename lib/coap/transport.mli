@@ -1,11 +1,14 @@
 (** Unix-UDP transport: the socket edge in front of a {!Server}.
 
     One acceptor loop (optionally its own domain) drains a nonblocking
-    datagram socket into a reused receive buffer, parses each datagram
-    in place, and feeds it to the attached server; replies leave through
-    [sendto].  Remote peers get integer addresses at or above
-    {!peer_base}, so a server can face the simulated network and real
-    sockets at the same time. *)
+    datagram socket into a reused receive buffer of one CoAP message
+    ({!Message.max_size} bytes, plus one that flags a longer datagram),
+    parses each datagram in place, and feeds it to the attached server;
+    replies leave through [sendto].  An oversize datagram is never
+    parsed: {!Server.reject_oversize} answers it 4.13.  Remote peers get
+    integer addresses at or above {!peer_base}, so a server can face the
+    simulated network and real sockets at the same time; the last
+    {!peer_capacity} of them are remembered. *)
 
 val peer_base : int
 (** Socket peers are numbered from here; smaller addresses remain
@@ -16,7 +19,13 @@ type stats = {
   mutable rx_bytes : int;
   mutable tx_datagrams : int;
   mutable tx_bytes : int;
+  mutable rx_oversize : int;  (** datagrams over {!Message.max_size} *)
+  mutable peer_evictions : int;
+      (** peers forgotten to make room; replies to them are dropped *)
 }
+
+val peer_capacity : int
+(** Socket peers remembered at once (FIFO eviction). *)
 
 type t
 
@@ -29,6 +38,7 @@ val port : t -> int
 
 val stats : t -> stats
 val peer_count : t -> int
+(** Peers currently remembered, at most {!peer_capacity}. *)
 
 val attach : t -> Server.t -> unit
 (** Route the server's replies: peer ids go to the socket, everything
@@ -90,5 +100,6 @@ module Client : sig
       {!recv}. *)
 
   val recv : t -> timeout_s:float -> Message.t option
-  (** Block until the next parseable datagram or the timeout. *)
+  (** Block until the next parseable datagram of at most
+      {!Message.max_size} bytes, or the timeout. *)
 end

@@ -81,7 +81,7 @@ let spawn_rows =
     (fun (w : Spawn_bench.workload) ->
       {
         Spawn_bench.name = w.w_name; attach_ns = 200_000.; spawn_ns = 900.;
-        image_hits = 522; image_misses = 1;
+        verify_x = 8.; image_hits = 522; image_misses = 1;
       })
     (Spawn_bench.workloads ())
 
