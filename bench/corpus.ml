@@ -11,7 +11,10 @@
    The gated ratios are per-workload speed relative to the workload's
    reference row (rbpf/decoded for guest programs, update/sequential for
    the storm) — robust to absolute machine speed, sensitive to any one
-   runtime regressing relative to the others. *)
+   runtime regressing relative to the others.  A workload's impls are
+   timed in interleaved rounds, one batch of each per round, and a
+   ratio is the median of its per-round ratios, so a host stall during
+   one batch cannot move it. *)
 
 module Jsonx = Femto_obs.Jsonx
 module Harness = Femto_workloads.Harness
@@ -29,6 +32,9 @@ type row = {
   runtime : string;
   tier : string;
   ns : float;
+      (* the reference's median over rounds, divided by this impl's
+         median per-round ratio to it: its time on the reference's
+         clock, so [ratios] reads back the paired ratio *)
   result : int64;
 }
 
@@ -248,42 +254,57 @@ let workloads () =
 (* Per-layer batching: L1 kernels run in µs, L2 hooks in tens of µs, L3
    storms in ms.  Short smoke batches trade statistical niceness for
    wall-clock budget — the gate compares ratios of identically-batched
-   rows, so the estimator bias cancels.  L3 rows are the best of nine
-   single runs: a domain wake-up the host delays by a millisecond lands
-   in one run, and one slow run cannot decide a best-of-nine row. *)
-let timing = function "l1" -> (1, 10, 2) | "l2" -> (1, 5, 2) | _ -> (1, 1, 9)
+   rows, so the estimator bias cancels.  (warmup, batch, rounds): L3
+   batches are single runs, and its nine rounds keep a domain wake-up
+   the host delays by a millisecond to one round. *)
+let timing = function "l1" -> (1, 10, 7) | "l2" -> (1, 5, 7) | _ -> (1, 1, 9)
 
 let measure_workload (w : Harness.workload) =
   let warmup, iters, trials = timing w.layer in
-  List.map
-    (fun (impl : Harness.impl) ->
-      let inst = impl.mk () in
-      let check what =
-        let got = inst.run () in
-        if not (Int64.equal got w.expected) then
-          failwith
-            (Printf.sprintf
-               "EQUIVALENCE FAILURE: %s %s/%s: %s returned %Ld, reference %Ld"
-               w.wname impl.runtime impl.tier what got w.expected)
-      in
-      (* equivalence gate: first run and a repeat (catches instance state
-         leaking between runs) must match the native reference *)
-      check "first run";
-      check "rerun";
-      let ns =
-        Measure.wall_ns ~warmup ~iters ~trials (fun () -> ignore (inst.run ()))
-      in
-      let result = inst.run () in
-      inst.dispose ();
-      {
-        wname = w.wname;
-        layer = w.layer;
-        runtime = impl.runtime;
-        tier = impl.tier;
-        ns;
-        result;
-      })
-    w.impls
+  let impls =
+    Array.map
+      (fun (impl : Harness.impl) ->
+        let inst = impl.mk () in
+        let check what =
+          let got = inst.run () in
+          if not (Int64.equal got w.expected) then
+            failwith
+              (Printf.sprintf
+                 "EQUIVALENCE FAILURE: %s %s/%s: %s returned %Ld, reference %Ld"
+                 w.wname impl.runtime impl.tier what got w.expected)
+        in
+        (* equivalence gate: first run and a repeat (catches instance state
+           leaking between runs) must match the native reference *)
+        check "first run";
+        check "rerun";
+        for _ = 1 to warmup do
+          ignore (inst.run ())
+        done;
+        (impl, inst))
+      (Array.of_list w.impls)
+  in
+  let samples =
+    Measure.interleaved ~trials
+      (Array.map
+         (fun (_, (inst : Harness.instance)) () ->
+           Measure.batch_ns iters (fun () -> ignore (inst.run ())))
+         impls)
+  in
+  let reference_ns = Measure.median (Array.to_list samples.(0)) in
+  Array.to_list
+    (Array.mapi
+       (fun i ((impl : Harness.impl), (inst : Harness.instance)) ->
+         let result = inst.run () in
+         inst.dispose ();
+         {
+           wname = w.wname;
+           layer = w.layer;
+           runtime = impl.runtime;
+           tier = impl.tier;
+           ns = reference_ns /. Measure.median_ratio samples.(0) samples.(i);
+           result;
+         })
+       impls)
 
 (* --- ratios + family ------------------------------------------------- *)
 
@@ -291,14 +312,10 @@ let measure_workload (w : Harness.workload) =
    first impl listed — rbpf/decoded for L1/L2, update/sequential for
    L3).  > 1 means faster than the reference. *)
 let ratios rows =
-  let by_workload = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      if not (Hashtbl.mem by_workload r.wname) then
-        Hashtbl.add by_workload r.wname r.ns)
-    rows;
   List.map
-    (fun r -> (row_key r, Hashtbl.find by_workload r.wname /. r.ns))
+    (fun r ->
+      let reference = List.find (fun x -> x.wname = r.wname) rows in
+      (row_key r, reference.ns /. r.ns))
     rows
 
 (* The corpus has no in-run floor: equivalence failures raise before

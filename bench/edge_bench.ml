@@ -123,11 +123,6 @@ let time_handler_path server ~path ~iters ~src_base =
 
 (* --- UDP loopback rows ------------------------------------------------ *)
 
-let median xs =
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  sorted.(Array.length sorted / 2)
-
 (* Uncached and cached GETs over one socket, in [trials] paired trials:
    each trial times a batch of [batch] GETs of each path back to back,
    in alternating order, and yields one uncached/cached ratio of the
@@ -318,7 +313,7 @@ let ratios ?udp_pairs rows =
   in
   let udp =
     match udp_pairs with
-    | Some pairs -> Some (median pairs)
+    | Some pairs -> Some (Measure.median (Array.to_list pairs))
     | None -> mean_ratio "udp-get"
   in
   List.filter_map

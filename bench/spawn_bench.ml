@@ -160,19 +160,16 @@ let verify_x engine w c ~extra_regions =
     ignore (ok_or_attach (Engine.spawn engine ~hook_uuid ~extra_regions c));
     Engine.detach engine c
   in
-  let batch n f =
-    let t0 = Measure.now_ns () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Measure.now_ns () -. t0) /. float_of_int n
+  ignore (Measure.batch_ns 20 verify);
+  ignore (Measure.batch_ns 20 spawn);
+  let samples =
+    Measure.interleaved ~trials:pair_trials
+      [|
+        (fun () -> Measure.batch_ns 100 verify);
+        (fun () -> Measure.batch_ns 500 spawn);
+      |]
   in
-  ignore (batch 20 verify);
-  ignore (batch 20 spawn);
-  Measure.median
-    (List.init pair_trials (fun _ ->
-         let v = batch 100 verify in
-         v /. batch 500 spawn))
+  Measure.median_ratio samples.(0) samples.(1)
 
 let measure_workload w =
   let engine = fresh_engine () in

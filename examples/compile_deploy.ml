@@ -83,11 +83,11 @@ let () =
   Engine.add_helper_installer (Device.engine device) Femto_core.Contract.Time
     (fun helpers ->
       Femto_vm.Helper.register helpers ~id:id_fetch_peak ~name:"bpf_fetch_peak"
-        (fun _mem _args -> Ok !peak);
+        (fun _mem rf -> Femto_vm.Helper.return rf !peak);
       Femto_vm.Helper.register helpers ~id:id_store_peak ~name:"bpf_store_peak"
-        (fun _mem args ->
-          peak := args.Femto_vm.Helper.a1;
-          Ok 0L));
+        (fun _mem rf ->
+          peak := Femto_vm.Helper.arg rf 1;
+          Femto_vm.Helper.return rf 0L));
 
   (* 3. deploy over the network through SUIT *)
   let client = Client.create ~network ~kernel ~addr:9 in

@@ -74,7 +74,11 @@ let deploy client kernel ~sequence program =
 
 let () =
   let kernel = Kernel.create () in
-  let network = Network.create ~kernel ~loss_permille:100 () in
+  let network =
+    Network.create ~kernel
+      ~profile:(Femto_net.Profile.make ~loss_permille:100 "lossy-10%")
+      ()
+  in
   let flash = Flash.create ~page_size:256 ~pages:64 () in
   let client = Client.create ~network ~kernel ~addr:9 in
 

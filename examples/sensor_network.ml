@@ -87,7 +87,11 @@ let () =
     formatter;
 
   (* --- network: device node + remote client over lossy 6LoWPAN --- *)
-  let network = Network.create ~kernel ~loss_permille:100 () in
+  let network =
+    Network.create ~kernel
+      ~profile:(Femto_net.Profile.make ~loss_permille:100 "lossy-10%")
+      ()
+  in
   let server = Server.create ~network ~addr:1 () in
 
   (* --- periodic sensor sampling: fire the timer hook every 100 ms for a

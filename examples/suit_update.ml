@@ -68,7 +68,11 @@ let () =
   in
 
   (* --- device CoAP endpoints: payload slot + manifest install --- *)
-  let network = Network.create ~kernel ~loss_permille:150 () in
+  let network =
+    Network.create ~kernel
+      ~profile:(Femto_net.Profile.make ~loss_permille:150 "lossy-15%")
+      ()
+  in
   let server = Server.create ~network ~addr:1 () in
   let pending_payload = ref "" in
   Server.register server ~path:"/suit/slot" (fun ~src:_ request ->

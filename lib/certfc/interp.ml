@@ -216,17 +216,16 @@ let step t state =
           match Helper.find t.helpers id with
           | None -> Error (Fault.Unknown_helper { pc; id })
           | Some entry -> (
-              let args =
-                {
-                  Helper.a1 = state.regs.Regs.r1;
-                  a2 = state.regs.Regs.r2;
-                  a3 = state.regs.Regs.r3;
-                  a4 = state.regs.Regs.r4;
-                  a5 = state.regs.Regs.r5;
-                }
-              in
-              match entry.Helper.fn t.mem args with
-              | Ok r0 ->
+              (* the helper ABI is a register file in bytes: r0..r5 go
+                 into a scratch one, and r0 comes back *)
+              let rf = Bytes.make 88 '\000' in
+              let regs = state.regs in
+              List.iteri
+                (fun i v -> Bytes.set_int64_ne rf (i lsl 3) v)
+                Regs.[ regs.r0; regs.r1; regs.r2; regs.r3; regs.r4; regs.r5 ];
+              match entry.Helper.fn t.mem rf with
+              | () ->
+                  let r0 = Bytes.get_int64_ne rf 0 in
                   Ok
                     (Next
                        {
@@ -236,7 +235,8 @@ let step t state =
                          helper_calls = state.helper_calls + 1;
                          cycles = state.cycles + entry.Helper.cost_cycles;
                        })
-              | Error message -> Error (Fault.Helper_error { pc; id; message })))
+              | exception Helper.Error message ->
+                  Error (Fault.Helper_error { pc; id; message })))
       | Insn.Exit -> Ok (Done state.regs.Regs.r0)
       | Insn.Invalid opcode -> Error (Fault.Invalid_opcode { pc; opcode })
 

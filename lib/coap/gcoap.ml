@@ -62,46 +62,47 @@ let fmt_s16_dfp value scale =
   end
 
 (* Install the CoAP helper set; gated behind the Net_coap capability by
-   the engine.  All helpers treat a1 as the packet-context token. *)
+   the engine.  All helpers treat r1 as the packet-context token. *)
 let install builder helpers =
   Helper.register helpers ~id:Syscall.id_gcoap_resp_init ~cost_cycles:150 ~arity:2
     ~name:"bpf_gcoap_resp_init"
-    (fun _mem args ->
-      builder.code <- Int64.to_int args.Helper.a2 land 0xff;
-      Ok 0L);
+    (fun _mem rf ->
+      builder.code <- Int64.to_int (Helper.arg rf 2) land 0xff;
+      Helper.return rf 0L);
   Helper.register helpers ~id:Syscall.id_coap_add_format ~cost_cycles:60 ~arity:2
     ~name:"bpf_coap_add_format"
-    (fun _mem args ->
-      builder.format <- Some (Int64.to_int args.Helper.a2 land 0xffff);
-      Ok 0L);
+    (fun _mem rf ->
+      builder.format <- Some (Int64.to_int (Helper.arg rf 2) land 0xffff);
+      Helper.return rf 0L);
   Helper.register helpers ~id:Syscall.id_coap_opt_finish ~cost_cycles:60 ~arity:1
     ~name:"bpf_coap_opt_finish"
-    (fun _mem _args ->
+    (fun _mem rf ->
       builder.finished <- true;
       (* options are framed host-side; the payload starts at the beginning
          of the packet buffer region *)
-      Ok pkt_vaddr);
+      Helper.return rf pkt_vaddr);
   Helper.register helpers ~id:Syscall.id_fmt_s16_dfp ~cost_cycles:120 ~arity:3
     ~name:"bpf_fmt_s16_dfp"
-    (fun mem args ->
+    (fun mem rf ->
       let scale =
-        (* sign-extended small scale in a3 *)
-        let raw = Int64.to_int args.Helper.a3 in
+        (* sign-extended small scale in r3 *)
+        let raw = Int64.to_int (Helper.arg rf 3) in
         if raw > 32767 then raw - 65536 else raw
       in
-      let text = fmt_s16_dfp args.Helper.a2 scale in
-      match Mem.store_bytes mem ~addr:args.Helper.a1 (Bytes.of_string text) with
-      | Ok () -> Ok (Int64.of_int (String.length text))
-      | Error () -> Error "fmt destination outside allow-list");
+      let text = fmt_s16_dfp (Helper.arg rf 2) scale in
+      match
+        Mem.store_bytes mem ~addr:(Helper.arg rf 1) (Bytes.of_string text)
+      with
+      | Ok () -> Helper.return rf (Int64.of_int (String.length text))
+      | Error () -> Helper.fail "fmt destination outside allow-list");
   Helper.register helpers ~id:Syscall.id_coap_set_payload_len ~cost_cycles:30 ~arity:2
     ~name:"bpf_coap_set_payload_len"
-    (fun _mem args ->
-      let len = Int64.to_int args.Helper.a2 in
-      if len < 0 || len > pkt_size then Error "payload length out of range"
-      else begin
-        builder.payload_len <- len;
-        Ok 0L
-      end)
+    (fun _mem rf ->
+      let len = Int64.to_int (Helper.arg rf 2) in
+      if len < 0 || len > pkt_size then
+        Helper.fail "payload length out of range";
+      builder.payload_len <- len;
+      Helper.return rf 0L)
 
 (* Register with the engine so any container granted Net_coap gets the
    helpers. *)

@@ -83,7 +83,7 @@ type facilities = {
 type Femto_vm.Mem.host +=
   | Host of { container : Container.t; facilities : facilities }
 
-let unbound = Error "no container bound to this instance"
+let unbound () = Helper.fail "no container bound to this instance"
 
 let now_ms f =
   if f.clock_is_time then
@@ -112,29 +112,31 @@ let key_of args_value = Int64.to_int32 (Int64.logand args_value 0xFFFF_FFFFL)
 let register_kv helpers ~scope ~store_id ~fetch_id ~suffix =
   Helper.register helpers ~id:store_id ~cost_cycles:80 ~arity:2
     ~name:("bpf_store_" ^ suffix)
-    (fun mem args ->
+    (fun mem rf ->
       match Mem.host mem with
       | Host { container; facilities } -> (
           match
-            Kvstore.store (scope container facilities) (key_of args.Helper.a1)
-              args.Helper.a2
+            Kvstore.store (scope container facilities)
+              (key_of (Helper.arg rf 1))
+              (Helper.arg rf 2)
           with
-          | Ok () -> Ok 0L
+          | Ok () -> Helper.return rf 0L
           | Error (`Store_full name) ->
-              Error (Printf.sprintf "store %s full" name))
-      | _ -> unbound);
+              Helper.fail (Printf.sprintf "store %s full" name))
+      | _ -> unbound ());
   Helper.register helpers ~id:fetch_id ~cost_cycles:80 ~arity:2
     ~name:("bpf_fetch_" ^ suffix)
-    (fun mem args ->
+    (fun mem rf ->
       match Mem.host mem with
       | Host { container; facilities } -> (
           let value =
-            Kvstore.fetch (scope container facilities) (key_of args.Helper.a1)
+            Kvstore.fetch (scope container facilities)
+              (key_of (Helper.arg rf 1))
           in
-          match Mem.store mem ~addr:args.Helper.a2 ~size:8 value with
-          | Ok () -> Ok 0L
-          | Error () -> Error "fetch destination outside allow-list")
-      | _ -> unbound)
+          match Mem.store mem ~addr:(Helper.arg rf 2) ~size:8 value with
+          | Ok () -> Helper.return rf 0L
+          | Error () -> Helper.fail "fetch destination outside allow-list")
+      | _ -> unbound ())
 
 (* Build the helper table for the granted capabilities.  [extra] lets
    integration layers (e.g. CoAP) install capability-gated helpers
@@ -145,38 +147,38 @@ let build ?(extra = []) granted =
   (* always available: pure memory move within the allow-list *)
   Helper.register helpers ~id:id_memcpy ~cost_cycles:30 ~arity:3
     ~name:"bpf_memcpy"
-    (fun mem args ->
-      let len = Int64.to_int args.Helper.a3 in
-      if len < 0 || len > 1024 then Error "memcpy length out of range"
-      else
-        match Mem.load_bytes mem ~addr:args.Helper.a2 ~len with
-        | Error () -> Error "memcpy source outside allow-list"
-        | Ok data -> (
-            match Mem.store_bytes mem ~addr:args.Helper.a1 data with
-            | Ok () -> Ok args.Helper.a1
-            | Error () -> Error "memcpy destination outside allow-list"));
+    (fun mem rf ->
+      let dst = Helper.arg rf 1 in
+      let len = Int64.to_int (Helper.arg rf 3) in
+      if len < 0 || len > 1024 then Helper.fail "memcpy length out of range";
+      match Mem.load_bytes mem ~addr:(Helper.arg rf 2) ~len with
+      | Error () -> Helper.fail "memcpy source outside allow-list"
+      | Ok data -> (
+          match Mem.store_bytes mem ~addr:dst data with
+          | Ok () -> Helper.return rf dst
+          | Error () -> Helper.fail "memcpy destination outside allow-list"));
   if has Contract.Debug then
     Helper.register helpers ~id:id_trace ~cost_cycles:40 ~arity:1
       ~name:"bpf_trace"
-      (fun mem args ->
+      (fun mem rf ->
         match Mem.host mem with
         | Host { facilities = f; _ } ->
-            f.trace_log <- args.Helper.a1 :: f.trace_log;
-            Ok 0L
-        | _ -> unbound);
+            f.trace_log <- Helper.arg rf 1 :: f.trace_log;
+            Helper.return rf 0L
+        | _ -> unbound ());
   if has Contract.Time then begin
     Helper.register helpers ~id:id_now_ms ~cost_cycles:25 ~arity:0
       ~name:"bpf_now_ms"
-      (fun mem _args ->
+      (fun mem rf ->
         match Mem.host mem with
-        | Host { facilities; _ } -> Ok (now_ms facilities)
-        | _ -> unbound);
+        | Host { facilities; _ } -> Helper.return rf (now_ms facilities)
+        | _ -> unbound ());
     Helper.register helpers ~id:id_ticks ~cost_cycles:20 ~arity:0
       ~name:"bpf_ticks"
-      (fun mem _args ->
+      (fun mem rf ->
         match Mem.host mem with
-        | Host { facilities; _ } -> Ok (ticks facilities)
-        | _ -> unbound)
+        | Host { facilities; _ } -> Helper.return rf (ticks facilities)
+        | _ -> unbound ())
   end;
   if has Contract.Kv_local then
     register_kv helpers ~scope:local_scope ~store_id:id_store_local
@@ -190,16 +192,16 @@ let build ?(extra = []) granted =
   if has Contract.Sensors then
     Helper.register helpers ~id:id_saul_read ~cost_cycles:500 ~arity:2
       ~name:"bpf_saul_read"
-      (fun mem args ->
+      (fun mem rf ->
         match Mem.host mem with
         | Host { facilities; _ } -> (
-            match read_sensor facilities (Int64.to_int args.Helper.a1) with
-            | Error message -> Error message
+            match read_sensor facilities (Int64.to_int (Helper.arg rf 1)) with
+            | Error message -> Helper.fail message
             | Ok value -> (
-                match Mem.store mem ~addr:args.Helper.a2 ~size:8 value with
-                | Ok () -> Ok 0L
-                | Error () -> Error "sensor destination outside allow-list"))
-        | _ -> unbound);
+                match Mem.store mem ~addr:(Helper.arg rf 2) ~size:8 value with
+                | Ok () -> Helper.return rf 0L
+                | Error () -> Helper.fail "sensor destination outside allow-list"))
+        | _ -> unbound ());
   List.iter
     (fun (cap, install) -> if has cap then install helpers)
     extra;

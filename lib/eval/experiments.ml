@@ -314,7 +314,7 @@ let instruction_class_programs =
 let figure8 () =
   let helpers = Femto_vm.Helper.create () in
   Femto_vm.Helper.register helpers ~id:1 ~cost_cycles:10 ~name:"nop_helper"
-    (fun _mem _args -> Ok 0L);
+    (fun _mem rf -> Femto_vm.Helper.return rf 0L);
   (* Both rBPF columns time the decoded interpreter: the IR tier's
      constant folding and per-block batching would erase the
      per-instruction cost this figure compares. *)

@@ -39,6 +39,7 @@ module Kernel = Femto_rtos.Kernel
 module Clock = Femto_rtos.Clock
 module Mailbox = Femto_rtos.Mailbox
 module Network = Femto_net.Network
+module Profile = Femto_net.Profile
 module Message = Femto_coap.Message
 module Suit = Femto_suit.Suit
 module Cose = Femto_cose.Cose
@@ -310,19 +311,19 @@ let install_firmware shard dev payload =
    encodings made at [create] with the message id patched in; a token
    changes the encoding's length, so a push that carried one is acked by
    a full encode. *)
-let send_ack shard dev (msg : Message.t) ~ok =
-  let message_id = msg.Message.message_id in
+let send_ack shard dev (v : Message.view) ~ok =
+  let message_id = Message.view_message_id v in
+  let token = Message.view_token v in
   let datagram =
-    if msg.Message.token = "" then
+    if token = "" then
       with_message_id (if ok then shard.ack_ok else shard.ack_rej) message_id
-    else
-      Message.encode (ack_message ~token:msg.Message.token ~ok ~message_id ())
+    else Message.encode (ack_message ~token ~ok ~message_id ())
   in
   Network.send shard.net ~src:dev.addr ~dst:server_addr datagram
 
-let handle_update shard dev (msg : Message.t) =
+let handle_update shard dev (v : Message.view) =
   let ok =
-    match unframe msg.Message.payload with
+    match unframe (Message.view_payload v) with
     | None -> false
     | Some (envelope, firmware) -> (
         match
@@ -339,20 +340,23 @@ let handle_update shard dev (msg : Message.t) =
     dev.updates_rejected <- dev.updates_rejected + 1;
     shard.stats.s_updates_rejected <- shard.stats.s_updates_rejected + 1
   end;
-  send_ack shard dev msg ~ok
+  send_ack shard dev v ~ok
 
+let code_post = Message.code_to_int Message.code_post
+
+(* An update is validated in place ([Message.scan]) and read from its
+   view; any other datagram goes to the inbox undecoded. *)
 let handle_datagram shard dev ~src:_ data =
   let now = Kernel.now_int shard.kernel in
   record_event dev ev_datagram now;
   Clock.advance_to_int dev.clock now;
-  match Message.decode data with
+  match Message.scan data ~off:0 ~len:(Bytes.length data) with
   | exception Message.Parse_error _ -> ignore (Mailbox.send dev.inbox data)
-  | msg ->
-      if msg.Message.code = Message.code_post
-         && Message.path_string msg = "/suit"
+  | v ->
+      if Message.view_code v = code_post && Message.path_matches v "/suit"
       then begin
         record_event dev ev_update now;
-        handle_update shard dev msg
+        handle_update shard dev v
       end
       else ignore (Mailbox.send dev.inbox data)
 
@@ -464,8 +468,10 @@ let create (config : config) =
     Array.init shards_n (fun s ->
         let kernel = Kernel.create () in
         let net =
-          Network.create ~kernel ~loss_permille:config.loss_permille
-            ~latency_us:config.latency_us
+          Network.create ~kernel
+            ~profile:
+              (Profile.make ~loss_permille:config.loss_permille
+                 ~latency_us:config.latency_us "fleet")
             ~seed:(config.seed + s)
             ()
         in

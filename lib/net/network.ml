@@ -50,24 +50,11 @@ type t = {
   stats : stats;
 }
 
-let create ~kernel ?profile ?loss_permille ?latency_us ?(seed = 42) () =
-  (* [profile] supersedes the legacy knobs; the knobs still override the
-     matching profile fields so existing call sites keep their meaning *)
-  let base = Option.value profile ~default:Profile.clean in
-  let base =
-    match loss_permille with
-    | Some l -> { base with Profile.p_loss_permille = l }
-    | None -> base
-  in
-  let base =
-    match latency_us with
-    | Some l -> { base with Profile.p_latency_us = l }
-    | None -> base
-  in
+let create ~kernel ?(profile = Profile.clean) ?(seed = 42) () =
   {
     kernel;
     nodes = Hashtbl.create 4;
-    profile = base;
+    profile;
     rng = Random.State.make [| seed |];
     next_tag = 1;
     gateway = None;

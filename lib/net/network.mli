@@ -28,15 +28,12 @@ type t
 val create :
   kernel:Femto_rtos.Kernel.t ->
   ?profile:Profile.t ->
-  ?loss_permille:int ->
-  ?latency_us:int ->
   ?seed:int ->
   unit ->
   t
-(** [profile] selects the full fault-injection model (default
-    {!Profile.clean}); the legacy [loss_permille] / [latency_us] knobs
-    override the matching profile fields.  [seed] makes the whole fault
-    schedule reproducible. *)
+(** [profile] selects the fault-injection model (default
+    {!Profile.clean}).  [seed] makes the whole fault schedule
+    reproducible. *)
 
 val stats : t -> stats
 val profile : t -> Profile.t

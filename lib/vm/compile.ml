@@ -63,9 +63,9 @@ external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
    and pointed at the running instance at each run entry, so a closure
    reaches a register or a stack byte in one load. *)
 type ctx = {
-  rf : bytes; (* the frame's IR register file: 11 registers x 8 bytes *)
+  rf : bytes; (* the frame's register file: 11 registers x 8 bytes *)
   stack : bytes; (* the frame's stack *)
-  fr : Frame.t; (* its dirty window, decoded registers and region *)
+  fr : Frame.t; (* its dirty window and region *)
   mutable inst : Mem.t;
 }
 
@@ -306,9 +306,9 @@ let compile_ir ~mode ~(ir : Ir.program) interp : code =
         else
           fun cx ->
             bulk_acct cx dn dc;
-            (match Interp.alu32 pc op (reg cx dst) (reg cx src) with
-            | Ok r -> set_reg cx dst r
-            | Error f -> raise (Vm_fault f));
+            if Int64.equal (Int64.logand (reg cx src) 0xFFFF_FFFFL) 0L then
+              raise (Vm_fault (Fault.Division_by_zero { pc }));
+            Interp.alu_regs false op cx.rf ~dst ~src;
             k cx
     | Ir.Alu { is64 = true; op; dst; src } -> gen_alu64 ~dst ~src op k
     | Ir.Alu { is64 = false; op; dst; src } -> (
@@ -323,15 +323,13 @@ let compile_ir ~mode ~(ir : Ir.program) interp : code =
               k cx
         | Ir.Reg src ->
             fun cx ->
-              (match Interp.alu32 pc op (reg cx dst) (reg cx src) with
-              | Ok r -> set_reg cx dst r
-              | Error f -> raise (Vm_fault f));
+              Interp.alu_regs false op cx.rf ~dst ~src;
               k cx)
     | Ir.Swap { dst; endianness; width } ->
+        (* the lifter traps every width but 16, 32 and 64 *)
+        let bits = Int32.to_int width in
         fun cx ->
-          (match Interp.byte_swap pc endianness width (reg cx dst) with
-          | Ok v -> set_reg cx dst v
-          | Error f -> raise (Vm_fault f));
+          Interp.byte_swap_regs endianness ~bits cx.rf ~dst;
           k cx
     | Ir.Load { dst; base; off; nbytes; elide = true; _ } ->
         let off64 = Int64.of_int off in
@@ -505,19 +503,9 @@ let compile_ir ~mode ~(ir : Ir.program) interp : code =
               if Obs.tracing () then
                 Obs.event (fun () -> Otrace.Helper_call { id; name });
               cx.inst.Mem.cycles <- cx.inst.Mem.cycles + hcost;
-              let a =
-                {
-                  Helper.a1 = reg cx 1;
-                  a2 = reg cx 2;
-                  a3 = reg cx 3;
-                  a4 = reg cx 4;
-                  a5 = reg cx 5;
-                }
-              in
-              (match fn cx.inst a with
-              | Ok r0 -> set_reg cx 0 r0
-              | Error message ->
-                  raise (Vm_fault (Fault.Helper_error { pc; id; message })));
+              (try fn cx.inst cx.rf
+               with Helper.Error message ->
+                 raise (Vm_fault (Fault.Helper_error { pc; id; message })));
               cx.fr.Frame.dirty_lo <- 0;
               cx.fr.Frame.dirty_hi <- stack_size;
               k cx)
@@ -564,18 +552,11 @@ let compile_ir ~mode ~(ir : Ir.program) interp : code =
           bulk_acct cx dn dc;
           raise exn
   in
-  (* Finish the run in the decoded loop at [pc]: the register file goes
-     over and comes back, and the dirty window widens to the whole stack
-     because interpreter stores are not tracked. *)
+  (* Finish the run in the decoded loop at [pc], over the same register
+     file; the dirty window widens to the whole stack because interpreter
+     stores are not tracked. *)
   let resume_decoded cx pc =
-    let regs = cx.fr.Frame.regs in
-    for i = 0 to 10 do
-      regs.(i) <- reg cx i
-    done;
     let outcome = Interp.resume ~pc interp cx.inst cx.fr in
-    for i = 0 to 10 do
-      set_reg cx i regs.(i)
-    done;
     cx.fr.Frame.dirty_lo <- 0;
     cx.fr.Frame.dirty_hi <- stack_size;
     match outcome with Ok _ -> -1 | Error f -> raise (Vm_fault f)
@@ -847,13 +828,4 @@ let fire ~args t = fire_on ~args t.code t.instance
 let last_frame t = Frame.last (Interp.config t.code.interp)
 let result t = get64 (last_frame t).Frame.rf 0
 
-let copy_registers code dst =
-  let rf = (Frame.last (Interp.config code.interp)).Frame.rf in
-  for i = 0 to 10 do
-    dst.(i) <- get64 rf (i lsl 3)
-  done
-
-let ram_bytes code =
-  let word = Sys.word_size / 8 in
-  88 (* register file, borrowed with the frame *)
-  + (code.ir_blocks * word)
+let ram_bytes code = code.ir_blocks * (Sys.word_size / 8)

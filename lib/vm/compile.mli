@@ -82,10 +82,7 @@ val hoisted_count : t -> int
 
 val runs : t -> int
 
-val copy_registers : code -> int64 array -> unit
-(** Copy the register file of the most recent execution on this domain
-    into [dst] (length >= 11) without allocating. *)
-
 val ram_bytes : code -> int
-(** Additional state used by this tier: its register file (borrowed with
-    the frame) plus the block table (shared by every instance). *)
+(** Additional state used by this tier: the block table (shared by
+    every instance).  Its registers are the frame's one register file,
+    which {!Interp.ram_bytes} already bills. *)

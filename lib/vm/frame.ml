@@ -16,8 +16,7 @@ type t = {
   depth : int; (* index in its domain's frame stack *)
   stack : bytes;
   region : Region.t; (* the stack as an allow-list entry *)
-  regs : int64 array; (* decoded tier's register file *)
-  rf : bytes; (* IR tier's unboxed register file: 11 x 8 bytes *)
+  rf : bytes; (* the register file: 11 registers x 8 bytes, unboxed *)
   mutable dirty_lo : int; (* stack bytes [dirty_lo, dirty_hi) may be nonzero *)
   mutable dirty_hi : int;
   mutable slot : slot option; (* what a tier keeps with the frame *)
@@ -34,7 +33,6 @@ let make depth (config : Config.t) =
     region =
       Region.make ~name:"stack" ~vaddr:config.Config.stack_vaddr
         ~perm:Region.Read_write stack;
-    regs = Array.make 11 0L;
     rf = Bytes.make 88 '\000';
     dirty_lo = max_int;
     dirty_hi = 0;

@@ -1,6 +1,6 @@
 (** Run frames: the per-run state of a VM execution, lent by the domain.
 
-    The stack and the register files are dead between runs (every run
+    The stack and the register file are dead between runs (every run
     entry zeroes them), so no instance owns them.  Each domain keeps a
     stack of frames, one per nesting depth: {!acquire} lends a run the
     lowest free frame, {!release} gives it back.  A run that starts
@@ -16,8 +16,9 @@ type t = {
   depth : int;  (** index in its domain's frame stack *)
   stack : bytes;
   region : Region.t;  (** the stack as an allow-list entry ("stack") *)
-  regs : int64 array;  (** the decoded tier's 11 registers *)
-  rf : bytes;  (** the IR tier's unboxed register file, 11 x 8 bytes *)
+  rf : bytes;
+      (** the register file: r0..r10, 8 bytes each, read and written
+          unboxed by both tiers and by helpers *)
   mutable dirty_lo : int;
       (** stack bytes outside [\[dirty_lo, dirty_hi)] are zero *)
   mutable dirty_hi : int;
@@ -48,5 +49,5 @@ val ram_bytes : Config.t -> int
 
 val heap_bytes : Config.t -> int
 (** Host heap bytes of one frame laid out for [config], as built: stack,
-    region, both register files, record.  Table 1 adds it to an rBPF
+    region, register file, record.  Table 1 adds it to an rBPF
     instance's deep size. *)

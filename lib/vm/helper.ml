@@ -2,13 +2,23 @@
 
    Containers reach OS facilities only through helpers invoked with the
    eBPF [call] instruction — the paper's "simple containerization"
-   interface.  A helper receives the five argument registers r1..r5 and the
-   container's memory map (so pointer arguments are checked against the
-   same allow-list as VM loads/stores), and returns the new r0. *)
+   interface.  The calling convention is eBPF's: a helper reads its
+   arguments from r1..r5 of the run's register file and writes its
+   result to r0, and it receives the container's memory map, so pointer
+   arguments are checked against the same allow-list as VM loads and
+   stores.  A helper that fails raises [Error]; the calling tier turns
+   that into the container's fault. *)
 
-type args = { a1 : int64; a2 : int64; a3 : int64; a4 : int64; a5 : int64 }
+exception Error of string
 
-type fn = Mem.t -> args -> (int64, string) result
+type fn = Mem.t -> bytes -> unit
+
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let[@inline] arg rf n = get64 rf (n lsl 3)
+let[@inline] return rf v = set64 rf 0 v
+let fail message = raise (Error message)
 
 type entry = {
   id : int;

@@ -1,16 +1,29 @@
 (** Helper (system call) registry.
 
     Containers reach OS facilities only through helpers invoked with the
-    eBPF [call] instruction.  A helper receives the five argument
-    registers and the container's memory map, so pointer arguments are
+    eBPF [call] instruction, with eBPF's calling convention: arguments
+    in r1..r5 of the run's register file, the result in r0.  A helper
+    also receives the container's memory map, so pointer arguments are
     checked against the same allow-list as VM loads and stores. *)
 
-type args = { a1 : int64; a2 : int64; a3 : int64; a4 : int64; a5 : int64 }
-(** The argument registers r1..r5 at the call site. *)
+exception Error of string
+(** Raised by a failing helper body: the calling tier turns it into the
+    container's {!Fault.Helper_error} at the call site. *)
 
-type fn = Mem.t -> args -> (int64, string) result
-(** A helper body: returns the new r0, or an error message that faults
-    the calling container ({!Fault.Helper_error}). *)
+type fn = Mem.t -> bytes -> unit
+(** A helper body over the run's register file (11 registers, 8 bytes
+    each, the frame's [rf]): it reads its arguments r1..r5 with {!arg},
+    writes its result with {!return}, and raises {!Error} to fault the
+    calling container. *)
+
+val arg : bytes -> int -> int64
+(** [arg rf n] is register rN, [n] in 1..5. *)
+
+val return : bytes -> int64 -> unit
+(** [return rf v] sets r0 to [v]. *)
+
+val fail : string -> 'a
+(** [fail message] raises {!Error}. *)
 
 type entry = {
   id : int;

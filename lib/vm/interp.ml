@@ -97,8 +97,9 @@ let low32 v = Int64.to_int32 v
 
 (* The value kernels below are total on a nonzero divisor and inlined
    where they are used, so a caller that keeps its operands unboxed (the
-   IR constant folder) evaluates without allocating; [alu64]/[alu32]/
-   [byte_swap] add the fault checks every engine shares. *)
+   decoded loop, the IR constant folder) evaluates without allocating;
+   [alu64]/[alu32]/[byte_swap] add the fault checks and return a
+   [result], for CertFC and the IR tier's fault-capable steps. *)
 let[@inline] alu64_value op (dst : int64) (src : int64) =
   let open Int64 in
   match (op : Opcode.alu_op) with
@@ -233,22 +234,27 @@ let condition_regs cond is64 regs ~dst ~src =
 
 exception Abort of Fault.t
 
+let[@inline] reg rf i = get64 rf (i lsl 3)
+let[@inline] set_reg rf i v = set64 rf (i lsl 3) v
+
 (* [resume ~pc t m fr] runs the fully defended loop from [pc] over the
    frame's current registers and stack and instance [m]'s stats, and
    returns r0: budget counters compared per instruction, every memory
    access resolved through the allow-list.  It resets nothing, so the
    compiled tier can hand a partly executed run over at any instruction
-   boundary. *)
+   boundary.  Registers stay unboxed in the frame's [rf], and every ALU,
+   swap and branch step goes through the inlined value kernels above, so
+   those steps allocate nothing. *)
 let resume ~pc t (m : Mem.t) (fr : Frame.t) =
-  let regs = fr.Frame.regs in
+  let rf = fr.Frame.rf in
   let program = t.program in
   let len = Program.length program in
   let dynamic_limit = Config.dynamic_instruction_limit t.config in
   let fault f = raise (Abort f) in
   try
     let pc = ref pc in
-    let result = ref None in
-    while !result = None do
+    let running = ref true in
+    while !running do
       let p = !pc in
       if p < 0 || p >= len then fault (Fault.Fall_off_end { pc = p });
       (* [p] is a slot: the reads below need no bounds check *)
@@ -265,29 +271,33 @@ let resume ~pc t (m : Mem.t) (fr : Frame.t) =
       m.Mem.cycles <- m.Mem.cycles + t.cycle_cost kind;
       let next = ref (p + 1) in
       (match kind with
-      | Insn.Alu (is64, op, source) -> (
-          let src_value =
+      | Insn.Alu (is64, op, source) ->
+          let s =
             match source with
             | Opcode.Src_imm -> Int64.of_int (Program.unsafe_imm program p)
-            | Opcode.Src_reg -> regs.(src)
+            | Opcode.Src_reg -> reg rf src
           in
-          let f = if is64 then alu64 else alu32 in
-          match f p op regs.(dst) src_value with
-          | Ok v -> regs.(dst) <- v
-          | Error e -> fault e)
+          (match op with
+          | (Opcode.Div | Opcode.Mod) when zero_divisor is64 s ->
+              fault (Fault.Division_by_zero { pc = p })
+          | _ -> ());
+          let d = reg rf dst in
+          (* straight into [set64]: a let-bound result would be boxed *)
+          set64 rf (dst lsl 3)
+            (if is64 then alu64_value op d s else alu32_value op d s)
       | Insn.Load size -> (
           let off = Program.unsafe_offset program p in
-          let addr = Int64.add regs.(src) (Int64.of_int off) in
+          let addr = Int64.add (reg rf src) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
           match Mem.load m ~addr ~size:nbytes with
-          | Ok v -> regs.(dst) <- v
+          | Ok v -> set_reg rf dst v
           | Error () ->
               fault
                 (Fault.Memory_access
                    { pc = p; addr; size = nbytes; write = false }))
       | Insn.Store_imm size -> (
           let off = Program.unsafe_offset program p in
-          let addr = Int64.add regs.(dst) (Int64.of_int off) in
+          let addr = Int64.add (reg rf dst) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
           let v = Int64.of_int (Program.unsafe_imm program p) in
           match Mem.store m ~addr ~size:nbytes v with
@@ -298,9 +308,9 @@ let resume ~pc t (m : Mem.t) (fr : Frame.t) =
                    { pc = p; addr; size = nbytes; write = true }))
       | Insn.Store_reg size -> (
           let off = Program.unsafe_offset program p in
-          let addr = Int64.add regs.(dst) (Int64.of_int off) in
+          let addr = Int64.add (reg rf dst) (Int64.of_int off) in
           let nbytes = Opcode.size_bytes size in
-          match Mem.store m ~addr ~size:nbytes regs.(src) with
+          match Mem.store m ~addr ~size:nbytes (reg rf src) with
           | Ok () -> ()
           | Error () ->
               fault
@@ -309,29 +319,30 @@ let resume ~pc t (m : Mem.t) (fr : Frame.t) =
       | Insn.Lddw_head ->
           if p + 1 >= len then fault (Fault.Truncated_lddw { pc = p })
           else begin
-            regs.(dst) <- Program.lddw_imm program p;
+            set_reg rf dst (Program.lddw_imm program p);
             next := p + 2
           end
       | Insn.Lddw_tail ->
           (* Reachable only in unverified programs. *)
           fault (Fault.Invalid_opcode { pc = p; opcode = 0 })
       | Insn.End endianness -> (
-          let width = Int32.of_int (Program.unsafe_imm program p) in
-          match byte_swap p endianness width regs.(dst) with
-          | Ok v -> regs.(dst) <- v
-          | Error e -> fault e)
+          match Program.unsafe_imm program p with
+          | (16 | 32 | 64) as bits ->
+              set64 rf (dst lsl 3)
+                (byte_swap_value endianness (Int32.of_int bits) (reg rf dst))
+          | _ -> fault (Fault.Nonzero_field { pc = p; field = "end width" }))
       | Insn.Ja ->
           m.Mem.branches_taken <- m.Mem.branches_taken + 1;
           if m.Mem.branches_taken > t.config.Config.max_branches then
             fault (Fault.Branch_budget_exhausted { taken = m.Mem.branches_taken });
           next := p + 1 + Program.unsafe_offset program p
       | Insn.Jcond (is64, cond, source) ->
-          let src_value =
+          let s =
             match source with
             | Opcode.Src_imm -> Int64.of_int (Program.unsafe_imm program p)
-            | Opcode.Src_reg -> regs.(src)
+            | Opcode.Src_reg -> reg rf src
           in
-          if condition cond is64 regs.(dst) src_value then begin
+          if condition cond is64 (reg rf dst) s then begin
             m.Mem.branches_taken <- m.Mem.branches_taken + 1;
             if m.Mem.branches_taken > t.config.Config.max_branches then
               fault (Fault.Branch_budget_exhausted { taken = m.Mem.branches_taken });
@@ -343,27 +354,18 @@ let resume ~pc t (m : Mem.t) (fr : Frame.t) =
           | None -> fault (Fault.Unknown_helper { pc = p; id })
           | Some entry -> (
               m.Mem.helper_calls <- m.Mem.helper_calls + 1;
-              Obs.event (fun () ->
-                  Otrace.Helper_call { id; name = entry.Helper.name });
+              if Obs.tracing () then
+                Obs.event (fun () ->
+                    Otrace.Helper_call { id; name = entry.Helper.name });
               m.Mem.cycles <- m.Mem.cycles + entry.Helper.cost_cycles;
-              let args =
-                {
-                  Helper.a1 = regs.(1);
-                  a2 = regs.(2);
-                  a3 = regs.(3);
-                  a4 = regs.(4);
-                  a5 = regs.(5);
-                }
-              in
-              match entry.Helper.fn m args with
-              | Ok r0 -> regs.(0) <- r0
-              | Error message ->
-                  fault (Fault.Helper_error { pc = p; id; message })))
-      | Insn.Exit -> result := Some regs.(0)
+              try entry.Helper.fn m rf
+              with Helper.Error message ->
+                fault (Fault.Helper_error { pc = p; id; message })))
+      | Insn.Exit -> running := false
       | Insn.Invalid opcode -> fault (Fault.Invalid_opcode { pc = p; opcode }));
-      (match !result with None -> pc := !next | Some _ -> ())
+      pc := !next
     done;
-    match !result with Some r0 -> Ok r0 | None -> assert false
+    Ok (reg rf 0)
   with Abort f -> Error f
 
 (* [exec_checked t ~args] executes the program from slot 0 with r1..r5
@@ -372,17 +374,19 @@ let resume ~pc t (m : Mem.t) (fr : Frame.t) =
 let exec_checked ~args t m =
   let outer = Mem.stack m in
   let fr = lend t m in
-  let regs = fr.Frame.regs in
-  Array.fill regs 0 11 0L;
+  let rf = fr.Frame.rf in
+  Bytes.fill rf 0 (Bytes.length rf) '\000';
   Bytes.fill fr.Frame.stack 0 (Bytes.length fr.Frame.stack) '\000';
   (* the loop does not track its stores: the IR tier's next reset of
      this frame zeroes the whole stack *)
   fr.Frame.dirty_lo <- 0;
   fr.Frame.dirty_hi <- Bytes.length fr.Frame.stack;
-  regs.(10) <-
-    Int64.add t.config.Config.stack_vaddr
-      (Int64.of_int t.config.Config.stack_size);
-  Array.iteri (fun i v -> if i < 5 then regs.(i + 1) <- v) args;
+  set_reg rf 10
+    (Int64.add t.config.Config.stack_vaddr
+       (Int64.of_int t.config.Config.stack_size));
+  for i = 0 to min 5 (Array.length args) - 1 do
+    set_reg rf (i + 1) args.(i)
+  done;
   m.Mem.insns_executed <- 0;
   m.Mem.branches_taken <- 0;
   m.Mem.helper_calls <- 0;

@@ -83,8 +83,9 @@ val byte_swap :
 
 (** {3 Over a register file in bytes}
 
-    The same semantics over registers held 8 bytes each in a [Bytes.t]
-    (the IR constant folder's known values).  No argument or result is
+    The same semantics over registers held 8 bytes each in a [Bytes.t],
+    the layout of a frame's register file (here the IR constant
+    folder's known values).  No argument or result is
     an int64, so a call allocates nothing even where it is not
     inlined. *)
 

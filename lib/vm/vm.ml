@@ -72,7 +72,7 @@ let make_image ~verified ~proven interp code =
    verification, no analysis, no decode (the program is read in place),
    no compilation (the closure graph is shared).  The instance privately
    owns one record — stats, memory region table and inline cache slots
-   — plus its allow-list array; its stack and register files are lent
+   — plus its allow-list array; its stack and register file are lent
    per run by the domain. *)
 let instantiate img regions =
   let config = Interp.config img.interp in
@@ -164,14 +164,10 @@ let frame t = Frame.last (Interp.config (interp t))
 
 let mem t = Mem.with_stack t (frame t).Frame.region
 
-(* The register file of whichever tier executed; for the compiled tier
-   the frame's decoded array doubles as the snapshot buffer. *)
+(* A copy of the frame's one register file, whichever tier ran. *)
 let registers t =
-  let regs = (frame t).Frame.regs in
-  (match (image_of_inst t).code with
-  | Some c -> Compile.copy_registers c regs
-  | None -> ());
-  regs
+  let rf = (frame t).Frame.rf in
+  Array.init 11 (fun i -> Bytes.get_int64_ne rf (i lsl 3))
 
 let ram_bytes t =
   let img = image_of_inst t in

@@ -97,7 +97,8 @@ val mem : t -> Mem.t
     until the next run on the domain. *)
 
 val registers : t -> int64 array
-(** The registers of the calling domain's current {!Frame}: after a run,
+(** A fresh copy of the register file of the calling domain's current
+    {!Frame}, whichever tier ran: after a run,
     that run's, until the next run on the domain.  An instance owns no
     stack or register file; every run borrows them. *)
 
@@ -110,8 +111,8 @@ val proven_count : t -> int
 
 val ram_bytes : t -> int
 (** Per-instance RAM (paper Table 3 sense): the borrowed frame's stack
-    and registers, stats and region table, plus the compiled tier's
-    register file and block table when present. *)
+    and register file, stats and region table, plus the compiled tier's
+    block table when present. *)
 
 (** {2 Image / instance split}
 

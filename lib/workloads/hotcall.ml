@@ -4,7 +4,7 @@
    unrolled straight line, threading a running total through a proven
    [r10-8] spill between calls.  Per-instruction arithmetic is nearly
    free by construction, so what the dispatch tiers race on is call
-   marshalling: argument gather, helper resolution (per call site in the
+   marshalling: argument reads, helper resolution (per call site in the
    interpreter, once at compile time in the IR tier), r0
    write-back, and the post-call stack re-dirtying. *)
 
@@ -16,8 +16,8 @@ let helper_cost_cycles = 10
 (* acc' = acc + increment; the whole program computes Σ 1..calls. *)
 let install helpers =
   Femto_vm.Helper.register helpers ~id:helper_id ~name:helper_name
-    ~cost_cycles:helper_cost_cycles ~arity:2 (fun _mem args ->
-      Ok (Int64.add args.Femto_vm.Helper.a1 args.Femto_vm.Helper.a2))
+    ~cost_cycles:helper_cost_cycles ~arity:2 (fun _mem rf ->
+      Femto_vm.Helper.(return rf (Int64.add (arg rf 1) (arg rf 2))))
 
 (* Fresh registry with only the bench helper: the workload is
    self-contained for VM-level benchmarks and tests. *)

@@ -141,7 +141,8 @@ let test_fletcher_accepted () =
 
 let test_helper_arity_check () =
   let helpers = Helper.create () in
-  Helper.register helpers ~arity:2 ~id:1 ~name:"bpf_pair" (fun _ _ -> Ok 0L);
+  Helper.register helpers ~arity:2 ~id:1 ~name:"bpf_pair" (fun _ rf ->
+      Helper.return rf 0L);
   (* r1 is the context pointer at entry, but r2 was never written *)
   let bad = outcome ~helpers "call bpf_pair\nmov r0, 0\nexit" in
   Alcotest.(check bool) "uninit r2 argument" true

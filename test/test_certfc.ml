@@ -69,8 +69,8 @@ let test_checker_rejects_jump_out () =
 
 let test_helper_call () =
   let helpers = Helper.create () in
-  Helper.register helpers ~id:1 ~name:"double" (fun _mem args ->
-      Ok (Int64.mul args.Helper.a1 2L));
+  Helper.register helpers ~id:1 ~name:"double" (fun _mem rf ->
+      Helper.return rf (Int64.mul (Helper.arg rf 1) 2L));
   let program = Asm.assemble "mov r1, 21\ncall 1\nexit" in
   match Certfc.load ~helpers ~regions:[] program with
   | Error fault -> Alcotest.failf "check: %s" (Fault.to_string fault)

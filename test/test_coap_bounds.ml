@@ -1,7 +1,8 @@
 (* The bounded CoAP edge: allocation pins for the request path, fixed
    per-peer state, the one-message receive bound, the monotonic clock
    behind Max-Age, and totality of the in-place decoder under mutated
-   frames. *)
+   frames and of the update decoders (CBOR views, COSE, SUIT) under
+   mutated signed updates. *)
 
 module Message = Femto_coap.Message
 module Block = Femto_coap.Block
@@ -351,8 +352,8 @@ let frame_gen =
          (triple (pair nat nat) nat (string_size (int_range 0 8)))
          (pair (list_size (int_range 0 8) option) (string_size (int_range 0 200)))))
 
-(* Bit flips, truncations and splices of valid frames. *)
-let mutant_gen =
+(* Bit flips, truncations and splices of valid inputs from [valid_gen]. *)
+let mutations valid_gen =
   QCheck.Gen.(
     let flip b =
       map
@@ -365,8 +366,8 @@ let mutant_gen =
           b)
         (pair nat nat)
     in
-    frame_gen >>= fun a ->
-    frame_gen >>= fun b ->
+    valid_gen >>= fun a ->
+    valid_gen >>= fun b ->
     oneof
       [
         return a;
@@ -380,6 +381,7 @@ let mutant_gen =
           (pair nat nat);
       ])
 
+let mutant_gen = mutations frame_gen
 let mutant = QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) mutant_gen
 
 let prop_decode_total =
@@ -453,6 +455,100 @@ let test_fuzzed_socket_edge () =
   | Ok r -> Alcotest.(check string) "still answering" "hi" r.Message.payload
   | Error `Timeout -> Alcotest.fail "the edge stopped answering"
 
+(* --- totality of the update decoders ---
+
+   The same mutations of a valid signed update (a SUIT manifest in a
+   COSE_Sign1 envelope, as the Block1 upload delivers it), and of its
+   manifest alone, through the CBOR view decoder, COSE and SUIT. *)
+
+module Cbor = Femto_cbor.Cbor
+module Slice = Femto_cbor.Slice
+module Cose = Femto_cose.Cose
+module Suit = Femto_suit.Suit
+
+let update_key = Cose.make_key ~key_id:"fuzz-key" ~secret:"fuzz-secret"
+
+let manifest_gen =
+  QCheck.Gen.(
+    map
+      (fun ((seq, vendor, cls), components) ->
+        Suit.make ?vendor_id:vendor ?class_id:cls ~sequence:(Int64.of_int seq)
+          (List.map
+             (fun (uuid, payload) -> Suit.component_for ~storage_uuid:uuid payload)
+             components))
+      (pair
+         (triple nat
+            (opt (string_size (int_range 0 12)))
+            (opt (string_size (int_range 0 12))))
+         (list_size (int_range 0 3)
+            (pair (string_size (int_range 0 36)) (string_size (int_range 0 64))))))
+
+let signed_update_gen =
+  QCheck.Gen.map
+    (fun m -> Bytes.of_string (Suit.sign m update_key))
+    manifest_gen
+
+let manifest_bytes_gen =
+  QCheck.Gen.map (fun m -> Bytes.of_string (Suit.encode m)) manifest_gen
+
+let update_mutant =
+  QCheck.make
+    ~print:(fun b -> String.escaped (Bytes.to_string b))
+    QCheck.Gen.(
+      oneof [ mutations signed_update_gen; mutations manifest_bytes_gen ])
+
+(* The same accepted value, or both refused (an error's message may
+   name a position in the enclosing buffer). *)
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> x = y
+  | Error _, Error _ -> true
+  | _ -> false
+
+(* [data] as a window of a larger buffer, so slice offsets are nonzero. *)
+let window data =
+  let s = "\xff\xff\xff" ^ Bytes.to_string data ^ "\xff\xff" in
+  Slice.make s ~off:3 ~len:(Bytes.length data)
+
+(* The CBOR decoders fail only with [Decode_error], and a view decoded
+   out of a window is the tree the tree decoder reads. *)
+let prop_cbor_views_total =
+  QCheck.Test.make ~name:"CBOR slice views raise only Decode_error" ~count:3000
+    update_mutant (fun data ->
+      let tree =
+        match Cbor.decode (Bytes.to_string data) with
+        | t -> Some t
+        | exception Cbor.Decode_error _ -> None
+      in
+      let viewed =
+        match Cbor.decode_view_slice (window data) with
+        | v -> Some (Cbor.view_to_tree v)
+        | exception Cbor.Decode_error _ -> None
+      in
+      Option.equal Cbor.equal tree viewed)
+
+let prop_cose_total =
+  QCheck.Test.make ~name:"Cose.parse and verify_slice are total" ~count:3000
+    update_mutant (fun data ->
+      let s = Bytes.to_string data in
+      ignore (Cose.parse s : (Cose.envelope, Cose.error) result);
+      let sliced =
+        Result.map Slice.to_string (Cose.verify_slice update_key (window data))
+      in
+      (* the slice path agrees with the copying one *)
+      same_outcome sliced (Cose.verify update_key s))
+
+let prop_suit_total =
+  QCheck.Test.make ~name:"Suit.decode and decode_slice are total" ~count:3000
+    update_mutant (fun data ->
+      let whole = Suit.decode (Bytes.to_string data) in
+      let sliced = Suit.decode_slice (window data) in
+      (* the manifest inside a verified envelope decodes totally too *)
+      (match Cose.verify_slice update_key (window data) with
+      | Ok payload -> ignore (Suit.decode_slice payload : (Suit.t, Suit.error) result)
+      | Error _ -> ());
+      same_outcome whole sliced)
+
 let () =
   Alcotest.run "femto_coap_bounds"
     [
@@ -479,5 +575,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_total;
           QCheck_alcotest.to_alcotest prop_server_total;
           Alcotest.test_case "fuzzed socket edge answers" `Quick test_fuzzed_socket_edge;
+          QCheck_alcotest.to_alcotest prop_cbor_views_total;
+          QCheck_alcotest.to_alcotest prop_cose_total;
+          QCheck_alcotest.to_alcotest prop_suit_total;
         ] );
     ]

@@ -405,7 +405,80 @@ let test_engine_fire_zero_alloc () =
       | Some cc -> Alcotest.(check int64) "result" 20L (Compile.result cc)
       | None -> Alcotest.fail "compiled instance vanished")
   | _ -> Alcotest.fail "expected an fc instance");
-  Alcotest.(check int) "three executions" 3 (Container.executions container)
+  Alcotest.(check int) "three executions" 3 (Container.executions container);
+  (* a helper call on the IR tier reads r1..r5 and writes r0 in the
+     frame's register file: bpf_now_ms on a kernel-less engine returns
+     the engine's fallback time and allocates nothing *)
+  let hook =
+    Engine.register_hook engine ~uuid:"za-call" ~name:"zero-alloc call"
+      ~ctx_size:8 ()
+  in
+  let caller =
+    Container.create ~name:"za-call" ~tenant
+      ~contract:(Contract.require [ Contract.Time ])
+      (assemble
+         (Printf.sprintf
+            {|
+              mov   r1, 5
+              call  %d
+              add   r0, 1
+              mov   r6, r0
+              call  %d
+              mov   r0, r6
+              exit
+            |}
+            Femto_core.Syscall.id_now_ms Femto_core.Syscall.id_now_ms))
+  in
+  (match Engine.attach engine ~hook_uuid:"za-call" caller with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Engine.attach_error_to_string e));
+  ignore (Engine.fire engine hook);
+  ignore (Engine.fire engine hook);
+  let w0 = Gc.minor_words () in
+  let faults = Engine.fire engine hook in
+  let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "helper fire: no faults" 0 faults;
+  Alcotest.(check (float 0.0)) "helper fire: zero minor allocation" 0.0 delta;
+  match Container.instance caller with
+  | Some (Container.Fc_instance vm) -> (
+      Alcotest.(check bool) "helper fire: IR tier" true (Vm.tier vm = Vm.Ir);
+      Alcotest.(check int) "helper fire: two calls" 2
+        (Vm.stats vm).Interp.helper_calls;
+      match Vm.compiled vm with
+      | Some cc -> Alcotest.(check int64) "helper fire: result" 1L (Compile.result cc)
+      | None -> Alcotest.fail "compiled instance vanished")
+  | _ -> Alcotest.fail "expected an fc instance"
+
+(* The decoded loop keeps registers unboxed in the frame: on the paper's
+   fletcher32 over 360 B, only memory accesses allocate (boxed addresses
+   and load results), about 3 300 words a run where a boxed register
+   array cost 9 200. *)
+let test_decoded_fletcher_alloc () =
+  let module Fletcher = Femto_workloads.Fletcher in
+  let data = Fletcher.input_360 in
+  let ctx = 0x2000_0000L in
+  let vm =
+    ok_or_fail
+      (Vm.load ~helpers:no_helpers
+         ~regions:(Fletcher.regions ~ctx_vaddr:ctx data)
+         (Fletcher.ebpf_program ()))
+  in
+  let args = [| ctx |] in
+  let expected = Int64.of_int (Fletcher.checksum data) in
+  for _ = 1 to 20 do
+    match Vm.run ~args vm with
+    | Ok v -> Alcotest.(check int64) "checksum" expected v
+    | Error f -> Alcotest.fail (Fault.to_string f)
+  done;
+  let runs = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (Vm.run ~args vm))
+  done;
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int runs in
+  if per_run > 4000.0 then
+    Alcotest.failf "decoded fletcher32: %.0f minor words per run (> 4000)"
+      per_run
 
 let () =
   Alcotest.run "femto_compile"
@@ -423,6 +496,8 @@ let () =
             test_pool_observes_zeroed_frame;
           Alcotest.test_case "engine fire allocates nothing" `Quick
             test_engine_fire_zero_alloc;
+          Alcotest.test_case "decoded fletcher32 allocation" `Quick
+            test_decoded_fletcher_alloc;
         ] );
       ( "isolation",
         [

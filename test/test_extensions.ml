@@ -76,8 +76,8 @@ let test_transpile_rejects_invalid () =
 
 let test_transpile_helpers () =
   let helpers = Helper.create () in
-  Helper.register helpers ~id:1 ~name:"triple" (fun _mem args ->
-      Ok (Int64.mul args.Helper.a1 3L));
+  Helper.register helpers ~id:1 ~name:"triple" (fun _mem rf ->
+      Helper.return rf (Int64.mul (Helper.arg rf 1) 3L));
   let program = Asm.assemble "mov r1, 14\ncall 1\nexit" in
   match Analysis.load ~helpers ~regions:[] program with
   | Error fault -> Alcotest.failf "load: %s" (Fault.to_string fault)

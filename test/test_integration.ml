@@ -64,7 +64,11 @@ let make_update_rig ?(loss_permille = 200) () =
       ~known_storage:(fun uuid -> Engine.find_hook engine uuid <> None)
       ()
   in
-  let network = Network.create ~kernel ~loss_permille () in
+  let network =
+    Network.create ~kernel
+      ~profile:(Femto_net.Profile.make ~loss_permille "integration")
+      ()
+  in
   let server = Server.create ~network ~addr:1 () in
   let pending = ref "" in
   Server.register server ~path:"/suit/slot" (fun ~src:_ request ->

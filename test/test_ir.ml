@@ -191,13 +191,13 @@ let data_vaddr = 0x2000_0000L
 
 let fallback_helpers () =
   let h = Helper.create () in
-  Helper.register h ~id:1 ~name:"mix" (fun _ a ->
-      Ok (Int64.add (Int64.mul a.Helper.a1 3L) a.Helper.a2));
-  Helper.register h ~id:2 ~name:"poke" (fun mem a ->
-      let addr = Int64.add data_vaddr (Int64.logand a.Helper.a2 56L) in
-      match Femto_vm.Mem.store mem ~addr ~size:8 a.Helper.a1 with
-      | Ok () -> Ok 0L
-      | Error () -> Error "poke out of bounds");
+  Helper.register h ~id:1 ~name:"mix" (fun _ rf ->
+      Helper.(return rf (Int64.add (Int64.mul (arg rf 1) 3L) (arg rf 2))));
+  Helper.register h ~id:2 ~name:"poke" (fun mem rf ->
+      let addr = Int64.add data_vaddr (Int64.logand (Helper.arg rf 2) 56L) in
+      match Femto_vm.Mem.store mem ~addr ~size:8 (Helper.arg rf 1) with
+      | Ok () -> Helper.return rf 0L
+      | Error () -> Helper.fail "poke out of bounds");
   h
 
 let data_regions () =
@@ -375,9 +375,9 @@ let prop_nested_run =
       | Ok inner_vm -> (
           let helpers ~nest =
             let h = fallback_helpers () in
-            Helper.register h ~id:3 ~name:"nest" (fun _ _ ->
+            Helper.register h ~id:3 ~name:"nest" (fun _ rf ->
                 if nest then ignore (Vm.run inner_vm);
-                Ok 7L);
+                Helper.return rf 7L);
             h
           in
           match

@@ -126,7 +126,11 @@ let test_network_large_datagram () =
 
 let test_network_total_loss () =
   let kernel = Kernel.create () in
-  let network = Network.create ~kernel ~loss_permille:1000 () in
+  let network =
+    Network.create ~kernel
+      ~profile:(Femto_net.Profile.make ~loss_permille:1000 "total-loss")
+      ()
+  in
   let _a = Network.add_node network ~addr:1 in
   let b = Network.add_node network ~addr:2 in
   let received = ref false in
@@ -196,7 +200,11 @@ let prop_coap_roundtrip =
 
 let setup ?(loss_permille = 0) () =
   let kernel = Kernel.create () in
-  let network = Network.create ~kernel ~loss_permille () in
+  let network =
+    Network.create ~kernel
+      ~profile:(Femto_net.Profile.make ~loss_permille "setup")
+      ()
+  in
   let server = Server.create ~network ~addr:1 () in
   let client = Client.create ~network ~kernel ~addr:2 in
   (kernel, network, server, client)

@@ -114,10 +114,10 @@ let test_shifts_and_bits () =
 
 let test_helper_calls_compiled () =
   let helpers = Helper.create () in
-  Helper.register helpers ~id:7 ~name:"bpf_double" (fun _mem args ->
-      Ok (Int64.mul args.Helper.a1 2L));
-  Helper.register helpers ~id:8 ~name:"bpf_add3" (fun _mem args ->
-      Ok (Int64.add args.Helper.a1 (Int64.add args.Helper.a2 args.Helper.a3)));
+  Helper.register helpers ~id:7 ~name:"bpf_double" (fun _mem rf ->
+      Helper.return rf (Int64.mul (Helper.arg rf 1) 2L));
+  Helper.register helpers ~id:8 ~name:"bpf_add3" (fun _mem rf ->
+      Helper.(return rf (Int64.add (arg rf 1) (Int64.add (arg rf 2) (arg rf 3)))));
   let source =
     "fn f(x) { let d = bpf_double(x); return bpf_add3(d, x, 1) ; }"
   in

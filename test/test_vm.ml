@@ -374,14 +374,14 @@ let test_verifier_rejects_unknown_helper () =
 
 let make_helpers () =
   let helpers = Helper.create () in
-  Helper.register helpers ~id:1 ~name:"add_args" (fun _mem args ->
-      Ok (Int64.add args.Helper.a1 args.Helper.a2));
-  Helper.register helpers ~id:2 ~name:"fail_always" (fun _mem _args ->
-      Error "deliberate failure");
-  Helper.register helpers ~id:3 ~name:"peek_byte" (fun mem args ->
-      match Femto_vm.Mem.load mem ~addr:args.Helper.a1 ~size:1 with
-      | Ok v -> Ok v
-      | Error () -> Error "helper pointer outside allow-list");
+  Helper.register helpers ~id:1 ~name:"add_args" (fun _mem rf ->
+      Helper.(return rf (Int64.add (arg rf 1) (arg rf 2))));
+  Helper.register helpers ~id:2 ~name:"fail_always" (fun _mem _rf ->
+      Helper.fail "deliberate failure");
+  Helper.register helpers ~id:3 ~name:"peek_byte" (fun mem rf ->
+      match Femto_vm.Mem.load mem ~addr:(Helper.arg rf 1) ~size:1 with
+      | Ok v -> Helper.return rf v
+      | Error () -> Helper.fail "helper pointer outside allow-list");
   helpers
 
 let test_helper_call () =
