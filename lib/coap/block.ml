@@ -13,6 +13,11 @@ let opt_block1 = Message.opt_block1
 
 type t = { num : int; more : bool; szx : int }
 
+(* Every block-wise transfer in this stack moves 64-byte blocks (SZX 2):
+   small enough for a few 6LoWPAN frames, large enough that a SUIT
+   payload is a few dozen exchanges. *)
+let chunk_size = 64
+
 let size t = 1 lsl (t.szx + 4)
 
 let szx_of_size size =

@@ -10,6 +10,10 @@ val opt_block1 : int
 
 type t = { num : int; more : bool; szx : int }
 
+val chunk_size : int
+(** The block size of every transfer the client and server make: 64 B
+    (SZX 2). *)
+
 val size : t -> int
 (** Block size in bytes, [2^(szx+4)]. *)
 

@@ -188,11 +188,10 @@ type t = {
   uploads : Block.assembly Table.t;
   downloads : string Table.t;
   observers : unit Table.t;
-  block_size : int;
   mutable observe_seq : int;
 }
 
-let create_detached ?(block_size = 64) ?(dedupe_capacity = 64) ~addr ~send () =
+let create_detached ?(dedupe_capacity = 64) ~addr ~send () =
   let dedupe_capacity = max 1 dedupe_capacity in
   {
     addr;
@@ -211,7 +210,6 @@ let create_detached ?(block_size = 64) ?(dedupe_capacity = 64) ~addr ~send () =
     uploads = Table.create upload_capacity m_upload_evictions;
     downloads = Table.create download_capacity m_download_evictions;
     observers = Table.create observer_capacity m_observer_evictions;
-    block_size;
     observe_seq = 2;
   }
 
@@ -456,7 +454,7 @@ let handle_block1 t ~src v route =
 
 (* Block [num] of [full]; the download is dropped with its last block. *)
 let block2_slice t ~src v ~num full options =
-  match Block.slice ~num ~size:t.block_size full with
+  match Block.slice ~num ~size:Block.chunk_size full with
   | None -> respond Message.code_bad_request
   | Some (chunk, more) ->
       (if not more then
@@ -464,7 +462,7 @@ let block2_slice t ~src v ~num full options =
          if slot >= 0 then Table.remove t.downloads slot);
       respond
         ~options:
-          (block2_option ~num ~more ~size:t.block_size
+          (block2_option ~num ~more ~size:Block.chunk_size
           :: List.filter (fun (n, _) -> n <> Block.opt_block2) options)
         ~payload:chunk Message.code_content
 
@@ -526,15 +524,17 @@ let dispatch t ~src v route =
   in
   (* unsolicited large responses switch to Block2 automatically *)
   if
-    String.length response.payload > t.block_size
+    String.length response.payload > Block.chunk_size
     && response.code = Message.code_content
   then begin
     keep_download t ~src v response.payload;
-    match Block.slice ~num:0 ~size:t.block_size response.payload with
+    match Block.slice ~num:0 ~size:Block.chunk_size response.payload with
     | Some (chunk, more) ->
         { response with
           payload = chunk;
-          options = block2_option ~num:0 ~more ~size:t.block_size :: response.options }
+          options =
+            block2_option ~num:0 ~more ~size:Block.chunk_size
+            :: response.options }
     | None -> response
   end
   else response
@@ -548,8 +548,8 @@ let cached_entry t v route =
     when Message.view_code v = Message.code_to_int Message.code_get
          && v.Message.observe_value < 0 -> (
       match fresh t route with
-      | Some entry as hit when String.length entry.ce_response.payload <= t.block_size
-        ->
+      | Some entry as hit
+        when String.length entry.ce_response.payload <= Block.chunk_size ->
           hit
       | Some _ | None -> None)
   | Plain _ | Upload _ | Cached _ -> None
@@ -622,9 +622,9 @@ let reject_oversize t ~src data =
               ()))
   end
 
-let create ?block_size ?dedupe_capacity ~network ~addr () =
+let create ?dedupe_capacity ~network ~addr () =
   let t =
-    create_detached ?block_size ?dedupe_capacity ~addr
+    create_detached ?dedupe_capacity ~addr
       ~send:(fun ~dst:_ _ -> ())
       ()
   in

@@ -47,19 +47,17 @@ type sink = {
 type t
 
 val create :
-  ?block_size:int ->
   ?dedupe_capacity:int ->
   network:Network.t ->
   addr:int ->
   unit ->
   t
-(** Attach a server node to the simulated network.  [block_size]
-    (default 64) is the RFC 7959 chunk size for large transfers;
-    [dedupe_capacity] (default 64) bounds the message-id dedupe ring
+(** Attach a server node to the simulated network.  Large transfers
+    move in {!Block.chunk_size} blocks (RFC 7959); [dedupe_capacity]
+    (default 64) bounds the message-id dedupe ring
     (oldest reply evicted first, counted in [coap.dedupe_evictions]). *)
 
 val create_detached :
-  ?block_size:int ->
   ?dedupe_capacity:int ->
   addr:int ->
   send:(dst:int -> bytes -> unit) ->

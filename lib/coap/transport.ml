@@ -188,144 +188,122 @@ let stop t =
 
 (* --- synchronous client: one socket, blocking receives --------------- *)
 
-(* Enough client to load-test and script the edge: confirmable requests
-   with retransmission, Block1 uploads, observe registration + a
-   blocking notification pump.  Used by `fc get`, the edge bench and the
-   loopback tests; not a general CoAP client. *)
+(* The exchange logic, before [Client] below takes its name. *)
+module Exchanges = Client
+
+(* A socket driver for the one client ([Exchanges] here): it sends to
+   one server, and a blocking pump waits on the socket until the armed
+   timer is due, hands each datagram to [Exchanges.handle_datagram] and
+   then fires the timer.  A call returns once its exchange completes,
+   so no exchange outlives it and its timer is dropped.  Used by `fc
+   get`, the edge bench and the loopback tests. *)
 module Client = struct
+  (* A call has one live exchange at a time, so only the timer armed
+     last can do anything: an earlier one belongs to a finished
+     exchange.  One slot holds it; [deadline] (ns) is [infinity] when
+     none is armed. *)
+  type timer = { mutable deadline : float; mutable action : unit -> unit }
+
   type t = {
     socket : Unix.file_descr;
-    server_addr : Unix.sockaddr;
-    mutable next_mid : int;
-    mutable next_token : int;
-    mutable retransmissions : int;
     recv_buf : Bytes.t;
-    ack_timeout_s : float;
-    max_retransmit : int;
+    exchanges : Exchanges.t;
+    timer : timer;
+    notifications : Message.t Queue.t;
   }
 
-  let create ?(host = "127.0.0.1") ?(ack_timeout_s = 0.25)
-      ?(max_retransmit = 4) ~port () =
+  let arm timer ~deadline action =
+    timer.deadline <- deadline;
+    timer.action <- action
+
+  let disarm timer = arm timer ~deadline:infinity ignore
+
+  let create ?(host = "127.0.0.1") ?(ack_timeout_s = 0.25) ~port () =
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+    let server = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
+    let timer = { deadline = infinity; action = ignore } in
+    let exchanges =
+      Exchanges.create_detached
+        ~send:(fun ~dst:_ data ->
+          ignore (Unix.sendto socket data 0 (Bytes.length data) [] server))
+        ~after_us:(fun ~us f ->
+          arm timer ~deadline:(Obs.now_ns () +. (float_of_int us *. 1e3)) f)
+        ~first_id:(Random.State.int (Random.State.make_self_init ()) 0x8000)
+        ~ack_timeout_us:(int_of_float (ack_timeout_s *. 1e6))
+    in
     {
       socket;
-      server_addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port);
-      next_mid = Random.int 0x8000;
-      next_token = Random.int 0x8000;
-      retransmissions = 0;
       recv_buf = Bytes.create recv_size;
-      ack_timeout_s;
-      max_retransmit;
+      exchanges;
+      timer;
+      notifications = Queue.create ();
     }
 
   let close t = try Unix.close t.socket with Unix.Unix_error _ -> ()
-  let retransmissions t = t.retransmissions
 
-  let fresh_mid t =
-    let mid = t.next_mid in
-    t.next_mid <- (t.next_mid + 1) land 0xFFFF;
-    mid
+  (* Wait up to [timeout_s] for one datagram of at most one message and
+     hand it to the exchanges. *)
+  let receive t timeout_s =
+    match Unix.select [ t.socket ] [] [] timeout_s with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ -> ()
+    | _ :: _, _, _ -> (
+        match Unix.recvfrom t.socket t.recv_buf 0 recv_size [] with
+        | exception
+            Unix.Unix_error
+              ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ECONNREFUSED), _, _) ->
+            ()
+        | len, _ ->
+            if len <= Message.max_size then
+              Exchanges.handle_datagram t.exchanges t.recv_buf ~len)
 
-  let fresh_token t =
-    let token = Printf.sprintf "%04x" (t.next_token land 0xFFFF) in
-    t.next_token <- t.next_token + 1;
-    token
+  (* Run until [finished ()], or until no timer is armed: then nothing
+     can happen any more. *)
+  let rec pump t finished =
+    if (not (finished ())) && t.timer.deadline < infinity then begin
+      let remaining = (t.timer.deadline -. Obs.now_ns ()) *. 1e-9 in
+      if remaining > 0.0 then receive t remaining
+      else begin
+        let action = t.timer.action in
+        disarm t.timer;
+        action ()
+      end;
+      pump t finished
+    end
 
-  let send_raw t data =
-    ignore (Unix.sendto t.socket data 0 (Bytes.length data) [] t.server_addr)
+  (* Start an exchange and block until it completes.  An observe
+     registration that times out completes nothing: its last timer
+     fires and the pump stops. *)
+  let call t start =
+    let result = ref None in
+    start (fun r -> result := Some r);
+    pump t (fun () -> Option.is_some !result);
+    disarm t.timer;
+    Option.value !result ~default:(Error `Timeout)
 
-  let seconds_until deadline_ns = (deadline_ns -. Obs.now_ns ()) *. 1e-9
+  (* [~dst] is unused: a socket client talks to its one server. *)
+  let get t ~path = call t (Exchanges.get t.exchanges ~dst:0 ~path)
 
-  (* Block until a datagram of at most one message parses, or
-     [timeout_s] elapses. *)
-  let recv t ~timeout_s =
-    let deadline = Obs.now_ns () +. (timeout_s *. 1e9) in
-    let rec wait () =
-      let remaining = seconds_until deadline in
-      if remaining <= 0.0 then None
-      else
-        match Unix.select [ t.socket ] [] [] remaining with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-        | [], _, _ -> None
-        | _ :: _, _, _ -> (
-            match Unix.recvfrom t.socket t.recv_buf 0 recv_size [] with
-            | exception
-                Unix.Unix_error
-                  ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ECONNREFUSED), _, _)
-              ->
-                wait ()
-            | len, _ when len > Message.max_size -> wait ()
-            | len, _ -> (
-                match Message.decode_sub t.recv_buf ~off:0 ~len with
-                | exception Message.Parse_error _ -> wait ()
-                | msg -> Some msg))
-    in
-    wait ()
+  let post_blockwise t ~path ~payload =
+    call t (Exchanges.post_blockwise t.exchanges ~dst:0 ~path ~payload)
 
-  (* Issue a confirmable request and wait for the matching response,
-     retransmitting with exponential back-off. *)
-  let transact t message =
-    let encoded = Message.encode message in
-    let rec attempt n timeout_s =
-      send_raw t encoded;
-      if n > 0 then t.retransmissions <- t.retransmissions + 1;
-      let deadline = Obs.now_ns () +. (timeout_s *. 1e9) in
-      let rec await () =
-        let remaining = seconds_until deadline in
-        if remaining <= 0.0 then
-          if n >= t.max_retransmit then Error `Timeout
-          else attempt (n + 1) (timeout_s *. 2.0)
-        else
-          match recv t ~timeout_s:remaining with
-          | None ->
-              if n >= t.max_retransmit then Error `Timeout
-              else attempt (n + 1) (timeout_s *. 2.0)
-          | Some response
-            when String.equal response.Message.token message.Message.token ->
-              Ok response
-          | Some _ -> await () (* stale datagram (old dup): keep waiting *)
-      in
-      await ()
-    in
-    attempt 0 t.ack_timeout_s
-
-  let request t ~code ~path ?(options = []) ?(payload = "") () =
-    transact t
-      (Message.make ~token:(fresh_token t)
-         ~options:(Message.options_of_path path @ options)
-         ~payload ~code ~message_id:(fresh_mid t) ())
-
-  let get t ~path = request t ~code:Message.code_get ~path ()
-
-  let post t ~path ~payload =
-    request t ~code:Message.code_post ~path ~payload ()
-
-  (* Sequential Block1 upload, one confirmable exchange per block. *)
-  let post_blockwise ?(block_size = 64) t ~path ~payload =
-    let rec send_block num =
-      match Block.slice ~num ~size:block_size payload with
-      | None -> post t ~path ~payload
-      | Some (chunk, more) -> (
-          let block = Block.make ~num ~more ~size:block_size in
-          match
-            request t ~code:Message.code_post ~path
-              ~options:[ Block.to_option ~number:Block.opt_block1 block ]
-              ~payload:chunk ()
-          with
-          | Error `Timeout -> Error `Timeout
-          | Ok response ->
-              if more then
-                if response.Message.code = Message.code_continue then
-                  send_block (num + 1)
-                else Ok response (* early error: report it *)
-              else Ok response)
-    in
-    send_block 0
-
-  (* Register an observe relationship; notifications arrive through
-     {!recv} on this client's socket. *)
   let observe t ~path =
-    request t ~code:Message.code_get ~path
-      ~options:[ Message.observe_option 0 ]
-      ()
+    call t (fun complete ->
+        let registered = ref false in
+        ignore
+          (Exchanges.observe t.exchanges ~dst:0 ~path (fun m ->
+               if !registered then Queue.add m t.notifications
+               else begin
+                 registered := true;
+                 complete (Ok m)
+               end)))
+
+  let recv t ~timeout_s =
+    if Queue.is_empty t.notifications then begin
+      (* a timer that does nothing bounds the wait *)
+      arm t.timer ~deadline:(Obs.now_ns () +. (timeout_s *. 1e9)) ignore;
+      pump t (fun () -> not (Queue.is_empty t.notifications));
+      disarm t.timer
+    end;
+    Queue.take_opt t.notifications
 end

@@ -58,48 +58,32 @@ val spawn : ?poll_s:float -> t -> Server.t -> unit
 val stop : t -> unit
 (** Stop the loop, join the acceptor domain, close the socket. *)
 
-(** Synchronous CoAP client over its own UDP socket: confirmable
-    requests with retransmission, Block1 uploads, observe registration
-    and a blocking notification pump — enough for `fc get`, the edge
-    bench and the loopback tests. *)
+(** Synchronous CoAP client over its own UDP socket: a blocking driver
+    for the library's one client ([Femto_coap.Client]), which does the
+    confirmable exchanges (back-off, Block1, observe).  Each call blocks
+    until its exchange completes; observe notifications queue up for
+    {!recv}.  Enough for `fc get`, the edge bench and the loopback
+    tests. *)
 module Client : sig
   type t
 
-  val create :
-    ?host:string ->
-    ?ack_timeout_s:float ->
-    ?max_retransmit:int ->
-    port:int ->
-    unit ->
-    t
+  val create : ?host:string -> ?ack_timeout_s:float -> port:int -> unit -> t
+  (** A client of the server at [host]:[port] (default host 127.0.0.1,
+      ACK timeout 0.25 s), with message ids and tokens from a random
+      start. *)
 
   val close : t -> unit
-  val retransmissions : t -> int
-
-  val request :
-    t ->
-    code:int * int ->
-    path:string ->
-    ?options:(int * string) list ->
-    ?payload:string ->
-    unit ->
-    (Message.t, [ `Timeout ]) result
-
   val get : t -> path:string -> (Message.t, [ `Timeout ]) result
-  val post : t -> path:string -> payload:string -> (Message.t, [ `Timeout ]) result
 
   val post_blockwise :
-    ?block_size:int ->
-    t ->
-    path:string ->
-    payload:string ->
-    (Message.t, [ `Timeout ]) result
+    t -> path:string -> payload:string -> (Message.t, [ `Timeout ]) result
+  (** Upload [payload] as sequential Block1 chunks. *)
 
   val observe : t -> path:string -> (Message.t, [ `Timeout ]) result
-  (** Register an observe relationship; notifications then arrive via
-      {!recv}. *)
+  (** Register an observe relationship and return the registration
+      response; notifications then arrive via {!recv}. *)
 
   val recv : t -> timeout_s:float -> Message.t option
-  (** Block until the next parseable datagram of at most
-      {!Message.max_size} bytes, or the timeout. *)
+  (** The next observe notification, waiting up to [timeout_s] for
+      one. *)
 end

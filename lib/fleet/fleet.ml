@@ -343,6 +343,7 @@ let handle_update shard dev (v : Message.view) =
   send_ack shard dev v ~ok
 
 let code_post = Message.code_to_int Message.code_post
+let code_changed = Message.code_to_int Message.code_changed
 
 (* An update is validated in place ([Message.scan]) and read from its
    view; any other datagram goes to the inbox undecoded. *)
@@ -560,14 +561,14 @@ let record_ack t ~src ~payload =
   let s = t.server in
   let id = src - 1 in
   if id >= 0 && id < Array.length t.devices && not s.acked.(id) then
-    match Message.decode payload with
+    (* validated in place: only the type and code are read *)
+    match Message.scan payload ~off:0 ~len:(Bytes.length payload) with
     | exception Message.Parse_error _ -> ()
-    | msg ->
-        if msg.Message.msg_type = Message.Acknowledgement then begin
+    | v ->
+        if Message.view_type_code v = 2 (* ACK *) then begin
           s.acked.(id) <- true;
           s.acks_done <- s.acks_done + 1;
-          if msg.Message.code = Message.code_changed then
-            s.acks_ok <- s.acks_ok + 1
+          if Message.view_code v = code_changed then s.acks_ok <- s.acks_ok + 1
           else s.acks_rejected <- s.acks_rejected + 1
         end
 

@@ -160,6 +160,40 @@ let test_udp_cached_resource () =
           Alcotest.(check int) "handler ran once over the socket" 1 !runs;
           Alcotest.(check bool) "stable ETag" true (e1 = e2 && e1 <> None)))
 
+(* The UDP client's retransmission path: against a bound socket that
+   never answers, a GET goes out 5 times, byte-identical, then times
+   out. *)
+let test_udp_retransmits_then_times_out () =
+  let silent = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close silent)
+    (fun () ->
+      Unix.bind silent (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      let port =
+        match Unix.getsockname silent with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let client = Transport.Client.create ~ack_timeout_s:0.01 ~port () in
+      let result =
+        Fun.protect
+          ~finally:(fun () -> Transport.Client.close client)
+          (fun () -> Transport.Client.get client ~path:"/void")
+      in
+      Alcotest.(check bool) "timed out" true (result = Error `Timeout);
+      Unix.set_nonblock silent;
+      let buf = Bytes.create 2048 in
+      let rec drain acc =
+        match Unix.recvfrom silent buf 0 (Bytes.length buf) [] with
+        | len, _ -> drain (Bytes.sub_string buf 0 len :: acc)
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            acc
+      in
+      let datagrams = drain [] in
+      Alcotest.(check int) "5 transmissions" 5 (List.length datagrams);
+      Alcotest.(check int) "byte-identical" 1
+        (List.length (List.sort_uniq compare datagrams)))
+
 let suite =
   [
     Alcotest.test_case "decode_sub equals decode" `Quick test_decode_sub_matches_decode;
@@ -169,6 +203,8 @@ let suite =
     Alcotest.test_case "UDP blockwise upload" `Quick test_udp_blockwise_upload;
     Alcotest.test_case "UDP observe" `Quick test_udp_observe_notification;
     Alcotest.test_case "UDP cached resource" `Quick test_udp_cached_resource;
+    Alcotest.test_case "UDP retransmits then times out" `Quick
+      test_udp_retransmits_then_times_out;
   ]
 
 let () = Alcotest.run "femto_edge" [ ("edge", suite) ]

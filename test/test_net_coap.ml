@@ -260,6 +260,45 @@ let test_total_loss_times_out () =
       Alcotest.(check int) "timeouts counted" 1 (Client.timeouts client)
   | _ -> Alcotest.fail "expected timeout"
 
+(* The back-off schedule, on the detached client with a recording [send]
+   and timers run by hand: a request nobody answers goes out 5 times,
+   byte-identical, at 0, 2, 6, 14 and 30 s (ACK_TIMEOUT 2 s, doubling,
+   MAX_RETRANSMIT 4) and times out at 62 s. *)
+let test_backoff_schedule () =
+  let now = ref 0 in
+  let sent = ref [] in
+  let timers = ref [] in
+  let client =
+    Client.create_detached
+      ~send:(fun ~dst:_ data -> sent := (!now, Bytes.to_string data) :: !sent)
+      ~after_us:(fun ~us f -> timers := (!now + us, f) :: !timers)
+      ~first_id:1 ~ack_timeout_us:2_000_000
+  in
+  let outcome = ref None in
+  Client.get client ~dst:1 ~path:"/x" (fun r -> outcome := Some (!now, r));
+  let rec run () =
+    match List.sort (fun (a, _) (b, _) -> compare a b) !timers with
+    | [] -> ()
+    | (at, f) :: rest ->
+        timers := rest;
+        now := at;
+        f ();
+        run ()
+  in
+  run ();
+  let sent = List.rev !sent in
+  Alcotest.(check (list int)) "send times (us)"
+    [ 0; 2_000_000; 6_000_000; 14_000_000; 30_000_000 ]
+    (List.map fst sent);
+  Alcotest.(check int) "one distinct datagram" 1
+    (List.length (List.sort_uniq compare (List.map snd sent)));
+  (match !outcome with
+  | Some (at, Error `Timeout) ->
+      Alcotest.(check int) "timeout at 62 s" 62_000_000 at
+  | Some (_, Ok _) | None -> Alcotest.fail "expected a timeout");
+  Alcotest.(check int) "retransmissions" 4 (Client.retransmissions client);
+  Alcotest.(check int) "timeouts" 1 (Client.timeouts client)
+
 let test_post_payload () =
   let kernel, _network, server, client = setup () in
   let seen = ref "" in
@@ -753,6 +792,7 @@ let suite =
     Alcotest.test_case "not found" `Quick test_not_found;
     Alcotest.test_case "retransmission" `Quick test_retransmission_recovers_loss;
     Alcotest.test_case "total loss timeout" `Quick test_total_loss_times_out;
+    Alcotest.test_case "back-off schedule" `Quick test_backoff_schedule;
     Alcotest.test_case "post payload" `Quick test_post_payload;
     Alcotest.test_case "CON deduplication" `Quick test_server_deduplicates_retransmissions;
     Alcotest.test_case "fmt_s16_dfp" `Quick test_fmt_s16_dfp;
